@@ -1,0 +1,6 @@
+"""Import the program from the checkout's src/ and the benchmark modules."""
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
