@@ -10,9 +10,10 @@ study-negatives  negative-eigenvalue counts across grid refinements
 
 Every subcommand takes ``--config <path>`` (JSON document, see the config
 module) and ``--out <dir>`` for output files; ``--resolution NxM``
-overrides the config's grid resolution.  Exit codes: 0 success, 2 usage,
-3 invalid configuration, 4 lost positivity of the single layer,
-5 numerical failure.
+overrides the config's grid resolution.  Exit codes: 0 success, 1 file
+system error, 2 usage, 3 invalid configuration or unusable geometry (a
+degenerate chart, or a grid that cannot be assembled), 4 lost positivity
+of the single layer, 5 numerical failure.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import sys
 
 from ._version import __version__
 from .config import RunConfig, load_config
-from .errors import ConfigError, NotPositiveDefinite, NumericalError
+from .errors import (ConfigError, DegenerateChart, GridError,
+                     NotPositiveDefinite, NumericalError)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
 from .spectrum import negative_count_study
@@ -186,7 +188,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, GridError, DegenerateChart) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as exc:

@@ -14,6 +14,13 @@ polar (Duffy-style) integral over the node's own cell.  These corrections
 are what keep -S positive definite and the spectrum's negative tail clean
 at production resolutions; the cruder textbook variants (pure punctured
 products, flat-disk diagonal) remain available through keyword switches.
+
+Assembly writes the one-point products into the two preallocated n x n
+matrices in row blocks, which also find the near pairs.  The cell integrals
+then evaluate the surface chart once per cell and quadrature panel, not
+once per near pair, and gather from that per-cell cache in bounded chunks.
+Beyond the two returned matrices, assembly therefore holds temporaries of
+O(n) plus a few dozen MiB, independent of n^2.
 """
 from __future__ import annotations
 
@@ -35,6 +42,10 @@ CELL_QUAD = 6                # Gauss-Legendre points per cell direction
 TOUCH_RADIUS_CELLS = 1.0     # pairs this close also get subdivided cells
 CELL_SUBDIV = 3              # subdivision factor for touching pairs
 SELF_QUAD = 8                # radial/angular points of the self-cell rule
+
+# matrix entries per far-field row block and quadrature samples per chunk of
+# near pairs; bounds assembly's temporaries to a few dozen MiB at any n
+_BLOCK_ENTRIES = 1 << 17
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
 _TAG_BASES = {v: k for k, v in _BASIS_TAGS.items()}
@@ -76,51 +87,48 @@ class SymmetrizedOperator:
 
 
 # ------------------------------------------------------------------ helpers
-def _pairwise_distances(grid: QuadratureGrid) -> np.ndarray:
-    """All chordal node distances, diagonal set to inf; rejects collisions."""
-    x = grid.points
-    d = x[:, None, :] - x[None, :, :]
-    rr = np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-    np.fill_diagonal(rr, np.inf)
-    scale = float(np.max(np.ptp(x, axis=0)))
-    i, j = np.unravel_index(int(np.argmin(rr)), rr.shape)
-    if rr[i, j] <= 1e-12 * scale:
-        raise GridError(
-            f"coincident quadrature nodes {i} and {j} "
-            f"(distance {rr[i, j]:.3e})")
-    return rr
-
-
 def _cell_diameters(grid: QuadratureGrid) -> np.ndarray:
     hu = (grid.cell_u_hi - grid.cell_u_lo) * np.sqrt(grid.frames.E)
     hv = grid.cell_dv * np.sqrt(grid.frames.G)
     return np.hypot(hu, hv)
 
 
-def _near_masks(grid: QuadratureGrid, rr: np.ndarray, near_radius: float,
-                touch_radius: float):
-    """Same-component near / touching pair masks.
+def _block_rows(n: int) -> int:
+    """Rows per far-field block: about _BLOCK_ENTRIES matrix entries."""
+    return max(1, _BLOCK_ENTRIES // n)
 
-    Raises GridError when nodes of different components fall inside the
-    correction radius: cross-chart cell integrals are not supported, so
-    such grids cannot be assembled accurately.
+
+def _panel_geometry(grid, comp, gx, gw, a, b, nsub):
+    """Chart samples on panel (a, b) of every parameter cell of ``comp``.
+
+    Panel (a, b) of the nsub x nsub split of a node's cell carries a q x q
+    Gauss-Legendre rule.  Returns y, cross(y_u, y_v) and its norm ``jac``
+    at the rule's points, and the tensor weights ``ww``, each indexed by
+    node - comp.start along the first axis.
     """
-    diam = _cell_diameters(grid)
-    half = 0.5 * (diam[:, None] + diam[None, :])
-    near = rr < near_radius * half
-    np.fill_diagonal(near, False)
-    comp_id = np.empty(grid.n_nodes, dtype=int)
-    for k, c in enumerate(grid.components):
-        comp_id[c.slice] = k
-    same = comp_id[:, None] == comp_id[None, :]
-    if np.any(near & ~same):
-        i, j = np.argwhere(near & ~same)[0]
-        raise GridError(
-            f"nodes {i} and {j} of different components are closer than "
-            f"the near-field correction radius; separate the components "
-            f"or refine the grids")
-    touching = near & (rr < touch_radius * half)
-    return near, touching
+    sl = comp.slice
+    q = gx.size
+    n_cells = comp.stop - comp.start
+    t0, t1 = grid.cell_u_lo[sl], grid.cell_u_hi[sl]
+    dv = grid.cell_dv[sl]
+    p0 = grid.v[sl] - 0.5 * dv
+    tt0 = t0 + (t1 - t0) * a / nsub
+    tt1 = t0 + (t1 - t0) * (a + 1) / nsub
+    uq = 0.5 * (tt1 - tt0)[:, None] * gx[None, :] \
+        + 0.5 * (tt1 + tt0)[:, None]
+    wu = 0.5 * (tt1 - tt0)[:, None] * gw[None, :]
+    pp0 = p0 + dv * b / nsub
+    vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
+    wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
+    uu = np.broadcast_to(uq[:, :, None], (n_cells, q, q))
+    vv = np.broadcast_to(vq[:, None, :], (n_cells, q, q))
+    surf = comp.surface
+    y = surf.position(uu, vv)
+    yu, yv = surf.first_derivatives(uu, vv)
+    cr = np.cross(yu, yv)
+    jac = np.sqrt(np.sum(cr * cr, axis=-1))
+    ww = wu[:, :, None] * wv[:, None, :]
+    return y, cr, jac, ww
 
 
 def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
@@ -128,7 +136,9 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
 
     For each pair (src[p], tgt[p]), with tgt[p] owned by component ``comp``,
     integrates both kernels over tgt's parameter cell with an nsub x nsub
-    panel split and a q x q Gauss-Legendre rule per panel.
+    panel split and a q x q Gauss-Legendre rule per panel.  The chart is
+    evaluated once per cell and panel (``_panel_geometry``), panel by panel,
+    and the pairs gather from it in chunks of about _BLOCK_ENTRIES samples.
 
     Returns
     -------
@@ -136,38 +146,27 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
         I_S = integral of 1/(4 pi |y - x|) dS(y),
         I_K = integral of <y - x, n(y)>/(4 pi |y - x|^3) dS(y).
     """
-    surf = comp.surface
-    sign = surf.orientation_sign()
+    sign = comp.surface.orientation_sign()
     gx, gw = np.polynomial.legendre.leggauss(q)
-    t0, t1 = grid.cell_u_lo[tgt], grid.cell_u_hi[tgt]
-    p0 = grid.v[tgt] - 0.5 * grid.cell_dv[tgt]
-    dv = grid.cell_dv[tgt]
+    loc = tgt - comp.start
     x_src = grid.points[src]
     n_pairs = len(src)
+    chunk = max(1, _BLOCK_ENTRIES // (q * q))
     i_s = np.zeros(n_pairs)
     i_k = np.zeros(n_pairs)
     for a in range(nsub):
-        tt0 = t0 + (t1 - t0) * a / nsub
-        tt1 = t0 + (t1 - t0) * (a + 1) / nsub
-        uq = 0.5 * (tt1 - tt0)[:, None] * gx[None, :] \
-            + 0.5 * (tt1 + tt0)[:, None]
-        wu = 0.5 * (tt1 - tt0)[:, None] * gw[None, :]
         for b in range(nsub):
-            pp0 = p0 + dv * b / nsub
-            vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
-            wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
-            uu = np.broadcast_to(uq[:, :, None], (n_pairs, q, q))
-            vv = np.broadcast_to(vq[:, None, :], (n_pairs, q, q))
-            y = surf.position(uu, vv)
-            yu, yv = surf.first_derivatives(uu, vv)
-            cr = np.cross(yu, yv)
-            jac = np.sqrt(np.sum(cr * cr, axis=-1))
-            diff = y - x_src[:, None, None, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            ww = wu[:, :, None] * wv[:, None, :]
-            i_s += np.sum(jac / (FOUR_PI * dist) * ww, axis=(1, 2))
-            num = sign * np.sum(diff * cr, axis=-1) / jac
-            i_k += np.sum(num * jac / (FOUR_PI * dist ** 3) * ww, axis=(1, 2))
+            y, cr, jac, ww = _panel_geometry(grid, comp, gx, gw, a, b, nsub)
+            for c0 in range(0, n_pairs, chunk):
+                c = slice(c0, c0 + chunk)
+                cell = loc[c]
+                jac_c, ww_c = jac[cell], ww[cell]
+                diff = y[cell] - x_src[c, None, None, :]
+                dist = np.sqrt(np.sum(diff * diff, axis=-1))
+                i_s[c] += np.sum(jac_c / (FOUR_PI * dist) * ww_c, axis=(1, 2))
+                num = sign * np.sum(diff * cr[cell], axis=-1) / jac_c
+                i_k[c] += np.sum(num * jac_c / (FOUR_PI * dist ** 3) * ww_c,
+                                 axis=(1, 2))
     return i_s, i_k
 
 
@@ -231,9 +230,14 @@ def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
                        diagonal: str = "local"):
     """Assemble the double- and single-layer operators in one pass.
 
-    The near-field cell integrals dominate assembly time and share all
-    geometry evaluations between the two kernels, so assembling the pair
-    together costs far less than two separate assemblies.
+    The near-field cell integrals share all geometry evaluations between
+    the two kernels, so assembling the pair together costs far less than
+    two separate assemblies.  Far-field entries are written in row blocks
+    of about ``_BLOCK_ENTRIES`` entries, which also check for coincident
+    nodes and collect the near pairs; the cell integrals then run over the
+    pair list from a per-cell cache of chart samples.  Peak memory is the
+    two returned matrices plus O(n) and a few dozen MiB of block
+    temporaries.
 
     Parameters
     ----------
@@ -261,46 +265,88 @@ def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
     nrm = grid.normals
     w = grid.weights
     n = grid.n_nodes
-    rr = _pairwise_distances(grid)
-    diff = x[:, None, :] - x[None, :, :]
-    num = -np.einsum("ijk,jk->ij", diff, nrm)
-    del diff
-    kmat = (num / (FOUR_PI * rr ** 3)) * w[None, :]
-    del num
     sw = np.sqrt(w)
-    smat_w = -(1.0 / (FOUR_PI * rr)) * sw[:, None] * sw[None, :]
+    scale = float(np.max(np.ptp(x, axis=0)))
+    kmat = np.empty((n, n))
+    smat = np.empty((n, n))     # weighted basis until the final pass
     if near_correction:
-        near, touching = _near_masks(grid, rr, NEAR_RADIUS_CELLS,
-                                     TOUCH_RADIUS_CELLS)
+        diam = _cell_diameters(grid)
+        comp_id = np.empty(n, dtype=int)
+        for k, c in enumerate(grid.components):
+            comp_id[c.slice] = k
+        pairs, cross = [], None
+    step = _block_rows(n)
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        diff = x[r0:r1, None, :] - x[None, :, :]
+        rr = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        np.fill_diagonal(rr[:, r0:], np.inf)
+        bi, j = divmod(int(np.argmin(rr)), n)
+        if rr[bi, j] <= 1e-12 * scale:
+            raise GridError(
+                f"coincident quadrature nodes {r0 + bi} and {j} "
+                f"(distance {rr[bi, j]:.3e})")
+        num = -np.einsum("ijk,jk->ij", diff, nrm)
+        del diff
+        kmat[r0:r1] = (num / (FOUR_PI * rr ** 3)) * w[None, :]
+        del num
+        smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * sw[r0:r1, None] * sw[None, :]
+        if near_correction:
+            # near pairs within NEAR_RADIUS_CELLS mean cell diameters, the
+            # touching ones among them also within TOUCH_RADIUS_CELLS
+            half = 0.5 * (diam[r0:r1, None] + diam[None, :])
+            near = rr < NEAR_RADIUS_CELLS * half
+            if cross is None:
+                bad = near & (comp_id[r0:r1, None] != comp_id[None, :])
+                if bad.any():
+                    bi, j = np.argwhere(bad)[0]
+                    cross = (r0 + bi, j)
+            bi, jj = np.nonzero(near)
+            ii = bi + r0
+            keep = ii < jj
+            touch = rr[bi, jj] < TOUCH_RADIUS_CELLS * half[bi, jj]
+            pairs.append((ii[keep], jj[keep], touch[keep]))
+    if near_correction:
+        # cross-chart cell integrals are not supported, so such grids
+        # cannot be assembled accurately; raised only now so that
+        # coincident nodes in any row block are reported first
+        if cross is not None:
+            raise GridError(
+                f"nodes {cross[0]} and {cross[1]} of different components "
+                f"are closer than the near-field correction radius; "
+                f"separate the components or refine the grids")
+        ii, jj, touch = (np.concatenate(p) for p in zip(*pairs))
         for comp in grid.components:
-            in_comp = np.zeros(n, dtype=bool)
-            in_comp[comp.slice] = True
-            for mask, nsub in ((near & ~touching, 1), (touching, CELL_SUBDIV)):
-                ii, jj = np.nonzero(mask & in_comp[:, None])
-                keep = ii < jj
-                ii, jj = ii[keep], jj[keep]
-                if ii.size == 0:
+            in_comp = (ii >= comp.start) & (ii < comp.stop)
+            for mask, nsub in ((~touch, 1), (touch, CELL_SUBDIV)):
+                pick = in_comp & mask
+                if not pick.any():
                     continue
-                is_ab, ik_ab = _cell_kernel_integrals(
-                    grid, comp, ii, jj, CELL_QUAD, nsub)
-                is_ba, ik_ba = _cell_kernel_integrals(
-                    grid, comp, jj, ii, CELL_QUAD, nsub)
+                pi, pj = ii[pick], jj[pick]
+                m = pi.size
+                # both directions in one call: cells of pj from pi, then
+                # cells of pi from pj
+                i_s, i_k = _cell_kernel_integrals(
+                    grid, comp, np.concatenate([pi, pj]),
+                    np.concatenate([pj, pi]), CELL_QUAD, nsub)
                 # symmetric average in the weighted basis keeps S symmetric
-                vals = -0.5 * (is_ab * sw[ii] / sw[jj]
-                               + is_ba * sw[jj] / sw[ii])
-                smat_w[ii, jj] = vals
-                smat_w[jj, ii] = vals
-                kmat[ii, jj] = ik_ab
-                kmat[jj, ii] = ik_ba
+                vals = -0.5 * (i_s[:m] * sw[pi] / sw[pj]
+                               + i_s[m:] * sw[pj] / sw[pi])
+                smat[pi, pj] = vals
+                smat[pj, pi] = vals
+                kmat[pi, pj] = i_k[:m]
+                kmat[pj, pi] = i_k[m:]
     idx = np.arange(n)
     if diagonal == "local":
-        smat_w[idx, idx] = -_self_cell_single_layer(grid)
+        smat[idx, idx] = -_self_cell_single_layer(grid)
     else:
-        smat_w[idx, idx] = -0.5 * np.sqrt(w / np.pi)
+        smat[idx, idx] = -0.5 * np.sqrt(w / np.pi)
     # row-sum diagonal: the double layer maps constants to 1/2 exactly
     kmat[idx, idx] = 0.0
     kmat[idx, idx] = 0.5 - kmat.sum(axis=1)
-    smat = smat_w * (sw[None, :] / sw[:, None])
+    for r0 in range(0, n, step):
+        r1 = min(n, r0 + step)
+        smat[r0:r1] *= sw[None, :] / sw[r0:r1, None]
     k_op = DiscreteOperator(kmat, basis="nystrom", kernel="double_layer",
                             grid=grid)
     s_op = DiscreteOperator(smat, basis="nystrom", kernel="single_layer",
@@ -455,6 +501,8 @@ def read_matrix_dump(path):
             raise ConfigError(f"bad magic {magic!r} in matrix dump")
         if version != _DUMP_VERSION:
             raise ConfigError(f"unsupported dump version {version}")
+        if tag not in _TAG_BASES:
+            raise ConfigError(f"unknown basis tag {tag} in matrix dump")
         data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
     if data.size != n * n:
         raise ConfigError("truncated matrix dump")

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from npspectra import __version__
+from npspectra import __version__, cli, errors, pipeline
 
 
 def run_cli(*argv, cwd=None):
@@ -155,3 +155,20 @@ def test_study_rejects_short_resolution_list(sphere_config):
                      "--resolutions", "8x16,10x20")
     assert result.returncode == 3
     assert "resolutions" in result.stderr
+
+
+@pytest.mark.parametrize("stage, exc", [
+    ("build_grid", "DegenerateChart"),
+    ("assemble_operators", "GridError"),
+])
+def test_geometry_faults_exit_config(monkeypatch, capsys, sphere_config,
+                                     stage, exc):
+    def fail(*args, **kwargs):
+        raise getattr(errors, exc)("injected fault")
+
+    monkeypatch.setattr(pipeline, stage, fail)
+    code = cli.main(["spectrum", "--config", str(sphere_config)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "injected fault" in err

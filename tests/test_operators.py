@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from npspectra import operators
 from npspectra import (
     ConfigError,
     DiscreteOperator,
@@ -18,6 +19,7 @@ from npspectra import (
     concatenate_grids,
     dump_operator,
     euler_characteristic,
+    peanut,
     plemelj_residual,
     read_matrix_dump,
     rigid_transform,
@@ -277,3 +279,124 @@ def test_dump_rejects_corrupt_header(tmp_path, sphere_sym):
     truncated.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ConfigError):
         read_matrix_dump(truncated)
+
+
+def test_dump_rejects_unknown_basis_tag(tmp_path, sphere_sym):
+    _, kw, _, _ = sphere_sym
+    path = tmp_path / "op.bin"
+    dump_operator(kw, path)
+    blob = bytearray(path.read_bytes())
+    blob[8:12] = (99).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigError, match="basis tag 99"):
+        read_matrix_dump(path)
+
+
+def test_coincident_nodes_rejected():
+    grid = build_grid(sphere(), 8, 16)
+    with pytest.raises(GridError, match="coincident quadrature nodes"):
+        assemble_operators(concatenate_grids([grid, grid]))
+
+
+FOUR_PI = 4.0 * np.pi
+
+
+def _per_pair_cell_integrals(grid, comp, src, tgt, q, nsub):
+    """Near-pair cell integrals evaluating the chart afresh for every pair.
+
+    The reference for the per-cell geometry cache: the same quadrature with
+    the same expressions, one chart evaluation per (pair, panel).
+    """
+    surf = comp.surface
+    sign = surf.orientation_sign()
+    gx, gw = np.polynomial.legendre.leggauss(q)
+    t0, t1 = grid.cell_u_lo[tgt], grid.cell_u_hi[tgt]
+    p0 = grid.v[tgt] - 0.5 * grid.cell_dv[tgt]
+    dv = grid.cell_dv[tgt]
+    x_src = grid.points[src]
+    n_pairs = len(src)
+    i_s = np.zeros(n_pairs)
+    i_k = np.zeros(n_pairs)
+    for a in range(nsub):
+        tt0 = t0 + (t1 - t0) * a / nsub
+        tt1 = t0 + (t1 - t0) * (a + 1) / nsub
+        uq = 0.5 * (tt1 - tt0)[:, None] * gx[None, :] \
+            + 0.5 * (tt1 + tt0)[:, None]
+        wu = 0.5 * (tt1 - tt0)[:, None] * gw[None, :]
+        for b in range(nsub):
+            pp0 = p0 + dv * b / nsub
+            vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
+            wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
+            uu = np.broadcast_to(uq[:, :, None], (n_pairs, q, q))
+            vv = np.broadcast_to(vq[:, None, :], (n_pairs, q, q))
+            y = surf.position(uu, vv)
+            yu, yv = surf.first_derivatives(uu, vv)
+            cr = np.cross(yu, yv)
+            jac = np.sqrt(np.sum(cr * cr, axis=-1))
+            diff = y - x_src[:, None, None, :]
+            dist = np.sqrt(np.sum(diff * diff, axis=-1))
+            ww = wu[:, :, None] * wv[:, None, :]
+            i_s += np.sum(jac / (FOUR_PI * dist) * ww, axis=(1, 2))
+            num = sign * np.sum(diff * cr, axis=-1) / jac
+            i_k += np.sum(num * jac / (FOUR_PI * dist ** 3) * ww, axis=(1, 2))
+    return i_s, i_k
+
+
+def _sample_pairs(grid, comp, touching, count=5):
+    """A few (i < j) near pairs of one component, touching or not."""
+    sl = comp.slice
+    x = grid.points[sl]
+    rr = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+    hu = (grid.cell_u_hi - grid.cell_u_lo)[sl] * np.sqrt(grid.frames.E[sl])
+    hv = grid.cell_dv[sl] * np.sqrt(grid.frames.G[sl])
+    diam = np.hypot(hu, hv)
+    half = 0.5 * (diam[:, None] + diam[None, :])
+    near = rr < operators.NEAR_RADIUS_CELLS * half
+    touch = rr < operators.TOUCH_RADIUS_CELLS * half
+    mask = np.triu(touch if touching else near & ~touch, k=1)
+    ii, jj = np.nonzero(mask)
+    assert ii.size >= count
+    pick = np.linspace(0, ii.size - 1, count).astype(int)
+    return ii[pick] + comp.start, jj[pick] + comp.start
+
+
+def _union_with_offset_peanut():
+    moved = rigid_transform(peanut(), None, (6.0, 0.0, 0.0))
+    return concatenate_grids([build_grid(sphere(), 12, 24),
+                              build_grid(moved, 12, 24)])
+
+
+@pytest.mark.parametrize("make_grid, comp_index", [
+    (lambda: build_grid(peanut(), 12, 24), 0),
+    (lambda: build_grid(torus(), 16, 16), 0),
+    (_union_with_offset_peanut, 1),
+])
+@pytest.mark.parametrize("touching", [False, True])
+def test_near_entries_match_per_pair_chart_integrals(make_grid, comp_index,
+                                                      touching):
+    grid = make_grid()
+    comp = grid.components[comp_index]
+    ii, jj = _sample_pairs(grid, comp, touching)
+    nsub = operators.CELL_SUBDIV if touching else 1
+    q = operators.CELL_QUAD
+    is_ab, ik_ab = _per_pair_cell_integrals(grid, comp, ii, jj, q, nsub)
+    is_ba, ik_ba = _per_pair_cell_integrals(grid, comp, jj, ii, q, nsub)
+    k_op, s_op = assemble_operators(grid)
+    sw = np.sqrt(grid.weights)
+    vals = -0.5 * (is_ab * sw[ii] / sw[jj] + is_ba * sw[jj] / sw[ii])
+    assert np.array_equal(k_op.matrix[ii, jj], ik_ab)
+    assert np.array_equal(k_op.matrix[jj, ii], ik_ba)
+    assert np.array_equal(s_op.matrix[ii, jj], vals * (sw[jj] / sw[ii]))
+    assert np.array_equal(s_op.matrix[jj, ii], vals * (sw[ii] / sw[jj]))
+
+
+def test_row_blocks_do_not_change_the_operators(monkeypatch):
+    grid = build_grid(peanut(), 12, 24)
+    k_ref, s_ref = assemble_operators(grid)
+    n = grid.n_nodes
+    # 5 rows per block, which does not divide n, and 40-pair chunks
+    monkeypatch.setattr(operators, "_BLOCK_ENTRIES", 5 * n + 7)
+    assert operators._block_rows(n) == 5 and n % 5
+    k_op, s_op = assemble_operators(grid)
+    assert np.array_equal(k_op.matrix, k_ref.matrix)
+    assert np.array_equal(s_op.matrix, s_ref.matrix)
