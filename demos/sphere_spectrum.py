@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from npspectra import assemble_double_layer, build_grid, \
+from npspectra import assemble_operators, build_grid, \
     cluster_multiplicities, sphere, symmetrized_spectrum
 
 
@@ -36,7 +36,7 @@ def main() -> None:
               f"{2 * k + 1:>12}")
     print()
 
-    k_op = assemble_double_layer(grid)
+    k_op, _ = assemble_operators(grid)
     residual = np.max(np.abs(k_op.matrix @ np.ones(grid.n_nodes) - 0.5))
     print(f"trivial eigenpair: K maps the constant to 1/2 with residual "
           f"{residual:.2e}")

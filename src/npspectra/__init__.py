@@ -19,9 +19,7 @@ from .functionals import (WeylCoefficients, euler_characteristic,
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
 from .grids import (QuadratureGrid, build_grid, concatenate_grids,
                     surface_integral)
-from .operators import (DiscreteOperator, SymmetrizedOperator,
-                        assemble_double_layer, assemble_operators,
-                        assemble_single_layer, dump_operator,
+from .operators import (DiscreteOperator, assemble_operators, dump_operator,
                         plemelj_residual, read_matrix_dump, symmetrize,
                         to_weighted_l2)
 from .pipeline import compute_report, run_pipeline
@@ -45,8 +43,7 @@ __all__ = [
     "WeylCoefficients", "willmore_energy", "euler_characteristic",
     "weyl_coefficient_total", "weyl_coefficients_signed", "signed_parts",
     "principal_symbol",
-    "DiscreteOperator", "SymmetrizedOperator", "assemble_operators",
-    "assemble_double_layer", "assemble_single_layer", "to_weighted_l2",
+    "DiscreteOperator", "assemble_operators", "to_weighted_l2",
     "plemelj_residual", "symmetrize", "dump_operator", "read_matrix_dump",
     "SpectrumReport", "FitEstimate", "StudyResult", "split_spectrum",
     "counting_function", "cluster_multiplicities", "weyl_fit",

@@ -11,9 +11,9 @@ study-negatives  negative-eigenvalue counts across grid refinements
 Every subcommand takes ``--config <path>`` (JSON document, see the config
 module) and ``--out <dir>`` for output files; ``--resolution NxM``
 overrides the config's grid resolution.  Exit codes: 0 success, 1 file
-system error, 2 usage, 3 invalid configuration or unusable geometry (a
-degenerate chart, or a grid that cannot be assembled), 4 lost positivity
-of the single layer, 5 numerical failure.
+system error, 2 usage, 3 invalid configuration or unusable geometry (an
+inversion center on the surface, a degenerate chart, or a grid that cannot
+be assembled), 4 lost positivity of the single layer, 5 numerical failure.
 """
 from __future__ import annotations
 

@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, SingularInversion
 from .surfaces import CATALOG, ParametricSurface, catalog_names, mobius_invert
 
 # (parameter, default) per catalog surface; None means required
@@ -84,7 +84,8 @@ def build_surface(spec: dict, pointer: str = "/surface") -> ParametricSurface:
     ------
     ConfigError
         On unknown names (listing the catalog), missing or unknown
-        parameters, or invalid parameter values.
+        parameters, invalid parameter values, or an inversion center on
+        the surface.
     """
     _expect(spec, dict, pointer, "an object")
     if "invert" in spec:
@@ -110,7 +111,7 @@ def build_surface(spec: dict, pointer: str = "/surface") -> ParametricSurface:
         base = build_surface(inner["inner"], pointer + "/invert/inner")
         try:
             return mobius_invert(base, center, radius)
-        except ConfigError as exc:
+        except (ConfigError, SingularInversion) as exc:
             _fail(pointer + "/invert", str(exc))
     if "name" not in spec:
         _fail(pointer, "missing 'name'")

@@ -40,8 +40,7 @@ class QuadratureGrid:
 
     ``weights`` are area weights: summing them integrates the constant 1 to
     the surface area.  ``cell_u_lo``, ``cell_u_hi`` and ``cell_dv`` bound the
-    parameter cell owned by each node; ``sign`` is the per-node outward
-    orientation sign of the owning chart.
+    parameter cell owned by each node.
     """
 
     components: list
@@ -52,7 +51,6 @@ class QuadratureGrid:
     cell_u_lo: np.ndarray
     cell_u_hi: np.ndarray
     cell_dv: np.ndarray
-    sign: np.ndarray
     k1: np.ndarray = field(default=None, repr=False)
     k2: np.ndarray = field(default=None, repr=False)
     mean_curvature: np.ndarray = field(default=None, repr=False)
@@ -78,14 +76,6 @@ class QuadratureGrid:
     @property
     def normals(self) -> np.ndarray:
         return self.frames.normal
-
-    def frame(self, i: int) -> SurfaceFrame:
-        """The cached frame of node ``i`` as a scalar SurfaceFrame."""
-        f = self.frames
-        return SurfaceFrame(
-            point=f.point[i], normal=f.normal[i], E=f.E[i], F=f.F[i],
-            G=f.G[i], L=f.L[i], M=f.M[i], N=f.N[i],
-            area_element=f.area_element[i])
 
 
 def _polar_layout(n_u):
@@ -152,8 +142,7 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
     return QuadratureGrid(
         components=[comp], u=uu, v=vv, weights=weights, frames=frames,
         cell_u_lo=np.repeat(ulo, n_v), cell_u_hi=np.repeat(uhi, n_v),
-        cell_dv=np.full(n_u * n_v, dv),
-        sign=np.full(n_u * n_v, surface.orientation_sign()))
+        cell_dv=np.full(n_u * n_v, dv))
 
 
 def concatenate_grids(grids: Sequence[QuadratureGrid]) -> QuadratureGrid:
@@ -185,8 +174,7 @@ def concatenate_grids(grids: Sequence[QuadratureGrid]) -> QuadratureGrid:
         weights=cat([g.weights for g in grids]), frames=frames,
         cell_u_lo=cat([g.cell_u_lo for g in grids]),
         cell_u_hi=cat([g.cell_u_hi for g in grids]),
-        cell_dv=cat([g.cell_dv for g in grids]),
-        sign=cat([g.sign for g in grids]))
+        cell_dv=cat([g.cell_dv for g in grids]))
 
 
 def surface_integral(grid: QuadratureGrid, f) -> float:

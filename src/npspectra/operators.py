@@ -12,8 +12,7 @@ diameters) are therefore replaced by Gauss-Legendre integrals of the kernel
 over the target node's parameter cell, and the single-layer diagonal by a
 polar (Duffy-style) integral over the node's own cell.  These corrections
 are what keep -S positive definite and the spectrum's negative tail clean
-at production resolutions; the cruder textbook variants (pure punctured
-products, flat-disk diagonal) remain available through keyword switches.
+at production resolutions, so they are always applied.
 
 Assembly writes the one-point products into the two preallocated n x n
 matrices in row blocks, which also find the near pairs.  The cell integrals
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -56,28 +54,17 @@ _DUMP_VERSION = 1
 
 @dataclass
 class DiscreteOperator:
-    """Dense discretization of a layer operator on a fixed grid."""
+    """Dense discretization of a layer operator on a fixed grid.
+
+    ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
+    the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
+    (positivity margin of the single layer), ``asymmetry_norm`` (relative
+    norm of the skew part that was discarded) and ``plemelj_residual``.
+    """
 
     matrix: np.ndarray
     basis: str
     kernel: str
-    grid: QuadratureGrid = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass
-class SymmetrizedOperator:
-    """Symmetric similarity transform of the double layer.
-
-    ``diagnostics`` records ``min_eig_negS`` (positivity margin of the
-    single layer), ``asymmetry_norm`` (relative norm of the skew part that
-    was discarded), and ``plemelj_residual``.
-    """
-
-    matrix: np.ndarray
     grid: QuadratureGrid = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
@@ -226,9 +213,16 @@ def _self_cell_single_layer(grid: QuadratureGrid, n_rule: int = SELF_QUAD):
 
 
 # ------------------------------------------------------------------ assembly
-def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
-                       diagonal: str = "local"):
+def assemble_operators(grid: QuadratureGrid):
     """Assemble the double- and single-layer operators in one pass.
+
+    Off-diagonal entries are the one-point products
+    (1/4 pi) <x_j - x_i, n_j>/|x_i - x_j|^3 w_j for the double layer and
+    -(1/4 pi)/|x_i - x_j| w_j for the single layer, except for near pairs,
+    whose entries are cell integrals of the kernels.  The single-layer
+    diagonal is the polar self-cell integral; the double-layer diagonal is
+    fixed by the row-sum identity K_ii = 1/2 - sum_{j != i} K_ij, which
+    makes the constant vector an exact eigenvector with eigenvalue 1/2.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -242,23 +236,14 @@ def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
     Parameters
     ----------
     grid : QuadratureGrid
-        Grid with at least 16 nodes and no coincident nodes.
-    near_correction : bool
-        Replace near-diagonal entries of both operators by cell integrals
-        (default).  When off, all off-diagonal entries are plain one-point
-        products.
-    diagonal : str
-        Single-layer diagonal rule: ``"local"`` (polar self-cell
-        quadrature, default) or ``"flat_disk"``
-        (S_ii = -(1/2) sqrt(w_i / pi), the equivalent-area disk value).
+        Grid with at least 16 nodes, no coincident nodes, and components
+        separated by more than the near-field radius.
 
     Returns
     -------
     (DiscreteOperator, DiscreteOperator)
         Double layer and single layer, both in the nystrom basis.
     """
-    if diagonal not in ("local", "flat_disk"):
-        raise ConfigError(f"unknown single-layer diagonal rule {diagonal!r}")
     if grid.n_nodes < 16:
         raise GridError(f"grid has {grid.n_nodes} nodes, need >= 16")
     x = grid.points
@@ -269,12 +254,11 @@ def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
     scale = float(np.max(np.ptp(x, axis=0)))
     kmat = np.empty((n, n))
     smat = np.empty((n, n))     # weighted basis until the final pass
-    if near_correction:
-        diam = _cell_diameters(grid)
-        comp_id = np.empty(n, dtype=int)
-        for k, c in enumerate(grid.components):
-            comp_id[c.slice] = k
-        pairs, cross = [], None
+    diam = _cell_diameters(grid)
+    comp_id = np.empty(n, dtype=int)
+    for k, c in enumerate(grid.components):
+        comp_id[c.slice] = k
+    pairs, cross = [], None
     step = _block_rows(n)
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
@@ -291,56 +275,51 @@ def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
         kmat[r0:r1] = (num / (FOUR_PI * rr ** 3)) * w[None, :]
         del num
         smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * sw[r0:r1, None] * sw[None, :]
-        if near_correction:
-            # near pairs within NEAR_RADIUS_CELLS mean cell diameters, the
-            # touching ones among them also within TOUCH_RADIUS_CELLS
-            half = 0.5 * (diam[r0:r1, None] + diam[None, :])
-            near = rr < NEAR_RADIUS_CELLS * half
-            if cross is None:
-                bad = near & (comp_id[r0:r1, None] != comp_id[None, :])
-                if bad.any():
-                    bi, j = np.argwhere(bad)[0]
-                    cross = (r0 + bi, j)
-            bi, jj = np.nonzero(near)
-            ii = bi + r0
-            keep = ii < jj
-            touch = rr[bi, jj] < TOUCH_RADIUS_CELLS * half[bi, jj]
-            pairs.append((ii[keep], jj[keep], touch[keep]))
-    if near_correction:
-        # cross-chart cell integrals are not supported, so such grids
-        # cannot be assembled accurately; raised only now so that
-        # coincident nodes in any row block are reported first
-        if cross is not None:
-            raise GridError(
-                f"nodes {cross[0]} and {cross[1]} of different components "
-                f"are closer than the near-field correction radius; "
-                f"separate the components or refine the grids")
-        ii, jj, touch = (np.concatenate(p) for p in zip(*pairs))
-        for comp in grid.components:
-            in_comp = (ii >= comp.start) & (ii < comp.stop)
-            for mask, nsub in ((~touch, 1), (touch, CELL_SUBDIV)):
-                pick = in_comp & mask
-                if not pick.any():
-                    continue
-                pi, pj = ii[pick], jj[pick]
-                m = pi.size
-                # both directions in one call: cells of pj from pi, then
-                # cells of pi from pj
-                i_s, i_k = _cell_kernel_integrals(
-                    grid, comp, np.concatenate([pi, pj]),
-                    np.concatenate([pj, pi]), CELL_QUAD, nsub)
-                # symmetric average in the weighted basis keeps S symmetric
-                vals = -0.5 * (i_s[:m] * sw[pi] / sw[pj]
-                               + i_s[m:] * sw[pj] / sw[pi])
-                smat[pi, pj] = vals
-                smat[pj, pi] = vals
-                kmat[pi, pj] = i_k[:m]
-                kmat[pj, pi] = i_k[m:]
+        # near pairs within NEAR_RADIUS_CELLS mean cell diameters, the
+        # touching ones among them also within TOUCH_RADIUS_CELLS
+        half = 0.5 * (diam[r0:r1, None] + diam[None, :])
+        near = rr < NEAR_RADIUS_CELLS * half
+        if cross is None:
+            bad = near & (comp_id[r0:r1, None] != comp_id[None, :])
+            if bad.any():
+                bi, j = np.argwhere(bad)[0]
+                cross = (r0 + bi, j)
+        bi, jj = np.nonzero(near)
+        ii = bi + r0
+        keep = ii < jj
+        touch = rr[bi, jj] < TOUCH_RADIUS_CELLS * half[bi, jj]
+        pairs.append((ii[keep], jj[keep], touch[keep]))
+    # cross-chart cell integrals are not supported, so such grids cannot be
+    # assembled accurately; raised only now so that coincident nodes in any
+    # row block are reported first
+    if cross is not None:
+        raise GridError(
+            f"nodes {cross[0]} and {cross[1]} of different components "
+            f"are closer than the near-field correction radius; "
+            f"separate the components or refine the grids")
+    ii, jj, touch = (np.concatenate(p) for p in zip(*pairs))
+    for comp in grid.components:
+        in_comp = (ii >= comp.start) & (ii < comp.stop)
+        for mask, nsub in ((~touch, 1), (touch, CELL_SUBDIV)):
+            pick = in_comp & mask
+            if not pick.any():
+                continue
+            pi, pj = ii[pick], jj[pick]
+            m = pi.size
+            # both directions in one call: cells of pj from pi, then cells
+            # of pi from pj
+            i_s, i_k = _cell_kernel_integrals(
+                grid, comp, np.concatenate([pi, pj]),
+                np.concatenate([pj, pi]), CELL_QUAD, nsub)
+            # symmetric average in the weighted basis keeps S symmetric
+            vals = -0.5 * (i_s[:m] * sw[pi] / sw[pj]
+                           + i_s[m:] * sw[pj] / sw[pi])
+            smat[pi, pj] = vals
+            smat[pj, pi] = vals
+            kmat[pi, pj] = i_k[:m]
+            kmat[pj, pi] = i_k[m:]
     idx = np.arange(n)
-    if diagonal == "local":
-        smat[idx, idx] = -_self_cell_single_layer(grid)
-    else:
-        smat[idx, idx] = -0.5 * np.sqrt(w / np.pi)
+    smat[idx, idx] = -_self_cell_single_layer(grid)
     # row-sum diagonal: the double layer maps constants to 1/2 exactly
     kmat[idx, idx] = 0.0
     kmat[idx, idx] = 0.5 - kmat.sum(axis=1)
@@ -352,33 +331,6 @@ def assemble_operators(grid: QuadratureGrid, *, near_correction: bool = True,
     s_op = DiscreteOperator(smat, basis="nystrom", kernel="single_layer",
                             grid=grid)
     return k_op, s_op
-
-
-def assemble_double_layer(grid: QuadratureGrid, *,
-                          near_correction: bool = True) -> DiscreteOperator:
-    """Assemble the double-layer operator in the nystrom basis.
-
-    Off-diagonal entries are (1/4 pi) <x_j - x_i, n_j>/|x_i - x_j|^3 w_j
-    (near pairs replaced by cell integrals unless ``near_correction`` is
-    off); the diagonal is fixed by the row-sum identity
-    K_ii = 1/2 - sum_{j != i} K_ij, which makes the constant vector an
-    exact eigenvector with eigenvalue 1/2.
-    """
-    k_op, _ = assemble_operators(grid, near_correction=near_correction)
-    return k_op
-
-
-def assemble_single_layer(grid: QuadratureGrid, *, diagonal: str = "local",
-                          near_correction: bool = True) -> DiscreteOperator:
-    """Assemble the single-layer operator in the nystrom basis.
-
-    Off-diagonal entries are -(1/4 pi)/|x_i - x_j| w_j with the same
-    near-field treatment as the double layer; the diagonal follows the
-    selected rule (see ``assemble_operators``).
-    """
-    _, s_op = assemble_operators(grid, near_correction=near_correction,
-                                 diagonal=diagonal)
-    return s_op
 
 
 # ------------------------------------------------------------------ transforms
@@ -428,11 +380,12 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
 
 
 def symmetrize(k_op: DiscreteOperator,
-               s_op: DiscreteOperator) -> SymmetrizedOperator:
+               s_op: DiscreteOperator) -> DiscreteOperator:
     """Similarity-transform the double layer to symmetric form via -S.
 
     Eigendecomposes -S = Q Lambda Q^T, forms P = Q Lambda^(1/2) Q^T, and
-    returns the explicitly symmetrized (P^{-1} K P + (P^{-1} K P)^T)/2.
+    returns the explicitly symmetrized (P^{-1} K P + (P^{-1} K P)^T)/2 in
+    the ``symmetrized`` basis.
     The discarded skew part's relative norm is recorded as
     ``asymmetry_norm`` in the diagnostics, together with ``min_eig_negS``
     and the ``plemelj_residual`` of the inputs.
@@ -465,21 +418,21 @@ def symmetrize(k_op: DiscreteOperator,
         "asymmetry_norm": float(asym),
         "plemelj_residual": plemelj_residual(k_op, s_op),
     }
-    return SymmetrizedOperator(0.5 * (kt + kt.T), grid=k_op.grid,
-                               diagnostics=diagnostics)
+    return DiscreteOperator(0.5 * (kt + kt.T), basis="symmetrized",
+                            kernel="double_layer", grid=k_op.grid,
+                            diagnostics=diagnostics)
 
 
 # ------------------------------------------------------------------ binary dump
-def dump_operator(op, path) -> None:
+def dump_operator(op: DiscreteOperator, path) -> None:
     """Write a matrix dump: 32-byte header then row-major float64 data.
 
     Header layout (little-endian): magic "NPOP", format version u32, basis
     tag u32 (1 = nystrom, 2 = weighted_l2, 3 = symmetrized), node count u64,
     zero padding to 32 bytes.
     """
-    basis = "symmetrized" if isinstance(op, SymmetrizedOperator) else op.basis
     header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION,
-                               _BASIS_TAGS[basis], op.matrix.shape[0])
+                               _BASIS_TAGS[op.basis], op.n)
     data = np.ascontiguousarray(op.matrix, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
         fh.write(header)

@@ -62,7 +62,7 @@ def compute_report(config: RunConfig) -> tuple:
 
     Returns
     -------
-    (SpectrumReport, SymmetrizedOperator)
+    (SpectrumReport, DiscreteOperator)
         The report plus the symmetrized operator (kept for matrix dumps).
     """
     with _stage("geometry"):

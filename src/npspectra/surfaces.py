@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ConfigError, SingularInversion
 
 TWO_PI = 2.0 * np.pi
+# central-difference step, in parameter units, of finite-difference charts
+FD_STEP = 1e-5
+# Gauss-Newton steps refining the nearest probe to an inversion center
+_NEWTON_STEPS = 6
 
 PositionMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 FirstDerivatives = Callable[[np.ndarray, np.ndarray], tuple]
@@ -44,14 +48,13 @@ class ParametricSurface:
         Parameter map echoed into reports.
     derivative_mode : str, optional
         ``"analytic"`` or ``"finite_difference"``.  Defaults to analytic
-        when both derivative callables are supplied.
-    fd_step : float
-        Central-difference step in parameter units.
+        when both derivative callables are supplied.  Finite differences
+        are central with step ``FD_STEP`` in parameter units.
     """
 
     def __init__(self, position, d1=None, d2=None, *, kind,
                  u_period=None, v_period=TWO_PI, name="surface",
-                 params=None, derivative_mode=None, fd_step=1e-5):
+                 params=None, derivative_mode=None):
         if kind not in ("polar", "biperiodic"):
             raise ConfigError(f"unknown chart kind {kind!r}")
         if kind == "biperiodic" and u_period is None:
@@ -72,7 +75,6 @@ class ParametricSurface:
         self.name = name
         self.params = dict(params or {})
         self.derivative_mode = derivative_mode
-        self.fd_step = float(fd_step)
         self._orientation_sign = None
 
     # ------------------------------------------------------------- derivatives
@@ -80,7 +82,7 @@ class ParametricSurface:
         """Return (x_u, x_v) honoring the declared derivative mode."""
         if self.derivative_mode == "analytic":
             return self._d1(u, v)
-        h = self.fd_step
+        h = FD_STEP
         xu = (self.position(u + h, v) - self.position(u - h, v)) / (2 * h)
         xv = (self.position(u, v + h) - self.position(u, v - h)) / (2 * h)
         return xu, xv
@@ -96,7 +98,7 @@ class ParametricSurface:
         if self.derivative_mode == "analytic":
             return self._d2(u, v)
         d1 = self._d1 if self._d1 is not None else self.first_derivatives
-        h = self.fd_step
+        h = FD_STEP
         xu_up, _ = d1(u + h, v)
         xu_um, _ = d1(u - h, v)
         xu_vp, xv_vp = d1(u, v + h)
@@ -106,13 +108,12 @@ class ParametricSurface:
         xvv = (xv_vp - xv_vm) / (2 * h)
         return xuu, xuv, xvv
 
-    def with_derivative_mode(self, mode, fd_step=None):
+    def with_derivative_mode(self, mode):
         """Clone this surface with a different derivative mode."""
         clone = ParametricSurface(
             self.position, self._d1, self._d2, kind=self.kind,
             u_period=self.u_period, v_period=self.v_period, name=self.name,
-            params=self.params, derivative_mode=mode,
-            fd_step=self.fd_step if fd_step is None else fd_step)
+            params=self.params, derivative_mode=mode)
         clone._orientation_sign = self._orientation_sign
         return clone
 
@@ -333,6 +334,31 @@ def catalog_names():
 
 
 # ------------------------------------------------------------------ transforms
+def _distance_to_surface(surface, point):
+    """Distance from ``point`` to the surface, and the surface's extent.
+
+    The nearest sample of a 64 x 96 probe grid is refined by Gauss-Newton
+    steps on |x(u, v) - point|^2: least squares on the 2 x 2 normal
+    equations, so the vanishing G at polar-chart poles is harmless, with u
+    clipped to the polar chart interval [0, pi].  The extent is the
+    largest probe distance.
+    """
+    u, v, _ = surface._probe_nodes(64, 96)
+    dist = np.sqrt(np.sum((surface.position(u, v) - point) ** 2, axis=-1))
+    i = int(np.argmin(dist))
+    uu, vv = u[i:i + 1], v[i:i + 1]
+    for _ in range(_NEWTON_STEPS):
+        r = surface.position(uu, vv)[0] - point
+        xu, xv = surface.first_derivatives(uu, vv)
+        jac = np.stack([xu[0], xv[0]], axis=1)
+        du, dv = np.linalg.lstsq(jac.T @ jac, -jac.T @ r, rcond=None)[0]
+        uu, vv = uu + du, vv + dv
+        if surface.kind == "polar":
+            uu = np.clip(uu, 0.0, np.pi)
+    refined = float(np.linalg.norm(surface.position(uu, vv)[0] - point))
+    return min(float(dist[i]), refined), float(dist.max())
+
+
 def mobius_invert(surface, center, radius=1.0):
     """Invert a surface in the sphere of the given center and radius.
 
@@ -360,12 +386,11 @@ def mobius_invert(surface, center, radius=1.0):
     radius = float(radius)
     if radius <= 0:
         raise ConfigError("inversion radius must be positive")
-    u, v, _ = surface._probe_nodes(64, 96)
-    dist = np.sqrt(np.sum((surface.position(u, v) - cvec) ** 2, axis=-1))
-    if dist.min() < 1e-6 * dist.max():
+    dist, extent = _distance_to_surface(surface, cvec)
+    if dist < 1e-6 * extent:
         raise SingularInversion(
             f"inversion center {cvec.tolist()} lies on the surface "
-            f"(min distance {dist.min():.3e})")
+            f"(min distance {dist:.3e})")
     rho2 = radius * radius
 
     def fx(uu, vv):

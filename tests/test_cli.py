@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from npspectra import __version__, cli, errors, pipeline
+from npspectra import __version__, cli, errors, pipeline, sphere
 
 
 def run_cli(*argv, cwd=None):
@@ -172,3 +172,21 @@ def test_geometry_faults_exit_config(monkeypatch, capsys, sphere_config,
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "injected fault" in err
+
+
+def _probe_node_on_sphere():
+    u, v, _ = sphere()._probe_nodes(64, 96)
+    return sphere().position(u, v)[0].tolist()
+
+
+@pytest.mark.parametrize("center", [_probe_node_on_sphere(), [1.0, 0.0, 0.0]])
+def test_inversion_center_on_surface_exits_config(capsys, tmp_path, center):
+    path = write_config(tmp_path, {"surface": {"invert": {
+        "center": center, "radius": 1.0, "inner": {"name": "sphere"}}},
+        "resolution": [8, 16]})
+    code = cli.main(["coefficients", "--config", str(path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: /surface/invert: ")
+    assert "lies on the surface" in err
+    assert err.count("\n") == 1

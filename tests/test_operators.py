@@ -12,9 +12,7 @@ from npspectra import (
     DiscreteOperator,
     GridError,
     NotPositiveDefinite,
-    assemble_double_layer,
     assemble_operators,
-    assemble_single_layer,
     build_grid,
     concatenate_grids,
     dump_operator,
@@ -28,6 +26,8 @@ from npspectra import (
     to_weighted_l2,
     torus,
 )
+
+FOUR_PI = 4.0 * np.pi
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,29 @@ def sphere_sym(sphere_ops):
     return grid, kw, sw, symmetrize(kw, sw)
 
 
+def _one_point_operators(grid, s_corr):
+    """K and S without the near-field correction, built independently.
+
+    Every off-diagonal entry is the plain one-point product of kernel and
+    source weight; the S diagonal is copied from the corrected ``s_corr``
+    and the K diagonal follows from the row sum K 1 = 1/2.
+    """
+    x, nrm, w = grid.points, grid.normals, grid.weights
+    diff = x[None, :, :] - x[:, None, :]          # x_j - x_i
+    r = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(r, np.inf)
+    kmat = np.sum(diff * nrm[None, :, :], axis=-1) * w[None, :] \
+        / (FOUR_PI * r ** 3)
+    smat = -w[None, :] / (FOUR_PI * r)
+    idx = np.arange(grid.n_nodes)
+    smat[idx, idx] = s_corr.matrix[idx, idx]
+    kmat[idx, idx] = 0.5 - kmat.sum(axis=1)
+    return (DiscreteOperator(kmat, basis="nystrom", kernel="double_layer",
+                             grid=grid),
+            DiscreteOperator(smat, basis="nystrom", kernel="single_layer",
+                             grid=grid))
+
+
 def test_double_layer_constant_eigenpair(sphere_ops):
     grid, k_op, _ = sphere_ops
     ones = np.ones(grid.n_nodes)
@@ -51,7 +74,7 @@ def test_double_layer_constant_eigenpair(sphere_ops):
 
 
 def test_double_layer_constant_eigenpair_torus(torus_grid_small):
-    k_op = assemble_double_layer(torus_grid_small)
+    k_op = assemble_operators(torus_grid_small)[0]
     ones = np.ones(torus_grid_small.n_nodes)
     assert np.abs(k_op.matrix @ ones - 0.5).max() <= 1e-13
 
@@ -78,7 +101,7 @@ def test_single_layer_residual_decreases_under_refinement():
 
 def test_near_correction_improves_constant_potential(sphere_grid_small):
     _, s_corr = assemble_operators(sphere_grid_small)
-    _, s_raw = assemble_operators(sphere_grid_small, near_correction=False)
+    _, s_raw = _one_point_operators(sphere_grid_small, s_corr)
     ones = np.ones(sphere_grid_small.n_nodes)
     err_corr = np.abs(-s_corr.matrix @ ones - 1.0).max()
     err_raw = np.abs(-s_raw.matrix @ ones - 1.0).max()
@@ -91,26 +114,6 @@ def test_operator_metadata(sphere_ops):
     assert s_op.basis == "nystrom"
     assert k_op.kernel == "double_layer"
     assert s_op.kernel == "single_layer"
-
-
-def test_wrappers_match_joint_assembly(sphere_grid_small, sphere_ops):
-    _, k_op, s_op = sphere_ops
-    assert np.array_equal(assemble_double_layer(sphere_grid_small).matrix,
-                          k_op.matrix)
-    assert np.array_equal(assemble_single_layer(sphere_grid_small).matrix,
-                          s_op.matrix)
-
-
-def test_flat_disk_diagonal_formula(sphere_grid_small):
-    _, s_op = assemble_operators(sphere_grid_small, diagonal="flat_disk")
-    idx = np.arange(sphere_grid_small.n_nodes)
-    expected = -0.5 * np.sqrt(sphere_grid_small.weights / np.pi)
-    assert np.abs(s_op.matrix[idx, idx] - expected).max() == 0.0
-
-
-def test_unknown_diagonal_rule_rejected(sphere_grid_small):
-    with pytest.raises(ConfigError):
-        assemble_operators(sphere_grid_small, diagonal="exact")
 
 
 def test_weighted_single_layer_symmetric(sphere_sym):
@@ -213,7 +216,7 @@ def test_symmetrize_rejects_indefinite_single_layer(sphere_sym):
 
 def test_uncorrected_sphere_scheme_is_symmetric_but_indefinite():
     grid = build_grid(sphere(), 16, 32)
-    k_op, s_op = assemble_operators(grid, near_correction=False)
+    k_op, s_op = _one_point_operators(grid, assemble_operators(grid)[1])
     kw, sw = to_weighted_l2(k_op), to_weighted_l2(s_op)
     # the raw punctured kernel is symmetric on the sphere
     assert np.abs(kw.matrix - kw.matrix.T).max() <= 1e-14
@@ -296,9 +299,6 @@ def test_coincident_nodes_rejected():
     grid = build_grid(sphere(), 8, 16)
     with pytest.raises(GridError, match="coincident quadrature nodes"):
         assemble_operators(concatenate_grids([grid, grid]))
-
-
-FOUR_PI = 4.0 * np.pi
 
 
 def _per_pair_cell_integrals(grid, comp, src, tgt, q, nsub):

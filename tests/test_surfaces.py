@@ -162,6 +162,25 @@ def test_inversion_center_on_surface_rejected():
         mobius_invert(sphere(), center=on_surface, radius=1.0)
 
 
+@pytest.mark.parametrize("surface, center", [
+    # the equator lies between the Gauss-Legendre probe rows, and the pole
+    # beyond the last one
+    (sphere(), (1.0, 0.0, 0.0)),
+    (sphere(), (0.0, 0.0, 1.0)),
+    # halfway between probe rows and columns of a biperiodic chart
+    (torus(), tuple(torus().position(np.pi / 64, np.pi / 96))),
+])
+def test_inversion_center_on_surface_between_probes_rejected(surface,
+                                                             center):
+    with pytest.raises(SingularInversion):
+        mobius_invert(surface, center=center, radius=1.0)
+
+
+def test_inversion_center_just_off_surface_accepted():
+    surf = mobius_invert(sphere(), center=(1.001, 0.0, 0.0), radius=1.0)
+    assert surf.params["center"] == [1.001, 0.0, 0.0]
+
+
 def test_inversion_params_record():
     surf = mobius_invert(sphere(), center=(3.0, 0.0, 0.0), radius=2.0)
     assert surf.params["radius"] == 2.0
