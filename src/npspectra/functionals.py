@@ -58,13 +58,24 @@ def euler_characteristic(grid: QuadratureGrid) -> float:
     -----
     TopologyWarning
         If the value is farther than 1e-3 from any integer, which signals a
-        grid too coarse for the surface's topology.
+        grid too coarse for the surface's topology, or farther than 1e-3
+        from the Euler characteristic its charts declare: 2 per ``polar``
+        (sphere-type) component and 0 per ``biperiodic`` (torus-type) one.
+        Mobius inversion keeps the chart kind, so a coarse grid on a badly
+        inverted surface warns even when its integral lands near a wrong
+        integer.
     """
     chi = surface_integral(grid, grid.gauss_curvature) / (2 * np.pi)
+    declared = sum(2 for c in grid.components if c.surface.kind == "polar")
     if abs(chi - round(chi)) > 1e-3:
         warnings.warn(
             f"Gauss-Bonnet integral {chi:.6f} is not near an integer; "
             f"the grid may be too coarse", TopologyWarning, stacklevel=2)
+    elif abs(chi - declared) > 1e-3:
+        warnings.warn(
+            f"Gauss-Bonnet integral {chi:.6f} is not the Euler "
+            f"characteristic {declared} of the surface's charts; the grid "
+            f"may be too coarse", TopologyWarning, stacklevel=2)
     return chi
 
 

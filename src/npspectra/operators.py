@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from ._fileio import atomic_write
 from .errors import ConfigError, GridError, NotPositiveDefinite
 from .grids import QuadratureGrid
 
@@ -366,7 +367,9 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
     """Relative defect of the symmetrization identity S K^T = K S.
 
     Returns ||S K^T - K S|| / (||K|| ||S||) in the spectral norm; both
-    operators must be in the weighted_l2 basis on the same grid.  The
+    operators must be in the weighted_l2 basis on the same grid.  S is
+    taken to be symmetric, as the weighted_l2 single layer is to rounding,
+    so S K^T = (K S)^T and the commutator costs one product K S.  The
     residual vanishes for the continuous operators and decreases under
     refinement for the discretized ones.
     """
@@ -375,26 +378,57 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
     k, s = k_op.matrix, s_op.matrix
-    resid = s @ k.T - k @ s
+    ks = k @ s
+    resid = ks.T - ks
     return _spectral_norm(resid) / (_spectral_norm(k) * _spectral_norm(s))
+
+
+def _factor_neg_s(s: np.ndarray):
+    """Smallest eigenvalue of -S and the lower Cholesky factor of -S.
+
+    Returns (min_eig, L) with -S = L L^T; L is in Fortran order, so the
+    triangular solve in ``symmetrize`` runs in place.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the smallest eigenvalue of -S is nonpositive or the
+        factorization fails.
+    """
+    neg_s = np.negative(s, order="F")
+    min_eig = float(sla.eigvalsh(neg_s, subset_by_index=[0, 0])[0])
+    if min_eig <= 0.0:
+        raise NotPositiveDefinite(
+            f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
+    try:
+        # overwrite_a: L takes the storage of -S, saving an n x n copy
+        return min_eig, sla.cholesky(neg_s, lower=True, overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(
+            f"Cholesky factorization of -S failed ({exc}); "
+            f"refine the grid") from exc
 
 
 def symmetrize(k_op: DiscreteOperator,
                s_op: DiscreteOperator) -> DiscreteOperator:
     """Similarity-transform the double layer to symmetric form via -S.
 
-    Eigendecomposes -S = Q Lambda Q^T, forms P = Q Lambda^(1/2) Q^T, and
-    returns the explicitly symmetrized (P^{-1} K P + (P^{-1} K P)^T)/2 in
-    the ``symmetrized`` basis.
+    Factors -S = L L^T (Cholesky) and returns the explicitly symmetrized
+    (L^{-1} K L + (L^{-1} K L)^T)/2 in the ``symmetrized`` basis.  This is
+    Plemelj's symmetrization: S is symmetric and S K^T = K S, so L^{-1} K L
+    is symmetric for the continuous operators.  Its spectrum is that of K;
+    a different factor of -S (such as its square root) changes the result
+    only by an orthogonal similarity.
     The discarded skew part's relative norm is recorded as
     ``asymmetry_norm`` in the diagnostics, together with ``min_eig_negS``
-    and the ``plemelj_residual`` of the inputs.
+    (the smallest eigenvalue of -S) and the ``plemelj_residual`` of the
+    inputs.
 
     Raises
     ------
     NotPositiveDefinite
-        If -S has a nonpositive eigenvalue (discretization too coarse or
-        inconsistent geometry).
+        If -S has a nonpositive eigenvalue or its Cholesky factorization
+        fails (discretization too coarse or inconsistent geometry).
     ConfigError
         If the operators are not weighted_l2 on a common grid.
     """
@@ -402,17 +436,13 @@ def symmetrize(k_op: DiscreteOperator,
         raise ConfigError("symmetrize requires the weighted_l2 basis")
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
-    lam, q = sla.eigh(-s_op.matrix)
-    min_eig = float(lam[0])
-    if min_eig <= 0.0:
-        raise NotPositiveDefinite(
-            f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
-    sqrt_lam = np.sqrt(lam)
-    p = (q * sqrt_lam) @ q.T
-    p_inv = (q / sqrt_lam) @ q.T
-    kt = p_inv @ k_op.matrix @ p
+    min_eig, lower = _factor_neg_s(s_op.matrix)
+    kt = np.matmul(k_op.matrix, lower, order="F")
+    kt = sla.solve_triangular(lower, kt, lower=True, overwrite_b=True)
+    del lower
     skew = 0.5 * (kt - kt.T)
     asym = _spectral_norm(skew) / _spectral_norm(kt)
+    del skew
     diagnostics = {
         "min_eig_negS": min_eig,
         "asymmetry_norm": float(asym),
@@ -427,14 +457,17 @@ def symmetrize(k_op: DiscreteOperator,
 def dump_operator(op: DiscreteOperator, path) -> None:
     """Write a matrix dump: 32-byte header then row-major float64 data.
 
+    The dump goes to a temporary file that replaces ``path`` only once it
+    is complete, so a failed write leaves any earlier dump intact.
+
     Header layout (little-endian): magic "NPOP", format version u32, basis
     tag u32 (1 = nystrom, 2 = weighted_l2, 3 = symmetrized), node count u64,
     zero padding to 32 bytes.
     """
     header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION,
                                _BASIS_TAGS[op.basis], op.n)
-    data = np.ascontiguousarray(op.matrix, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    data = np.ascontiguousarray(op.matrix, dtype="<f8")
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(data)
 

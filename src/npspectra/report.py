@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .errors import ConfigError
 from .spectrum import SpectrumReport, plasmon_map
 
@@ -113,6 +114,10 @@ def render_eigen_csv(report: SpectrumReport) -> str:
 
 
 def write_text(path, text: str) -> None:
-    """Write text atomically enough for reports (single write call)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write UTF-8 text with LF line ends, replacing ``path`` atomically.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path``; a failed write leaves any earlier file intact.
+    """
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

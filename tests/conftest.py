@@ -8,7 +8,10 @@ derivations in ``tests/oracles/derive_reference_values.py`` live in
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+from contextlib import contextmanager
 
 import pytest
 
@@ -39,3 +42,38 @@ def sphere_report_small():
 
     config = make_config({"surface": {"name": "sphere"}, "resolution": [16, 32]})
     return compute_report(config)
+
+
+class _ShortWriter:
+    """File stand-in that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+        return False
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def short_writes(monkeypatch):
+    """Context manager under which every file opened by ``os.fdopen``
+    fails partway through its first write, as on a full disk."""
+
+    @contextmanager
+    def active():
+        real_fdopen = os.fdopen
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdopen", lambda fd, *args, **kwargs:
+                          _ShortWriter(real_fdopen(fd, *args, **kwargs)))
+            yield
+
+    return active

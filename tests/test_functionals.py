@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,12 @@ from npspectra import (
     ConfigError,
     TopologyWarning,
     build_grid,
+    concatenate_grids,
     ellipsoid,
     euler_characteristic,
+    mobius_invert,
     peanut,
+    rigid_transform,
     signed_parts,
     sphere,
     spheroid,
@@ -148,3 +153,30 @@ def test_euler_characteristic_warns_when_far_from_integer():
     grid = build_grid(peanut(), 4, 8)
     with pytest.warns(TopologyWarning):
         euler_characteristic(grid)
+
+
+def test_euler_characteristic_warns_when_far_from_chart_topology():
+    # inverting about a point 1e-3 outside the sphere leaves a sphere-type
+    # chart whose coarse Gauss-Bonnet integral lands near 0, not 2
+    surf = mobius_invert(sphere(), center=(1.001, 0.0, 0.0), radius=1.0)
+    grid = build_grid(surf, 8, 16)
+    with pytest.warns(TopologyWarning, match="Euler characteristic 2"):
+        chi = euler_characteristic(grid)
+    assert abs(chi) <= 1e-3
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: build_grid(torus(), 16, 16),
+    lambda: build_grid(mobius_invert(sphere(), center=(3.0, 0.0, 0.0),
+                                     radius=1.0), 16, 32),
+    lambda: concatenate_grids([
+        build_grid(sphere(), 12, 24),
+        build_grid(rigid_transform(torus(), None, (6.0, 0.0, 0.0)), 16, 16),
+    ]),
+], ids=["torus", "inverted-sphere", "sphere-and-torus"])
+def test_euler_characteristic_silent_on_matching_topology(make_grid):
+    grid = make_grid()
+    declared = sum(2 for c in grid.components if c.surface.kind == "polar")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TopologyWarning)
+        assert abs(euler_characteristic(grid) - declared) <= 1e-3

@@ -400,3 +400,74 @@ def test_row_blocks_do_not_change_the_operators(monkeypatch):
     k_op, s_op = assemble_operators(grid)
     assert np.array_equal(k_op.matrix, k_ref.matrix)
     assert np.array_equal(s_op.matrix, s_ref.matrix)
+
+
+def _eigh_symmetrization(kw, sw):
+    """Square-root symmetrization, built independently of ``symmetrize``.
+
+    Eigendecomposes -S = Q Lambda Q^T, forms P = Q Lambda^(1/2) Q^T and
+    P^{-1}, and returns min eig(-S), sym(P^{-1} K P) and the relative
+    norm of the discarded skew part.
+    """
+    lam, q = sla.eigh(-sw.matrix)
+    root = np.sqrt(lam)
+    kt = (q / root) @ q.T @ kw.matrix @ (q * root) @ q.T
+    asym = operators._spectral_norm(0.5 * (kt - kt.T)) \
+        / operators._spectral_norm(kt)
+    return float(lam[0]), 0.5 * (kt + kt.T), asym
+
+
+def _two_sphere_union():
+    far = rigid_transform(sphere(), None, (6.0, 0.0, 0.0))
+    return concatenate_grids([build_grid(sphere(), 12, 24),
+                              build_grid(far, 12, 24)])
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: build_grid(sphere(), 12, 24),
+    lambda: build_grid(torus(), 16, 16),
+    lambda: build_grid(peanut(), 16, 32),
+    _two_sphere_union,
+], ids=["sphere", "torus", "peanut", "two-spheres"])
+def test_cholesky_symmetrization_matches_square_root(make_grid):
+    k_op, s_op = assemble_operators(make_grid())
+    kw, sw = to_weighted_l2(k_op), to_weighted_l2(s_op)
+    sym = symmetrize(kw, sw)
+    min_eig, ref_matrix, ref_asym = _eigh_symmetrization(kw, sw)
+    # L^-1 K L is orthogonally similar to P^-1 K P (L = P U, U orthogonal)
+    eigs = np.sort(sla.eigvalsh(sym.matrix))
+    ref_eigs = np.sort(sla.eigvalsh(ref_matrix))
+    assert np.abs(eigs - ref_eigs).max() <= 1e-12
+    diag = sym.diagnostics
+    assert abs(diag["min_eig_negS"] - min_eig) <= 1e-12 * min_eig
+    k, s = kw.matrix, sw.matrix
+    resid = operators._spectral_norm(s @ k.T - k @ s) \
+        / (operators._spectral_norm(k) * operators._spectral_norm(s))
+    assert abs(diag["plemelj_residual"] - resid) <= 1e-10 * resid
+    # same norm in exact arithmetic; the 40-step power iteration differs
+    assert abs(diag["asymmetry_norm"] - ref_asym) <= 1e-2 * ref_asym
+
+
+def test_failed_cholesky_is_not_positive_definite(sphere_sym, monkeypatch):
+    _, kw, sw, _ = sphere_sym
+    assert sla.eigvalsh(-sw.matrix)[0] > 0.0
+
+    def failing_cholesky(*args, **kwargs):
+        raise np.linalg.LinAlgError("leading minor not positive definite")
+
+    monkeypatch.setattr(sla, "cholesky", failing_cholesky)
+    with pytest.raises(NotPositiveDefinite, match="Cholesky"):
+        symmetrize(kw, sw)
+
+
+def test_failed_dump_keeps_old_file(tmp_path, sphere_sym, short_writes):
+    _, kw, _, sym = sphere_sym
+    path = tmp_path / "op.bin"
+    dump_operator(kw, path)
+    before = path.read_bytes()
+    with short_writes(), pytest.raises(OSError, match="No space"):
+        dump_operator(sym, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["op.bin"]
+    matrix, basis = read_matrix_dump(path)
+    assert basis == "weighted_l2" and np.array_equal(matrix, kw.matrix)

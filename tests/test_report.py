@@ -16,6 +16,7 @@ from npspectra.report import (
     render_json,
     render_report_json,
     report_to_dict,
+    write_text,
 )
 
 
@@ -95,3 +96,14 @@ def test_eigen_csv_layout(sphere_report_small):
         lam = float(row[1])
         eps = float(row[4])
         assert eps == pytest.approx(1.0 - 2.0 * lam / (lam - 0.5), rel=1e-12)
+
+
+def test_failed_write_text_keeps_old_file(tmp_path, short_writes):
+    path = tmp_path / "report.json"
+    write_text(path, "first\n")
+    write_text(path, "old\r\nreport\n")
+    assert path.read_bytes() == b"old\r\nreport\n"
+    with short_writes(), pytest.raises(OSError, match="No space"):
+        write_text(path, "new report " * 1000)
+    assert path.read_bytes() == b"old\r\nreport\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
