@@ -12,8 +12,9 @@ Every subcommand takes ``--config <path>`` (JSON document, see the config
 module) and ``--out <dir>`` for output files; ``--resolution NxM``
 overrides the config's grid resolution.  Exit codes: 0 success, 1 file
 system error, 2 usage, 3 invalid configuration or unusable geometry (an
-inversion center on the surface, a degenerate chart, or a grid that cannot
-be assembled), 4 lost positivity of the single layer, 5 numerical failure.
+inversion center on the surface, a degenerate chart, a grid that cannot
+be assembled, or a value outside the domain of a spectral map), 4 lost
+positivity of the single layer, 5 numerical failure.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ import dataclasses
 import sys
 
 from ._version import __version__
-from .config import RunConfig, load_config
-from .errors import (ConfigError, DegenerateChart, GridError,
-                     NotPositiveDefinite, NumericalError)
+from .config import RunConfig, check_resolution, load_config
+from .errors import (ConfigError, DegenerateChart, DomainError, GridError,
+                     NotPositiveDefinite, NumericalError, PoleError)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
 from .spectrum import negative_count_study
@@ -37,19 +38,19 @@ EXIT_NOT_PD = 4
 EXIT_NUMERICAL = 5
 
 
-def _parse_resolution(text: str):
+def _parse_resolution(text: str, option: str = "--resolution"):
     parts = text.lower().split("x")
     try:
         n_u, n_v = (int(p) for p in parts)
     except ValueError:
-        raise ConfigError(f"--resolution expects NxM, got {text!r}") from None
-    if n_u < 4 or n_v < 4:
-        raise ConfigError(f"--resolution {text!r} too small (need >= 4)")
+        raise ConfigError(f"{option} expects NxM, got {text!r}") from None
+    check_resolution(n_u, n_v, option)
     return (n_u, n_v)
 
 
 def _parse_resolution_list(text: str):
-    return [_parse_resolution(part) for part in text.split(",") if part]
+    return [_parse_resolution(part, "--resolutions")
+            for part in text.split(",") if part]
 
 
 def _load(args) -> RunConfig:
@@ -188,7 +189,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, DegenerateChart) as exc:
+    except (ConfigError, GridError, DegenerateChart, DomainError,
+            PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NotPositiveDefinite as exc:

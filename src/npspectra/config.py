@@ -18,6 +18,7 @@ Validation errors carry a JSON-pointer path to the offending field.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,6 +37,10 @@ _SURFACE_PARAMS = {
 _OUTPUT_KEYS = ("report_json", "eigen_csv", "matrix_dump")
 
 _DEFAULT_RESOLUTION = {"polar": (48, 96), "biperiodic": (64, 64)}
+
+# largest accepted node count; one dense n x n operator at this size would
+# take 2 PiB, so larger counts can only be typing errors
+MAX_NODES = 2 ** 24
 
 
 @dataclass
@@ -74,7 +79,30 @@ def _expect(obj, typ, pointer, what):
 
 
 def _number(obj, pointer):
-    return float(_expect(obj, (int, float), pointer, "a number"))
+    value = _expect(obj, (int, float), pointer, "a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        _fail(pointer, f"integer of {len(str(abs(value)))} digits is "
+                       f"outside the floating-point range")
+    if not math.isfinite(value):
+        _fail(pointer, f"must be finite, got {value}")
+    return value
+
+
+def check_resolution(n_u: int, n_v: int, where: str) -> None:
+    """Reject a grid resolution below 4 per direction or above MAX_NODES.
+
+    Raises
+    ------
+    ConfigError
+        Naming ``where`` (a JSON pointer or a command-line option).
+    """
+    if n_u < 4 or n_v < 4:
+        raise ConfigError(f"{where}: {n_u}x{n_v} too small (need >= 4)")
+    if n_u * n_v > MAX_NODES:
+        raise ConfigError(f"{where}: {n_u}x{n_v} has more than "
+                          f"{MAX_NODES} nodes")
 
 
 def build_surface(spec: dict, pointer: str = "/surface") -> ParametricSurface:
@@ -106,12 +134,12 @@ def build_surface(spec: dict, pointer: str = "/surface") -> ParametricSurface:
         center = [_number(c, pointer + f"/invert/center/{i}")
                   for i, c in enumerate(center)]
         radius = _number(inner["radius"], pointer + "/invert/radius")
-        if radius <= 0:
-            _fail(pointer + "/invert/radius", "must be positive")
         base = build_surface(inner["inner"], pointer + "/invert/inner")
         try:
             return mobius_invert(base, center, radius)
-        except (ConfigError, SingularInversion) as exc:
+        except ConfigError as exc:      # mobius_invert checks only the radius
+            _fail(pointer + "/invert/radius", str(exc))
+        except SingularInversion as exc:
             _fail(pointer + "/invert", str(exc))
     if "name" not in spec:
         _fail(pointer, "missing 'name'")
@@ -171,8 +199,7 @@ def parse_config(text: str) -> RunConfig:
             _fail("/resolution", "expected two entries")
         n_u = _expect(res[0], int, "/resolution/0", "an integer")
         n_v = _expect(res[1], int, "/resolution/1", "an integer")
-        if n_u < 4 or n_v < 4:
-            _fail("/resolution", f"{n_u}x{n_v} too small (need >= 4)")
+        check_resolution(n_u, n_v, "/resolution")
         resolution = (n_u, n_v)
     else:
         resolution = _DEFAULT_RESOLUTION[surface.kind]

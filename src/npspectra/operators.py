@@ -23,6 +23,7 @@ O(n) plus a few dozen MiB, independent of n^2.
 """
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -400,9 +401,22 @@ def _factor_neg_s(s: np.ndarray):
     if min_eig <= 0.0:
         raise NotPositiveDefinite(
             f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
+    return min_eig, _cholesky_neg_s(neg_s)
+
+
+def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of -S, computed in the storage of ``neg_s``.
+
+    ``neg_s`` holds -S in Fortran order (overwritten; with another order
+    LAPACK would work on a copy).
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the factorization fails, that is, -S is not positive definite.
+    """
     try:
-        # overwrite_a: L takes the storage of -S, saving an n x n copy
-        return min_eig, sla.cholesky(neg_s, lower=True, overwrite_a=True)
+        return sla.cholesky(neg_s, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"Cholesky factorization of -S failed ({exc}); "
@@ -475,13 +489,26 @@ def dump_operator(op: DiscreteOperator, path) -> None:
 def read_matrix_dump(path):
     """Read a matrix dump written by ``dump_operator``.
 
+    The file size is checked against the header's node count before any
+    data is read, so a corrupt count never allocates its n^2 entries.
+
     Returns
     -------
     (matrix, basis)
         The n x n float64 matrix and the basis name from the header.
+
+    Raises
+    ------
+    ConfigError
+        On a short or corrupt header, or a file size other than
+        32 + 8 n^2 bytes.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         header = fh.read(_DUMP_HEADER.size)
+        if len(header) < _DUMP_HEADER.size:
+            raise ConfigError(f"matrix dump of {size} bytes is shorter than "
+                              f"its {_DUMP_HEADER.size}-byte header")
         magic, version, tag, n = _DUMP_HEADER.unpack(header)
         if magic != _DUMP_MAGIC:
             raise ConfigError(f"bad magic {magic!r} in matrix dump")
@@ -489,7 +516,11 @@ def read_matrix_dump(path):
             raise ConfigError(f"unsupported dump version {version}")
         if tag not in _TAG_BASES:
             raise ConfigError(f"unknown basis tag {tag} in matrix dump")
-        data = np.frombuffer(fh.read(8 * n * n), dtype="<f8")
+        expected = _DUMP_HEADER.size + 8 * n * n
+        if size != expected:
+            raise ConfigError(f"matrix dump of n = {n} must have {expected} "
+                              f"bytes, found {size}")
+        data = np.fromfile(fh, dtype="<f8", count=n * n)
     if data.size != n * n:
         raise ConfigError("truncated matrix dump")
-    return data.reshape(n, n).copy(), _TAG_BASES[tag]
+    return data.reshape(n, n), _TAG_BASES[tag]

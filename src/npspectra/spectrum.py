@@ -4,7 +4,9 @@ The eigenvalues of the symmetrized double layer decay like
 lambda_j ~ +/- C_pm j^(-1/2); the fits estimate the constants C and the
 study utilities track how the number of negative eigenvalues behaves under
 grid refinement (bounded for convex-like bodies, growing for surfaces with
-a region of positive curvature form).
+a region of positive curvature form).  The study needs only that number,
+so it counts by Sylvester's law of inertia: one LDL^T factorization of
+-sym(K S) - t S per grid, with no symmetrized matrix and no eigensolve.
 """
 from __future__ import annotations
 
@@ -13,11 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid
-from .operators import assemble_operators, symmetrize, to_weighted_l2
+from .operators import (_cholesky_neg_s, assemble_operators, symmetrize,
+                        to_weighted_l2)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -201,6 +205,74 @@ def symmetrized_spectrum(grid):
     return sla.eigvalsh(sym.matrix)[::-1], sym
 
 
+def _negative_inertia(m: np.ndarray) -> int:
+    """Number of negative eigenvalues of the symmetric matrix ``m``.
+
+    Factors m = P L D L^T P^T by Bunch-Kaufman pivoting (LAPACK ``sytrf``,
+    in the storage of ``m``, which is overwritten).  By Sylvester's law of
+    inertia m and the block-diagonal D have the same inertia.  A 1 x 1
+    pivot counts by its sign; a 2 x 2 block [[a, b], [b, c]] has one
+    negative eigenvalue if its determinant is negative, two if the
+    determinant is positive and the trace negative, and one if the
+    determinant is zero and the trace negative.
+    """
+    n = m.shape[0]
+    lwork, _ = lapack.dsytrf_lwork(n, lower=1)
+    # m is symmetric, so its transpose is the Fortran-ordered operand that
+    # sytrf factors without a copy
+    ldu, ipiv, _ = lapack.dsytrf(m.T, lower=1, lwork=int(lwork),
+                                 overwrite_a=1)
+    d = ldu.diagonal()
+    # a 2 x 2 block (k, k+1) has ipiv[k] = ipiv[k+1] < 0, so in a run of
+    # negative pivot indices the blocks start at even offsets
+    idx = np.arange(n)
+    two = ipiv < 0
+    run_start = np.maximum.accumulate(np.where(two, 0, idx + 1))
+    k = np.flatnonzero(two & ((idx - run_start) % 2 == 0))
+    a, c, b = d[k], d[k + 1], ldu[k + 1, k]
+    det, trace = a * c - b * b, a + c
+    return int(np.count_nonzero(d[~two] < 0)
+               + np.count_nonzero(det < 0)
+               + np.count_nonzero((det >= 0) & (trace < 0))
+               + np.count_nonzero((det > 0) & (trace < 0)))
+
+
+def _negative_count(grid, threshold: float) -> int:
+    """Number of eigenvalues of the symmetrized double layer below -threshold.
+
+    With -S = L L^T, the symmetrized matrix sym(L^-1 K L) of ``symmetrize``
+    equals L^-1 M L^-T for M = -sym(K S) (weighted_l2 basis), so by
+    Sylvester's law of inertia the count is the number of negative
+    eigenvalues of M - threshold S.  A successful Cholesky factorization of
+    -S certifies that it is positive definite; the factor is not needed
+    otherwise.  One product K S and one LDL^T factorization replace the
+    similarity transform and the eigensolve, and at most three n x n arrays
+    are alive at any time.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If the Cholesky factorization of -S fails.
+    """
+    k_op, s_op = assemble_operators(grid)
+    k, s = k_op.matrix, s_op.matrix
+    del k_op, s_op
+    # weighted_l2 basis in place: A -> D A D^-1, D = diag(sqrt(weights))
+    sw = np.sqrt(grid.weights)
+    for a in (k, s):
+        a *= sw[:, None]
+        a /= sw[None, :]
+    _cholesky_neg_s(np.negative(s, order="F"))
+    m = k @ s
+    del k
+    m += m.T
+    m *= -0.5
+    s *= threshold
+    m -= s
+    del s
+    return _negative_inertia(m)
+
+
 def negative_count_study(surface, resolutions: Sequence,
                          threshold: float = 1e-3) -> StudyResult:
     """Track the count of negative eigenvalues under grid refinement.
@@ -213,7 +285,8 @@ def negative_count_study(surface, resolutions: Sequence,
         At least 3 strictly increasing resolutions; each entry is an int n
         (meaning n x n) or an (n_u, n_v) pair.
     threshold : float
-        Eigenvalues below -threshold are counted as negative.
+        Eigenvalues below -threshold are counted as negative; positive and
+        finite.
 
     Returns
     -------
@@ -221,9 +294,24 @@ def negative_count_study(surface, resolutions: Sequence,
         Rows of (n_nodes, count) and a trend classification: BOUNDED when
         the count is the same at the top two resolutions, GROWING when
         strictly increasing throughout, INCONCLUSIVE otherwise.
+
+    Each count is that of the eigenvalues of the symmetrized double layer
+    of ``symmetrized_spectrum`` below -threshold, read off the inertia of
+    -sym(K S) - threshold S (``_negative_count``).  A Cholesky
+    factorization of -S gates positivity; no ``min_eig_negS``, Plemelj
+    residual or asymmetry diagnostic is computed.
+
+    Raises
+    ------
+    ConfigError
+        On fewer than 3 or non-increasing resolutions, or a threshold that
+        is not positive and finite.
+    NotPositiveDefinite
+        If -S is not positive definite on some grid.
     """
-    if not threshold > 0:
-        raise ConfigError("threshold must be positive")
+    if not 0 < threshold < np.inf:
+        raise ConfigError(f"threshold must be positive and finite, "
+                          f"got {threshold}")
     res = [(int(r), int(r)) if np.isscalar(r) else (int(r[0]), int(r[1]))
            for r in resolutions]
     if len(res) < 3:
@@ -234,8 +322,7 @@ def negative_count_study(surface, resolutions: Sequence,
     rows = []
     for nu, nv in res:
         grid = build_grid(surface, nu, nv)
-        eigs, _ = symmetrized_spectrum(grid)
-        rows.append((grid.n_nodes, int(np.sum(eigs < -threshold))))
+        rows.append((grid.n_nodes, _negative_count(grid, threshold)))
     counts = [c for _, c in rows]
     if all(b > a for a, b in zip(counts, counts[1:])):
         classification = GROWING

@@ -378,20 +378,27 @@ def mobius_invert(surface, center, radius=1.0):
 
     Raises
     ------
+    ConfigError
+        If the radius is not positive or its square overflows or underflows
+        double precision.
     SingularInversion
         If the center lies on the surface within a relative tolerance of
         1e-6 of the surface extent (the image would be unbounded).
     """
     cvec = np.asarray(center, dtype=float).reshape(3)
     radius = float(radius)
-    if radius <= 0:
-        raise ConfigError("inversion radius must be positive")
+    if not radius > 0:
+        raise ConfigError(f"inversion radius must be positive, got {radius}")
+    rho2 = radius * radius
+    if not np.finfo(float).tiny <= rho2 < np.inf:
+        raise ConfigError(
+            f"inversion radius {radius!r}: its square "
+            f"{'overflows' if rho2 > 1 else 'underflows'} double precision")
     dist, extent = _distance_to_surface(surface, cvec)
     if dist < 1e-6 * extent:
         raise SingularInversion(
             f"inversion center {cvec.tolist()} lies on the surface "
             f"(min distance {dist:.3e})")
-    rho2 = radius * radius
 
     def fx(uu, vv):
         rvec = surface.position(uu, vv) - cvec

@@ -190,3 +190,46 @@ def test_inversion_center_on_surface_exits_config(capsys, tmp_path, center):
     assert err.startswith("error: /surface/invert: ")
     assert "lies on the surface" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", ["DomainError", "PoleError"])
+def test_spectral_domain_faults_exit_config(monkeypatch, capsys,
+                                            sphere_config, exc):
+    def fail(*args, **kwargs):
+        raise getattr(errors, exc)("injected fault")
+
+    monkeypatch.setattr(pipeline, "compute_report", fail)
+    code = cli.main(["plasmon", "--config", str(sphere_config)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: injected fault\n"
+
+
+@pytest.mark.parametrize("surface, pointer", [
+    ({"name": "sphere", "r": 10 ** 400}, "/surface/r"),
+    ({"invert": {"center": [float("nan"), 0.0, 0.0], "radius": 1.0,
+                 "inner": {"name": "sphere"}}}, "/surface/invert/center/0"),
+    ({"invert": {"center": [3.0, 0.0, 0.0], "radius": 1e200,
+                 "inner": {"name": "sphere"}}}, "/surface/invert/radius"),
+])
+def test_out_of_range_numbers_exit_config(capsys, tmp_path, surface,
+                                          pointer):
+    path = write_config(tmp_path, {"surface": surface, "resolution": [8, 16]})
+    code = cli.main(["coefficients", "--config", str(path),
+                     "--resolution", "8x16"])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["coefficients", "--resolution", "100000x100000"],
+    ["study-negatives", "--resolutions", "8x16,10x20,4097x4096"],
+])
+def test_oversized_resolution_exits_config(capsys, sphere_config, argv):
+    code = cli.main([argv[0], "--config", str(sphere_config), *argv[1:]])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[1]}: ")
+    assert f"more than {2 ** 24} nodes" in err

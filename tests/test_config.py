@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from npspectra import ConfigError, build_surface, load_config, parse_config
+from npspectra import (ConfigError, RunConfig, build_surface, load_config,
+                       parse_config)
 from conftest import make_config
 
 
@@ -134,3 +137,87 @@ def test_load_config(tmp_path):
     assert config.resolution == (8, 16)
     with pytest.raises(OSError):
         load_config(tmp_path / "missing.json")
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ({"surface": {"name": "sphere"}, "noise_cutoff": float("nan")},
+     "/noise_cutoff"),
+    ({"surface": {"name": "sphere"}, "noise_cutoff": float("inf")},
+     "/noise_cutoff"),
+    ({"surface": {"name": "sphere", "r": 10 ** 400}}, "/surface/r"),
+    ({"surface": {"name": "torus", "R": -float("inf")}}, "/surface/R"),
+    ({"surface": {"invert": {"center": [float("nan"), 0, 0], "radius": 1.0,
+                             "inner": {"name": "sphere"}}}},
+     "/surface/invert/center/0"),
+    ({"surface": {"invert": {"center": [3.0, 0, 0], "radius": 1e200,
+                             "inner": {"name": "sphere"}}}},
+     "/surface/invert/radius"),
+    ({"surface": {"invert": {"center": [3.0, 0, 0], "radius": 1e-200,
+                             "inner": {"name": "sphere"}}}},
+     "/surface/invert/radius"),
+    ({"surface": {"name": "sphere"}, "resolution": [10 ** 30, 8]},
+     "/resolution"),
+    ({"surface": {"name": "sphere"}, "resolution": [4097, 4096]},
+     "/resolution"),
+])
+def test_nonfinite_and_out_of_range_values_rejected(doc, pointer):
+    expect_pointer(doc, pointer)
+
+
+def test_largest_grid_accepted():
+    config = make_config({"surface": {"name": "sphere"},
+                          "resolution": [4096, 4096]})
+    assert config.resolution == (4096, 4096)
+
+
+def test_radius_square_overflow_named():
+    with pytest.raises(ConfigError, match="overflows"):
+        build_surface({"invert": {"center": [3.0, 0.0, 0.0], "radius": 1e200,
+                                  "inner": {"name": "sphere"}}})
+    with pytest.raises(ConfigError, match="underflows"):
+        build_surface({"invert": {"center": [3.0, 0.0, 0.0],
+                                  "radius": 1e-160,
+                                  "inner": {"name": "sphere"}}})
+
+
+_numbers = st.one_of(
+    st.integers(min_value=-10 ** 400, max_value=10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True))
+_json = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+_surfaces = st.fixed_dictionaries(
+    {"name": st.sampled_from(["sphere", "ellipsoid", "spheroid", "torus",
+                              "peanut", "cube"])},
+    optional={key: _numbers for key in ("r", "a", "b", "c", "d", "R")})
+_inversions = st.builds(
+    lambda center, radius, inner: {"invert": {
+        "center": center, "radius": radius, "inner": inner}},
+    st.lists(_numbers, min_size=2, max_size=4), _numbers, _surfaces)
+_documents = st.fixed_dictionaries({}, optional={
+    "surface": st.one_of(_surfaces, _inversions, _json),
+    "resolution": st.one_of(st.lists(st.integers(-10, 10 ** 30), max_size=3),
+                            _json),
+    "angular_resolution": st.one_of(st.integers(-100, 10 ** 6), _json),
+    "fit_window": st.one_of(st.just("auto"),
+                            st.lists(st.integers(-5, 100), max_size=3),
+                            _json),
+    "noise_cutoff": _numbers,
+    "outputs": st.one_of(st.lists(st.dictionaries(
+        st.sampled_from(["report_json", "eigen_csv", "matrix_dump", "plot"]),
+        st.one_of(st.text(max_size=8), _numbers), max_size=2), max_size=2),
+        _json),
+}) | _json
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_documents)
+def test_parse_config_returns_config_or_config_error(doc):
+    try:
+        config = parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    assert isinstance(config, RunConfig)

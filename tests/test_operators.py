@@ -471,3 +471,23 @@ def test_failed_dump_keeps_old_file(tmp_path, sphere_sym, short_writes):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["op.bin"]
     matrix, basis = read_matrix_dump(path)
     assert basis == "weighted_l2" and np.array_equal(matrix, kw.matrix)
+
+
+def test_dump_rejects_short_header_and_wrong_size(tmp_path, sphere_sym):
+    _, kw, _, _ = sphere_sym
+    path = tmp_path / "op.bin"
+    dump_operator(kw, path)
+    blob = path.read_bytes()
+    stub = tmp_path / "stub.bin"
+    stub.write_bytes(blob[:4])
+    with pytest.raises(ConfigError, match="header"):
+        read_matrix_dump(stub)
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes(blob + b"\0" * 8)
+    with pytest.raises(ConfigError, match="bytes"):
+        read_matrix_dump(trailing)
+    # a corrupt node count is caught by the size check, before any read
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(blob[:12] + (2 ** 40).to_bytes(8, "little") + blob[20:])
+    with pytest.raises(ConfigError, match=f"n = {2 ** 40}"):
+        read_matrix_dump(huge)
