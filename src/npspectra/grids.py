@@ -6,6 +6,12 @@ The polar direction of sphere-type charts uses Gauss-Legendre nodes in
 cos(u), so all nodes stay strictly inside (0, pi) and the coordinate poles
 are never sampled.  Each node also carries its parameter cell (used for the
 singular-quadrature corrections during operator assembly).
+
+A grid also carries the node permutations of its mirror group: the
+coordinate mirrors its surface declares that map grid nodes to grid nodes,
+checked against the geometry, and all their products.  Operators assembled
+on the grid commute with these permutations, so their spectra split into
+one block per character of the group (``operators._mirror_blocks``).
 """
 from __future__ import annotations
 
@@ -14,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateChart, NumericalError
+from .errors import ConfigError, DegenerateChart, GridError, NumericalError
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
 from .surfaces import ParametricSurface
 
@@ -40,7 +46,10 @@ class QuadratureGrid:
 
     ``weights`` are area weights: summing them integrates the constant 1 to
     the surface area.  ``cell_u_lo``, ``cell_u_hi`` and ``cell_dv`` bound the
-    parameter cell owned by each node.
+    parameter cell owned by each node.  ``mirrors`` holds the node
+    permutations of the mirror group, one row per element: row h composes
+    the generating mirrors named by the bits of h, so row 0 is the identity
+    and a grid without mirrors has that row only.
     """
 
     components: list
@@ -55,8 +64,11 @@ class QuadratureGrid:
     k2: np.ndarray = field(default=None, repr=False)
     mean_curvature: np.ndarray = field(default=None, repr=False)
     gauss_curvature: np.ndarray = field(default=None, repr=False)
+    mirrors: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        if self.mirrors is None:
+            self.mirrors = np.arange(self.n_nodes)[None, :]
         if self.k1 is None:
             self.k1, self.k2, self.mean_curvature, self.gauss_curvature = \
                 principal_curvatures(self.frames)
@@ -93,6 +105,105 @@ def _polar_layout(n_u):
     return u, wq / np.sin(u), edges[:-1], edges[1:]
 
 
+# tolerances of the mirror check: parameter images off the nodes by more
+# than _OFF_NODE periods drop a mirror; a kept mirror must reflect points
+# (relative to the grid extent), unit normals, weights (relative) and cell
+# bounds (in periods) to _MIRROR_TOL.  Finite-difference charts carry
+# rounding of about eps / FD_STEP ~ 2e-11 in normals and weights, which
+# are checked to _MIRROR_TOL_FD on them.
+_OFF_NODE = 1e-9
+_MIRROR_TOL = 1e-12
+_MIRROR_TOL_FD = 1e-9
+
+
+def _node_indices(x, nodes, period):
+    """Nearest node of each parameter value, and its distance.
+
+    ``nodes`` are ascending; with a ``period`` they are the equispaced
+    ``period * arange(n) / n`` and the values wrap around.
+    """
+    if period is None:
+        j = np.clip(np.searchsorted(nodes, x), 1, nodes.size - 1)
+        j -= (x - nodes[j - 1]) < (nodes[j] - x)
+        return j, np.abs(x - nodes[j])
+    j = np.rint(x * (nodes.size / period))
+    return j.astype(int) % nodes.size, np.abs(x - j * (period / nodes.size))
+
+
+def _bound_defect(a, b, lo, hi, period, unit):
+    """Distance, in units of ``unit``, of the range of (a, b) from [lo, hi].
+
+    With a ``period`` the bounds are compared modulo the period.
+    """
+    def wrap(d):
+        return d if period is None else d - period * np.rint(d / period)
+
+    return np.maximum(np.abs(wrap(np.minimum(a, b) - lo)),
+                      np.abs(wrap(np.maximum(a, b) - hi))) / unit
+
+
+def _mirror_group(surface, grid, u_nodes, v_nodes):
+    """Node permutations of the mirror group of a single-component grid.
+
+    Each declared mirror whose parameter map sends every node to a node
+    becomes a permutation; the others are dropped (``v -> pi - v`` at odd
+    ``n_v``, for example).  Returns the group table of ``QuadratureGrid``.
+
+    Raises
+    ------
+    GridError
+        If a kept permutation does not map points, unit normals, cell bounds
+        and weights onto their reflections, naming the map and worst node.
+    """
+    n_u, n_v = u_nodes.size, v_nodes.size
+    u_period = None if surface.kind == "polar" else surface.u_period
+    u_scale = np.pi if u_period is None else u_period
+    v_period = surface.v_period
+    x, nrm, w = grid.points, grid.normals, grid.weights
+    scale = float(np.max(np.ptp(x, axis=0)))
+    half = 0.5 * grid.cell_dv
+    derived = _MIRROR_TOL if surface.derivative_mode == "analytic" \
+        else _MIRROR_TOL_FD
+    tols = {"point": _MIRROR_TOL, "normal": derived, "weight": derived,
+            "cell": _MIRROR_TOL}
+    perms = [np.arange(grid.n_nodes)]
+    for axis, fn in surface.mirrors:
+        mu, mv = fn(grid.u, grid.v)
+        iu, du = _node_indices(mu, u_nodes, u_period)
+        iv, dv = _node_indices(mv, v_nodes, v_period)
+        if max(du.max() / u_scale, dv.max() / v_period) > _OFF_NODE:
+            continue
+        perm = iu * n_v + iv
+        flip = np.ones(3)
+        flip[axis] = -1.0
+        # image of each node's parameter cell, from two opposite corners
+        ua, va = fn(grid.cell_u_lo, grid.v - half)
+        ub, vb = fn(grid.cell_u_hi, grid.v + half)
+        cell = np.maximum(
+            _bound_defect(ua, ub, grid.cell_u_lo[perm], grid.cell_u_hi[perm],
+                          u_period, u_scale),
+            _bound_defect(va, vb, (grid.v - half)[perm],
+                          (grid.v + half)[perm], v_period, v_period))
+        defects = {
+            "point": np.max(np.abs(x[perm] - x * flip), axis=1) / scale,
+            "normal": np.max(np.abs(nrm[perm] - nrm * flip), axis=1),
+            "weight": np.abs(w[perm] - w) / w,
+            "cell": cell,
+        }
+        worst = {k: int(np.argmax(d)) for k, d in defects.items()}
+        kind = max(defects, key=lambda k: defects[k][worst[k]] / tols[k])
+        i = worst[kind]
+        if not defects[kind][i] <= tols[kind]:
+            raise GridError(
+                f"declared mirror {getattr(fn, '__name__', fn)} "
+                f"({'xyz'[axis]} -> -{'xyz'[axis]}) of {surface.name} "
+                f"does not reflect the grid: worst node {i}, (u, v) = ({grid.u[i]:.6g}, "
+                f"{grid.v[i]:.6g}), {kind} defect {defects[kind][i]:.3e} "
+                f"> {tols[kind]:.0e}")
+        perms += [perm[p] for p in perms]
+    return np.array(perms)
+
+
 def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid:
     """Build the tensor quadrature grid of a surface.
 
@@ -114,6 +225,9 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
         If a direction has fewer than 4 nodes.
     DegenerateChart
         If any node weight fails to be finite and positive.
+    GridError
+        If a declared mirror of the surface maps grid nodes to grid nodes
+        but does not reflect the grid's geometry.
     """
     n_u, n_v = int(n_u), int(n_v)
     if n_u < 4 or n_v < 4:
@@ -139,14 +253,20 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
             f"nonpositive quadrature weight at node {i}, "
             f"(u, v) = ({uu[i]:.6g}, {vv[i]:.6g})")
     comp = GridComponent(surface, n_u, n_v, 0, n_u * n_v)
-    return QuadratureGrid(
+    grid = QuadratureGrid(
         components=[comp], u=uu, v=vv, weights=weights, frames=frames,
         cell_u_lo=np.repeat(ulo, n_v), cell_u_hi=np.repeat(uhi, n_v),
         cell_dv=np.full(n_u * n_v, dv))
+    grid.mirrors = _mirror_group(surface, grid, u, v)
+    return grid
 
 
 def concatenate_grids(grids: Sequence[QuadratureGrid]) -> QuadratureGrid:
-    """Join grids over disjoint surfaces into one multi-component grid."""
+    """Join grids over disjoint surfaces into one multi-component grid.
+
+    The joined grid keeps no mirrors: a mirror of one component need not
+    map the others onto themselves.
+    """
     grids = list(grids)
     if not grids:
         raise ConfigError("need at least one grid")

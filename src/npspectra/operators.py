@@ -20,6 +20,11 @@ then evaluate the surface chart once per cell and quadrature panel, not
 once per near pair, and gather from that per-cell cache in bounded chunks.
 Beyond the two returned matrices, assembly therefore holds temporaries of
 O(n) plus a few dozen MiB, independent of n^2.
+
+On a grid with mirrors, K and S commute with the mirror permutations of
+the nodes and split into one block per character of the mirror group
+(``_mirror_blocks``).  The reports and the study symmetrize and
+diagonalize these blocks of about n/8 nodes, not the n x n matrices.
 """
 from __future__ import annotations
 
@@ -364,6 +369,14 @@ def _spectral_norm(m: np.ndarray, iters: int = 40) -> float:
     return float(np.linalg.norm(m @ v))
 
 
+def _plemelj_norms(k: np.ndarray, s: np.ndarray):
+    """Spectral norms of K S - (K S)^T, of K and of S (S symmetric)."""
+    ks = k @ s
+    resid = ks.T - ks
+    del ks
+    return _spectral_norm(resid), _spectral_norm(k), _spectral_norm(s)
+
+
 def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
     """Relative defect of the symmetrization identity S K^T = K S.
 
@@ -378,17 +391,15 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
         raise ConfigError("plemelj_residual requires the weighted_l2 basis")
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
-    k, s = k_op.matrix, s_op.matrix
-    ks = k @ s
-    resid = ks.T - ks
-    return _spectral_norm(resid) / (_spectral_norm(k) * _spectral_norm(s))
+    resid, k_norm, s_norm = _plemelj_norms(k_op.matrix, s_op.matrix)
+    return resid / (k_norm * s_norm)
 
 
 def _factor_neg_s(s: np.ndarray):
     """Smallest eigenvalue of -S and the lower Cholesky factor of -S.
 
     Returns (min_eig, L) with -S = L L^T; L is in Fortran order, so the
-    triangular solve in ``symmetrize`` runs in place.
+    triangular solve in ``_plemelj_symmetrize`` runs in place.
 
     Raises
     ------
@@ -423,6 +434,42 @@ def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
             f"refine the grid") from exc
 
 
+def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
+    """Plemelj symmetrization of one weighted_l2 pair (K, S), and its norms.
+
+    Factors -S = L L^T and returns sym(L^-1 K L), exactly symmetric, with
+    the numbers its diagnostics merge from: the smallest eigenvalue of -S,
+    the spectral norms of the discarded skew part and of L^-1 K L, and
+    those of ``_plemelj_norms``.  Both the dense ``symmetrize`` and the
+    per-block ``_symmetrize_blocks`` call it.
+    """
+    min_eig, lower = _factor_neg_s(s)
+    kt = np.matmul(k, lower, order="F")
+    kt = sla.solve_triangular(lower, kt, lower=True, overwrite_b=True)
+    del lower
+    skew = 0.5 * (kt - kt.T)
+    skew_norm = _spectral_norm(skew)
+    del skew
+    norms = (min_eig, skew_norm, _spectral_norm(kt), *_plemelj_norms(k, s))
+    return 0.5 * (kt + kt.T), norms
+
+
+def _merge_diagnostics(norms) -> dict:
+    """Diagnostics of a block-diagonal operator from its blocks' norms.
+
+    The spectral norm of an orthogonally block-diagonal matrix is the
+    largest block norm and its smallest eigenvalue the smallest block one.
+    """
+    min_eig, skew, kt, resid, k_norm, s_norm = (
+        np.array(col) for col in zip(*norms))
+    return {
+        "min_eig_negS": float(min_eig.min()),
+        "asymmetry_norm": float(skew.max() / kt.max()),
+        "plemelj_residual": float(
+            resid.max() / (k_norm.max() * s_norm.max())),
+    }
+
+
 def symmetrize(k_op: DiscreteOperator,
                s_op: DiscreteOperator) -> DiscreteOperator:
     """Similarity-transform the double layer to symmetric form via -S.
@@ -438,6 +485,12 @@ def symmetrize(k_op: DiscreteOperator,
     (the smallest eigenvalue of -S) and the ``plemelj_residual`` of the
     inputs.
 
+    This is the dense route, on the whole grid.  ``compute_report`` and
+    ``negative_count_study`` split the operators into the blocks of the
+    grid's mirror group first (``_mirror_blocks``) and apply the same
+    symmetrization, ``_plemelj_symmetrize``, per block; on a grid without
+    mirrors that is this computation.
+
     Raises
     ------
     NotPositiveDefinite
@@ -450,21 +503,146 @@ def symmetrize(k_op: DiscreteOperator,
         raise ConfigError("symmetrize requires the weighted_l2 basis")
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
-    min_eig, lower = _factor_neg_s(s_op.matrix)
-    kt = np.matmul(k_op.matrix, lower, order="F")
-    kt = sla.solve_triangular(lower, kt, lower=True, overwrite_b=True)
-    del lower
-    skew = 0.5 * (kt - kt.T)
-    asym = _spectral_norm(skew) / _spectral_norm(kt)
-    del skew
-    diagnostics = {
-        "min_eig_negS": min_eig,
-        "asymmetry_norm": float(asym),
-        "plemelj_residual": plemelj_residual(k_op, s_op),
-    }
-    return DiscreteOperator(0.5 * (kt + kt.T), basis="symmetrized",
-                            kernel="double_layer", grid=k_op.grid,
-                            diagnostics=diagnostics)
+    sym, norms = _plemelj_symmetrize(k_op.matrix, s_op.matrix)
+    return DiscreteOperator(sym, basis="symmetrized", kernel="double_layer",
+                            grid=k_op.grid,
+                            diagnostics=_merge_diagnostics([norms]))
+
+
+# ------------------------------------------------------------------ mirror blocks
+def _orbits(perms: np.ndarray):
+    """Orbit structure of a mirror group given by its permutation table.
+
+    Returns the orbit representatives (the smallest node of each orbit),
+    the character table chi[c, h] = (-1)^popcount(c & h) of the group (a
+    product of Z2 factors, elements numbered as in ``grid.mirrors``), a
+    mask valid[c, a] of the representatives whose stabilizer character c
+    is +1 on (the representatives spanning block c), and the stabilizer
+    order of each representative.
+    """
+    order = perms.shape[0]
+    reps = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+    fixed = perms[:, reps] == reps
+    chi = np.array([[1 - 2 * (bin(c & h).count("1") % 2)
+                     for h in range(order)] for c in range(order)])
+    valid = ~np.any(fixed[None, :, :] & (chi[:, :, None] < 0), axis=1)
+    return reps, chi, valid, fixed.sum(axis=0)
+
+
+def _character_sums(terms, chi):
+    """sum_h chi[c, h] terms[h] for each character c, in a fixed order.
+
+    Elementwise and in the same order for every c, so two characters that
+    agree on the terms' nonzero entries give bit-identical sums.
+    """
+    sums = []
+    for row in chi:
+        acc = terms[0].copy()
+        for sign, term in zip(row[1:], terms[1:]):
+            if sign > 0:
+                acc += term
+            else:
+                acc -= term
+        sums.append(acc)
+    return sums
+
+
+def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
+    """Blocks of K_w and S_w on the character subspaces of the mirror group.
+
+    ``k`` and ``s`` are the nystrom-basis matrices of ``assemble_operators``;
+    they are converted to the weighted_l2 basis in place.  The grid's
+    mirror group G, a product of Z2 factors, permutes the nodes
+    (``grid.mirrors``) and K_w and S_w commute with its permutations, so in
+    the orthonormal basis
+    q_{chi,a} = sum_h chi(h) e_{h r_a} / (st_a sqrt(|G| / st_a)) of the
+    character chi (r_a an orbit representative whose stabilizer, of order
+    st_a, chi is +1 on) both are block diagonal with blocks
+
+        B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b).
+
+    Only the representative rows are read: |G| gathers of m x m entries
+    for m orbits, about n^2 / |G| in all.  Returns one (K_b, S_b) pair per
+    nonempty block, in character order; on a grid without mirrors that is
+    the single pair (K_w, S_w), the same arrays as ``k`` and ``s``.
+    """
+    sw = np.sqrt(grid.weights)
+    for a in (k, s):
+        a *= sw[:, None]
+        a /= sw[None, :]
+    perms = grid.mirrors
+    if perms.shape[0] == 1:
+        return [(k, s)]
+    reps, chi, valid, stab = _orbits(perms)
+    cols = perms[:, reps]
+    scale = 1.0 / np.sqrt(stab)
+    projected = [_character_sums([a[reps[:, None], c] for c in cols], chi)
+                 for a in (k, s)]
+    blocks = []
+    for c, pick in enumerate(valid):
+        if pick.any():
+            ix = np.ix_(pick, pick)
+            f = np.outer(scale[pick], scale[pick])
+            blocks.append((projected[0][c][ix] * f, projected[1][c][ix] * f))
+    return blocks
+
+
+def _mirror_matrix(grid: QuadratureGrid, blocks) -> np.ndarray:
+    """The n x n matrix Q blockdiag(blocks) Q^T of ``_mirror_blocks``' basis.
+
+    The result commutes with the mirror permutations, so it is built from
+    its representative rows: M[r_a, g r_b] = sum_chi chi(g) B_chi[a, b]
+    / sqrt(o_a o_b) with o = |G| / st the orbit sizes, and the other rows
+    are permuted copies, M[h r_a, j] = M[r_a, h j].  That costs O(n^2); an
+    exactly symmetric set of blocks gives an exactly symmetric matrix.
+    """
+    perms = grid.mirrors
+    if perms.shape[0] == 1:
+        return blocks[0]
+    reps, chi, valid, stab = _orbits(perms)
+    m, n = reps.size, perms.shape[1]
+    scale = np.sqrt(stab / perms.shape[0])
+    # blocks come in character order, without the empty ones
+    padded = []
+    blocks = iter(blocks)
+    for pick in valid:
+        p = np.zeros((m, m))
+        if pick.any():
+            p[np.ix_(pick, pick)] = next(blocks) * np.outer(scale[pick],
+                                                           scale[pick])
+        padded.append(p)
+    rows = np.empty((m, n))
+    for cols, w in zip(perms[:, reps], _character_sums(padded, chi.T)):
+        rows[:, cols] = w
+    del padded
+    out = np.empty((n, n))
+    for perm in perms:
+        out[perm[reps]] = rows[:, perm]
+    return out
+
+
+def _symmetrize_blocks(grid: QuadratureGrid, blocks):
+    """Plemelj symmetrization per mirror block, and the merged operator.
+
+    Returns the ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T,
+    which is the Plemelj symmetrization of K_w for the factor
+    Q blockdiag(L_b) Q^T of -S_w (so a dense ``symmetrize`` result differs
+    from it by an orthogonal similarity), together with the list of the
+    symmetrized blocks sym_b.  Diagnostics merge over the blocks:
+    ``min_eig_negS`` is the smallest block value, ``plemelj_residual`` is
+    max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
+    max ||skew_b|| / max ||L_b^-1 K_b L_b||.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If some block of -S is not positive definite.
+    """
+    syms, norms = zip(*(_plemelj_symmetrize(k, s) for k, s in blocks))
+    sym = DiscreteOperator(_mirror_matrix(grid, syms), basis="symmetrized",
+                           kernel="double_layer", grid=grid,
+                           diagnostics=_merge_diagnostics(norms))
+    return sym, list(syms)
 
 
 # ------------------------------------------------------------------ binary dump

@@ -18,8 +18,8 @@ from .errors import (ConfigError, DegenerateChart, GridError, NumericalError,
                      SingularInversion)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
-from .operators import (assemble_operators, dump_operator, symmetrize,
-                        to_weighted_l2)
+from .operators import (_mirror_blocks, _symmetrize_blocks,
+                        assemble_operators, dump_operator)
 from .report import render_eigen_csv, render_report_json, write_text
 from .spectrum import (SpectrumReport, cluster_multiplicities, plasmon_map,
                        split_spectrum, weyl_fit)
@@ -57,25 +57,39 @@ def _fit_branch(seq, window):
     return weyl_fit(seq, window)
 
 
+def _sorted_union(parts):
+    """All values of the per-block arrays, sorted descending."""
+    return np.sort(np.concatenate(list(parts)))[::-1]
+
+
 def compute_report(config: RunConfig) -> tuple:
     """Run the numerical pipeline and build the report.
+
+    K and S are assembled on the whole grid and split into the blocks of
+    the grid's mirror group (``operators._mirror_blocks``; a grid without
+    mirrors is one block).  Each block is symmetrized on its own, and the
+    eigenvalues, the singular values of K_w and the raw ``eigvals``
+    crosscheck are the sorted unions of the block values; the diagnostics
+    merge as described in ``operators._symmetrize_blocks``.
 
     Returns
     -------
     (SpectrumReport, DiscreteOperator)
-        The report plus the symmetrized operator (kept for matrix dumps).
+        The report plus the symmetrized operator (kept for matrix dumps),
+        Q blockdiag(sym_b) Q^T in the orthonormal basis of the blocks.
     """
     with _stage("geometry"):
         grid = build_grid(config.surface, *config.resolution)
         predicted = weyl_coefficients_signed(grid, config.angular_resolution)
     with _stage("assembly"):
         k_op, s_op = assemble_operators(grid)
-        kw = to_weighted_l2(k_op)
-        sw = to_weighted_l2(s_op)
-        sym = symmetrize(kw, sw)
+        blocks = _mirror_blocks(grid, k_op.matrix, s_op.matrix)
+        del k_op, s_op
+        sym, sym_blocks = _symmetrize_blocks(grid, blocks)
     with _stage("spectrum"):
-        eigs = sla.eigvalsh(sym.matrix)[::-1]
-        singular_values = sla.svdvals(kw.matrix)
+        eigs = _sorted_union(sla.eigvalsh(b) for b in sym_blocks)
+        del sym_blocks
+        singular_values = _sorted_union(sla.svdvals(k) for k, _ in blocks)
         diagnostics = {
             "asymmetry_norm": sym.diagnostics["asymmetry_norm"],
             "plemelj_residual": sym.diagnostics["plemelj_residual"],
@@ -83,9 +97,10 @@ def compute_report(config: RunConfig) -> tuple:
             "min_eig_negS": sym.diagnostics["min_eig_negS"],
         }
         if grid.n_nodes <= RAW_CROSSCHECK_MAX_NODES:
-            raw = np.sort(np.linalg.eigvals(k_op.matrix).real)[::-1]
+            raw = _sorted_union(np.linalg.eigvals(k).real for k, _ in blocks)
             diagnostics["raw_eig_max_dev"] = float(
                 np.max(np.abs(raw - eigs)))
+        del blocks
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
         clusters = clusters[:MAX_REPORTED_CLUSTERS]

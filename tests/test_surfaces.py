@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npspectra import (
     ConfigError,
     SingularInversion,
+    build_grid,
     catalog_names,
     ellipsoid,
     evaluate_frame,
@@ -18,6 +21,7 @@ from npspectra import (
     spheroid,
     torus,
 )
+from npspectra import surfaces
 
 
 def test_catalog_names_sorted_and_complete():
@@ -179,6 +183,36 @@ def test_inversion_center_on_surface_between_probes_rejected(surface,
 def test_inversion_center_just_off_surface_accepted():
     surf = mobius_invert(sphere(), center=(1.001, 0.0, 0.0), radius=1.0)
     assert surf.params["center"] == [1.001, 0.0, 0.0]
+
+
+# distance of an inversion center from the unit sphere: on it, near it
+# (1e-9 to 1e-4, either side, across the 1e-6 x extent guard) or off it
+_offsets = st.one_of(
+    st.just(0.0),
+    st.tuples(st.floats(-9.0, -4.0), st.sampled_from([-1.0, 1.0])).map(
+        lambda t: t[1] * 10.0 ** t[0]),
+    st.floats(-1.0, -0.1), st.floats(0.1, 3.0))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi), _offsets)
+def test_inversion_guard_matches_refined_distance(theta, phi, offset):
+    base = sphere()
+    center = (1.0 + offset) * np.array([np.sin(theta) * np.cos(phi),
+                                        np.sin(theta) * np.sin(phi),
+                                        np.cos(theta)])
+    dist, extent = surfaces._distance_to_surface(base, center)
+    if abs(offset) <= 1e-4:
+        # near the surface the refinement finds the true distance
+        assert abs(dist - abs(offset)) <= 1e-12
+    try:
+        surf = mobius_invert(base, center=center, radius=1.0)
+    except SingularInversion:
+        assert dist < 1e-6 * extent
+        return
+    assert dist >= 1e-6 * extent
+    weights = build_grid(surf, 8, 16).weights
+    assert np.all(np.isfinite(weights) & (weights > 0))
 
 
 def test_inversion_params_record():
