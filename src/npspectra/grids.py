@@ -7,11 +7,13 @@ cos(u), so all nodes stay strictly inside (0, pi) and the coordinate poles
 are never sampled.  Each node also carries its parameter cell (used for the
 singular-quadrature corrections during operator assembly).
 
-A grid also carries the node permutations of its mirror group: the
-coordinate mirrors its surface declares that map grid nodes to grid nodes,
-checked against the geometry, and all their products.  Operators assembled
-on the grid commute with these permutations, so their spectra split into
-one block per character of the group (``operators._mirror_blocks``).
+A grid also carries the node permutations of its mirror group, found from
+its own geometry: of the three coordinate mirrors x -> -x, y -> -y and
+z -> -z that the chart kind can express as (u, v) maps, those that send
+grid nodes to grid nodes and reflect points, normals, weights and cells,
+and all their products.  Operators assembled on the grid commute with
+these permutations, so their spectra split into one block per character
+of the group (``operators._mirror_blocks``).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateChart, GridError, NumericalError
+from .errors import ConfigError, DegenerateChart, NumericalError
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
 from .surfaces import ParametricSurface
 
@@ -105,12 +107,21 @@ def _polar_layout(n_u):
     return u, wq / np.sin(u), edges[:-1], edges[1:]
 
 
+# candidate mirrors of each chart kind, as (u, v) maps in axis order x, y,
+# z: the maps that reflect the catalog charts.  Row h of a grid's group
+# table composes the candidates kept, named by the bits of h.
+_MIRROR_XY = (lambda u, v: (u, np.pi - v), lambda u, v: (u, -v))
+_MIRROR_MAPS = {
+    "polar": _MIRROR_XY + (lambda u, v: (np.pi - u, v),),
+    "biperiodic": _MIRROR_XY + (lambda u, v: (-u, v),),
+}
+
 # tolerances of the mirror check: parameter images off the nodes by more
 # than _OFF_NODE periods drop a mirror; a kept mirror must reflect points
 # (relative to the grid extent), unit normals, weights (relative) and cell
-# bounds (in periods) to _MIRROR_TOL.  Finite-difference charts carry
-# rounding of about eps / FD_STEP ~ 2e-11 in normals and weights, which
-# are checked to _MIRROR_TOL_FD on them.
+# bounds (in periods) to _MIRROR_TOL, or it is dropped too.
+# Finite-difference charts carry rounding of about eps / FD_STEP ~ 2e-11
+# in normals and weights, which are checked to _MIRROR_TOL_FD on them.
 _OFF_NODE = 1e-9
 _MIRROR_TOL = 1e-12
 _MIRROR_TOL_FD = 1e-9
@@ -145,15 +156,12 @@ def _bound_defect(a, b, lo, hi, period, unit):
 def _mirror_group(surface, grid, u_nodes, v_nodes):
     """Node permutations of the mirror group of a single-component grid.
 
-    Each declared mirror whose parameter map sends every node to a node
-    becomes a permutation; the others are dropped (``v -> pi - v`` at odd
-    ``n_v``, for example).  Returns the group table of ``QuadratureGrid``.
-
-    Raises
-    ------
-    GridError
-        If a kept permutation does not map points, unit normals, cell bounds
-        and weights onto their reflections, naming the map and worst node.
+    Each candidate mirror of the chart kind (``_MIRROR_MAPS``) whose
+    parameter map sends every node to a node, and whose permutation maps
+    points, unit normals, cell bounds and weights onto their reflections,
+    becomes a generator; the others are dropped (``v -> pi - v`` at odd
+    ``n_v``, or the z-mirror of an egg-shaped body, for example).  Returns
+    the group table of ``QuadratureGrid``.
     """
     n_u, n_v = u_nodes.size, v_nodes.size
     u_period = None if surface.kind == "polar" else surface.u_period
@@ -164,10 +172,8 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
     half = 0.5 * grid.cell_dv
     derived = _MIRROR_TOL if surface.derivative_mode == "analytic" \
         else _MIRROR_TOL_FD
-    tols = {"point": _MIRROR_TOL, "normal": derived, "weight": derived,
-            "cell": _MIRROR_TOL}
     perms = [np.arange(grid.n_nodes)]
-    for axis, fn in surface.mirrors:
+    for axis, fn in enumerate(_MIRROR_MAPS[surface.kind]):
         mu, mv = fn(grid.u, grid.v)
         iu, du = _node_indices(mu, u_nodes, u_period)
         iv, dv = _node_indices(mv, v_nodes, v_period)
@@ -184,23 +190,14 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
                           u_period, u_scale),
             _bound_defect(va, vb, (grid.v - half)[perm],
                           (grid.v + half)[perm], v_period, v_period))
-        defects = {
-            "point": np.max(np.abs(x[perm] - x * flip), axis=1) / scale,
-            "normal": np.max(np.abs(nrm[perm] - nrm * flip), axis=1),
-            "weight": np.abs(w[perm] - w) / w,
-            "cell": cell,
-        }
-        worst = {k: int(np.argmax(d)) for k, d in defects.items()}
-        kind = max(defects, key=lambda k: defects[k][worst[k]] / tols[k])
-        i = worst[kind]
-        if not defects[kind][i] <= tols[kind]:
-            raise GridError(
-                f"declared mirror {getattr(fn, '__name__', fn)} "
-                f"({'xyz'[axis]} -> -{'xyz'[axis]}) of {surface.name} "
-                f"does not reflect the grid: worst node {i}, (u, v) = ({grid.u[i]:.6g}, "
-                f"{grid.v[i]:.6g}), {kind} defect {defects[kind][i]:.3e} "
-                f"> {tols[kind]:.0e}")
-        perms += [perm[p] for p in perms]
+        defects = (
+            (np.max(np.abs(x[perm] - x * flip), axis=1) / scale, _MIRROR_TOL),
+            (np.max(np.abs(nrm[perm] - nrm * flip), axis=1), derived),
+            (np.abs(w[perm] - w) / w, derived),
+            (cell, _MIRROR_TOL),
+        )
+        if all(d.max() <= tol for d, tol in defects):
+            perms += [perm[p] for p in perms]
     return np.array(perms)
 
 
@@ -225,9 +222,6 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
         If a direction has fewer than 4 nodes.
     DegenerateChart
         If any node weight fails to be finite and positive.
-    GridError
-        If a declared mirror of the surface maps grid nodes to grid nodes
-        but does not reflect the grid's geometry.
     """
     n_u, n_v = int(n_u), int(n_v)
     if n_u < 4 or n_v < 4:

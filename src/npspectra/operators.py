@@ -71,7 +71,6 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     basis: str
-    kernel: str
     grid: QuadratureGrid = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
@@ -333,10 +332,8 @@ def assemble_operators(grid: QuadratureGrid):
     for r0 in range(0, n, step):
         r1 = min(n, r0 + step)
         smat[r0:r1] *= sw[None, :] / sw[r0:r1, None]
-    k_op = DiscreteOperator(kmat, basis="nystrom", kernel="double_layer",
-                            grid=grid)
-    s_op = DiscreteOperator(smat, basis="nystrom", kernel="single_layer",
-                            grid=grid)
+    k_op = DiscreteOperator(kmat, basis="nystrom", grid=grid)
+    s_op = DiscreteOperator(smat, basis="nystrom", grid=grid)
     return k_op, s_op
 
 
@@ -351,8 +348,7 @@ def to_weighted_l2(op: DiscreteOperator) -> DiscreteOperator:
         raise ConfigError(f"operator already in basis {op.basis!r}")
     sw = np.sqrt(op.grid.weights)
     return DiscreteOperator(op.matrix * (sw[:, None] / sw[None, :]),
-                            basis="weighted_l2", kernel=op.kernel,
-                            grid=op.grid)
+                            basis="weighted_l2", grid=op.grid)
 
 
 def _spectral_norm(m: np.ndarray, iters: int = 40) -> float:
@@ -504,8 +500,7 @@ def symmetrize(k_op: DiscreteOperator,
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
     sym, norms = _plemelj_symmetrize(k_op.matrix, s_op.matrix)
-    return DiscreteOperator(sym, basis="symmetrized", kernel="double_layer",
-                            grid=k_op.grid,
+    return DiscreteOperator(sym, basis="symmetrized", grid=k_op.grid,
                             diagnostics=_merge_diagnostics([norms]))
 
 
@@ -640,8 +635,7 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
     """
     syms, norms = zip(*(_plemelj_symmetrize(k, s) for k, s in blocks))
     sym = DiscreteOperator(_mirror_matrix(grid, syms), basis="symmetrized",
-                           kernel="double_layer", grid=grid,
-                           diagnostics=_merge_diagnostics(norms))
+                           grid=grid, diagnostics=_merge_diagnostics(norms))
     return sym, list(syms)
 
 

@@ -21,13 +21,12 @@ from .grids import build_grid
 from .operators import (_mirror_blocks, _symmetrize_blocks,
                         assemble_operators, dump_operator)
 from .report import render_eigen_csv, render_report_json, write_text
-from .spectrum import (SpectrumReport, cluster_multiplicities, plasmon_map,
-                       split_spectrum, weyl_fit)
+from .spectrum import (TRIVIAL_TOL, SpectrumReport, cluster_multiplicities,
+                       plasmon_map, split_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
 MAX_REPORTED_CLUSTERS = 32
 RAW_CROSSCHECK_MAX_NODES = 1500
-_TRIVIAL_TOL = 1e-3
 
 
 @contextmanager
@@ -42,7 +41,7 @@ def _stage(name):
 
 def _drop_trivial(seq):
     """Remove the leading constant-eigenfunction eigenvalue 1/2."""
-    if seq.size and abs(seq[0] - 0.5) <= _TRIVIAL_TOL:
+    if seq.size and abs(seq[0] - 0.5) <= TRIVIAL_TOL:
         return seq[1:]
     return seq
 
@@ -118,7 +117,7 @@ def compute_report(config: RunConfig) -> tuple:
         signed = np.sort(np.concatenate([lambda_plus, -lambda_minus]))[::-1]
         # the discrete 1/2 eigenvalue approximates the pole of the map
         plasmon = [plasmon_map(lam) for lam in signed
-                   if abs(lam - 0.5) > _TRIVIAL_TOL]
+                   if abs(lam - 0.5) > TRIVIAL_TOL]
     report = SpectrumReport(
         lambda_plus=lambda_plus, lambda_minus=lambda_minus,
         singular_values=singular_values, clusters=clusters, fit=fit,

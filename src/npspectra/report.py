@@ -9,7 +9,7 @@ import numpy as np
 
 from ._fileio import atomic_write
 from .errors import ConfigError
-from .spectrum import SpectrumReport, plasmon_map
+from .spectrum import TRIVIAL_TOL, SpectrumReport, plasmon_map
 
 CSV_FORMAT_LINE = "# eigen-table v1"
 CSV_HEADER = "j,lambda,sign,mu_j,epsilon_j"
@@ -103,7 +103,7 @@ def render_eigen_csv(report: SpectrumReport) -> str:
     lines = [CSV_FORMAT_LINE, CSV_HEADER]
     for j, idx in enumerate(order, start=1):
         lam = float(signed[idx])
-        if abs(lam - 0.5) <= 1e-3:
+        if abs(lam - 0.5) <= TRIVIAL_TOL:
             eps = ""
         else:
             eps = format_float(plasmon_map(lam))

@@ -27,6 +27,9 @@ from .operators import (_cholesky_neg_s, _mirror_blocks, assemble_operators,
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
 INCONCLUSIVE = "INCONCLUSIVE"
+# distance from 1/2 within which a discrete eigenvalue is the trivial one of
+# the constant eigenfunction, the pole of ``plasmon_map``
+TRIVIAL_TOL = 1e-3
 
 
 @dataclass

@@ -5,9 +5,6 @@ periodicity information and, for the catalog shapes, analytic first and
 second derivatives.  Charts of kind "polar" cover sphere-like surfaces with
 u in (0, pi) and coordinate poles at the interval ends; charts of kind
 "biperiodic" cover torus-like surfaces with both directions periodic.
-The catalog shapes also declare their coordinate mirrors, each as a map on
-(u, v) paired with the axis it reflects; ``grids.build_grid`` turns these
-into node permutations and checks them against the geometry.
 """
 from __future__ import annotations
 
@@ -53,18 +50,14 @@ class ParametricSurface:
         ``"analytic"`` or ``"finite_difference"``.  Defaults to analytic
         when both derivative callables are supplied.  Finite differences
         are central with step ``FD_STEP`` in parameter units.
-    mirrors : sequence of (axis, map) pairs, optional
-        Coordinate mirrors of the surface: ``map`` is an involution
-        ``(u, v) -> (u', v')`` of the chart with x(u', v') equal to x(u, v)
-        with coordinate ``axis`` (0, 1 or 2) negated.  At most one map per
-        axis.  ``build_grid`` keeps the maps that send grid nodes to grid
-        nodes and raises ``GridError`` if one of them does not reflect the
-        geometry.
+
+    A surface declares no symmetries: ``grids.build_grid`` finds the
+    coordinate mirrors of each grid from its chart kind and geometry.
     """
 
     def __init__(self, position, d1=None, d2=None, *, kind,
                  u_period=None, v_period=TWO_PI, name="surface",
-                 params=None, derivative_mode=None, mirrors=()):
+                 params=None, derivative_mode=None):
         if kind not in ("polar", "biperiodic"):
             raise ConfigError(f"unknown chart kind {kind!r}")
         if kind == "biperiodic" and u_period is None:
@@ -76,11 +69,6 @@ class ParametricSurface:
             raise ConfigError(f"unknown derivative_mode {derivative_mode!r}")
         if derivative_mode == "analytic" and (d1 is None or d2 is None):
             raise ConfigError("analytic derivative_mode requires d1 and d2")
-        mirrors = tuple((int(axis), fn) for axis, fn in mirrors)
-        axes = [axis for axis, _ in mirrors]
-        if not set(axes) <= {0, 1, 2} or len(set(axes)) != len(axes):
-            raise ConfigError(f"mirror axes must be distinct values in "
-                              f"(0, 1, 2), got {axes}")
         self.position = position
         self._d1 = d1
         self._d2 = d2
@@ -90,7 +78,6 @@ class ParametricSurface:
         self.name = name
         self.params = dict(params or {})
         self.derivative_mode = derivative_mode
-        self.mirrors = mirrors
         self._orientation_sign = None
 
     # ------------------------------------------------------------- derivatives
@@ -129,7 +116,7 @@ class ParametricSurface:
         clone = ParametricSurface(
             self.position, self._d1, self._d2, kind=self.kind,
             u_period=self.u_period, v_period=self.v_period, name=self.name,
-            params=self.params, derivative_mode=mode, mirrors=self.mirrors)
+            params=self.params, derivative_mode=mode)
         clone._orientation_sign = self._orientation_sign
         return clone
 
@@ -169,31 +156,6 @@ class ParametricSurface:
         return self._orientation_sign
 
 
-# ------------------------------------------------------------------ mirrors
-def mirror_x(u, v):
-    """x -> -x on the catalog charts: v -> pi - v."""
-    return u, np.pi - v
-
-
-def mirror_y(u, v):
-    """y -> -y on the catalog charts: v -> -v."""
-    return u, -v
-
-
-def mirror_z_polar(u, v):
-    """z -> -z on polar charts symmetric about the equator: u -> pi - u."""
-    return np.pi - u, v
-
-
-def mirror_z_torus(u, v):
-    """z -> -z on the torus chart: u -> -u."""
-    return -u, v
-
-
-POLAR_MIRRORS = ((0, mirror_x), (1, mirror_y), (2, mirror_z_polar))
-TORUS_MIRRORS = ((0, mirror_x), (1, mirror_y), (2, mirror_z_torus))
-
-
 # ------------------------------------------------------------------ catalog
 def sphere(r=1.0):
     """Round sphere of radius ``r`` in the polar chart."""
@@ -222,7 +184,7 @@ def sphere(r=1.0):
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="polar", name="sphere",
-                             params={"r": r}, mirrors=POLAR_MIRRORS)
+                             params={"r": r})
 
 
 def ellipsoid(a, b, c):
@@ -252,8 +214,7 @@ def ellipsoid(a, b, c):
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="polar", name="ellipsoid",
-                             params={"a": a, "b": b, "c": c},
-                             mirrors=POLAR_MIRRORS)
+                             params={"a": a, "b": b, "c": c})
 
 
 def spheroid(a, c):
@@ -298,8 +259,7 @@ def torus(R=2.0, r=1.0):
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="biperiodic", u_period=TWO_PI,
-                             name="torus", params={"R": R, "r": r},
-                             mirrors=TORUS_MIRRORS)
+                             name="torus", params={"R": R, "r": r})
 
 
 def peanut(c=1.0, d=1.1):
@@ -359,7 +319,7 @@ def peanut(c=1.0, d=1.1):
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="polar", name="peanut",
-                             params={"c": c, "d": d}, mirrors=POLAR_MIRRORS)
+                             params={"c": c, "d": d})
 
 
 CATALOG = {

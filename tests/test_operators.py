@@ -61,10 +61,8 @@ def _one_point_operators(grid, s_corr):
     idx = np.arange(grid.n_nodes)
     smat[idx, idx] = s_corr.matrix[idx, idx]
     kmat[idx, idx] = 0.5 - kmat.sum(axis=1)
-    return (DiscreteOperator(kmat, basis="nystrom", kernel="double_layer",
-                             grid=grid),
-            DiscreteOperator(smat, basis="nystrom", kernel="single_layer",
-                             grid=grid))
+    return (DiscreteOperator(kmat, basis="nystrom", grid=grid),
+            DiscreteOperator(smat, basis="nystrom", grid=grid))
 
 
 def test_double_layer_constant_eigenpair(sphere_ops):
@@ -112,8 +110,6 @@ def test_operator_metadata(sphere_ops):
     _, k_op, s_op = sphere_ops
     assert k_op.basis == "nystrom"
     assert s_op.basis == "nystrom"
-    assert k_op.kernel == "double_layer"
-    assert s_op.kernel == "single_layer"
 
 
 def test_weighted_single_layer_symmetric(sphere_sym):
@@ -208,8 +204,7 @@ def test_symmetrize_requires_weighted_basis(sphere_ops):
 
 def test_symmetrize_rejects_indefinite_single_layer(sphere_sym):
     grid, kw, sw, _ = sphere_sym
-    flipped = DiscreteOperator(-sw.matrix, basis="weighted_l2",
-                               kernel="single_layer", grid=grid)
+    flipped = DiscreteOperator(-sw.matrix, basis="weighted_l2", grid=grid)
     with pytest.raises(NotPositiveDefinite):
         symmetrize(kw, flipped)
 
