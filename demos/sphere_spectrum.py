@@ -2,9 +2,10 @@
 
 On the unit sphere the operator diagonalizes on spherical harmonics with
 eigenvalues 1/(2(2k+1)) of multiplicity 2k+1. The demo assembles the
-dense Nystrom matrices, symmetrizes through the single layer, and prints
-the detected clusters next to the exact ladder, plus the symmetrization
-diagnostics that certify the discretization.
+dense Nystrom matrices, splits them into the blocks of the grid's eight
+mirror symmetries, symmetrizes each block through its single layer, and
+prints the detected clusters next to the exact ladder, plus the
+symmetrization diagnostics that certify the discretization.
 """
 
 from __future__ import annotations

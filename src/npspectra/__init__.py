@@ -20,8 +20,7 @@ from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
 from .grids import (QuadratureGrid, build_grid, concatenate_grids,
                     surface_integral)
 from .operators import (DiscreteOperator, assemble_operators, dump_operator,
-                        plemelj_residual, read_matrix_dump, symmetrize,
-                        to_weighted_l2)
+                        plemelj_residual, read_matrix_dump, to_weighted_l2)
 from .pipeline import compute_report, run_pipeline
 from .spectrum import (FitEstimate, SpectrumReport, StudyResult,
                        cluster_multiplicities, counting_function,
@@ -44,7 +43,7 @@ __all__ = [
     "weyl_coefficient_total", "weyl_coefficients_signed", "signed_parts",
     "principal_symbol",
     "DiscreteOperator", "assemble_operators", "to_weighted_l2",
-    "plemelj_residual", "symmetrize", "dump_operator", "read_matrix_dump",
+    "plemelj_residual", "dump_operator", "read_matrix_dump",
     "SpectrumReport", "FitEstimate", "StudyResult", "split_spectrum",
     "counting_function", "cluster_multiplicities", "weyl_fit",
     "default_fit_window", "plasmon_map", "negative_count_study",

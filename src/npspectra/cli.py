@@ -23,11 +23,11 @@ import dataclasses
 import sys
 
 from ._version import __version__
-from .config import RunConfig, check_resolution, load_config
+from .config import RunConfig, load_config
 from .errors import (ConfigError, DegenerateChart, DomainError, GridError,
                      NotPositiveDefinite, NumericalError, PoleError)
 from .functionals import weyl_coefficients_signed
-from .grids import build_grid
+from .grids import build_grid, check_resolution
 from .spectrum import negative_count_study
 from .pipeline import run_pipeline
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError, SingularInversion
+from .grids import check_resolution
 from .surfaces import CATALOG, ParametricSurface, catalog_names, mobius_invert
 
 # (parameter, default) per catalog surface; None means required
@@ -37,10 +38,6 @@ _SURFACE_PARAMS = {
 _OUTPUT_KEYS = ("report_json", "eigen_csv", "matrix_dump")
 
 _DEFAULT_RESOLUTION = {"polar": (48, 96), "biperiodic": (64, 64)}
-
-# largest accepted node count; one dense n x n operator at this size would
-# take 2 PiB, so larger counts can only be typing errors
-MAX_NODES = 2 ** 24
 
 
 @dataclass
@@ -88,21 +85,6 @@ def _number(obj, pointer):
     if not math.isfinite(value):
         _fail(pointer, f"must be finite, got {value}")
     return value
-
-
-def check_resolution(n_u: int, n_v: int, where: str) -> None:
-    """Reject a grid resolution below 4 per direction or above MAX_NODES.
-
-    Raises
-    ------
-    ConfigError
-        Naming ``where`` (a JSON pointer or a command-line option).
-    """
-    if n_u < 4 or n_v < 4:
-        raise ConfigError(f"{where}: {n_u}x{n_v} too small (need >= 4)")
-    if n_u * n_v > MAX_NODES:
-        raise ConfigError(f"{where}: {n_u}x{n_v} has more than "
-                          f"{MAX_NODES} nodes")
 
 
 def build_surface(spec: dict, pointer: str = "/surface") -> ParametricSurface:

@@ -24,7 +24,11 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateChart, NumericalError
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
-from .surfaces import ParametricSurface
+from .surfaces import ParametricSurface, _tensor_layout
+
+# largest accepted node count; one dense n x n operator at this size would
+# take 2 PiB, so larger counts can only be typing errors
+MAX_NODES = 2 ** 24
 
 
 @dataclass
@@ -90,21 +94,6 @@ class QuadratureGrid:
     @property
     def normals(self) -> np.ndarray:
         return self.frames.normal
-
-
-def _polar_layout(n_u):
-    # Gauss-Legendre in t = cos(u); cell edges split [-1, 1] by the
-    # cumulative weights so each node owns a cell containing it.
-    t, wt = np.polynomial.legendre.leggauss(n_u)
-    u = np.arccos(t)[::-1]
-    wq = wt[::-1]
-    edges_t = np.concatenate([[1.0], 1.0 - np.cumsum(wq)])
-    # the weights sum to 2 only up to rounding, which arccos would
-    # amplify to sqrt(eps) at the closing edge; pin it exactly
-    edges_t[-1] = -1.0
-    edges = np.arccos(np.clip(edges_t, -1.0, 1.0))
-    # du-weight: the GL rule integrates dt = sin(u) du
-    return u, wq / np.sin(u), edges[:-1], edges[1:]
 
 
 # candidate mirrors of each chart kind, as (u, v) maps in axis order x, y,
@@ -201,6 +190,22 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
     return np.array(perms)
 
 
+def check_resolution(n_u: int, n_v: int, where: str) -> None:
+    """Reject a grid resolution below 4 per direction or above MAX_NODES.
+
+    Raises
+    ------
+    ConfigError
+        Naming ``where`` (a JSON pointer, a command-line option or an
+        argument).
+    """
+    if n_u < 4 or n_v < 4:
+        raise ConfigError(f"{where}: {n_u}x{n_v} too small (need >= 4)")
+    if n_u * n_v > MAX_NODES:
+        raise ConfigError(f"{where}: {n_u}x{n_v} has more than "
+                          f"{MAX_NODES} nodes")
+
+
 def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid:
     """Build the tensor quadrature grid of a surface.
 
@@ -209,7 +214,8 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
     surface : ParametricSurface
         Surface to discretize.
     n_u, n_v : int
-        Node counts per direction, both at least 4.
+        Node counts per direction, both at least 4, with at most
+        ``MAX_NODES`` nodes in all.
 
     Returns
     -------
@@ -219,23 +225,13 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
     Raises
     ------
     ConfigError
-        If a direction has fewer than 4 nodes.
+        If ``check_resolution`` rejects the resolution.
     DegenerateChart
         If any node weight fails to be finite and positive.
     """
     n_u, n_v = int(n_u), int(n_v)
-    if n_u < 4 or n_v < 4:
-        raise ConfigError(f"grid resolution {n_u}x{n_v} too small (need >= 4)")
-    if surface.kind == "polar":
-        u, wu, ulo, uhi = _polar_layout(n_u)
-    else:
-        period = surface.u_period
-        du = period / n_u
-        u = du * np.arange(n_u)
-        wu = np.full(n_u, du)
-        ulo, uhi = u - du / 2, u + du / 2
-    dv = surface.v_period / n_v
-    v = dv * np.arange(n_v)
+    check_resolution(n_u, n_v, "grid resolution")
+    u, wu, ulo, uhi, v, dv = _tensor_layout(surface, n_u, n_v)
     uu = np.repeat(u, n_v)
     vv = np.tile(v, n_u)
     frames = evaluate_frame(surface, uu, vv)

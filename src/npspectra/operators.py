@@ -21,10 +21,13 @@ once per near pair, and gather from that per-cell cache in bounded chunks.
 Beyond the two returned matrices, assembly therefore holds temporaries of
 O(n) plus a few dozen MiB, independent of n^2.
 
-On a grid with mirrors, K and S commute with the mirror permutations of
-the nodes and split into one block per character of the mirror group
-(``_mirror_blocks``).  The reports and the study symmetrize and
-diagonalize these blocks of about n/8 nodes, not the n x n matrices.
+Symmetrization has one route.  K and S commute with the mirror
+permutations of the grid's nodes and split into one block per character
+of the mirror group (``_mirror_blocks``; a grid without mirrors is one
+block).  Each block is symmetrized through its own single layer
+(``_symmetrize_blocks``), so the reports, the study and
+``spectrum.symmetrized_spectrum`` do dense work on blocks of about n/8
+nodes on a catalog grid, not on the n x n matrices.
 """
 from __future__ import annotations
 
@@ -436,8 +439,17 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
     Factors -S = L L^T and returns sym(L^-1 K L), exactly symmetric, with
     the numbers its diagnostics merge from: the smallest eigenvalue of -S,
     the spectral norms of the discarded skew part and of L^-1 K L, and
-    those of ``_plemelj_norms``.  Both the dense ``symmetrize`` and the
-    per-block ``_symmetrize_blocks`` call it.
+    those of ``_plemelj_norms``.  This is Plemelj's symmetrization: S is
+    symmetric and S K^T = K S, so L^-1 K L is symmetric for the continuous
+    operators.  Its spectrum is that of K; another factor of -S (such as
+    its square root) changes the result only by an orthogonal similarity.
+    ``_symmetrize_blocks`` calls it once per mirror block.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If -S has a nonpositive eigenvalue or its Cholesky factorization
+        fails (discretization too coarse or inconsistent geometry).
     """
     min_eig, lower = _factor_neg_s(s)
     kt = np.matmul(k, lower, order="F")
@@ -464,44 +476,6 @@ def _merge_diagnostics(norms) -> dict:
         "plemelj_residual": float(
             resid.max() / (k_norm.max() * s_norm.max())),
     }
-
-
-def symmetrize(k_op: DiscreteOperator,
-               s_op: DiscreteOperator) -> DiscreteOperator:
-    """Similarity-transform the double layer to symmetric form via -S.
-
-    Factors -S = L L^T (Cholesky) and returns the explicitly symmetrized
-    (L^{-1} K L + (L^{-1} K L)^T)/2 in the ``symmetrized`` basis.  This is
-    Plemelj's symmetrization: S is symmetric and S K^T = K S, so L^{-1} K L
-    is symmetric for the continuous operators.  Its spectrum is that of K;
-    a different factor of -S (such as its square root) changes the result
-    only by an orthogonal similarity.
-    The discarded skew part's relative norm is recorded as
-    ``asymmetry_norm`` in the diagnostics, together with ``min_eig_negS``
-    (the smallest eigenvalue of -S) and the ``plemelj_residual`` of the
-    inputs.
-
-    This is the dense route, on the whole grid.  ``compute_report`` and
-    ``negative_count_study`` split the operators into the blocks of the
-    grid's mirror group first (``_mirror_blocks``) and apply the same
-    symmetrization, ``_plemelj_symmetrize``, per block; on a grid without
-    mirrors that is this computation.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If -S has a nonpositive eigenvalue or its Cholesky factorization
-        fails (discretization too coarse or inconsistent geometry).
-    ConfigError
-        If the operators are not weighted_l2 on a common grid.
-    """
-    if k_op.basis != "weighted_l2" or s_op.basis != "weighted_l2":
-        raise ConfigError("symmetrize requires the weighted_l2 basis")
-    if k_op.grid is not s_op.grid:
-        raise ConfigError("operators were assembled on different grids")
-    sym, norms = _plemelj_symmetrize(k_op.matrix, s_op.matrix)
-    return DiscreteOperator(sym, basis="symmetrized", grid=k_op.grid,
-                            diagnostics=_merge_diagnostics([norms]))
 
 
 # ------------------------------------------------------------------ mirror blocks
@@ -621,12 +595,13 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
 
     Returns the ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T,
     which is the Plemelj symmetrization of K_w for the factor
-    Q blockdiag(L_b) Q^T of -S_w (so a dense ``symmetrize`` result differs
-    from it by an orthogonal similarity), together with the list of the
-    symmetrized blocks sym_b.  Diagnostics merge over the blocks:
-    ``min_eig_negS`` is the smallest block value, ``plemelj_residual`` is
-    max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
-    max ||skew_b|| / max ||L_b^-1 K_b L_b||.
+    Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the Cholesky
+    factor of the whole -S_w differs from it by an orthogonal similarity;
+    on a grid without mirrors the two are the same), together with the
+    list of the symmetrized blocks sym_b.  Diagnostics merge over the
+    blocks: ``min_eig_negS`` is the smallest block value,
+    ``plemelj_residual`` is max ||R_b|| / (max ||K_b|| max ||S_b||) and
+    ``asymmetry_norm`` is max ||skew_b|| / max ||L_b^-1 K_b L_b||.
 
     Raises
     ------

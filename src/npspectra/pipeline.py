@@ -18,11 +18,11 @@ from .errors import (ConfigError, DegenerateChart, GridError, NumericalError,
                      SingularInversion)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
-from .operators import (_mirror_blocks, _symmetrize_blocks,
-                        assemble_operators, dump_operator)
+from .operators import _symmetrize_blocks, dump_operator
 from .report import render_eigen_csv, render_report_json, write_text
-from .spectrum import (TRIVIAL_TOL, SpectrumReport, cluster_multiplicities,
-                       plasmon_map, split_spectrum, weyl_fit)
+from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
+                       _sorted_union, cluster_multiplicities, plasmon_map,
+                       split_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
 MAX_REPORTED_CLUSTERS = 32
@@ -56,20 +56,17 @@ def _fit_branch(seq, window):
     return weyl_fit(seq, window)
 
 
-def _sorted_union(parts):
-    """All values of the per-block arrays, sorted descending."""
-    return np.sort(np.concatenate(list(parts)))[::-1]
-
-
 def compute_report(config: RunConfig) -> tuple:
     """Run the numerical pipeline and build the report.
 
     K and S are assembled on the whole grid and split into the blocks of
-    the grid's mirror group (``operators._mirror_blocks``; a grid without
+    the grid's mirror group (``spectrum._operator_blocks``; a grid without
     mirrors is one block).  Each block is symmetrized on its own, and the
     eigenvalues, the singular values of K_w and the raw ``eigvals``
     crosscheck are the sorted unions of the block values; the diagnostics
-    merge as described in ``operators._symmetrize_blocks``.
+    merge as described in ``operators._symmetrize_blocks``.  The
+    eigenvalues and the symmetrized operator are those of
+    ``spectrum.symmetrized_spectrum``.
 
     Returns
     -------
@@ -81,9 +78,7 @@ def compute_report(config: RunConfig) -> tuple:
         grid = build_grid(config.surface, *config.resolution)
         predicted = weyl_coefficients_signed(grid, config.angular_resolution)
     with _stage("assembly"):
-        k_op, s_op = assemble_operators(grid)
-        blocks = _mirror_blocks(grid, k_op.matrix, s_op.matrix)
-        del k_op, s_op
+        blocks = _operator_blocks(grid)
         sym, sym_blocks = _symmetrize_blocks(grid, blocks)
     with _stage("spectrum"):
         eigs = _sorted_union(sla.eigvalsh(b) for b in sym_blocks)

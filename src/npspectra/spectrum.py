@@ -20,9 +20,9 @@ from scipy.linalg import lapack
 
 from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
-from .grids import build_grid
-from .operators import (_cholesky_neg_s, _mirror_blocks, assemble_operators,
-                        symmetrize, to_weighted_l2)
+from .grids import build_grid, check_resolution
+from .operators import (_cholesky_neg_s, _mirror_blocks, _symmetrize_blocks,
+                        assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -202,15 +202,33 @@ def plasmon_map(lam: float) -> float:
     return 1.0 - 2.0 * lam / (lam - 0.5)
 
 
+def _operator_blocks(grid):
+    """K_w and S_w split into the blocks of the grid's mirror group.
+
+    Assembles K and S on the whole grid and returns ``_mirror_blocks`` of
+    them: one (K_b, S_b) pair per character, a single (K_w, S_w) pair on a
+    grid without mirrors.  The full matrices are freed on return unless
+    they are that single pair.
+    """
+    k_op, s_op = assemble_operators(grid)
+    return _mirror_blocks(grid, k_op.matrix, s_op.matrix)
+
+
+def _sorted_union(parts):
+    """All values of the per-block arrays, sorted descending."""
+    return np.sort(np.concatenate(list(parts)))[::-1]
+
+
 def symmetrized_spectrum(grid):
     """Assemble, symmetrize, and return eigenvalues sorted descending.
 
-    The dense reference: one ``symmetrize`` and one ``eigvalsh`` on the
-    whole grid, whatever its mirrors.
+    The route of ``compute_report``: each mirror block is symmetrized on
+    its own (``operators._symmetrize_blocks``) and the eigenvalues are the
+    sorted union of the block ``eigvalsh``.  Returns them with the
+    ``symmetrized`` operator Q blockdiag(sym_b) Q^T and its diagnostics.
     """
-    k_op, s_op = assemble_operators(grid)
-    sym = symmetrize(to_weighted_l2(k_op), to_weighted_l2(s_op))
-    return sla.eigvalsh(sym.matrix)[::-1], sym
+    sym, sym_blocks = _symmetrize_blocks(grid, _operator_blocks(grid))
+    return _sorted_union(sla.eigvalsh(b) for b in sym_blocks), sym
 
 
 def _negative_inertia(m: np.ndarray) -> int:
@@ -249,17 +267,15 @@ def _negative_count(grid, threshold: float) -> int:
     """Number of eigenvalues of the symmetrized double layer below -threshold.
 
     K and S are split into the blocks of the grid's mirror group
-    (``operators._mirror_blocks``; one block without mirrors), and the
-    count is the sum of the block counts (``_block_negative_count``).
+    (``_operator_blocks``; one block without mirrors), and the count is
+    the sum of the block counts (``_block_negative_count``).
 
     Raises
     ------
     NotPositiveDefinite
         If the Cholesky factorization of some block of -S fails.
     """
-    k_op, s_op = assemble_operators(grid)
-    blocks = _mirror_blocks(grid, k_op.matrix, s_op.matrix)
-    del k_op, s_op
+    blocks = _operator_blocks(grid)
     count = 0
     while blocks:
         # popped into the call, so each block is freed once counted
@@ -270,10 +286,10 @@ def _negative_count(grid, threshold: float) -> int:
 def _block_negative_count(k, s, threshold: float) -> int:
     """Eigenvalues below -threshold of the symmetrization of one block.
 
-    With -S = L L^T, the symmetrized matrix sym(L^-1 K L) of ``symmetrize``
-    equals L^-1 M L^-T for M = -sym(K S) (weighted_l2 basis), so by
-    Sylvester's law of inertia the count is the number of negative
-    eigenvalues of M - threshold S.  A successful Cholesky factorization of
+    With -S = L L^T, the block's symmetrization sym(L^-1 K L)
+    (``operators._plemelj_symmetrize``) equals L^-1 M L^-T for
+    M = -sym(K S) (weighted_l2 basis), so by Sylvester's law of inertia
+    the count is the number of negative eigenvalues of M - threshold S.  A successful Cholesky factorization of
     -S certifies that it is positive definite; the factor is not needed
     otherwise.  One product K S and one LDL^T factorization replace the
     similarity transform and the eigensolve; ``k`` and ``s`` are consumed,
@@ -328,8 +344,9 @@ def negative_count_study(surface, resolutions: Sequence,
     Raises
     ------
     ConfigError
-        On fewer than 3 or non-increasing resolutions, or a threshold that
-        is not positive and finite.
+        On fewer than 3 or non-increasing resolutions, a resolution that
+        ``grids.check_resolution`` rejects (raised before any grid is
+        built), or a threshold that is not positive and finite.
     NotPositiveDefinite
         If -S is not positive definite on some grid.
     """
@@ -343,6 +360,8 @@ def negative_count_study(surface, resolutions: Sequence,
     sizes = [nu * nv for nu, nv in res]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("resolutions must be strictly increasing")
+    for i, (nu, nv) in enumerate(res):
+        check_resolution(nu, nv, f"resolutions[{i}]")
     rows = []
     for nu, nv in res:
         grid = build_grid(surface, nu, nv)

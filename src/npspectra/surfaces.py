@@ -122,17 +122,8 @@ class ParametricSurface:
 
     # ------------------------------------------------------------- orientation
     def _probe_nodes(self, n_u, n_v):
-        if self.kind == "polar":
-            t, wt = np.polynomial.legendre.leggauss(n_u)
-            u = np.arccos(t)[::-1]
-            wu = wt[::-1] / np.sin(u)
-        else:
-            u = self.u_period * np.arange(n_u) / n_u
-            wu = np.full(n_u, self.u_period / n_u)
-        v = self.v_period * np.arange(n_v) / n_v
-        dv = self.v_period / n_v
-        UU, VV = np.meshgrid(u, v, indexing="ij")
-        return UU.reshape(-1), VV.reshape(-1), np.repeat(wu, n_v) * dv
+        u, wu, _, _, v, dv = _tensor_layout(self, n_u, n_v)
+        return np.repeat(u, n_v), np.tile(v, n_u), np.repeat(wu, n_v) * dv
 
     def orientation_sign(self):
         """Global normal-direction sign making chart normals point outward.
@@ -154,6 +145,37 @@ class ParametricSurface:
             dot = float(np.dot(cr[i_far] / jac[i_far], x[i_far] - cent))
             self._orientation_sign = 1.0 if dot >= 0 else -1.0
         return self._orientation_sign
+
+
+def _tensor_layout(surface, n_u, n_v):
+    """Node layout of the tensor rule in each parameter direction.
+
+    The polar direction of a "polar" chart takes Gauss-Legendre nodes in
+    t = cos(u), so no node sits on a coordinate pole; periodic directions
+    take equispaced nodes with uniform weights.  Returns the u nodes, their
+    du-weights and parameter cell bounds (lo, hi), the v nodes and their
+    spacing dv.
+    """
+    if surface.kind == "polar":
+        t, wt = np.polynomial.legendre.leggauss(n_u)
+        u = np.arccos(t)[::-1]
+        wq = wt[::-1]
+        # cell edges split [-1, 1] by the cumulative weights, so each node
+        # owns a cell containing it; the weights sum to 2 only up to
+        # rounding, which arccos would amplify to sqrt(eps) at the closing
+        # edge, so that edge is pinned exactly
+        edges_t = np.concatenate([[1.0], 1.0 - np.cumsum(wq)])
+        edges_t[-1] = -1.0
+        edges = np.arccos(np.clip(edges_t, -1.0, 1.0))
+        # du-weight: the GL rule integrates dt = sin(u) du
+        wu, ulo, uhi = wq / np.sin(u), edges[:-1], edges[1:]
+    else:
+        du = surface.u_period / n_u
+        u = du * np.arange(n_u)
+        wu = np.full(n_u, du)
+        ulo, uhi = u - du / 2, u + du / 2
+    dv = surface.v_period / n_v
+    return u, wu, ulo, uhi, dv * np.arange(n_v), dv
 
 
 # ------------------------------------------------------------------ catalog

@@ -2,7 +2,8 @@
 
 Each test prints one [PASS]/[FAIL] line with the measured quantities, then
 asserts.  The heavy fixtures (4608-node sphere, 4096-node torus) are module
-scoped so the dense assemblies and eigensolves run once.
+scoped so the dense assemblies and the eigensolves of their mirror blocks
+run once.
 """
 
 from __future__ import annotations

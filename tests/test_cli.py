@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from npspectra import __version__, cli, errors, pipeline, sphere
+from npspectra import __version__, cli, errors, pipeline, spectrum, sphere
 
 
 def run_cli(*argv, cwd=None):
@@ -157,16 +157,17 @@ def test_study_rejects_short_resolution_list(sphere_config):
     assert "resolutions" in result.stderr
 
 
-@pytest.mark.parametrize("stage, exc", [
-    ("build_grid", "DegenerateChart"),
-    ("assemble_operators", "GridError"),
-])
+# each stage is patched where compute_report looks it up
+@pytest.mark.parametrize("module, stage, exc", [
+    (pipeline, "build_grid", "DegenerateChart"),
+    (spectrum, "assemble_operators", "GridError"),
+], ids=["build_grid-DegenerateChart", "assemble_operators-GridError"])
 def test_geometry_faults_exit_config(monkeypatch, capsys, sphere_config,
-                                     stage, exc):
+                                     module, stage, exc):
     def fail(*args, **kwargs):
         raise getattr(errors, exc)("injected fault")
 
-    monkeypatch.setattr(pipeline, stage, fail)
+    monkeypatch.setattr(module, stage, fail)
     code = cli.main(["spectrum", "--config", str(sphere_config)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err

@@ -24,6 +24,9 @@ def test_resolution_validation():
         build_grid(sphere(), 3, 32)
     with pytest.raises(ConfigError):
         build_grid(torus(), 16, 3)
+    # the node bound of configs and the command line holds for API callers
+    with pytest.raises(ConfigError, match="more than"):
+        build_grid(sphere(), 4097, 4097)
 
 
 def test_sphere_grid_shapes_and_weights():

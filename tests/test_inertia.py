@@ -87,3 +87,16 @@ def test_failed_cholesky_in_study_is_not_positive_definite(monkeypatch):
 def test_study_rejects_nonfinite_threshold(threshold):
     with pytest.raises(ConfigError, match="threshold"):
         negative_count_study(sphere(), [8, 10, 12], threshold=threshold)
+
+
+@pytest.mark.parametrize("last, message", [
+    ((3, 200), "too small"),
+    ((4097, 4097), "more than"),
+])
+def test_study_checks_every_resolution_first(last, message, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built before the resolutions were checked")
+
+    monkeypatch.setattr(spectrum, "build_grid", no_grid)
+    with pytest.raises(ConfigError, match=rf"resolutions\[2\]: .*{message}"):
+        negative_count_study(sphere(), [(8, 8), (16, 16), last])

@@ -1,12 +1,16 @@
-"""Mirror-symmetry block spectra against the dense reference route.
+"""Mirror-symmetry block spectra against the unblocked computation.
 
-``compute_report`` and the study split K and S into the character blocks
-of the grid's mirror group; these tests compare every merged number with
-the dense ``symmetrize`` + ``eigvalsh`` / ``svdvals`` route, and check
-which mirrors ``build_grid`` finds on catalog and derived surfaces.
+``compute_report``, ``symmetrized_spectrum`` and the study split K and S
+into the character blocks of the grid's mirror group; these tests compare
+every merged number with the same route on the grid stripped of its
+mirrors (one block, the whole matrices), check that the report and
+``symmetrized_spectrum`` take one route, and check which mirrors
+``build_grid`` finds on catalog and derived surfaces.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -25,8 +29,8 @@ from npspectra import (
     sphere,
     spectrum,
     spheroid,
-    symmetrize,
-    to_weighted_l2,
+    split_spectrum,
+    symmetrized_spectrum,
     torus,
 )
 from npspectra import operators
@@ -77,9 +81,9 @@ def _signed(report):
 
 
 def _exact_norms(kw, sw):
-    """Plemelj residual and asymmetry norm of the dense route, by svdvals.
+    """Plemelj residual and asymmetry norm of the whole matrices, by svdvals.
 
-    ``symmetrize`` estimates both by power iteration, which converges
+    The unblocked route estimates both by power iteration, which converges
     slowly when the top singular values cluster: 2% low on the inverted
     torus.  The blocks separate such clusters, so the block values are
     compared with these exact ones.
@@ -95,14 +99,14 @@ def _exact_norms(kw, sw):
 
 
 def _dense(grid):
-    k_op, s_op = assemble_operators(grid)
-    kw, sw = to_weighted_l2(k_op), to_weighted_l2(s_op)
-    sym = symmetrize(kw, sw)
+    """The block route on the grid without its mirrors: one whole block."""
+    whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
+    ((kw, sw),) = spectrum._operator_blocks(whole)
+    sym, _ = operators._symmetrize_blocks(whole, [(kw, sw)])
     eigs = np.sort(sla.eigvalsh(sym.matrix))
-    raw = np.sort(np.linalg.eigvals(k_op.matrix).real)
+    raw = np.sort(np.linalg.eigvals(kw).real)
     sym.diagnostics["raw_eig_max_dev"] = float(np.max(np.abs(raw - eigs)))
-    return (eigs, np.sort(sla.svdvals(kw.matrix)), sym,
-            _exact_norms(kw.matrix, sw.matrix))
+    return eigs, np.sort(sla.svdvals(kw)), sym, _exact_norms(kw, sw)
 
 
 def _report(surface, res):
@@ -187,6 +191,23 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid):
         assert abs(sym.diagnostics[key] - ref) <= 1e-10 * ref
     assert spectrum._negative_count(grid, 1e-3) == np.count_nonzero(
         eigs < -1e-3)
+
+
+@pytest.mark.parametrize("make_surface, res", [
+    (_ellipsoid, (16, 32)),
+    (lambda: rigid_transform(_ellipsoid(), _ROTATION, (0.4, -1.0, 2.0)),
+     (16, 32)),
+], ids=["ellipsoid", "rotated-ellipsoid"])
+def test_symmetrized_spectrum_is_the_report_route(make_surface, res):
+    eigs, sym = symmetrized_spectrum(build_grid(make_surface(), *res))
+    report, report_sym = _report(make_surface(), res)
+    plus, minus = split_spectrum(eigs, 1e-300)
+    assert plus.size + minus.size == eigs.size
+    assert np.array_equal(plus, report.lambda_plus)
+    assert np.array_equal(minus, report.lambda_minus)
+    assert np.array_equal(sym.matrix, report_sym.matrix)
+    assert sym.diagnostics == {key: report.diagnostics[key]
+                               for key in sym.diagnostics}
 
 
 def test_derived_surfaces_keep_or_drop_mirrors():

@@ -22,7 +22,6 @@ from npspectra import (
     read_matrix_dump,
     rigid_transform,
     sphere,
-    symmetrize,
     to_weighted_l2,
     torus,
 )
@@ -36,12 +35,19 @@ def sphere_ops(sphere_grid_small):
     return sphere_grid_small, k_op, s_op
 
 
+def _symmetrize(kw, sw):
+    """Plemelj symmetrization of the whole weighted pair, unblocked."""
+    sym, norms = operators._plemelj_symmetrize(kw.matrix, sw.matrix)
+    return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
+                            diagnostics=operators._merge_diagnostics([norms]))
+
+
 @pytest.fixture(scope="module")
 def sphere_sym(sphere_ops):
     grid, k_op, s_op = sphere_ops
     kw = to_weighted_l2(k_op)
     sw = to_weighted_l2(s_op)
-    return grid, kw, sw, symmetrize(kw, sw)
+    return grid, kw, sw, _symmetrize(kw, sw)
 
 
 def _one_point_operators(grid, s_corr):
@@ -196,17 +202,11 @@ def test_plemelj_requires_same_grid(sphere_sym, torus_grid_small):
         plemelj_residual(kw, to_weighted_l2(s2))
 
 
-def test_symmetrize_requires_weighted_basis(sphere_ops):
-    _, k_op, s_op = sphere_ops
-    with pytest.raises(ConfigError):
-        symmetrize(k_op, s_op)
-
-
 def test_symmetrize_rejects_indefinite_single_layer(sphere_sym):
     grid, kw, sw, _ = sphere_sym
     flipped = DiscreteOperator(-sw.matrix, basis="weighted_l2", grid=grid)
     with pytest.raises(NotPositiveDefinite):
-        symmetrize(kw, flipped)
+        _symmetrize(kw, flipped)
 
 
 def test_uncorrected_sphere_scheme_is_symmetric_but_indefinite():
@@ -217,7 +217,7 @@ def test_uncorrected_sphere_scheme_is_symmetric_but_indefinite():
     assert np.abs(kw.matrix - kw.matrix.T).max() <= 1e-14
     # but -S loses positivity, which is why the correction is the default
     with pytest.raises(NotPositiveDefinite):
-        symmetrize(kw, sw)
+        _symmetrize(kw, sw)
 
 
 def test_two_disjoint_spheres():
@@ -234,7 +234,7 @@ def test_two_disjoint_spheres():
     cross = np.abs(k_op.matrix[:n1, n1:])
     bound = union.weights.max() / (4.0 * np.pi * 4.0 ** 2)
     assert cross.max() <= bound
-    sym = symmetrize(to_weighted_l2(k_op), to_weighted_l2(s_op))
+    sym = _symmetrize(to_weighted_l2(k_op), to_weighted_l2(s_op))
     eigs = np.sort(sla.eigvalsh(sym.matrix))[::-1]
     # constants on each component: a double eigenvalue at 1/2
     assert np.abs(eigs[:2] - 0.5).max() <= 1e-6
@@ -398,7 +398,7 @@ def test_row_blocks_do_not_change_the_operators(monkeypatch):
 
 
 def _eigh_symmetrization(kw, sw):
-    """Square-root symmetrization, built independently of ``symmetrize``.
+    """Square-root symmetrization, built independently of ``_symmetrize``.
 
     Eigendecomposes -S = Q Lambda Q^T, forms P = Q Lambda^(1/2) Q^T and
     P^{-1}, and returns min eig(-S), sym(P^{-1} K P) and the relative
@@ -427,7 +427,7 @@ def _two_sphere_union():
 def test_cholesky_symmetrization_matches_square_root(make_grid):
     k_op, s_op = assemble_operators(make_grid())
     kw, sw = to_weighted_l2(k_op), to_weighted_l2(s_op)
-    sym = symmetrize(kw, sw)
+    sym = _symmetrize(kw, sw)
     min_eig, ref_matrix, ref_asym = _eigh_symmetrization(kw, sw)
     # L^-1 K L is orthogonally similar to P^-1 K P (L = P U, U orthogonal)
     eigs = np.sort(sla.eigvalsh(sym.matrix))
@@ -452,7 +452,7 @@ def test_failed_cholesky_is_not_positive_definite(sphere_sym, monkeypatch):
 
     monkeypatch.setattr(sla, "cholesky", failing_cholesky)
     with pytest.raises(NotPositiveDefinite, match="Cholesky"):
-        symmetrize(kw, sw)
+        _symmetrize(kw, sw)
 
 
 def test_failed_dump_keeps_old_file(tmp_path, sphere_sym, short_writes):
