@@ -354,26 +354,28 @@ def to_weighted_l2(op: DiscreteOperator) -> DiscreteOperator:
                             basis="weighted_l2", grid=op.grid)
 
 
-def _spectral_norm(m: np.ndarray, iters: int = 40) -> float:
-    """Largest singular value by power iteration on M^T M (seeded)."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(m.shape[1])
-    v /= np.linalg.norm(v)
-    for _ in range(iters):
-        v = m.T @ (m @ v)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return 0.0
-        v /= nv
-    return float(np.linalg.norm(m @ v))
+def _spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value: ARPACK Lanczos on M^T M from a seeded start.
+
+    ARPACK takes neither a 1 x 1 nor a zero operator; a matrix of one
+    column or zero has rank at most 1, so its Frobenius norm is exact.
+    """
+    # imported here, since only the report diagnostics need scipy.sparse
+    from scipy.sparse.linalg import LinearOperator, eigsh
+    n = m.shape[1]
+    if n == 1 or not m.any():
+        return float(np.linalg.norm(m))
+    gram = LinearOperator((n, n), matvec=lambda v: m.T @ (m @ v),
+                          dtype=m.dtype)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    return float(np.sqrt(eigsh(gram, k=1, v0=v0,
+                               return_eigenvectors=False)[0]))
 
 
 def _plemelj_norms(k: np.ndarray, s: np.ndarray):
     """Spectral norms of K S - (K S)^T, of K and of S (S symmetric)."""
     ks = k @ s
-    resid = ks.T - ks
-    del ks
-    return _spectral_norm(resid), _spectral_norm(k), _spectral_norm(s)
+    return _spectral_norm(ks.T - ks), _spectral_norm(k), _spectral_norm(s)
 
 
 def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
@@ -438,8 +440,8 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
 
     Factors -S = L L^T and returns sym(L^-1 K L), exactly symmetric, with
     the numbers its diagnostics merge from: the smallest eigenvalue of -S,
-    the spectral norms of the discarded skew part and of L^-1 K L, and
-    those of ``_plemelj_norms``.  This is Plemelj's symmetrization: S is
+    the exact Lanczos norms of the discarded skew part and of L^-1 K L,
+    and those of ``_plemelj_norms``.  This is Plemelj's symmetrization: S is
     symmetric and S K^T = K S, so L^-1 K L is symmetric for the continuous
     operators.  Its spectrum is that of K; another factor of -S (such as
     its square root) changes the result only by an orthogonal similarity.
@@ -455,9 +457,7 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
     kt = np.matmul(k, lower, order="F")
     kt = sla.solve_triangular(lower, kt, lower=True, overwrite_b=True)
     del lower
-    skew = 0.5 * (kt - kt.T)
-    skew_norm = _spectral_norm(skew)
-    del skew
+    skew_norm = _spectral_norm(0.5 * (kt - kt.T))
     norms = (min_eig, skew_norm, _spectral_norm(kt), *_plemelj_norms(k, s))
     return 0.5 * (kt + kt.T), norms
 

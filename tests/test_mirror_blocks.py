@@ -72,6 +72,9 @@ CASES = {
         4, 1e-12),
     "inverted-torus-16x16": (
         lambda: mobius_invert(torus(), (0.0, 0.0, 3.0)), (16, 16), 4, 1e-12),
+    # blocks of 6, 3, 3, 2, 1 and 1 nodes: a 1 x 1 block's skew part is
+    # zero, and ARPACK takes neither a 1 x 1 nor a zero operator
+    "torus-4x4": (torus, (4, 4), 8, 1e-12),
 }
 
 
@@ -83,10 +86,7 @@ def _signed(report):
 def _exact_norms(kw, sw):
     """Plemelj residual and asymmetry norm of the whole matrices, by svdvals.
 
-    The unblocked route estimates both by power iteration, which converges
-    slowly when the top singular values cluster: 2% low on the inverted
-    torus.  The blocks separate such clusters, so the block values are
-    compared with these exact ones.
+    An oracle independent of the Lanczos norms that both routes compute.
     """
     def norm(m):
         return sla.svdvals(m)[0]
@@ -146,7 +146,11 @@ def test_diagnostics_match_dense(case):
     assert abs(diag["min_eig_negS"] - ref["min_eig_negS"]) \
         <= tol * ref["min_eig_negS"]
     for key in ("plemelj_residual", "asymmetry_norm"):
-        assert abs(diag[key] - exact[key]) <= 1e-2 * exact[key]
+        assert abs(ref[key] - exact[key]) <= 1e-12 * exact[key]
+        # 1e-10 on exact charts; the finite-difference mirrors commute
+        # with K and S only to about 2e-11, which moves the block norms by
+        # about 1e-9 (see the fd-ellipsoid case)
+        assert abs(diag[key] - exact[key]) <= 100 * tol * exact[key]
     # the raw crosscheck runs per block: same eigenvalues of K
     assert abs(diag["raw_eig_max_dev"] - ref["raw_eig_max_dev"]) <= 1e-10
 

@@ -407,8 +407,7 @@ def _eigh_symmetrization(kw, sw):
     lam, q = sla.eigh(-sw.matrix)
     root = np.sqrt(lam)
     kt = (q / root) @ q.T @ kw.matrix @ (q * root) @ q.T
-    asym = operators._spectral_norm(0.5 * (kt - kt.T)) \
-        / operators._spectral_norm(kt)
+    asym = sla.svdvals(0.5 * (kt - kt.T))[0] / sla.svdvals(kt)[0]
     return float(lam[0]), 0.5 * (kt + kt.T), asym
 
 
@@ -436,11 +435,26 @@ def test_cholesky_symmetrization_matches_square_root(make_grid):
     diag = sym.diagnostics
     assert abs(diag["min_eig_negS"] - min_eig) <= 1e-12 * min_eig
     k, s = kw.matrix, sw.matrix
-    resid = operators._spectral_norm(s @ k.T - k @ s) \
-        / (operators._spectral_norm(k) * operators._spectral_norm(s))
+    resid = sla.svdvals(s @ k.T - k @ s)[0] \
+        / (sla.svdvals(k)[0] * sla.svdvals(s)[0])
     assert abs(diag["plemelj_residual"] - resid) <= 1e-10 * resid
-    # same norm in exact arithmetic; the 40-step power iteration differs
-    assert abs(diag["asymmetry_norm"] - ref_asym) <= 1e-2 * ref_asym
+    assert abs(diag["asymmetry_norm"] - ref_asym) <= 1e-10 * ref_asym
+
+
+def test_spectral_norm_is_exact():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((100, 100))
+    cases = {
+        "1x1": np.array([[-2.5]]),
+        "zero": np.zeros((6, 6)),
+        "skew-2x2": np.array([[0.0, 3.0], [-3.0, 0.0]]),
+        # singular values in pairs, so the largest one is double
+        "skew-100": a - a.T,
+        "rank-1": np.outer(rng.standard_normal(30), rng.standard_normal(30)),
+    }
+    for name, m in cases.items():
+        want = sla.svdvals(m)[0]
+        assert abs(operators._spectral_norm(m) - want) <= 1e-13 * want, name
 
 
 def test_failed_cholesky_is_not_positive_definite(sphere_sym, monkeypatch):

@@ -9,22 +9,34 @@ import os
 import numpy as np
 import pytest
 
-from npspectra import DegenerateChart, ParametricSurface, __version__
+from npspectra import (DegenerateChart, ParametricSurface, __version__,
+                       build_grid, rigid_transform)
 from npspectra.operators import read_matrix_dump
 from npspectra.pipeline import compute_report, run_pipeline, write_outputs
 from npspectra.report import CSV_FORMAT_LINE, CSV_HEADER, render_report_json
 
 from conftest import make_config
+from test_mirror_blocks import _ROTATION
 
 
 def test_reruns_are_byte_identical():
-    config = make_config({"surface": {"name": "sphere"},
-                          "resolution": [8, 16]})
-    first_report, _ = compute_report(config)
-    second_report, _ = compute_report(config)
-    first = render_report_json(first_report, config.echo(), __version__)
-    second = render_report_json(second_report, config.echo(), __version__)
-    assert first == second
+    sphere_config = make_config({"surface": {"name": "sphere"},
+                                 "resolution": [8, 16]})
+    ellipsoid_config = make_config({
+        "surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+        "resolution": [16, 32]})
+    rotated = rigid_transform(ellipsoid_config.surface, _ROTATION)
+    # no mirrors: one block of 512 nodes, whose diagnostic norms come from
+    # seeded Lanczos runs
+    assert build_grid(rotated, 16, 32).mirrors.shape == (1, 512)
+    rotated_config = dataclasses.replace(ellipsoid_config, surface=rotated)
+    for config in (sphere_config, rotated_config):
+        first_report, _ = compute_report(config)
+        second_report, _ = compute_report(config)
+        first = render_report_json(first_report, config.echo(), __version__)
+        second = render_report_json(second_report, config.echo(),
+                                    __version__)
+        assert first == second
 
 
 def test_diagnostics_contents(sphere_report_small):
