@@ -14,8 +14,7 @@ from .errors import (ConfigError, DegenerateChart, DomainError, GridError,
                      SingularInversion, TopologyWarning)
 from .functionals import (WeylCoefficients, euler_characteristic,
                           principal_symbol, signed_parts,
-                          weyl_coefficient_total, weyl_coefficients_signed,
-                          willmore_energy)
+                          weyl_coefficients_signed, willmore_energy)
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
 from .grids import (QuadratureGrid, build_grid, concatenate_grids,
                     surface_integral)
@@ -40,7 +39,7 @@ __all__ = [
     "SurfaceFrame", "evaluate_frame", "principal_curvatures",
     "QuadratureGrid", "build_grid", "concatenate_grids", "surface_integral",
     "WeylCoefficients", "willmore_energy", "euler_characteristic",
-    "weyl_coefficient_total", "weyl_coefficients_signed", "signed_parts",
+    "weyl_coefficients_signed", "signed_parts",
     "principal_symbol",
     "DiscreteOperator", "assemble_operators", "to_weighted_l2",
     "plemelj_residual", "dump_operator", "read_matrix_dump",

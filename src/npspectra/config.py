@@ -17,23 +17,17 @@ Validation errors carry a JSON-pointer path to the offending field.
 """
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError, SingularInversion
+from .functionals import check_angular_resolution
 from .grids import check_resolution
 from .surfaces import CATALOG, ParametricSurface, catalog_names, mobius_invert
-
-# (parameter, default) per catalog surface; None means required
-_SURFACE_PARAMS = {
-    "sphere": {"r": 1.0},
-    "ellipsoid": {"a": None, "b": None, "c": None},
-    "spheroid": {"a": None, "c": None},
-    "torus": {"R": 2.0, "r": 1.0},
-    "peanut": {"c": 1.0, "d": 1.1},
-}
 
 _OUTPUT_KEYS = ("report_json", "eigen_csv", "matrix_dump")
 
@@ -129,19 +123,21 @@ def build_surface(spec: dict, pointer: str = "/surface") -> ParametricSurface:
     if name not in CATALOG:
         _fail(pointer + "/name",
               f"unknown surface {name!r}; catalog: {', '.join(catalog_names())}")
-    params = _SURFACE_PARAMS[name]
+    # the catalog signature is the schema: a parameter without a default
+    # is required
+    params = inspect.signature(CATALOG[name]).parameters
     extra = set(spec) - {"name"} - set(params)
     if extra:
         _fail(pointer, f"unknown parameters {sorted(extra)} for {name!r}; "
                        f"valid: {sorted(params)}")
     kwargs = {}
-    for key, default in params.items():
+    for key, param in params.items():
         if key in spec:
             kwargs[key] = _number(spec[key], f"{pointer}/{key}")
-        elif default is None:
+        elif param.default is param.empty:
             _fail(pointer, f"surface {name!r} requires parameter {key!r}")
         else:
-            kwargs[key] = default
+            kwargs[key] = param.default
     try:
         return CATALOG[name](**kwargs)
     except ConfigError as exc:
@@ -188,8 +184,7 @@ def parse_config(text: str) -> RunConfig:
 
     angular = doc.get("angular_resolution", 64)
     _expect(angular, int, "/angular_resolution", "an integer")
-    if angular < 16:
-        _fail("/angular_resolution", f"{angular} too small (need >= 16)")
+    check_angular_resolution(angular, "/angular_resolution")
 
     fit_window = doc.get("fit_window", "auto")
     if fit_window != "auto":
@@ -210,6 +205,7 @@ def parse_config(text: str) -> RunConfig:
     outputs = []
     if "outputs" in doc:
         arr = _expect(doc["outputs"], list, "/outputs", "an array")
+        seen = {}       # normalized path -> pointer of its first entry
         for i, entry in enumerate(arr):
             _expect(entry, dict, f"/outputs/{i}", "an object")
             if not entry:
@@ -219,7 +215,13 @@ def parse_config(text: str) -> RunConfig:
                 _fail(f"/outputs/{i}", f"unknown keys {sorted(extra)}; "
                                        f"valid: {list(_OUTPUT_KEYS)}")
             for key, val in entry.items():
-                _expect(val, str, f"/outputs/{i}/{key}", "a path string")
+                where = f"/outputs/{i}/{key}"
+                _expect(val, str, where, "a path string")
+                path = os.path.normpath(val)
+                if path in seen:
+                    _fail(where, f"path {val!r} is already written by "
+                                 f"{seen[path]}")
+                seen[path] = where
             outputs.append(dict(entry))
 
     return RunConfig(

@@ -21,6 +21,10 @@ from .errors import ConfigError, DomainError, TopologyWarning
 from .geometry import SurfaceFrame
 from .grids import QuadratureGrid, surface_integral
 
+# largest accepted angular node count; the angular quadrature holds several
+# n_nodes x n_theta arrays, so much larger counts only exhaust memory
+MAX_ANGULAR_RESOLUTION = 4096
+
 
 @dataclass
 class WeylCoefficients:
@@ -79,10 +83,19 @@ def euler_characteristic(grid: QuadratureGrid) -> float:
     return chi
 
 
-def weyl_coefficient_total(grid: QuadratureGrid) -> float:
-    """Two-sided asymptotics coefficient (3 W - 2 pi chi) / (128 pi)."""
-    return (3 * willmore_energy(grid)
-            - 2 * np.pi * euler_characteristic(grid)) / (128 * np.pi)
+def check_angular_resolution(n: int, where: str) -> None:
+    """Reject an angular node count below 16 or above MAX_ANGULAR_RESOLUTION.
+
+    Raises
+    ------
+    ConfigError
+        Naming ``where`` (a JSON pointer or an argument).
+    """
+    if n < 16:
+        raise ConfigError(f"{where}: {n} too small (need >= 16)")
+    if n > MAX_ANGULAR_RESOLUTION:
+        raise ConfigError(f"{where}: {n} too large (at most "
+                          f"{MAX_ANGULAR_RESOLUTION})")
 
 
 def signed_parts(x):
@@ -101,7 +114,7 @@ def weyl_coefficients_signed(grid: QuadratureGrid,
         Discretized surface with cached curvatures.
     n_theta : int
         Nodes of the periodic trapezoidal rule for the angular integral,
-        at least 16.
+        from 16 to ``MAX_ANGULAR_RESOLUTION``.
 
     Returns
     -------
@@ -110,8 +123,7 @@ def weyl_coefficients_signed(grid: QuadratureGrid,
         energy and Euler characteristic, plus the two functionals.
     """
     n_theta = int(n_theta)
-    if n_theta < 16:
-        raise ConfigError(f"n_theta = {n_theta} too small (need >= 16)")
+    check_angular_resolution(n_theta, "n_theta")
     theta = 2 * np.pi * np.arange(n_theta) / n_theta
     c2 = np.cos(theta) ** 2
     s2 = np.sin(theta) ** 2

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateChart, NumericalError
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
-from .surfaces import ParametricSurface, _tensor_layout
+from .surfaces import TWO_PI, ParametricSurface, _tensor_layout
 
 # largest accepted node count; one dense n x n operator at this size would
 # take 2 PiB, so larger counts can only be typing errors
@@ -153,9 +153,9 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
     the group table of ``QuadratureGrid``.
     """
     n_u, n_v = u_nodes.size, v_nodes.size
-    u_period = None if surface.kind == "polar" else surface.u_period
-    u_scale = np.pi if u_period is None else u_period
-    v_period = surface.v_period
+    # the polar u-direction is the interval (0, pi); all others wrap at 2 pi
+    u_wrap, u_scale = (None, np.pi) if surface.kind == "polar" \
+        else (TWO_PI, TWO_PI)
     x, nrm, w = grid.points, grid.normals, grid.weights
     scale = float(np.max(np.ptp(x, axis=0)))
     half = 0.5 * grid.cell_dv
@@ -164,9 +164,9 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
     perms = [np.arange(grid.n_nodes)]
     for axis, fn in enumerate(_MIRROR_MAPS[surface.kind]):
         mu, mv = fn(grid.u, grid.v)
-        iu, du = _node_indices(mu, u_nodes, u_period)
-        iv, dv = _node_indices(mv, v_nodes, v_period)
-        if max(du.max() / u_scale, dv.max() / v_period) > _OFF_NODE:
+        iu, du = _node_indices(mu, u_nodes, u_wrap)
+        iv, dv = _node_indices(mv, v_nodes, TWO_PI)
+        if max(du.max() / u_scale, dv.max() / TWO_PI) > _OFF_NODE:
             continue
         perm = iu * n_v + iv
         flip = np.ones(3)
@@ -176,9 +176,9 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
         ub, vb = fn(grid.cell_u_hi, grid.v + half)
         cell = np.maximum(
             _bound_defect(ua, ub, grid.cell_u_lo[perm], grid.cell_u_hi[perm],
-                          u_period, u_scale),
+                          u_wrap, u_scale),
             _bound_defect(va, vb, (grid.v - half)[perm],
-                          (grid.v + half)[perm], v_period, v_period))
+                          (grid.v + half)[perm], TWO_PI, TWO_PI))
         defects = (
             (np.max(np.abs(x[perm] - x * flip), axis=1) / scale, _MIRROR_TOL),
             (np.max(np.abs(nrm[perm] - nrm * flip), axis=1), derived),

@@ -1,10 +1,11 @@
 """Smooth closed parametric surfaces: catalog, Mobius inversion, rigid motion.
 
-Every surface is described by a single chart (u, v) -> R^3 together with
-periodicity information and, for the catalog shapes, analytic first and
-second derivatives.  Charts of kind "polar" cover sphere-like surfaces with
-u in (0, pi) and coordinate poles at the interval ends; charts of kind
-"biperiodic" cover torus-like surfaces with both directions periodic.
+Every surface is described by a single chart (u, v) -> R^3 of a kind that
+fixes its domain and, for the catalog shapes, analytic first and second
+derivatives.  "polar" charts cover sphere-like surfaces with u in (0, pi)
+and coordinate poles at the interval ends; "biperiodic" charts cover
+torus-like surfaces.  Every periodic direction has period 2 pi.  The
+catalog's sphere and spheroid are aliases of its ellipsoid.
 """
 from __future__ import annotations
 
@@ -38,10 +39,9 @@ class ParametricSurface:
     d2 : callable, optional
         Analytic second derivatives ``(u, v) -> (x_uu, x_uv, x_vv)``.
     kind : str
-        ``"polar"`` (u in (0, pi), v periodic) or ``"biperiodic"``.
-    u_period, v_period : float
-        Periods of the periodic directions; ``u_period`` is ignored for
-        polar charts.
+        ``"polar"`` (u in (0, pi)) or ``"biperiodic"`` (u of period
+        2 pi).  The kind fixes the parameter domain; v has period 2 pi
+        on both.
     name : str
         Display name used in configs and reports.
     params : dict
@@ -56,12 +56,9 @@ class ParametricSurface:
     """
 
     def __init__(self, position, d1=None, d2=None, *, kind,
-                 u_period=None, v_period=TWO_PI, name="surface",
-                 params=None, derivative_mode=None):
+                 name="surface", params=None, derivative_mode=None):
         if kind not in ("polar", "biperiodic"):
             raise ConfigError(f"unknown chart kind {kind!r}")
-        if kind == "biperiodic" and u_period is None:
-            raise ConfigError("biperiodic charts require u_period")
         if derivative_mode is None:
             derivative_mode = "analytic" if (d1 is not None and d2 is not None) \
                 else "finite_difference"
@@ -73,8 +70,6 @@ class ParametricSurface:
         self._d1 = d1
         self._d2 = d2
         self.kind = kind
-        self.u_period = u_period
-        self.v_period = v_period
         self.name = name
         self.params = dict(params or {})
         self.derivative_mode = derivative_mode
@@ -114,8 +109,7 @@ class ParametricSurface:
     def with_derivative_mode(self, mode):
         """Clone this surface with a different derivative mode."""
         clone = ParametricSurface(
-            self.position, self._d1, self._d2, kind=self.kind,
-            u_period=self.u_period, v_period=self.v_period, name=self.name,
+            self.position, self._d1, self._d2, kind=self.kind, name=self.name,
             params=self.params, derivative_mode=mode)
         clone._orientation_sign = self._orientation_sign
         return clone
@@ -170,43 +164,24 @@ def _tensor_layout(surface, n_u, n_v):
         # du-weight: the GL rule integrates dt = sin(u) du
         wu, ulo, uhi = wq / np.sin(u), edges[:-1], edges[1:]
     else:
-        du = surface.u_period / n_u
+        du = TWO_PI / n_u
         u = du * np.arange(n_u)
         wu = np.full(n_u, du)
         ulo, uhi = u - du / 2, u + du / 2
-    dv = surface.v_period / n_v
+    dv = TWO_PI / n_v
     return u, wu, ulo, uhi, dv * np.arange(n_v), dv
 
 
 # ------------------------------------------------------------------ catalog
 def sphere(r=1.0):
-    """Round sphere of radius ``r`` in the polar chart."""
+    """Round sphere of radius ``r``; an alias for ellipsoid(r, r, r)."""
     r = float(r)
     if r <= 0:
         raise ConfigError("sphere requires r > 0")
-
-    def fx(u, v):
-        su = np.sin(u)
-        return np.stack([r * su * np.cos(v), r * su * np.sin(v),
-                         r * np.cos(u)], axis=-1)
-
-    def d1(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        z = np.zeros_like(u * v)
-        xu = np.stack([r * cu * cv, r * cu * sv, -r * su], axis=-1)
-        xv = np.stack([-r * su * sv, r * su * cv, z], axis=-1)
-        return xu, xv
-
-    def d2(u, v):
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        z = np.zeros_like(u * v)
-        xuu = np.stack([-r * su * cv, -r * su * sv, -r * cu], axis=-1)
-        xuv = np.stack([-r * cu * sv, r * cu * cv, z], axis=-1)
-        xvv = np.stack([-r * su * cv, -r * su * sv, z], axis=-1)
-        return xuu, xuv, xvv
-
-    return ParametricSurface(fx, d1, d2, kind="polar", name="sphere",
-                             params={"r": r})
+    s = ellipsoid(r, r, r)
+    s.name = "sphere"
+    s.params = {"r": r}
+    return s
 
 
 def ellipsoid(a, b, c):
@@ -280,8 +255,8 @@ def torus(R=2.0, r=1.0):
         xvv = np.stack([-w * cv, -w * sv, z], axis=-1)
         return xuu, xuv, xvv
 
-    return ParametricSurface(fx, d1, d2, kind="biperiodic", u_period=TWO_PI,
-                             name="torus", params={"R": R, "r": r})
+    return ParametricSurface(fx, d1, d2, kind="biperiodic", name="torus",
+                             params={"R": R, "r": r})
 
 
 def peanut(c=1.0, d=1.1):
@@ -458,8 +433,7 @@ def mobius_invert(surface, center, radius=1.0):
         return yuu, yuv, yvv
 
     return ParametricSurface(
-        fx, d1, d2, kind=surface.kind, u_period=surface.u_period,
-        v_period=surface.v_period, name=f"invert({surface.name})",
+        fx, d1, d2, kind=surface.kind, name=f"invert({surface.name})",
         params={"center": cvec.tolist(), "radius": radius,
                 "inner": {"name": surface.name, **surface.params}})
 
@@ -491,6 +465,5 @@ def rigid_transform(surface, rotation=None, translation=(0.0, 0.0, 0.0)):
         xuu, xuv, xvv = surface.second_derivatives(u, v)
         return xuu @ rot_t, xuv @ rot_t, xvv @ rot_t
 
-    return ParametricSurface(
-        fx, d1, d2, kind=surface.kind, u_period=surface.u_period,
-        v_period=surface.v_period, name=surface.name, params=surface.params)
+    return ParametricSurface(fx, d1, d2, kind=surface.kind, name=surface.name,
+                             params=surface.params)

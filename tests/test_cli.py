@@ -234,3 +234,26 @@ def test_oversized_resolution_exits_config(capsys, sphere_config, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {argv[1]}: ")
     assert f"more than {2 ** 24} nodes" in err
+
+
+def test_repeated_output_path_exits_config(capsys, tmp_path):
+    path = write_config(tmp_path, {
+        "surface": {"name": "sphere"}, "resolution": [8, 16],
+        "outputs": [{"report_json": "out.txt"}, {"eigen_csv": "out.txt"}]})
+    code = cli.main(["spectrum", "--config", str(path),
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: /outputs/1/eigen_csv: ")
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_oversized_angular_resolution_exits_config(capsys, tmp_path):
+    path = write_config(tmp_path, {"surface": {"name": "sphere"},
+                                   "resolution": [8, 16],
+                                   "angular_resolution": 4097})
+    code = cli.main(["coefficients", "--config", str(path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: /angular_resolution: ")
+    assert err.count("\n") == 1

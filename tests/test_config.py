@@ -24,6 +24,27 @@ def test_minimal_sphere_defaults():
     assert config.outputs == []
 
 
+@pytest.mark.parametrize("surface, params", [
+    ({"name": "sphere"}, {"r": 1.0}),
+    ({"name": "ellipsoid", "a": 2, "b": 1.2, "c": 1},
+     {"a": 2.0, "b": 1.2, "c": 1.0}),
+    ({"name": "spheroid", "a": 2, "c": 1}, {"a": 2.0, "c": 1.0}),
+    ({"name": "torus"}, {"R": 2.0, "r": 1.0}),
+    ({"name": "peanut"}, {"c": 1.0, "d": 1.1}),
+])
+def test_catalog_parameter_defaults_and_required(surface, params):
+    config = make_config({"surface": surface})
+    assert config.surface.name == surface["name"]
+    assert config.surface.params == params
+    # dropping any parameter without a default names it
+    for key in set(surface) - {"name"}:
+        partial = {k: v for k, v in surface.items() if k != key}
+        with pytest.raises(ConfigError) as err:
+            build_surface(partial)
+        assert str(err.value) == (f"/surface: surface {surface['name']!r} "
+                                  f"requires parameter {key!r}")
+
+
 def test_torus_default_resolution():
     config = make_config({"surface": {"name": "torus"}})
     assert config.resolution == (64, 64)
@@ -159,15 +180,34 @@ def test_load_config(tmp_path):
      "/resolution"),
     ({"surface": {"name": "sphere"}, "resolution": [4097, 4096]},
      "/resolution"),
+    ({"surface": {"name": "sphere"}, "angular_resolution": 4097},
+     "/angular_resolution"),
 ])
 def test_nonfinite_and_out_of_range_values_rejected(doc, pointer):
     expect_pointer(doc, pointer)
 
 
+@pytest.mark.parametrize("outputs, pointer, first", [
+    ([{"report_json": "out.txt"}, {"eigen_csv": "out.txt"}],
+     "/outputs/1/eigen_csv", "/outputs/0/report_json"),
+    ([{"report_json": "a/out.json", "eigen_csv": "a/./b/../out.json"}],
+     "/outputs/0/eigen_csv", "/outputs/0/report_json"),
+])
+def test_repeated_output_path_rejected(outputs, pointer, first):
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"surface": {"name": "sphere"},
+                                 "outputs": outputs}))
+    message = str(err.value)
+    assert message.startswith(pointer + ":"), message
+    assert first in message
+
+
 def test_largest_grid_accepted():
     config = make_config({"surface": {"name": "sphere"},
-                          "resolution": [4096, 4096]})
+                          "resolution": [4096, 4096],
+                          "angular_resolution": 4096})
     assert config.resolution == (4096, 4096)
+    assert config.angular_resolution == 4096
 
 
 def test_radius_square_overflow_named():

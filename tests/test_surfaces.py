@@ -44,9 +44,14 @@ def test_surface_kinds_and_periods():
     assert ellipsoid(2.0, 1.2, 1.0).kind == "polar"
     assert peanut().kind == "polar"
     assert torus().kind == "biperiodic"
-    assert sphere().u_period is None
-    assert torus().u_period == 2 * np.pi
-    assert torus().v_period == 2 * np.pi
+    # the chart kind fixes the domain: u in (0, pi) on polar charts, and
+    # period 2 pi in every periodic direction
+    u, _, ulo, uhi, v, dv = surfaces._tensor_layout(sphere(), 8, 16)
+    assert 0.0 < u.min() and u.max() < np.pi
+    assert ulo[0] == 0.0 and uhi[-1] == np.pi
+    assert dv == 2 * np.pi / 16
+    u, wu, _, _, v, dv = surfaces._tensor_layout(torus(), 8, 16)
+    assert np.all(wu == 2 * np.pi / 8) and dv == 2 * np.pi / 16
 
 
 def test_params_echo():
