@@ -14,12 +14,17 @@ polar (Duffy-style) integral over the node's own cell.  These corrections
 are what keep -S positive definite and the spectrum's negative tail clean
 at production resolutions, so they are always applied.
 
-Assembly writes the one-point products into the two preallocated n x n
-matrices in row blocks, which also find the near pairs.  The cell integrals
-then evaluate the surface chart once per cell and quadrature panel, not
-once per near pair, and gather from that per-cell cache in bounded chunks.
-Beyond the two returned matrices, assembly therefore holds temporaries of
-O(n) plus a few dozen MiB, independent of n^2.
+Assembly computes only the rows of the orbit representatives of the grid's
+mirror group, the smallest node of each orbit: about n/8 rows on a catalog
+grid, every row on a grid without mirrors.  It writes their one-point
+products in row blocks, which also find the near pairs.  The cell
+integrals then evaluate the surface chart once per cell and quadrature
+panel, not once per near pair, and gather from that per-cell cache in
+bounded chunks.  Every other row is a permuted copy of a representative
+row (``_fill_orbits``), written with the identity last so that the
+representative rows stay exactly as computed.  Beyond the two returned
+matrices and their representative rows, assembly therefore holds
+temporaries of O(n) plus a few dozen MiB, independent of n^2.
 
 Symmetrization has one route.  K and S commute with the mirror
 permutations of the grid's nodes and split into one block per character
@@ -166,24 +171,29 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
     return i_s, i_k
 
 
-def _self_cell_single_layer(grid: QuadratureGrid, n_rule: int = SELF_QUAD):
-    """Diagonal single-layer integrals by a polar rule on each node's cell.
+def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray,
+                            n_rule: int = SELF_QUAD):
+    """Diagonal single-layer integrals by a polar rule on the nodes' cells.
 
     The 1/|y - x| singularity at the node is removed by integrating in
     polar parameter coordinates around it (the Jacobian rho cancels the
     singularity); the cell is covered by the four wedges subtended by its
-    corners.  Returns the positive integrals of 1/(4 pi |y - x|) dS.
+    corners.  Returns the positive integrals of 1/(4 pi |y - x|) dS for
+    the nodes ``rows``, in their order.
     """
-    out = np.zeros(grid.n_nodes)
+    out = np.zeros(rows.size)
     gx, gw = np.polynomial.legendre.leggauss(n_rule)
     for comp in grid.components:
         surf = comp.surface
-        sl = comp.slice
-        u0, v0 = grid.u[sl], grid.v[sl]
-        x0 = grid.points[sl]
-        du_lo = grid.cell_u_lo[sl] - u0
-        du_hi = grid.cell_u_hi[sl] - u0
-        dv_half = 0.5 * grid.cell_dv[sl]
+        at = np.flatnonzero((rows >= comp.start) & (rows < comp.stop))
+        if not at.size:
+            continue
+        nodes = rows[at]
+        u0, v0 = grid.u[nodes], grid.v[nodes]
+        x0 = grid.points[nodes]
+        du_lo = grid.cell_u_lo[nodes] - u0
+        du_hi = grid.cell_u_hi[nodes] - u0
+        dv_half = 0.5 * grid.cell_dv[nodes]
         corners = np.stack([
             np.arctan2(-dv_half, du_hi), np.arctan2(dv_half, du_hi),
             np.arctan2(dv_half, du_lo), np.arctan2(-dv_half, du_lo),
@@ -217,11 +227,37 @@ def _self_cell_single_layer(grid: QuadratureGrid, n_rule: int = SELF_QUAD):
             np.clip(dist, 1e-300, None, out=dist)
             acc += np.einsum("nar,nar,na->n",
                              jac * rho / (FOUR_PI * dist), w_rho, w_ang)
-        out[sl] = acc
+        out[at] = acc
     return out
 
 
 # ------------------------------------------------------------------ assembly
+def _representatives(perms: np.ndarray) -> np.ndarray:
+    """The smallest node of each orbit of the mirror group, ascending.
+
+    On a grid without mirrors every node is its own orbit.
+    """
+    return np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+
+
+def _fill_orbits(perms: np.ndarray, reps: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
+    """The n x n matrix commuting with ``perms``, with ``rows`` at ``reps``.
+
+    Every other row is a permuted copy, A[h r_a, j] = A[r_a, h j].  The
+    identity is written last, so a representative fixed by a stabilizer
+    element keeps its own row, not a permuted copy that equals it only to
+    rounding.  A grid without mirrors returns ``rows`` itself.
+    """
+    if perms.shape[0] == 1:
+        return rows
+    n = perms.shape[1]
+    out = np.empty((n, n))
+    for perm in (*perms[1:], perms[0]):
+        out[perm[reps]] = rows[:, perm]
+    return out
+
+
 def assemble_operators(grid: QuadratureGrid):
     """Assemble the double- and single-layer operators in one pass.
 
@@ -233,14 +269,24 @@ def assemble_operators(grid: QuadratureGrid):
     fixed by the row-sum identity K_ii = 1/2 - sum_{j != i} K_ij, which
     makes the constant vector an exact eigenvector with eigenvalue 1/2.
 
+    K and S commute with the node permutations of the grid's mirror group
+    (``grid.mirrors``), so only the rows of the orbit representatives, the
+    smallest node of each orbit, are computed: about n/8 rows on a catalog
+    grid, all n rows on a grid without mirrors.  The other rows are
+    permuted copies (``_fill_orbits``), written with the identity last, so
+    the representative rows, the only ones ``_mirror_blocks`` reads, are
+    exactly the computed ones.
+
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
     two separate assemblies.  Far-field entries are written in row blocks
     of about ``_BLOCK_ENTRIES`` entries, which also check for coincident
-    nodes and collect the near pairs; the cell integrals then run over the
-    pair list from a per-cell cache of chart samples.  Peak memory is the
-    two returned matrices plus O(n) and a few dozen MiB of block
-    temporaries.
+    nodes and collect the near pairs of the representatives; the cell
+    integrals then run over the pair list from a per-cell cache of chart
+    samples.  A near pair (r, j) integrates both directions, cell j seen
+    from x_r and cell r seen from x_j, since the single-layer entry is the
+    average of the two.  Peak memory is the two returned matrices, their
+    representative rows, O(n) and a few dozen MiB of block temporaries.
 
     Parameters
     ----------
@@ -261,41 +307,49 @@ def assemble_operators(grid: QuadratureGrid):
     n = grid.n_nodes
     sw = np.sqrt(w)
     scale = float(np.max(np.ptp(x, axis=0)))
-    kmat = np.empty((n, n))
-    smat = np.empty((n, n))     # weighted basis until the final pass
+    perms = grid.mirrors
+    reps = _representatives(perms)
+    # row of each representative in the row arrays, -1 for other nodes
+    pos = np.full(n, -1)
+    pos[reps] = np.arange(reps.size)
+    kmat = np.empty((reps.size, n))
+    smat = np.empty((reps.size, n))     # weighted basis until the final pass
     diam = _cell_diameters(grid)
     comp_id = np.empty(n, dtype=int)
     for k, c in enumerate(grid.components):
         comp_id[c.slice] = k
     pairs, cross = [], None
     step = _block_rows(n)
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        diff = x[r0:r1, None, :] - x[None, :, :]
+    for r0 in range(0, reps.size, step):
+        r1 = min(reps.size, r0 + step)
+        rows = reps[r0:r1]
+        diff = x[rows, None, :] - x[None, :, :]
         rr = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        np.fill_diagonal(rr[:, r0:], np.inf)
+        rr[np.arange(rows.size), rows] = np.inf
         bi, j = divmod(int(np.argmin(rr)), n)
         if rr[bi, j] <= 1e-12 * scale:
             raise GridError(
-                f"coincident quadrature nodes {r0 + bi} and {j} "
+                f"coincident quadrature nodes {rows[bi]} and {j} "
                 f"(distance {rr[bi, j]:.3e})")
         num = -np.einsum("ijk,jk->ij", diff, nrm)
         del diff
         kmat[r0:r1] = (num / (FOUR_PI * rr ** 3)) * w[None, :]
         del num
-        smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * sw[r0:r1, None] * sw[None, :]
+        smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * sw[rows, None] * sw[None, :]
         # near pairs within NEAR_RADIUS_CELLS mean cell diameters, the
         # touching ones among them also within TOUCH_RADIUS_CELLS
-        half = 0.5 * (diam[r0:r1, None] + diam[None, :])
+        half = 0.5 * (diam[rows, None] + diam[None, :])
         near = rr < NEAR_RADIUS_CELLS * half
         if cross is None:
-            bad = near & (comp_id[r0:r1, None] != comp_id[None, :])
+            bad = near & (comp_id[rows, None] != comp_id[None, :])
             if bad.any():
                 bi, j = np.argwhere(bad)[0]
-                cross = (r0 + bi, j)
+                cross = (rows[bi], j)
         bi, jj = np.nonzero(near)
-        ii = bi + r0
-        keep = ii < jj
+        ii = rows[bi]
+        # a pair of two representatives is kept once, as r < j; its two
+        # integrals fill both of their rows
+        keep = (pos[jj] < 0) | (ii < jj)
         touch = rr[bi, jj] < TOUCH_RADIUS_CELLS * half[bi, jj]
         pairs.append((ii[keep], jj[keep], touch[keep]))
     # cross-chart cell integrals are not supported, so such grids cannot be
@@ -323,20 +377,24 @@ def assemble_operators(grid: QuadratureGrid):
             # symmetric average in the weighted basis keeps S symmetric
             vals = -0.5 * (i_s[:m] * sw[pi] / sw[pj]
                            + i_s[m:] * sw[pj] / sw[pi])
-            smat[pi, pj] = vals
-            smat[pj, pi] = vals
-            kmat[pi, pj] = i_k[:m]
-            kmat[pj, pi] = i_k[m:]
-    idx = np.arange(n)
-    smat[idx, idx] = -_self_cell_single_layer(grid)
+            smat[pos[pi], pj] = vals
+            kmat[pos[pi], pj] = i_k[:m]
+            both = pos[pj] >= 0
+            smat[pos[pj[both]], pi[both]] = vals[both]
+            kmat[pos[pj[both]], pi[both]] = i_k[m:][both]
+    own = np.arange(reps.size)
+    smat[own, reps] = -_self_cell_single_layer(grid, reps)
     # row-sum diagonal: the double layer maps constants to 1/2 exactly
-    kmat[idx, idx] = 0.0
-    kmat[idx, idx] = 0.5 - kmat.sum(axis=1)
-    for r0 in range(0, n, step):
-        r1 = min(n, r0 + step)
-        smat[r0:r1] *= sw[None, :] / sw[r0:r1, None]
-    k_op = DiscreteOperator(kmat, basis="nystrom", grid=grid)
-    s_op = DiscreteOperator(smat, basis="nystrom", grid=grid)
+    kmat[own, reps] = 0.0
+    kmat[own, reps] = 0.5 - kmat.sum(axis=1)
+    for r0 in range(0, reps.size, step):
+        r1 = min(reps.size, r0 + step)
+        smat[r0:r1] *= sw[None, :] / sw[reps[r0:r1], None]
+    k_op = DiscreteOperator(_fill_orbits(perms, reps, kmat), basis="nystrom",
+                            grid=grid)
+    del kmat
+    s_op = DiscreteOperator(_fill_orbits(perms, reps, smat), basis="nystrom",
+                            grid=grid)
     return k_op, s_op
 
 
@@ -490,7 +548,7 @@ def _orbits(perms: np.ndarray):
     order of each representative.
     """
     order = perms.shape[0]
-    reps = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+    reps = _representatives(perms)
     fixed = perms[:, reps] == reps
     chi = np.array([[1 - 2 * (bin(c & h).count("1") % 2)
                      for h in range(order)] for c in range(order)])
@@ -584,10 +642,7 @@ def _mirror_matrix(grid: QuadratureGrid, blocks) -> np.ndarray:
     for cols, w in zip(perms[:, reps], _character_sums(padded, chi.T)):
         rows[:, cols] = w
     del padded
-    out = np.empty((n, n))
-    for perm in perms:
-        out[perm[reps]] = rows[:, perm]
-    return out
+    return _fill_orbits(perms, reps, rows)
 
 
 def _symmetrize_blocks(grid: QuadratureGrid, blocks):

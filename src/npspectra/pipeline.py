@@ -120,19 +120,40 @@ def compute_report(config: RunConfig) -> tuple:
     return report, sym
 
 
+def _output_jobs(config: RunConfig, base_dir: str) -> list:
+    """(key, path) of each requested output, resolved against ``base_dir``.
+
+    Paths are joined to ``base_dir`` (an absolute path stays as it is) and
+    normalized, so two spellings of one file give the same path.
+
+    Raises
+    ------
+    ConfigError
+        At ``/outputs/<i>/<key>`` if two entries resolve to the same file;
+        ``parse_config`` cannot see this, since it does not know
+        ``base_dir``.
+    """
+    jobs, seen = [], {}
+    for i, entry in enumerate(config.outputs):
+        for key, path in entry.items():
+            where = f"/outputs/{i}/{key}"
+            full = os.path.normpath(os.path.join(base_dir, path))
+            if full in seen:
+                raise ConfigError(f"{where}: path {full!r} is already "
+                                  f"written by {seen[full]}")
+            seen[full] = where
+            jobs.append((key, full))
+    return jobs
+
+
 def write_outputs(report: SpectrumReport, sym, config: RunConfig,
                   base_dir: str = ".") -> list:
     """Write the outputs requested by the config; returns written paths.
 
-    Relative paths are resolved against ``base_dir``; all file content is
-    rendered before the first write.
+    Paths are resolved against ``base_dir`` (``_output_jobs``); all file
+    content is rendered before the first write.
     """
-    jobs = []
-    for entry in config.outputs:
-        for key, path in entry.items():
-            full = path if os.path.isabs(path) else os.path.join(base_dir,
-                                                                 path)
-            jobs.append((key, full))
+    jobs = _output_jobs(config, base_dir)
     rendered = {}
     for key, full in jobs:
         if key == "report_json":
@@ -167,7 +188,13 @@ def run_pipeline(config: RunConfig, base_dir: str = ".") -> SpectrumReport:
     -------
     SpectrumReport
         The in-memory report; requested files are written as a side effect.
+
+    Raises
+    ------
+    ConfigError
+        Before any computation, if two outputs resolve to the same file.
     """
+    _output_jobs(config, base_dir)
     report, sym = compute_report(config)
     with _stage("report"):
         write_outputs(report, sym, config, base_dir)

@@ -248,6 +248,21 @@ def test_repeated_output_path_exits_config(capsys, tmp_path):
     assert not (tmp_path / "out.txt").exists()
 
 
+def test_relative_and_absolute_output_paths_to_one_file_exit_config(
+        capsys, tmp_path):
+    path = write_config(tmp_path, {
+        "surface": {"name": "sphere"}, "resolution": [8, 16],
+        "outputs": [{"report_json": "out.txt"},
+                    {"eigen_csv": str(tmp_path / "out.txt")}]})
+    code = cli.main(["spectrum", "--config", str(path),
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: /outputs/1/eigen_csv: ")
+    assert "already written by /outputs/0/report_json" in err
+    assert not (tmp_path / "out.txt").exists()
+
+
 def test_oversized_angular_resolution_exits_config(capsys, tmp_path):
     path = write_config(tmp_path, {"surface": {"name": "sphere"},
                                    "resolution": [8, 16],

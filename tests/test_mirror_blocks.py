@@ -3,7 +3,8 @@
 ``compute_report``, ``symmetrized_spectrum`` and the study split K and S
 into the character blocks of the grid's mirror group; these tests compare
 every merged number with the same route on the grid stripped of its
-mirrors (one block, the whole matrices), check that the report and
+mirrors (one block, the whole matrices), check that the rows-only
+assembly gives the blocks of the unblocked one, check that the report and
 ``symmetrized_spectrum`` take one route, and check which mirrors
 ``build_grid`` finds on catalog and derived surfaces.
 """
@@ -195,6 +196,31 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid):
         assert abs(sym.diagnostics[key] - ref) <= 1e-10 * ref
     assert spectrum._negative_count(grid, 1e-3) == np.count_nonzero(
         eigs < -1e-3)
+
+
+@pytest.mark.parametrize("name", [
+    "peanut-16x32", "ellipsoid-16x31", "torus-16x16", "sphere-12x24",
+    "torus-4x4"])
+def test_rows_only_assembly_matches_the_unblocked_one(name):
+    make_surface, res, *_ = CASES[name]
+    grid = build_grid(make_surface(), *res)
+    whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
+    ops = [op.matrix for op in assemble_operators(grid)]
+    refs = [op.matrix for op in assemble_operators(whole)]
+    reps = operators._representatives(grid.mirrors)
+    assert reps.size < grid.n_nodes
+    for a, ref in zip(ops, refs):
+        # the representative rows are computed, the others permuted copies
+        assert np.array_equal(a[reps], ref[reps])
+        assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(ops[0] @ np.ones(grid.n_nodes) - 0.5).max() <= 1e-15
+    # _mirror_blocks reads only the representative rows
+    blocks = operators._mirror_blocks(grid, *ops)
+    ref_blocks = operators._mirror_blocks(grid, *refs)
+    assert len(blocks) == len(ref_blocks)
+    for pair, ref_pair in zip(blocks, ref_blocks):
+        for b, ref_b in zip(pair, ref_pair):
+            assert np.array_equal(b, ref_b)
 
 
 @pytest.mark.parametrize("make_surface, res", [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -369,7 +371,11 @@ def _union_with_offset_peanut():
 @pytest.mark.parametrize("touching", [False, True])
 def test_near_entries_match_per_pair_chart_integrals(make_grid, comp_index,
                                                       touching):
+    # without its mirrors the grid assembles every row directly; with them
+    # the rows of other nodes are permuted copies, equal to these integrals
+    # only to rounding
     grid = make_grid()
+    grid = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
     comp = grid.components[comp_index]
     ii, jj = _sample_pairs(grid, comp, touching)
     nsub = operators.CELL_SUBDIV if touching else 1

@@ -9,8 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from npspectra import (DegenerateChart, ParametricSurface, __version__,
-                       build_grid, rigid_transform)
+from npspectra import (ConfigError, DegenerateChart, ParametricSurface,
+                       __version__, build_grid, pipeline, rigid_transform)
 from npspectra.operators import read_matrix_dump
 from npspectra.pipeline import compute_report, run_pipeline, write_outputs
 from npspectra.report import CSV_FORMAT_LINE, CSV_HEADER, render_report_json
@@ -94,6 +94,27 @@ def test_run_pipeline_writes_and_returns(tmp_path):
     report = run_pipeline(config, base_dir=str(tmp_path))
     assert (tmp_path / "eigen.csv").exists()
     assert report.lambda_plus[0] == pytest.approx(0.5, abs=1e-3)
+
+
+def test_run_pipeline_rejects_two_spellings_of_one_file(tmp_path,
+                                                       monkeypatch):
+    # distinct to parse_config, one file once resolved against base_dir
+    config = make_config({
+        "surface": {"name": "sphere"},
+        "resolution": [8, 16],
+        "outputs": [{"report_json": "out.txt"},
+                    {"eigen_csv": str(tmp_path / "sub" / ".." / "out.txt")}],
+    })
+
+    def computed(config):
+        raise AssertionError("compute_report ran")
+
+    monkeypatch.setattr(pipeline, "compute_report", computed)
+    with pytest.raises(ConfigError, match=r"^/outputs/1/eigen_csv: .* "
+                                          r"already written by "
+                                          r"/outputs/0/report_json$"):
+        run_pipeline(config, base_dir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_errors_carry_stage_prefix():
