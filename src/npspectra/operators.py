@@ -99,20 +99,21 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _panel_geometry(grid, comp, gx, gw, a, b, nsub):
-    """Chart samples on panel (a, b) of every parameter cell of ``comp``.
+def _panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
+    """Chart samples on panel (a, b) of the parameter cells ``cells``.
 
-    Panel (a, b) of the nsub x nsub split of a node's cell carries a q x q
+    ``cells`` are node indices of ``comp`` minus comp.start.  Panel (a, b)
+    of the nsub x nsub split of a node's cell carries a q x q
     Gauss-Legendre rule.  Returns y, cross(y_u, y_v) and its norm ``jac``
-    at the rule's points, and the tensor weights ``ww``, each indexed by
-    node - comp.start along the first axis.
+    at the rule's points, and the tensor weights ``ww``, each indexed like
+    ``cells`` along the first axis.  The chart is evaluated elementwise, so
+    every sample equals that of an evaluation on all cells of ``comp``.
     """
-    sl = comp.slice
+    nodes = comp.start + cells
     q = gx.size
-    n_cells = comp.stop - comp.start
-    t0, t1 = grid.cell_u_lo[sl], grid.cell_u_hi[sl]
-    dv = grid.cell_dv[sl]
-    p0 = grid.v[sl] - 0.5 * dv
+    t0, t1 = grid.cell_u_lo[nodes], grid.cell_u_hi[nodes]
+    dv = grid.cell_dv[nodes]
+    p0 = grid.v[nodes] - 0.5 * dv
     tt0 = t0 + (t1 - t0) * a / nsub
     tt1 = t0 + (t1 - t0) * (a + 1) / nsub
     uq = 0.5 * (tt1 - tt0)[:, None] * gx[None, :] \
@@ -121,8 +122,8 @@ def _panel_geometry(grid, comp, gx, gw, a, b, nsub):
     pp0 = p0 + dv * b / nsub
     vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
     wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
-    uu = np.broadcast_to(uq[:, :, None], (n_cells, q, q))
-    vv = np.broadcast_to(vq[:, None, :], (n_cells, q, q))
+    uu = np.broadcast_to(uq[:, :, None], (cells.size, q, q))
+    vv = np.broadcast_to(vq[:, None, :], (cells.size, q, q))
     surf = comp.surface
     y = surf.position(uu, vv)
     yu, yv = surf.first_derivatives(uu, vv)
@@ -138,8 +139,9 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
     For each pair (src[p], tgt[p]), with tgt[p] owned by component ``comp``,
     integrates both kernels over tgt's parameter cell with an nsub x nsub
     panel split and a q x q Gauss-Legendre rule per panel.  The chart is
-    evaluated once per cell and panel (``_panel_geometry``), panel by panel,
-    and the pairs gather from it in chunks of about _BLOCK_ENTRIES samples.
+    evaluated once per target cell and panel (``_panel_geometry``), panel
+    by panel, on the distinct cells of ``tgt`` only, and the pairs gather
+    from it in chunks of about _BLOCK_ENTRIES samples.
 
     Returns
     -------
@@ -149,7 +151,7 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
     """
     sign = comp.surface.orientation_sign()
     gx, gw = np.polynomial.legendre.leggauss(q)
-    loc = tgt - comp.start
+    cells, loc = np.unique(tgt - comp.start, return_inverse=True)
     x_src = grid.points[src]
     n_pairs = len(src)
     chunk = max(1, _BLOCK_ENTRIES // (q * q))
@@ -157,7 +159,8 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
     i_k = np.zeros(n_pairs)
     for a in range(nsub):
         for b in range(nsub):
-            y, cr, jac, ww = _panel_geometry(grid, comp, gx, gw, a, b, nsub)
+            y, cr, jac, ww = _panel_geometry(grid, comp, cells, gx, gw,
+                                             a, b, nsub)
             for c0 in range(0, n_pairs, chunk):
                 c = slice(c0, c0 + chunk)
                 cell = loc[c]
@@ -594,16 +597,19 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     the single pair (K_w, S_w), the same arrays as ``k`` and ``s``.
     """
     sw = np.sqrt(grid.weights)
-    for a in (k, s):
-        a *= sw[:, None]
-        a /= sw[None, :]
     perms = grid.mirrors
     if perms.shape[0] == 1:
+        for a in (k, s):
+            a *= sw[:, None]
+            a /= sw[None, :]
         return [(k, s)]
     reps, chi, valid, stab = _orbits(perms)
     cols = perms[:, reps]
     scale = 1.0 / np.sqrt(stab)
-    projected = [_character_sums([a[reps[:, None], c] for c in cols], chi)
+    # each gathered entry converted to the weighted basis as an in-place
+    # conversion of the whole matrix would, times sw[r], then over sw[j]
+    projected = [_character_sums([a[reps[:, None], c] * sw[reps, None]
+                                  / sw[None, c] for c in cols], chi)
                  for a in (k, s)]
     blocks = []
     for c, pick in enumerate(valid):
