@@ -161,16 +161,18 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
         for b in range(nsub):
             y, cr, jac, ww = _panel_geometry(grid, comp, cells, gx, gw,
                                              a, b, nsub)
+            # weights, 1/(4 pi) and the orientation folded into the samples
+            jw = jac * ww / FOUR_PI
+            crw = cr * (sign * ww / FOUR_PI)[..., None]
             for c0 in range(0, n_pairs, chunk):
                 c = slice(c0, c0 + chunk)
                 cell = loc[c]
-                jac_c, ww_c = jac[cell], ww[cell]
                 diff = y[cell] - x_src[c, None, None, :]
-                dist = np.sqrt(np.sum(diff * diff, axis=-1))
-                i_s[c] += np.sum(jac_c / (FOUR_PI * dist) * ww_c, axis=(1, 2))
-                num = sign * np.sum(diff * cr[cell], axis=-1) / jac_c
-                i_k[c] += np.sum(num * jac_c / (FOUR_PI * dist ** 3) * ww_c,
-                                 axis=(1, 2))
+                inv = 1.0 / np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
+                i_s[c] += np.einsum("pij,pij->p", jw[cell], inv)
+                num = np.einsum("pijk,pijk->pij", diff, crw[cell])
+                i_k[c] += np.einsum("pij,pij->p", num,
+                                    np.power(inv, 3, out=inv))
     return i_s, i_k
 
 

@@ -298,22 +298,19 @@ def test_coincident_nodes_rejected():
         assemble_operators(concatenate_grids([grid, grid]))
 
 
-def _per_pair_cell_integrals(grid, comp, src, tgt, q, nsub):
-    """Near-pair cell integrals evaluating the chart afresh for every pair.
+def _per_pair_panels(grid, comp, src, tgt, q, nsub):
+    """Chart samples on each panel of tgt's cell, evaluated afresh per pair.
 
-    The reference for the per-cell geometry cache: the same quadrature with
-    the same expressions, one chart evaluation per (pair, panel).
+    Yields (diff, cr, jac, ww) per panel: y - x_src, cross(y_u, y_v), its
+    norm and the tensor weights, one chart evaluation per (pair, panel).
     """
     surf = comp.surface
-    sign = surf.orientation_sign()
     gx, gw = np.polynomial.legendre.leggauss(q)
     t0, t1 = grid.cell_u_lo[tgt], grid.cell_u_hi[tgt]
     p0 = grid.v[tgt] - 0.5 * grid.cell_dv[tgt]
     dv = grid.cell_dv[tgt]
     x_src = grid.points[src]
     n_pairs = len(src)
-    i_s = np.zeros(n_pairs)
-    i_k = np.zeros(n_pairs)
     for a in range(nsub):
         tt0 = t0 + (t1 - t0) * a / nsub
         tt1 = t0 + (t1 - t0) * (a + 1) / nsub
@@ -330,12 +327,43 @@ def _per_pair_cell_integrals(grid, comp, src, tgt, q, nsub):
             yu, yv = surf.first_derivatives(uu, vv)
             cr = np.cross(yu, yv)
             jac = np.sqrt(np.sum(cr * cr, axis=-1))
-            diff = y - x_src[:, None, None, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
             ww = wu[:, :, None] * wv[:, None, :]
-            i_s += np.sum(jac / (FOUR_PI * dist) * ww, axis=(1, 2))
-            num = sign * np.sum(diff * cr, axis=-1) / jac
-            i_k += np.sum(num * jac / (FOUR_PI * dist ** 3) * ww, axis=(1, 2))
+            yield y - x_src[:, None, None, :], cr, jac, ww
+
+
+def _per_pair_cell_integrals(grid, comp, src, tgt, q, nsub):
+    """Near-pair cell integrals evaluating the chart afresh for every pair.
+
+    The reference for the per-cell geometry cache: the same quadrature with
+    the same expressions, one chart evaluation per (pair, panel).
+    """
+    sign = comp.surface.orientation_sign()
+    i_s = np.zeros(len(src))
+    i_k = np.zeros(len(src))
+    for diff, cr, jac, ww in _per_pair_panels(grid, comp, src, tgt, q, nsub):
+        jw = jac * ww / FOUR_PI
+        crw = cr * (sign * ww / FOUR_PI)[..., None]
+        inv = 1.0 / np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
+        i_s += np.einsum("pij,pij->p", jw, inv)
+        num = np.einsum("pijk,pijk->pij", diff, crw)
+        i_k += np.einsum("pij,pij->p", num, np.power(inv, 3, out=inv))
+    return i_s, i_k
+
+
+def _direct_cell_integrals(grid, comp, src, tgt, q, nsub):
+    """Near-pair cell integrals written term by term from the kernels.
+
+    An independent reference: jac / (4 pi |y - x|) and the unit normal's
+    <y - x, n> / (4 pi |y - x|^3) times jac, each times the weights.
+    """
+    sign = comp.surface.orientation_sign()
+    i_s = np.zeros(len(src))
+    i_k = np.zeros(len(src))
+    for diff, cr, jac, ww in _per_pair_panels(grid, comp, src, tgt, q, nsub):
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        i_s += np.sum(jac / (FOUR_PI * dist) * ww, axis=(1, 2))
+        num = sign * np.sum(diff * cr, axis=-1) / jac
+        i_k += np.sum(num * jac / (FOUR_PI * dist ** 3) * ww, axis=(1, 2))
     return i_s, i_k
 
 
@@ -363,11 +391,14 @@ def _union_with_offset_peanut():
                               build_grid(moved, 12, 24)])
 
 
-@pytest.mark.parametrize("make_grid, comp_index", [
+_NEAR_GRIDS = [
     (lambda: build_grid(peanut(), 12, 24), 0),
     (lambda: build_grid(torus(), 16, 16), 0),
     (_union_with_offset_peanut, 1),
-])
+]
+
+
+@pytest.mark.parametrize("make_grid, comp_index", _NEAR_GRIDS)
 @pytest.mark.parametrize("touching", [False, True])
 def test_near_entries_match_per_pair_chart_integrals(make_grid, comp_index,
                                                       touching):
@@ -389,6 +420,22 @@ def test_near_entries_match_per_pair_chart_integrals(make_grid, comp_index,
     assert np.array_equal(k_op.matrix[jj, ii], ik_ba)
     assert np.array_equal(s_op.matrix[ii, jj], vals * (sw[jj] / sw[ii]))
     assert np.array_equal(s_op.matrix[jj, ii], vals * (sw[ii] / sw[jj]))
+
+
+@pytest.mark.parametrize("make_grid, comp_index", _NEAR_GRIDS)
+@pytest.mark.parametrize("touching", [False, True])
+def test_near_integrals_match_the_direct_formula(make_grid, comp_index,
+                                                 touching):
+    grid = make_grid()
+    comp = grid.components[comp_index]
+    ii, jj = _sample_pairs(grid, comp, touching)
+    nsub = operators.CELL_SUBDIV if touching else 1
+    q = operators.CELL_QUAD
+    src, tgt = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+    got = operators._cell_kernel_integrals(grid, comp, src, tgt, q, nsub)
+    ref = _direct_cell_integrals(grid, comp, src, tgt, q, nsub)
+    for a, b in zip(got, ref):
+        assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
 def test_row_blocks_do_not_change_the_operators(monkeypatch):
