@@ -18,9 +18,10 @@ Assembly computes only the rows of the orbit representatives of the grid's
 mirror group, the smallest node of each orbit: about n/8 rows on a catalog
 grid, every row on a grid without mirrors.  It writes their one-point
 products in row blocks, which also find the near pairs.  The cell
-integrals then evaluate the surface chart once per cell and quadrature
-panel, not once per near pair, and gather from that per-cell cache in
-bounded chunks.  Every other row is a permuted copy of a representative
+integrals then evaluate the surface chart once per quadrature panel on
+each cell that some near pair integrates over, not once per near pair
+nor on every cell, fold the weights into those samples, and gather from
+that per-cell cache in bounded chunks.  Every other row is a permuted copy of a representative
 row (``_fill_orbits``), written with the identity last so that the
 representative rows stay exactly as computed.  Beyond the two returned
 matrices and their representative rows, assembly therefore holds
@@ -44,7 +45,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._fileio import atomic_write
-from .errors import ConfigError, GridError, NotPositiveDefinite
+from .errors import (ConfigError, GridError, NotPositiveDefinite,
+                     NumericalError)
 from .grids import QuadratureGrid
 
 FOUR_PI = 4.0 * np.pi
@@ -263,6 +265,21 @@ def _fill_orbits(perms: np.ndarray, reps: np.ndarray,
     return out
 
 
+def _check_finite(name: str, rows: np.ndarray, reps: np.ndarray) -> None:
+    """Raise NumericalError at the first non-finite entry of ``rows``.
+
+    ``rows`` are the rows of the nodes ``reps`` of one operator.  Checked
+    before the fill copies them, so that a fault in a cell integral or the
+    self-cell rule is reported here, not by an eigensolver or a Cholesky
+    factorization as an untyped error.
+    """
+    if not np.isfinite(rows).all():
+        r, j = np.argwhere(~np.isfinite(rows))[0]
+        raise NumericalError(
+            f"{name} entry ({reps[r]}, {j}) is {rows[r, j]}; the chart "
+            f"or the grid is degenerate near these nodes")
+
+
 def assemble_operators(grid: QuadratureGrid):
     """Assemble the double- and single-layer operators in one pass.
 
@@ -288,7 +305,7 @@ def assemble_operators(grid: QuadratureGrid):
     of about ``_BLOCK_ENTRIES`` entries, which also check for coincident
     nodes and collect the near pairs of the representatives; the cell
     integrals then run over the pair list from a per-cell cache of chart
-    samples.  A near pair (r, j) integrates both directions, cell j seen
+    samples, taken only on the cells the pairs integrate over.  A near pair (r, j) integrates both directions, cell j seen
     from x_r and cell r seen from x_j, since the single-layer entry is the
     average of the two.  Peak memory is the two returned matrices, their
     representative rows, O(n) and a few dozen MiB of block temporaries.
@@ -303,6 +320,15 @@ def assemble_operators(grid: QuadratureGrid):
     -------
     (DiscreteOperator, DiscreteOperator)
         Double layer and single layer, both in the nystrom basis.
+
+    Raises
+    ------
+    GridError
+        If the grid has fewer than 16 nodes, two coincident nodes, or
+        nodes of different components within the near-field radius.
+    NumericalError
+        If an entry of a computed row of K or S is not finite, naming the
+        operator and the first such (row, column).
     """
     if grid.n_nodes < 16:
         raise GridError(f"grid has {grid.n_nodes} nodes, need >= 16")
@@ -389,12 +415,15 @@ def assemble_operators(grid: QuadratureGrid):
             kmat[pos[pj[both]], pi[both]] = i_k[m:][both]
     own = np.arange(reps.size)
     smat[own, reps] = -_self_cell_single_layer(grid, reps)
-    # row-sum diagonal: the double layer maps constants to 1/2 exactly
+    # row-sum diagonal: the double layer maps constants to 1/2 exactly; K is
+    # checked first, since the sum would spread a fault to the diagonal
     kmat[own, reps] = 0.0
+    _check_finite("double-layer", kmat, reps)
     kmat[own, reps] = 0.5 - kmat.sum(axis=1)
     for r0 in range(0, reps.size, step):
         r1 = min(reps.size, r0 + step)
         smat[r0:r1] *= sw[None, :] / sw[reps[r0:r1], None]
+    _check_finite("single-layer", smat, reps)
     k_op = DiscreteOperator(_fill_orbits(perms, reps, kmat), basis="nystrom",
                             grid=grid)
     del kmat
@@ -582,9 +611,11 @@ def _character_sums(terms, chi):
 def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     """Blocks of K_w and S_w on the character subspaces of the mirror group.
 
-    ``k`` and ``s`` are the nystrom-basis matrices of ``assemble_operators``;
-    they are converted to the weighted_l2 basis in place.  The grid's
-    mirror group G, a product of Z2 factors, permutes the nodes
+    ``k`` and ``s`` are the nystrom-basis matrices of ``assemble_operators``.
+    On a grid with mirrors they are left unchanged: each gathered entry is
+    converted to the weighted_l2 basis on its own, exactly as an in-place
+    conversion would convert it.  On a grid without mirrors they are
+    converted in place.  The grid's mirror group G, a product of Z2 factors, permutes the nodes
     (``grid.mirrors``) and K_w and S_w commute with its permutations, so in
     the orthonormal basis
     q_{chi,a} = sum_h chi(h) e_{h r_a} / (st_a sqrt(|G| / st_a)) of the

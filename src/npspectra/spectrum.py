@@ -206,9 +206,10 @@ def _operator_blocks(grid):
     """K_w and S_w split into the blocks of the grid's mirror group.
 
     Assembles K and S on the whole grid and returns ``_mirror_blocks`` of
-    them: one (K_b, S_b) pair per character, a single (K_w, S_w) pair on a
-    grid without mirrors.  The full matrices are freed on return unless
-    they are that single pair.
+    them: one (K_b, S_b) pair per character, gathered from the
+    representative rows, or on a grid without mirrors the single pair
+    (K_w, S_w), converted in place.  The full matrices are freed on return
+    unless they are that single pair.
     """
     k_op, s_op = assemble_operators(grid)
     return _mirror_blocks(grid, k_op.matrix, s_op.matrix)

@@ -6,9 +6,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from npspectra import __version__, cli, errors, pipeline, spectrum, sphere
+from npspectra import (__version__, cli, errors, operators, pipeline,
+                       spectrum, sphere)
 
 
 def run_cli(*argv, cwd=None):
@@ -190,6 +192,23 @@ def test_inversion_center_on_surface_exits_config(capsys, tmp_path, center):
     err = capsys.readouterr().err
     assert err.startswith("error: /surface/invert: ")
     assert "lies on the surface" in err
+    assert err.count("\n") == 1
+
+
+def test_non_finite_operator_entry_exits_numerical(monkeypatch, capsys,
+                                                   sphere_config):
+    integrals = operators._cell_kernel_integrals
+
+    def with_nan(*args, **kwargs):
+        i_s, i_k = integrals(*args, **kwargs)
+        i_k[0] = np.nan
+        return i_s, i_k
+
+    monkeypatch.setattr(operators, "_cell_kernel_integrals", with_nan)
+    code = cli.main(["spectrum", "--config", str(sphere_config)])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: assembly: double-layer entry (0, ")
     assert err.count("\n") == 1
 
 

@@ -14,10 +14,12 @@ from npspectra import (
     DiscreteOperator,
     GridError,
     NotPositiveDefinite,
+    NumericalError,
     assemble_operators,
     build_grid,
     concatenate_grids,
     dump_operator,
+    ellipsoid,
     euler_characteristic,
     peanut,
     plemelj_residual,
@@ -292,6 +294,28 @@ def test_dump_rejects_unknown_basis_tag(tmp_path, sphere_sym):
         read_matrix_dump(path)
 
 
+def _with_nan(func):
+    """``func`` with its first result's first entry replaced by NaN."""
+    def broken(*args, **kwargs):
+        out = func(*args, **kwargs)
+        first = out[0] if isinstance(out, tuple) else out
+        first[0] = np.nan
+        return out
+    return broken
+
+
+@pytest.mark.parametrize("stage, name", [
+    ("_cell_kernel_integrals", "single-layer"),
+    ("_self_cell_single_layer", "single-layer"),
+])
+def test_non_finite_entries_are_a_numerical_error(monkeypatch, stage, name):
+    grid = build_grid(sphere(), 8, 16)
+    monkeypatch.setattr(operators, stage,
+                        _with_nan(getattr(operators, stage)))
+    with pytest.raises(NumericalError, match=f"{name} entry .* is nan"):
+        assemble_operators(grid)
+
+
 def test_coincident_nodes_rejected():
     grid = build_grid(sphere(), 8, 16)
     with pytest.raises(GridError, match="coincident quadrature nodes"):
@@ -389,6 +413,29 @@ def _union_with_offset_peanut():
     moved = rigid_transform(peanut(), None, (6.0, 0.0, 0.0))
     return concatenate_grids([build_grid(sphere(), 12, 24),
                               build_grid(moved, 12, 24)])
+
+
+@pytest.mark.parametrize("make_grid, comp_index", [
+    (lambda: build_grid(peanut(), 12, 24), 0),
+    # the finite-difference ellipsoid of test_mirror_blocks.CASES
+    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0).with_derivative_mode(
+        "finite_difference"), 16, 32), 0),
+    (_union_with_offset_peanut, 1),
+], ids=["peanut", "fd-ellipsoid", "offset-peanut"])
+@pytest.mark.parametrize("a, b", [(0, 0), (2, 1)])
+def test_panel_geometry_on_cells_matches_the_component(make_grid, comp_index,
+                                                       a, b):
+    grid = make_grid()
+    comp = grid.components[comp_index]
+    gx, gw = np.polynomial.legendre.leggauss(operators.CELL_QUAD)
+    n_cells = comp.stop - comp.start
+    nsub = operators.CELL_SUBDIV
+    whole = operators._panel_geometry(grid, comp, np.arange(n_cells), gx, gw,
+                                      a, b, nsub)
+    cells = np.random.default_rng(0).permutation(n_cells)[:n_cells // 3]
+    some = operators._panel_geometry(grid, comp, cells, gx, gw, a, b, nsub)
+    for part, full in zip(some, whole):
+        assert np.array_equal(part, full[cells])
 
 
 _NEAR_GRIDS = [
