@@ -304,15 +304,13 @@ def _with_nan(func):
     return broken
 
 
-@pytest.mark.parametrize("stage, name", [
-    ("_cell_kernel_integrals", "single-layer"),
-    ("_self_cell_single_layer", "single-layer"),
-])
-def test_non_finite_entries_are_a_numerical_error(monkeypatch, stage, name):
+@pytest.mark.parametrize("stage", ["_cell_kernel_integrals",
+                                   "_self_cell_single_layer"])
+def test_non_finite_entries_are_a_numerical_error(monkeypatch, stage):
     grid = build_grid(sphere(), 8, 16)
     monkeypatch.setattr(operators, stage,
                         _with_nan(getattr(operators, stage)))
-    with pytest.raises(NumericalError, match=f"{name} entry .* is nan"):
+    with pytest.raises(NumericalError, match="single-layer entry .* is nan"):
         assemble_operators(grid)
 
 
@@ -410,8 +408,10 @@ def _sample_pairs(grid, comp, touching, count=5):
 
 
 def _union_with_offset_peanut():
+    # the sphere's cells differ from the peanut's, so a cell looked up
+    # without the component offset gives wrong parameters
     moved = rigid_transform(peanut(), None, (6.0, 0.0, 0.0))
-    return concatenate_grids([build_grid(sphere(), 12, 24),
+    return concatenate_grids([build_grid(sphere(), 10, 20),
                               build_grid(moved, 12, 24)])
 
 
