@@ -31,9 +31,11 @@ Symmetrization has one route.  K and S commute with the mirror
 permutations of the grid's nodes and split into one block per character
 of the mirror group (``_mirror_blocks``; a grid without mirrors is one
 block).  Each block is symmetrized through its own single layer
-(``_symmetrize_blocks``), so the reports, the study and
+(``_plemelj_symmetrize``), so the reports, the study and
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n/8
-nodes on a catalog grid, not on the n x n matrices.
+nodes on a catalog grid, not on the n x n matrices.  The blocks are
+independent and run concurrently, one BLAS thread each
+(``spectrum._map_blocks``).
 """
 from __future__ import annotations
 
@@ -537,7 +539,8 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
     symmetric and S K^T = K S, so L^-1 K L is symmetric for the continuous
     operators.  Its spectrum is that of K; another factor of -S (such as
     its square root) changes the result only by an orthogonal similarity.
-    ``_symmetrize_blocks`` calls it once per mirror block.
+    ``spectrum._symmetrize_blocks`` calls it once per mirror block, on
+    the block's worker thread.
 
     Raises
     ------
@@ -682,30 +685,6 @@ def _mirror_matrix(grid: QuadratureGrid, blocks) -> np.ndarray:
         rows[:, cols] = w
     del padded
     return _fill_orbits(perms, reps, rows)
-
-
-def _symmetrize_blocks(grid: QuadratureGrid, blocks):
-    """Plemelj symmetrization per mirror block, and the merged operator.
-
-    Returns the ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T,
-    which is the Plemelj symmetrization of K_w for the factor
-    Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the Cholesky
-    factor of the whole -S_w differs from it by an orthogonal similarity;
-    on a grid without mirrors the two are the same), together with the
-    list of the symmetrized blocks sym_b.  Diagnostics merge over the
-    blocks: ``min_eig_negS`` is the smallest block value,
-    ``plemelj_residual`` is max ||R_b|| / (max ||K_b|| max ||S_b||) and
-    ``asymmetry_norm`` is max ||skew_b|| / max ||L_b^-1 K_b L_b||.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If some block of -S is not positive definite.
-    """
-    syms, norms = zip(*(_plemelj_symmetrize(k, s) for k, s in blocks))
-    sym = DiscreteOperator(_mirror_matrix(grid, syms), basis="symmetrized",
-                           grid=grid, diagnostics=_merge_diagnostics(norms))
-    return sym, list(syms)
 
 
 # ------------------------------------------------------------------ binary dump
