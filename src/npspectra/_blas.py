@@ -3,9 +3,9 @@
 numpy and scipy each load their own OpenBLAS build (numpy's ILP64
 ``libscipy_openblas64_``, scipy's ``libscipy_openblas``), and each defaults
 to one thread per CPU.  The blocks of the mirror group are small and
-independent: running them concurrently with one BLAS thread each is faster
-than handing every small LAPACK call all the CPUs, and a single-threaded
-call gives the same bits whatever the CPU count (``spectrum._map_blocks``).
+independent: below about 800 rows a LAPACK call is faster on one thread
+than on two, and a single-threaded call gives the same bits whatever the
+CPU count (``operators._map_blocks``).
 
 The builds are looked up once, on first use, among the shared objects
 mapped into the process.  Where none is found (another BLAS, or a system
@@ -17,7 +17,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-import threading
 from contextlib import contextmanager
 
 # (get, set) thread-count symbols: scipy's wheel builds prefix them, and
@@ -26,10 +25,6 @@ _SYMBOLS = tuple((f"{prefix}_get_num_threads{suffix}",
                   f"{prefix}_set_num_threads{suffix}")
                  for prefix in ("scipy_openblas", "openblas")
                  for suffix in ("64_", ""))
-
-_lock = threading.Lock()
-_users = 0
-_saved = ()
 
 
 @functools.cache
@@ -68,22 +63,17 @@ def thread_counts() -> tuple:
 def single_threaded():
     """Run the body with every OpenBLAS build at one thread.
 
-    The thread count is process state, so nested and concurrent uses share
-    one pin: the first to enter saves the counts, the last to leave
-    restores them, also when the body raises.
+    Saves the counts on entry and writes them back on exit, also when the
+    body raises.  The count is process state: while the body runs, BLAS
+    calls on every other thread of the process run on one thread too, and
+    a count that another thread sets in the meantime is overwritten on
+    exit.
     """
-    global _users, _saved
-    with _lock:
-        if not _users:
-            _saved = thread_counts()
-            for _, put in _builds():
-                put(1)
-        _users += 1
+    saved = thread_counts()
+    for _, put in _builds():
+        put(1)
     try:
         yield
     finally:
-        with _lock:
-            _users -= 1
-            if not _users:
-                for (_, put), count in zip(_builds(), _saved):
-                    put(count)
+        for (_, put), count in zip(_builds(), saved):
+            put(count)

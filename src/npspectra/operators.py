@@ -31,11 +31,11 @@ Symmetrization has one route.  K and S commute with the mirror
 permutations of the grid's nodes and split into one block per character
 of the mirror group (``_mirror_blocks``; a grid without mirrors is one
 block).  Each block is symmetrized through its own single layer
-(``_plemelj_symmetrize``), so the reports, the study and
+(``_symmetrize_blocks``), so the reports, the study and
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n/8
-nodes on a catalog grid, not on the n x n matrices.  The blocks are
-independent and run concurrently, one BLAS thread each
-(``spectrum._map_blocks``).
+nodes on a catalog grid, not on the n x n matrices.  Every per-block
+step runs through ``_map_blocks``: the blocks side by side on a thread
+pool, each LAPACK call on one BLAS thread.
 """
 from __future__ import annotations
 
@@ -539,8 +539,7 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
     symmetric and S K^T = K S, so L^-1 K L is symmetric for the continuous
     operators.  Its spectrum is that of K; another factor of -S (such as
     its square root) changes the result only by an orthogonal similarity.
-    ``spectrum._symmetrize_blocks`` calls it once per mirror block, on
-    the block's worker thread.
+    ``_symmetrize_blocks`` calls it once per mirror block.
 
     Raises
     ------
@@ -685,6 +684,59 @@ def _mirror_matrix(grid: QuadratureGrid, blocks) -> np.ndarray:
         rows[:, cols] = w
     del padded
     return _fill_orbits(perms, reps, rows)
+
+
+def _map_blocks(fn, blocks) -> list:
+    """``[fn(block) for block in blocks]``, the blocks run side by side.
+
+    One block, the grid without mirrors, runs inline on the process's BLAS
+    threads, since a large dense matrix gains from them.  Two or more run
+    on a pool of up to one worker thread per usable CPU, with every
+    OpenBLAS build at one thread (``_blas.single_threaded``): blocks of a
+    few hundred rows are faster on one thread than on all the CPUs, their
+    values then do not depend on the BLAS thread count or the CPU count,
+    and the workers overlap the numpy products of one block with the work
+    of another (the scipy.linalg LAPACK wrappers hold the GIL).  Results
+    come in block order.  The first block in that order that fails raises
+    its own exception, and blocks not yet started are cancelled.
+    """
+    if len(blocks) < 2:
+        return [fn(b) for b in blocks]
+    # imported on first use, so that importing npspectra runs none of it
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import _blas
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with _blas.single_threaded(), \
+            ThreadPoolExecutor(min(len(blocks), cpus)) as pool:
+        # map cancels the blocks not yet started once a result raises
+        return list(pool.map(fn, blocks))
+
+
+def _symmetrize_blocks(grid: QuadratureGrid, blocks):
+    """Plemelj symmetrization per mirror block, and the merged operator.
+
+    Returns the ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T,
+    which is the Plemelj symmetrization of K_w for the factor
+    Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the Cholesky
+    factor of the whole -S_w differs from it by an orthogonal similarity;
+    on a grid without mirrors the two are the same), together with the
+    list of the symmetrized blocks sym_b.  Diagnostics merge over the
+    blocks: ``min_eig_negS`` is the smallest block value,
+    ``plemelj_residual`` is max ||R_b|| / (max ||K_b|| max ||S_b||) and
+    ``asymmetry_norm`` is max ||skew_b|| / max ||L_b^-1 K_b L_b||.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If some block of -S is not positive definite.
+    """
+    syms, norms = zip(*_map_blocks(lambda kb: _plemelj_symmetrize(*kb),
+                                   blocks))
+    sym = DiscreteOperator(_mirror_matrix(grid, syms), basis="symmetrized",
+                           grid=grid, diagnostics=_merge_diagnostics(norms))
+    return sym, list(syms)
 
 
 # ------------------------------------------------------------------ binary dump

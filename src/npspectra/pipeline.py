@@ -18,12 +18,11 @@ from .errors import (ConfigError, DegenerateChart, GridError, NumericalError,
                      SingularInversion)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
-from .operators import dump_operator
+from .operators import _map_blocks, _symmetrize_blocks, dump_operator
 from .report import render_eigen_csv, render_report_json, write_text
 from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
-                       _sorted_union, _symmetrize_blocks,
-                       cluster_multiplicities, plasmon_map, split_spectrum,
-                       weyl_fit)
+                       _sorted_union, cluster_multiplicities, plasmon_map,
+                       split_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
 MAX_REPORTED_CLUSTERS = 32
@@ -65,11 +64,11 @@ def compute_report(config: RunConfig) -> tuple:
     mirrors is one block).  Each block is symmetrized on its own, and the
     eigenvalues, the singular values of K_w and the raw ``eigvals``
     crosscheck are the sorted unions of the block values; the diagnostics
-    merge as described in ``spectrum._symmetrize_blocks``.  The blocks run
-    concurrently with one BLAS thread each (``spectrum._map_blocks``), so
-    on a grid with mirrors the report does not depend on the BLAS thread
-    count or the CPU count.  The eigenvalues and the symmetrized operator
-    are those of ``spectrum.symmetrized_spectrum``.
+    merge as described in ``operators._symmetrize_blocks``.  On a grid
+    with mirrors the blocks run side by side with one BLAS thread per call
+    (``operators._map_blocks``), so the report does not depend on the BLAS
+    thread count or the CPU count.  The eigenvalues and the symmetrized
+    operator are those of ``spectrum.symmetrized_spectrum``.
 
     Returns
     -------
@@ -80,31 +79,26 @@ def compute_report(config: RunConfig) -> tuple:
     with _stage("geometry"):
         grid = build_grid(config.surface, *config.resolution)
         predicted = weyl_coefficients_signed(grid, config.angular_resolution)
-    crosscheck = grid.n_nodes <= RAW_CROSSCHECK_MAX_NODES
-
-    def block_spectra(k, sym_b):
-        return (sla.eigvalsh(sym_b), sla.svdvals(k),
-                np.linalg.eigvals(k).real if crosscheck else None)
-
     with _stage("assembly"):
-        # one pass per block symmetrizes it and takes its spectra; only
-        # the symmetrization raises typed errors
-        sym, spectra = _symmetrize_blocks(grid, _operator_blocks(grid),
-                                          block_spectra)
+        blocks = _operator_blocks(grid)
+        sym, sym_blocks = _symmetrize_blocks(grid, blocks)
     with _stage("spectrum"):
-        eig_parts, sv_parts, raw_parts = zip(*spectra)
-        eigs = _sorted_union(eig_parts)
-        singular_values = _sorted_union(sv_parts)
+        eigs = _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks))
+        del sym_blocks
+        singular_values = _sorted_union(
+            _map_blocks(lambda kb: sla.svdvals(kb[0]), blocks))
         diagnostics = {
             "asymmetry_norm": sym.diagnostics["asymmetry_norm"],
             "plemelj_residual": sym.diagnostics["plemelj_residual"],
             "n_nodes": grid.n_nodes,
             "min_eig_negS": sym.diagnostics["min_eig_negS"],
         }
-        if crosscheck:
-            raw = _sorted_union(raw_parts)
+        if grid.n_nodes <= RAW_CROSSCHECK_MAX_NODES:
+            raw = _sorted_union(
+                _map_blocks(lambda kb: np.linalg.eigvals(kb[0]).real, blocks))
             diagnostics["raw_eig_max_dev"] = float(
                 np.max(np.abs(raw - eigs)))
+        del blocks
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
         clusters = clusters[:MAX_REPORTED_CLUSTERS]

@@ -11,8 +11,6 @@ matrix and no eigensolve.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,13 +18,11 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from . import _blas
 from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
-from .operators import (DiscreteOperator, _cholesky_neg_s, _merge_diagnostics,
-                        _mirror_blocks, _mirror_matrix, _plemelj_symmetrize,
-                        assemble_operators)
+from .operators import (_cholesky_neg_s, _map_blocks, _mirror_blocks,
+                        _symmetrize_blocks, assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -219,58 +215,6 @@ def _operator_blocks(grid):
     return _mirror_blocks(grid, k_op.matrix, s_op.matrix)
 
 
-def _map_blocks(fn, blocks) -> list:
-    """``[fn(block) for block in blocks]``, the blocks run concurrently.
-
-    One block, the grid without mirrors, runs inline on the process's BLAS
-    threads, since a large dense block gains from threaded BLAS.  Two or
-    more run on a pool of up to one worker thread per usable CPU, with
-    every OpenBLAS build at one thread (``_blas.single_threaded``): small
-    blocks gain more from running side by side than from threading each
-    LAPACK call, and each block's values then do not depend on the CPU
-    count.  Results come in block order, and the first block in that
-    order that fails raises its own exception.
-    """
-    if len(blocks) == 1:
-        return [fn(blocks[0])]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    with _blas.single_threaded(), \
-            ThreadPoolExecutor(min(len(blocks), cpus)) as pool:
-        return list(pool.map(fn, blocks))
-
-
-def _symmetrize_blocks(grid, blocks, spectra):
-    """Plemelj symmetrization per mirror block, the merged operator, spectra.
-
-    Each block (K_b, S_b) is symmetrized on its own
-    (``operators._plemelj_symmetrize``), and ``spectra(K_b, sym_b)`` runs
-    right after it on the same worker (``_map_blocks``).  Returns the
-    ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T, which is the
-    Plemelj symmetrization of K_w for the factor Q blockdiag(L_b) Q^T of
-    -S_w (so the symmetrization for the Cholesky factor of the whole -S_w
-    differs from it by an orthogonal similarity; on a grid without mirrors
-    the two are the same), together with the list of the ``spectra``
-    results in block order.  Diagnostics merge over the blocks:
-    ``min_eig_negS`` is the smallest block value, ``plemelj_residual`` is
-    max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
-    max ||skew_b|| / max ||L_b^-1 K_b L_b||.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If some block of -S is not positive definite.
-    """
-    def run(block):
-        sym_b, norms = _plemelj_symmetrize(*block)
-        return sym_b, norms, spectra(block[0], sym_b)
-
-    syms, norms, values = zip(*_map_blocks(run, blocks))
-    sym = DiscreteOperator(_mirror_matrix(grid, syms), basis="symmetrized",
-                           grid=grid, diagnostics=_merge_diagnostics(norms))
-    return sym, list(values)
-
-
 def _sorted_union(parts):
     """All values of the per-block arrays, sorted descending."""
     return np.sort(np.concatenate(list(parts)))[::-1]
@@ -280,15 +224,14 @@ def symmetrized_spectrum(grid):
     """Assemble, symmetrize, and return eigenvalues sorted descending.
 
     The route of ``compute_report``: each mirror block is symmetrized on
-    its own and its ``eigvalsh`` taken, the blocks running concurrently
-    with one BLAS thread each (``_symmetrize_blocks``), and the
-    eigenvalues are the sorted union of the block values.  Returns them
-    with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T and its
-    diagnostics.
+    its own (``operators._symmetrize_blocks``) and the eigenvalues are the
+    sorted union of the block ``eigvalsh``, the blocks running side by
+    side with one BLAS thread per call (``operators._map_blocks``).
+    Returns them with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T
+    and its diagnostics.
     """
-    sym, eigs = _symmetrize_blocks(grid, _operator_blocks(grid),
-                                   lambda k, sym_b: sla.eigvalsh(sym_b))
-    return _sorted_union(eigs), sym
+    sym, sym_blocks = _symmetrize_blocks(grid, _operator_blocks(grid))
+    return _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks)), sym
 
 
 def _negative_inertia(m: np.ndarray) -> int:
@@ -329,12 +272,14 @@ def _negative_count(grid, threshold: float) -> int:
     K and S are split into the blocks of the grid's mirror group
     (``_operator_blocks``; one block without mirrors), and the count is
     the sum of the block counts (``_block_negative_count``), the blocks
-    running concurrently with one BLAS thread each (``_map_blocks``).
+    running side by side with one BLAS thread per call
+    (``operators._map_blocks``).
 
     Raises
     ------
     NotPositiveDefinite
-        If the Cholesky factorization of some block of -S fails.
+        If the Cholesky factorization of some block of -S fails; the
+        first such block in block order raises.
     """
     def count(block):
         return _block_negative_count(*block, threshold)
@@ -396,10 +341,10 @@ def negative_count_study(surface, resolutions: Sequence,
     of ``symmetrized_spectrum`` below -threshold.  It is the sum over the
     blocks of the grid's mirror group of the inertia of
     -sym(K_b S_b) - threshold S_b (``_negative_count``), which needs only
-    dense work of the block sizes, about n/8 on a catalog surface; the
-    blocks run concurrently with one BLAS thread each, so on a grid with
-    mirrors the counts do not depend on the BLAS thread count.  A
-    Cholesky factorization of each block of -S gates positivity; no
+    dense work of the block sizes, about n/8 on a catalog surface, the
+    blocks running side by side with one BLAS thread per call, so on a
+    grid with mirrors the counts do not depend on the BLAS thread count.
+    A Cholesky factorization of each block of -S gates positivity; no
     ``min_eig_negS``, Plemelj residual or asymmetry diagnostic is computed.
 
     Raises

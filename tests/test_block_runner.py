@@ -1,19 +1,20 @@
-"""The mirror blocks run concurrently with one BLAS thread each.
+"""The mirror blocks run side by side with one BLAS thread per call.
 
-``spectrum._map_blocks`` runs the blocks of a grid with mirrors on a thread
-pool inside ``_blas.single_threaded``.  These tests check that the report
-bytes then do not depend on the BLAS thread count, that every block sees
-one thread and the process's counts come back afterwards, also when a
-block fails, and that without a known OpenBLAS build the values stay the
-same.
+``operators._map_blocks`` runs the blocks of a grid with mirrors on a
+thread pool while every OpenBLAS build is held at one thread
+(``_blas.single_threaded``).  These tests check that the report bytes
+then do not depend on the BLAS thread count, that the block calls see one
+thread on a grid with mirrors and the process's count on a grid without,
+that the counts come back afterwards, also when a block fails, that the
+first failing block in block order raises and later blocks are not
+started, and that without a known OpenBLAS build the values stay the same.
 """
-
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
-import threading
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ import scipy.linalg as sla
 
 import npspectra
 from npspectra import (NotPositiveDefinite, _blas, build_grid,
-                       negative_count_study, spectrum, sphere)
+                       mobius_invert, negative_count_study, operators,
+                       spectrum, sphere)
 from npspectra.pipeline import compute_report
 
 from conftest import make_config
@@ -92,6 +94,30 @@ def test_blocks_run_on_one_blas_thread_and_the_counts_return(
     assert _blas.thread_counts() == two_blas_threads
 
 
+
+@pytest.mark.parametrize("make_grid, n_blocks", [
+    (lambda: build_grid(sphere(), 12, 24), 8),
+    (lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24), 1),
+], ids=["mirrored", "without-mirrors"])
+def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
+                                                  monkeypatch, make_grid,
+                                                  n_blocks):
+    seen = []
+    eigvalsh = sla.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        seen.append(_blas.thread_counts())
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(sla, "eigvalsh", recording)
+    spectrum.symmetrized_spectrum(make_grid())
+    # symmetrization and spectrum call eigvalsh at least once per block
+    assert len(seen) >= n_blocks
+    pinned = (1,) * len(two_blas_threads)
+    assert set(seen) == {pinned if n_blocks > 1 else two_blas_threads}
+    assert _blas.thread_counts() == two_blas_threads
+
+
 def _fail_blocks(monkeypatch, grid, failing):
     """Make ``sla.cholesky`` fail on the -S of the blocks in ``failing``."""
     neg_s = [-s for _, s in spectrum._operator_blocks(grid)]
@@ -119,6 +145,27 @@ def test_a_failing_block_raises_its_typed_error(two_blas_threads,
     assert _blas.thread_counts() == two_blas_threads
 
 
+
+def test_blocks_after_a_failure_are_not_started(monkeypatch):
+    # two workers, whatever the CPU count of the machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+
+    def run(block):
+        started.append(block)
+        if block == 0:
+            raise ValueError("block 0 failed")
+        time.sleep(0.2)
+        return block
+
+    with pytest.raises(ValueError, match="block 0 failed"):
+        operators._map_blocks(run, list(range(8)))
+    # only the blocks already running when block 0 failed; without the
+    # cancel the pool would run all 8 before the error is raised
+    assert len(started) < 8
+
 def test_report_without_openblas_builds_keeps_its_values(monkeypatch):
     config = make_config(_SPHERE_12)
     ref, ref_sym = compute_report(config)
@@ -133,29 +180,3 @@ def test_report_without_openblas_builds_keeps_its_values(monkeypatch):
     for key, value in ref.diagnostics.items():
         assert abs(report.diagnostics[key] - value) <= 1e-12 * abs(value), key
 
-
-def test_concurrent_pins_restore_the_counts_once(two_blas_threads):
-    inside = []
-
-    def pin_repeatedly():
-        for _ in range(200):
-            with _blas.single_threaded():
-                inside.append(_blas.thread_counts())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        workers = [threading.Thread(target=pin_repeatedly)
-                   for _ in range(8)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert len(inside) == 8 * 200
-    # a pin that restored the counts while another was still inside would
-    # show a count of 2 there
-    assert set(inside) == {(1,) * len(two_blas_threads)}
-    assert _blas.thread_counts() == two_blas_threads

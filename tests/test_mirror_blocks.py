@@ -103,8 +103,7 @@ def _dense(grid):
     """The block route on the grid without its mirrors: one whole block."""
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
     ((kw, sw),) = spectrum._operator_blocks(whole)
-    sym, _ = spectrum._symmetrize_blocks(whole, [(kw, sw)],
-                                         lambda k, sym_b: None)
+    sym, _ = operators._symmetrize_blocks(whole, [(kw, sw)])
     eigs = np.sort(sla.eigvalsh(sym.matrix))
     raw = np.sort(np.linalg.eigvals(kw).real)
     sym.diagnostics["raw_eig_max_dev"] = float(np.max(np.abs(raw - eigs)))
@@ -187,8 +186,7 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid):
     k_op, s_op = assemble_operators(grid)
     blocks = operators._mirror_blocks(grid, k_op.matrix, s_op.matrix)
     assert len(blocks) == 1 and blocks[0][0] is k_op.matrix
-    sym, sym_blocks = spectrum._symmetrize_blocks(grid, blocks,
-                                                  lambda k, sym_b: sym_b)
+    sym, sym_blocks = operators._symmetrize_blocks(grid, blocks)
     assert sym_blocks[0] is sym.matrix
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix)) - eigs).max() <= 1e-12
     assert np.abs(np.sort(sla.svdvals(blocks[0][0])) - svals).max() <= 1e-12
