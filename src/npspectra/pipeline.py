@@ -26,7 +26,6 @@ from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
 
 CLUSTER_REL_TOL = 5e-2
 MAX_REPORTED_CLUSTERS = 32
-RAW_CROSSCHECK_MAX_NODES = 1500
 
 
 @contextmanager
@@ -62,10 +61,11 @@ def compute_report(config: RunConfig) -> tuple:
     K and S are assembled on the whole grid and split into the blocks of
     the grid's mirror group (``spectrum._operator_blocks``; a grid without
     mirrors is one block).  Each block is symmetrized on its own, and the
-    eigenvalues, the singular values of K_w and the raw ``eigvals``
-    crosscheck are the sorted unions of the block values; the diagnostics
-    merge as described in ``operators._symmetrize_blocks``.  On a grid
-    with mirrors the blocks run side by side with one BLAS thread per call
+    eigenvalues and the singular values of K_w are the sorted unions of
+    the block values; the diagnostics merge as described in
+    ``operators._symmetrize_blocks``.  Every report carries the same
+    diagnostics, whatever the grid size.  On a grid with mirrors the
+    blocks run side by side with one BLAS thread per call
     (``operators._map_blocks``), so the report does not depend on the BLAS
     thread count or the CPU count.  The eigenvalues and the symmetrized
     operator are those of ``spectrum.symmetrized_spectrum``.
@@ -87,17 +87,6 @@ def compute_report(config: RunConfig) -> tuple:
         del sym_blocks
         singular_values = _sorted_union(
             _map_blocks(lambda kb: sla.svdvals(kb[0]), blocks))
-        diagnostics = {
-            "asymmetry_norm": sym.diagnostics["asymmetry_norm"],
-            "plemelj_residual": sym.diagnostics["plemelj_residual"],
-            "n_nodes": grid.n_nodes,
-            "min_eig_negS": sym.diagnostics["min_eig_negS"],
-        }
-        if grid.n_nodes <= RAW_CROSSCHECK_MAX_NODES:
-            raw = _sorted_union(
-                _map_blocks(lambda kb: np.linalg.eigvals(kb[0]).real, blocks))
-            diagnostics["raw_eig_max_dev"] = float(
-                np.max(np.abs(raw - eigs)))
         del blocks
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
@@ -106,7 +95,13 @@ def compute_report(config: RunConfig) -> tuple:
         fit_total = weyl_fit(_drop_trivial(moduli), config.fit_window)
         fit_plus = _fit_branch(_drop_trivial(lambda_plus), config.fit_window)
         fit_minus = _fit_branch(lambda_minus, config.fit_window)
-        diagnostics["counting_check_total"] = fit_total.counting_check
+        diagnostics = {
+            "asymmetry_norm": sym.diagnostics["asymmetry_norm"],
+            "plemelj_residual": sym.diagnostics["plemelj_residual"],
+            "n_nodes": grid.n_nodes,
+            "min_eig_negS": sym.diagnostics["min_eig_negS"],
+            "counting_check_total": fit_total.counting_check,
+        }
         fit = {
             "C_plus_hat": None if fit_plus is None else fit_plus.c_hat,
             "C_minus_hat": None if fit_minus is None else fit_minus.c_hat,

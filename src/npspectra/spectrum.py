@@ -38,7 +38,8 @@ class FitEstimate:
 
     ``c_hat`` estimates C in lambda_j ~ C j^(-1/2); ``counting_check`` is
     the matching estimate of C^2 from the counting function (median of
-    lambda_j^2 n(lambda_j) over the window), a consistency diagnostic.
+    lambda_j^2 n(lambda_j) over the window, with n(lambda_j) = j - 1 the
+    rank count), a consistency diagnostic.
     """
 
     c_hat: float
@@ -157,7 +158,10 @@ def weyl_fit(seq, window) -> FitEstimate:
     -------
     FitEstimate
         Median of lambda_j sqrt(j) over the window, and the counting-based
-        estimate of C^2 as a consistency check.
+        estimate of C^2 as a consistency check.  The check counts by rank,
+        n(lambda_j) = j - 1: the strict count of ``counting_function``
+        wherever the values are distinct, and unchanged when rounding
+        reorders tied values.
 
     Raises
     ------
@@ -178,8 +182,7 @@ def weyl_fit(seq, window) -> FitEstimate:
     j = np.arange(j_lo, j_hi + 1)
     vals = seq[j - 1]
     c_hat = float(np.median(vals * np.sqrt(j)))
-    counts = np.array([counting_function(seq, v) for v in vals])
-    counting_check = float(np.median(vals ** 2 * counts))
+    counting_check = float(np.median(vals ** 2 * (j - 1)))
     return FitEstimate(c_hat=c_hat, window=(j_lo, j_hi),
                        counting_check=counting_check)
 

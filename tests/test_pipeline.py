@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from npspectra import (ConfigError, DegenerateChart, ParametricSurface,
-                       __version__, build_grid, pipeline, rigid_transform)
+                       __version__, build_grid, pipeline, rigid_transform,
+                       spectrum, sphere)
 from npspectra.operators import read_matrix_dump
 from npspectra.pipeline import compute_report, run_pipeline, write_outputs
 from npspectra.report import CSV_FORMAT_LINE, CSV_HEADER, render_report_json
@@ -47,8 +48,15 @@ def test_diagnostics_contents(sphere_report_small):
     assert diag["asymmetry_norm"] < 2e-3
     assert diag["min_eig_negS"] > 0.0
     assert 0.0 <= diag["counting_check_total"] < 0.5
-    # small grids carry the raw-basis eigenvalue cross-check
-    assert diag["raw_eig_max_dev"] < 1e-4
+    # the raw spectrum of the unblocked K_w, unsymmetrized
+    grid = build_grid(sphere(), 16, 32)
+    whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
+    ((kw, _),) = spectrum._operator_blocks(whole)
+    raw = np.sort(np.linalg.eigvals(kw).real)
+    signed = np.sort(np.concatenate([report.lambda_plus,
+                                     -report.lambda_minus]))
+    assert raw.size == signed.size
+    assert np.abs(raw - signed).max() < 1e-4
 
 
 def test_write_outputs_rebases_relative_paths(tmp_path):

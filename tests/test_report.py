@@ -56,6 +56,10 @@ def test_report_schema_key_order(sphere_report_small):
         "angular_resolution"]
     assert list(doc["spectrum"].keys()) == [
         "lambda_plus", "lambda_minus", "singular_values", "clusters"]
+    # the same diagnostics at every grid size
+    assert list(doc["diagnostics"]) == [
+        "asymmetry_norm", "plemelj_residual", "n_nodes", "min_eig_negS",
+        "counting_check_total"]
     assert doc["version"] == __version__
     clusters = doc["spectrum"]["clusters"]
     assert all(list(c.keys()) == ["value", "multiplicity"] for c in clusters)

@@ -102,8 +102,21 @@ def test_weyl_fit_exact_power_law():
     fit = weyl_fit(seq, "auto")
     assert fit.window == (4, 50)
     assert fit.c_hat == pytest.approx(0.25, abs=1e-14)
-    # strict counting gives n(lambda_j) = j - 1, a -1/j relative bias
+    # the rank count n(lambda_j) = j - 1 gives a -1/j relative bias
     assert fit.counting_check == pytest.approx(0.0625, rel=5e-2)
+
+
+def test_weyl_fit_counting_check_ignores_tie_order():
+    # a sphere-like ladder: value 1/(2(2k+1)) with multiplicity 2k+1
+    k = np.arange(1, 16)
+    tied = np.repeat(0.5 / (2 * k + 1), 2 * k + 1)
+    rng = np.random.default_rng(0)
+    perturbed = np.sort(tied * (1 + 1e-14 * rng.standard_normal(tied.size)))
+    fit_tied = weyl_fit(tied, "auto")
+    fit_perturbed = weyl_fit(perturbed[::-1], "auto")
+    assert fit_tied.window == fit_perturbed.window == (4, 31)
+    assert fit_perturbed.counting_check == pytest.approx(
+        fit_tied.counting_check, rel=1e-12)
 
 
 def test_weyl_fit_explicit_window():
