@@ -21,11 +21,12 @@ products in row blocks, which also find the near pairs.  The cell
 integrals then evaluate the surface chart once per quadrature panel on
 each cell that some near pair integrates over, not once per near pair
 nor on every cell, fold the weights into those samples, and gather from
-that per-cell cache in bounded chunks.  Every other row is a permuted copy of a representative
-row (``_fill_orbits``), written with the identity last so that the
-representative rows stay exactly as computed.  Beyond the two returned
-matrices and their representative rows, assembly therefore holds
-temporaries of O(n) plus a few dozen MiB, independent of n^2.
+that per-cell cache in bounded chunks.  An operator holds only these
+rows (``DiscreteOperator.rows``).  Every other row is a permuted copy of a
+representative row, and the n x n matrix is filled from them
+(``_fill_orbits``) only when ``DiscreteOperator.matrix`` is first read.
+Beyond the two returned row arrays, assembly therefore holds temporaries
+of O(n) plus a few dozen MiB, independent of n^2.
 
 Symmetrization has one route.  K and S commute with the mirror
 permutations of the grid's nodes and split into one block per character
@@ -33,15 +34,17 @@ of the mirror group (``_mirror_blocks``; a grid without mirrors is one
 block).  Each block is symmetrized through its own single layer
 (``_symmetrize_blocks``), so the reports, the study and
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n/8
-nodes on a catalog grid, not on the n x n matrices.  Every per-block
-step runs through ``_map_blocks``: the blocks side by side on a thread
-pool, each LAPACK call on one BLAS thread.
+nodes on a catalog grid, and read only the representative rows: no n x n
+array is built unless a caller reads ``matrix``.  Every per-block step
+runs through ``_map_blocks``: the blocks side by side on a thread pool,
+each LAPACK call on one BLAS thread.
 """
 from __future__ import annotations
 
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,20 +78,33 @@ _DUMP_VERSION = 1
 class DiscreteOperator:
     """Dense discretization of a layer operator on a fixed grid.
 
+    The operator commutes with the node permutations of the grid's mirror
+    group (``grid.mirrors``), so it is held by ``rows``: the rows of the
+    orbit representatives, the smallest node of each orbit, in ascending
+    order.  An array of n rows is the whole matrix; so are the rows of a
+    grid without mirrors.  ``matrix`` is the n x n array, filled from
+    ``rows`` (``_fill_orbits``) the first time it is read and kept from
+    then on; when ``rows`` has n rows it is ``rows`` itself, not a copy.
+
     ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
     the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
     (positivity margin of the single layer), ``asymmetry_norm`` (relative
     norm of the skew part that was discarded) and ``plemelj_residual``.
     """
 
-    matrix: np.ndarray
+    rows: np.ndarray
     basis: str
     grid: QuadratureGrid = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.rows.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        perms = self.grid.mirrors
+        return _fill_orbits(perms, _representatives(perms), self.rows)
 
 
 # ------------------------------------------------------------------ helpers
@@ -256,9 +272,10 @@ def _fill_orbits(perms: np.ndarray, reps: np.ndarray,
     Every other row is a permuted copy, A[h r_a, j] = A[r_a, h j].  The
     identity is written last, so a representative fixed by a stabilizer
     element keeps its own row, not a permuted copy that equals it only to
-    rounding.  A grid without mirrors returns ``rows`` itself.
+    rounding.  ``rows`` of n rows, the whole matrix, are returned
+    themselves, as are the rows of a grid without mirrors.
     """
-    if perms.shape[0] == 1:
+    if rows.shape[0] == perms.shape[1]:
         return rows
     n = perms.shape[1]
     out = np.empty((n, n))
@@ -271,7 +288,7 @@ def _check_finite(name: str, rows: np.ndarray, reps: np.ndarray) -> None:
     """Raise NumericalError at the first non-finite entry of ``rows``.
 
     ``rows`` are the rows of the nodes ``reps`` of one operator.  Checked
-    before the fill copies them, so that a fault in a cell integral or the
+    before they leave assembly, so that a fault in a cell integral or the
     self-cell rule is reported here, not by an eigensolver or a Cholesky
     factorization as an untyped error.
     """
@@ -296,10 +313,10 @@ def assemble_operators(grid: QuadratureGrid):
     K and S commute with the node permutations of the grid's mirror group
     (``grid.mirrors``), so only the rows of the orbit representatives, the
     smallest node of each orbit, are computed: about n/8 rows on a catalog
-    grid, all n rows on a grid without mirrors.  The other rows are
-    permuted copies (``_fill_orbits``), written with the identity last, so
-    the representative rows, the only ones ``_mirror_blocks`` reads, are
-    exactly the computed ones.
+    grid, all n rows on a grid without mirrors.  The operators hold only
+    these rows; the other rows are permuted copies, filled in
+    (``_fill_orbits``) only when ``DiscreteOperator.matrix`` is read.  The
+    block route (``_mirror_blocks``) reads the rows alone.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -309,8 +326,9 @@ def assemble_operators(grid: QuadratureGrid):
     integrals then run over the pair list from a per-cell cache of chart
     samples, taken only on the cells the pairs integrate over.  A near pair (r, j) integrates both directions, cell j seen
     from x_r and cell r seen from x_j, since the single-layer entry is the
-    average of the two.  Peak memory is the two returned matrices, their
-    representative rows, O(n) and a few dozen MiB of block temporaries.
+    average of the two.  Peak memory is the two returned row arrays, about
+    2 n^2 / |G| entries for a mirror group of order |G|, O(n) and a few
+    dozen MiB of block temporaries.
 
     Parameters
     ----------
@@ -321,7 +339,9 @@ def assemble_operators(grid: QuadratureGrid):
     Returns
     -------
     (DiscreteOperator, DiscreteOperator)
-        Double layer and single layer, both in the nystrom basis.
+        Double layer and single layer, both in the nystrom basis, holding
+        the representative rows; each builds its n x n ``matrix`` on first
+        access.
 
     Raises
     ------
@@ -426,12 +446,8 @@ def assemble_operators(grid: QuadratureGrid):
         r1 = min(reps.size, r0 + step)
         smat[r0:r1] *= sw[None, :] / sw[reps[r0:r1], None]
     _check_finite("single-layer", smat, reps)
-    k_op = DiscreteOperator(_fill_orbits(perms, reps, kmat), basis="nystrom",
-                            grid=grid)
-    del kmat
-    s_op = DiscreteOperator(_fill_orbits(perms, reps, smat), basis="nystrom",
-                            grid=grid)
-    return k_op, s_op
+    return (DiscreteOperator(kmat, basis="nystrom", grid=grid),
+            DiscreteOperator(smat, basis="nystrom", grid=grid))
 
 
 # ------------------------------------------------------------------ transforms
@@ -613,23 +629,25 @@ def _character_sums(terms, chi):
 def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     """Blocks of K_w and S_w on the character subspaces of the mirror group.
 
-    ``k`` and ``s`` are the nystrom-basis matrices of ``assemble_operators``.
-    On a grid with mirrors they are left unchanged: each gathered entry is
-    converted to the weighted_l2 basis on its own, exactly as an in-place
-    conversion would convert it.  On a grid without mirrors they are
-    converted in place.  The grid's mirror group G, a product of Z2 factors, permutes the nodes
-    (``grid.mirrors``) and K_w and S_w commute with its permutations, so in
-    the orthonormal basis
+    ``k`` and ``s`` are the nystrom-basis representative rows of
+    ``assemble_operators`` (``DiscreteOperator.rows``).  On a grid with
+    mirrors they are left unchanged: each gathered entry is converted to
+    the weighted_l2 basis on its own, exactly as an in-place conversion
+    would convert it.  On a grid without mirrors they are the whole
+    matrices and are converted in place.  The grid's mirror group G, a
+    product of Z2 factors, permutes the nodes (``grid.mirrors``) and K_w
+    and S_w commute with its permutations, so in the orthonormal basis
     q_{chi,a} = sum_h chi(h) e_{h r_a} / (st_a sqrt(|G| / st_a)) of the
     character chi (r_a an orbit representative whose stabilizer, of order
     st_a, chi is +1 on) both are block diagonal with blocks
 
         B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b).
 
-    Only the representative rows are read: |G| gathers of m x m entries
-    for m orbits, about n^2 / |G| in all.  Returns one (K_b, S_b) pair per
-    nonempty block, in character order; on a grid without mirrors that is
-    the single pair (K_w, S_w), the same arrays as ``k`` and ``s``.
+    Each block entry gathers from the row of r_a: |G| gathers of m x m
+    entries for m orbits, about n^2 / |G| in all.  Returns one (K_b, S_b)
+    pair per nonempty block, in character order; on a grid without
+    mirrors that is the single pair (K_w, S_w), the same arrays as ``k``
+    and ``s``.
     """
     sw = np.sqrt(grid.weights)
     perms = grid.mirrors
@@ -643,8 +661,8 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     scale = 1.0 / np.sqrt(stab)
     # each gathered entry converted to the weighted basis as an in-place
     # conversion of the whole matrix would, times sw[r], then over sw[j]
-    projected = [_character_sums([a[reps[:, None], c] * sw[reps, None]
-                                  / sw[None, c] for c in cols], chi)
+    projected = [_character_sums([a[:, c] * sw[reps, None] / sw[None, c]
+                                  for c in cols], chi)
                  for a in (k, s)]
     blocks = []
     for c, pick in enumerate(valid):
@@ -655,14 +673,16 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     return blocks
 
 
-def _mirror_matrix(grid: QuadratureGrid, blocks) -> np.ndarray:
-    """The n x n matrix Q blockdiag(blocks) Q^T of ``_mirror_blocks``' basis.
+def _mirror_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
+    """Representative rows of Q blockdiag(blocks) Q^T (``_mirror_blocks``).
 
-    The result commutes with the mirror permutations, so it is built from
-    its representative rows: M[r_a, g r_b] = sum_chi chi(g) B_chi[a, b]
-    / sqrt(o_a o_b) with o = |G| / st the orbit sizes, and the other rows
-    are permuted copies, M[h r_a, j] = M[r_a, h j].  That costs O(n^2); an
-    exactly symmetric set of blocks gives an exactly symmetric matrix.
+    The matrix M commutes with the mirror permutations, so its rows at the
+    orbit representatives determine it: M[r_a, g r_b] = sum_chi chi(g)
+    B_chi[a, b] / sqrt(o_a o_b) with o = |G| / st the orbit sizes.  The
+    other rows are permuted copies, M[h r_a, j] = M[r_a, h j], filled by
+    ``DiscreteOperator.matrix`` when read; an exactly symmetric set of
+    blocks gives an exactly symmetric matrix.  On a grid without mirrors
+    the single block is the whole matrix and is returned itself.
     """
     perms = grid.mirrors
     if perms.shape[0] == 1:
@@ -682,8 +702,7 @@ def _mirror_matrix(grid: QuadratureGrid, blocks) -> np.ndarray:
     rows = np.empty((m, n))
     for cols, w in zip(perms[:, reps], _character_sums(padded, chi.T)):
         rows[:, cols] = w
-    del padded
-    return _fill_orbits(perms, reps, rows)
+    return rows
 
 
 def _map_blocks(fn, blocks) -> list:
@@ -718,7 +737,9 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
     """Plemelj symmetrization per mirror block, and the merged operator.
 
     Returns the ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T,
-    which is the Plemelj symmetrization of K_w for the factor
+    held by its representative rows (``_mirror_rows``; its n x n ``matrix``
+    is built on first access), which is the Plemelj symmetrization of K_w
+    for the factor
     Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the Cholesky
     factor of the whole -S_w differs from it by an orthogonal similarity;
     on a grid without mirrors the two are the same), together with the
@@ -734,7 +755,7 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
     """
     syms, norms = zip(*_map_blocks(lambda kb: _plemelj_symmetrize(*kb),
                                    blocks))
-    sym = DiscreteOperator(_mirror_matrix(grid, syms), basis="symmetrized",
+    sym = DiscreteOperator(_mirror_rows(grid, syms), basis="symmetrized",
                            grid=grid, diagnostics=_merge_diagnostics(norms))
     return sym, list(syms)
 

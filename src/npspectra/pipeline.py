@@ -58,9 +58,10 @@ def _fit_branch(seq, window):
 def compute_report(config: RunConfig) -> tuple:
     """Run the numerical pipeline and build the report.
 
-    K and S are assembled on the whole grid and split into the blocks of
-    the grid's mirror group (``spectrum._operator_blocks``; a grid without
-    mirrors is one block).  Each block is symmetrized on its own, and the
+    The representative rows of K and S are assembled and split into the
+    blocks of the grid's mirror group (``spectrum._operator_blocks``; a
+    grid without mirrors is one block), so on a grid with mirrors no n x n
+    array is built.  Each block is symmetrized on its own, and the
     eigenvalues and the singular values of K_w are the sorted unions of
     the block values; the diagnostics merge as described in
     ``operators._symmetrize_blocks``.  Every report carries the same
@@ -74,7 +75,9 @@ def compute_report(config: RunConfig) -> tuple:
     -------
     (SpectrumReport, DiscreteOperator)
         The report plus the symmetrized operator (kept for matrix dumps),
-        Q blockdiag(sym_b) Q^T in the orthonormal basis of the blocks.
+        Q blockdiag(sym_b) Q^T in the orthonormal basis of the blocks.  It
+        holds its representative rows and builds its n x n ``matrix`` on
+        first access, which a ``matrix_dump`` makes.
     """
     with _stage("geometry"):
         grid = build_grid(config.surface, *config.resolution)

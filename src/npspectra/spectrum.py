@@ -208,14 +208,14 @@ def plasmon_map(lam: float) -> float:
 def _operator_blocks(grid):
     """K_w and S_w split into the blocks of the grid's mirror group.
 
-    Assembles K and S on the whole grid and returns ``_mirror_blocks`` of
-    them: one (K_b, S_b) pair per character, gathered from the
-    representative rows, or on a grid without mirrors the single pair
-    (K_w, S_w), converted in place.  The full matrices are freed on return
-    unless they are that single pair.
+    Assembles the representative rows of K and S and returns
+    ``_mirror_blocks`` of them: one (K_b, S_b) pair per character, or on
+    a grid without mirrors the single pair (K_w, S_w), the rows converted
+    in place.  No n x n array is built on a grid with mirrors, and the
+    rows are freed on return unless they are that single pair.
     """
     k_op, s_op = assemble_operators(grid)
-    return _mirror_blocks(grid, k_op.matrix, s_op.matrix)
+    return _mirror_blocks(grid, k_op.rows, s_op.rows)
 
 
 def _sorted_union(parts):
@@ -231,7 +231,8 @@ def symmetrized_spectrum(grid):
     sorted union of the block ``eigvalsh``, the blocks running side by
     side with one BLAS thread per call (``operators._map_blocks``).
     Returns them with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T
-    and its diagnostics.
+    and its diagnostics; the operator holds its representative rows and
+    builds its n x n ``matrix`` on first access.
     """
     sym, sym_blocks = _symmetrize_blocks(grid, _operator_blocks(grid))
     return _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks)), sym

@@ -43,7 +43,7 @@ def test_inertia_count_matches_eigvalsh(make_grid, monkeypatch):
     k_op, s_op = spectrum.assemble_operators(grid)
     # the count converts the operators in place, so each call gets copies
     monkeypatch.setattr(spectrum, "assemble_operators", lambda g: tuple(
-        dataclasses.replace(op, matrix=op.matrix.copy())
+        dataclasses.replace(op, rows=op.rows.copy())
         for op in (k_op, s_op)))
     # every gap between negative eigenvalues, and every 16th gap between
     # positive ones: Sylvester's argument holds for a threshold of any sign,

@@ -1,0 +1,95 @@
+"""Operators hold representative rows; the n x n matrix only when read."""
+
+from __future__ import annotations
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from npspectra import (assemble_operators, build_grid, ellipsoid,
+                       mobius_invert, operators, peanut, read_matrix_dump,
+                       spectrum, sphere)
+from npspectra.pipeline import compute_report, write_outputs
+
+from conftest import make_config
+
+
+@pytest.fixture
+def fill_calls(monkeypatch):
+    """List that records the row count of every ``_fill_orbits`` call."""
+    calls = []
+    fill = operators._fill_orbits
+
+    def counted(perms, reps, rows):
+        calls.append(rows.shape[0])
+        return fill(perms, reps, rows)
+
+    monkeypatch.setattr(operators, "_fill_orbits", counted)
+    return calls
+
+
+# At 2048 nodes the assembly's fixed temporaries (near-field chunks and
+# chart samples, a few MiB) stay well below one n x n array; on smaller
+# grids they alone exceed it, with or without n x n arrays.
+@pytest.mark.parametrize("make_surface", [
+    lambda: ellipsoid(2.0, 1.2, 1.0), peanut], ids=["ellipsoid", "peanut"])
+def test_operator_blocks_allocate_less_than_one_full_matrix(make_surface):
+    grid = build_grid(make_surface(), 32, 64)
+    n = grid.n_nodes
+    assert grid.mirrors.shape[0] == 8
+    tracemalloc.start()
+    try:
+        blocks = spectrum._operator_blocks(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 8
+    assert peak < 8 * n * n, peak / (8 * n * n)
+
+
+def test_report_fills_no_matrix(fill_calls):
+    config = make_config({"surface": {"name": "ellipsoid",
+                                      "a": 2.0, "b": 1.2, "c": 1.0},
+                          "resolution": [16, 32]})
+    report, sym = compute_report(config)
+    assert fill_calls == []
+    assert sym.rows.shape[0] < sym.n == report.diagnostics["n_nodes"]
+
+
+def test_matrix_dump_fills_the_matrix_once(fill_calls, tmp_path):
+    config = make_config({"surface": {"name": "sphere"},
+                          "resolution": [12, 24],
+                          "outputs": [{"matrix_dump": "op.bin"}]})
+    report, sym = compute_report(config)
+    assert fill_calls == []
+    write_outputs(report, sym, config, base_dir=str(tmp_path))
+    assert fill_calls == [sym.rows.shape[0]]
+    matrix, basis = read_matrix_dump(str(tmp_path / "op.bin"))
+    assert basis == "symmetrized"
+    assert np.array_equal(matrix, sym.matrix)
+    assert len(fill_calls) == 1
+
+
+def test_matrix_is_filled_once_and_kept(fill_calls):
+    grid = build_grid(sphere(), 12, 24)
+    k_op, s_op = assemble_operators(grid)
+    assert k_op.rows.shape[0] < grid.n_nodes == k_op.n
+    assert k_op.matrix is k_op.matrix
+    assert k_op.matrix.shape == (grid.n_nodes, grid.n_nodes)
+    assert len(fill_calls) == 1
+    # the representative rows are the matrix's own rows
+    reps = operators._representatives(grid.mirrors)
+    assert np.array_equal(k_op.matrix[reps], k_op.rows)
+    # a full matrix in place of the rows is returned as it is
+    full = dataclasses.replace(s_op, rows=s_op.matrix)
+    assert full.matrix is s_op.matrix
+
+
+def test_rows_are_the_matrix_without_mirrors():
+    grid = build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24)
+    assert grid.mirrors.shape == (1, grid.n_nodes)
+    k_op, s_op = assemble_operators(grid)
+    assert k_op.matrix is k_op.rows
+    assert s_op.matrix is s_op.rows

@@ -193,8 +193,8 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid):
     assert grid.mirrors.shape == (1, grid.n_nodes)
     eigs, svals, dense, _ = _dense(grid)
     k_op, s_op = assemble_operators(grid)
-    blocks = operators._mirror_blocks(grid, k_op.matrix, s_op.matrix)
-    assert len(blocks) == 1 and blocks[0][0] is k_op.matrix
+    blocks = operators._mirror_blocks(grid, k_op.rows, s_op.rows)
+    assert len(blocks) == 1 and blocks[0][0] is k_op.rows
     sym, sym_blocks = operators._symmetrize_blocks(grid, blocks)
     assert sym_blocks[0] is sym.matrix
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix)) - eigs).max() <= 1e-12
@@ -223,9 +223,9 @@ def test_rows_only_assembly_matches_the_unblocked_one(name):
         assert np.array_equal(a[reps], ref[reps])
         assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(ops[0] @ np.ones(grid.n_nodes) - 0.5).max() <= 1e-15
-    # _mirror_blocks reads only the representative rows
-    blocks = operators._mirror_blocks(grid, *ops)
-    ref_blocks = operators._mirror_blocks(grid, *refs)
+    # _mirror_blocks takes only the representative rows
+    blocks = operators._mirror_blocks(grid, *(a[reps] for a in ops))
+    ref_blocks = operators._mirror_blocks(grid, *(a[reps] for a in refs))
     assert len(blocks) == len(ref_blocks)
     for pair, ref_pair in zip(blocks, ref_blocks):
         for b, ref_b in zip(pair, ref_pair):
