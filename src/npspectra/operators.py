@@ -3,8 +3,9 @@
 The double-layer operator has kernel (1/4 pi) <y - x, n(y)> / |x - y|^3 and
 the single-layer operator kernel -(1/4 pi) / |x - y|.  Both are assembled as
 dense matrices acting on point values (``nystrom`` basis, entry = kernel
-times target weight) or conjugated by sqrt-weights (``weighted_l2`` basis,
-which makes the single layer symmetric).
+times target weight); assembly forms no square-root weights.  Conjugated
+by them (``weighted_l2`` basis) the single layer is symmetric; an entry
+changes basis only in ``_mirror_blocks`` and ``to_weighted_l2``.
 
 Plain one-point products are spectrally accurate only for well-separated
 node pairs.  Near-diagonal entries (pairs closer than a few local cell
@@ -324,9 +325,13 @@ def assemble_operators(grid: QuadratureGrid):
     of about ``_BLOCK_ENTRIES`` entries, which also check for coincident
     nodes and collect the near pairs of the representatives; the cell
     integrals then run over the pair list from a per-cell cache of chart
-    samples, taken only on the cells the pairs integrate over.  A near pair (r, j) integrates both directions, cell j seen
-    from x_r and cell r seen from x_j, since the single-layer entry is the
-    average of the two.  Peak memory is the two returned row arrays, about
+    samples, taken only on the cells the pairs integrate over.  A near pair
+    (i, j) integrates both directions, I_ij over cell j seen from x_i and
+    I_ji over cell i seen from x_j, and the single-layer entry
+    S_ij = -(I_ij + I_ji w_j / w_i) / 2 averages them so that S is
+    symmetric in the weighted_l2 basis.  Each entry is formed from its own
+    row and column alone, so a grid rounds alike with or without its
+    mirrors.  Peak memory is the two returned row arrays, about
     2 n^2 / |G| entries for a mirror group of order |G|, O(n) and a few
     dozen MiB of block temporaries.
 
@@ -358,7 +363,6 @@ def assemble_operators(grid: QuadratureGrid):
     nrm = grid.normals
     w = grid.weights
     n = grid.n_nodes
-    sw = np.sqrt(w)
     scale = float(np.max(np.ptp(x, axis=0)))
     perms = grid.mirrors
     reps = _representatives(perms)
@@ -366,7 +370,7 @@ def assemble_operators(grid: QuadratureGrid):
     pos = np.full(n, -1)
     pos[reps] = np.arange(reps.size)
     kmat = np.empty((reps.size, n))
-    smat = np.empty((reps.size, n))     # weighted basis until the final pass
+    smat = np.empty((reps.size, n))
     diam = _cell_diameters(grid)
     comp_id = np.empty(n, dtype=int)
     for k, c in enumerate(grid.components):
@@ -388,7 +392,7 @@ def assemble_operators(grid: QuadratureGrid):
         del diff
         kmat[r0:r1] = (num / (FOUR_PI * rr ** 3)) * w[None, :]
         del num
-        smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * sw[rows, None] * sw[None, :]
+        smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * w[None, :]
         # near pairs within NEAR_RADIUS_CELLS mean cell diameters, the
         # touching ones among them also within TOUCH_RADIUS_CELLS
         half = 0.5 * (diam[rows, None] + diam[None, :])
@@ -427,13 +431,14 @@ def assemble_operators(grid: QuadratureGrid):
             i_s, i_k = _cell_kernel_integrals(
                 grid, comp, np.concatenate([pi, pj]),
                 np.concatenate([pj, pi]), CELL_QUAD, nsub)
-            # symmetric average in the weighted basis keeps S symmetric
-            vals = -0.5 * (i_s[:m] * sw[pi] / sw[pj]
-                           + i_s[m:] * sw[pj] / sw[pi])
-            smat[pos[pi], pj] = vals
+            # S_ij = -(I_ij + I_ji w_j / w_i) / 2, each entry from its own
+            # row and column, so it rounds alike whichever end is pi
+            s_ij = -0.5 * (i_s[:m] + i_s[m:] * (w[pj] / w[pi]))
+            s_ji = -0.5 * (i_s[m:] + i_s[:m] * (w[pi] / w[pj]))
+            smat[pos[pi], pj] = s_ij
             kmat[pos[pi], pj] = i_k[:m]
             both = pos[pj] >= 0
-            smat[pos[pj[both]], pi[both]] = vals[both]
+            smat[pos[pj[both]], pi[both]] = s_ji[both]
             kmat[pos[pj[both]], pi[both]] = i_k[m:][both]
     own = np.arange(reps.size)
     smat[own, reps] = -_self_cell_single_layer(grid, reps)
@@ -442,9 +447,6 @@ def assemble_operators(grid: QuadratureGrid):
     kmat[own, reps] = 0.0
     _check_finite("double-layer", kmat, reps)
     kmat[own, reps] = 0.5 - kmat.sum(axis=1)
-    for r0 in range(0, reps.size, step):
-        r1 = min(reps.size, r0 + step)
-        smat[r0:r1] *= sw[None, :] / sw[reps[r0:r1], None]
     _check_finite("single-layer", smat, reps)
     return (DiscreteOperator(kmat, basis="nystrom", grid=grid),
             DiscreteOperator(smat, basis="nystrom", grid=grid))
@@ -506,26 +508,6 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
     return resid / (k_norm * s_norm)
 
 
-def _factor_neg_s(s: np.ndarray):
-    """Smallest eigenvalue of -S and the lower Cholesky factor of -S.
-
-    Returns (min_eig, L) with -S = L L^T; L is in Fortran order, so the
-    triangular solve in ``_plemelj_symmetrize`` runs in place.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the smallest eigenvalue of -S is nonpositive or the
-        factorization fails.
-    """
-    neg_s = np.negative(s, order="F")
-    min_eig = float(sla.eigvalsh(neg_s, subset_by_index=[0, 0])[0])
-    if min_eig <= 0.0:
-        raise NotPositiveDefinite(
-            f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
-    return min_eig, _cholesky_neg_s(neg_s)
-
-
 def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of -S, computed in the storage of ``neg_s``.
 
@@ -563,7 +545,14 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
         If -S has a nonpositive eigenvalue or its Cholesky factorization
         fails (discretization too coarse or inconsistent geometry).
     """
-    min_eig, lower = _factor_neg_s(s)
+    # -S and then its lower factor, in Fortran order so that the Cholesky
+    # factorization and the triangular solve run in place
+    lower = np.negative(s, order="F")
+    min_eig = float(sla.eigvalsh(lower, subset_by_index=[0, 0])[0])
+    if min_eig <= 0.0:
+        raise NotPositiveDefinite(
+            f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
+    lower = _cholesky_neg_s(lower)
     kt = np.matmul(k, lower, order="F")
     kt = sla.solve_triangular(lower, kt, lower=True, overwrite_b=True)
     del lower
@@ -630,9 +619,10 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     """Blocks of K_w and S_w on the character subspaces of the mirror group.
 
     ``k`` and ``s`` are the nystrom-basis representative rows of
-    ``assemble_operators`` (``DiscreteOperator.rows``).  On a grid with
-    mirrors they are left unchanged: each gathered entry is converted to
-    the weighted_l2 basis on its own, exactly as an in-place conversion
+    ``assemble_operators`` (``DiscreteOperator.rows``), and this is the one
+    place on the block route where their entries change basis.  On a grid
+    with mirrors they are left unchanged: each gathered entry is converted
+    to the weighted_l2 basis on its own, exactly as an in-place conversion
     would convert it.  On a grid without mirrors they are the whole
     matrices and are converted in place.  The grid's mirror group G, a
     product of Z2 factors, permutes the nodes (``grid.mirrors``) and K_w

@@ -94,8 +94,13 @@ def compute_report(config: RunConfig) -> tuple:
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
         clusters = clusters[:MAX_REPORTED_CLUSTERS]
-        moduli = np.sort(np.concatenate([lambda_plus, lambda_minus]))[::-1]
-        fit_total = weyl_fit(_drop_trivial(moduli), config.fit_window)
+        moduli = _drop_trivial(
+            np.sort(np.concatenate([lambda_plus, lambda_minus]))[::-1])
+        if not moduli.size:
+            raise ConfigError(
+                f"/noise_cutoff: {config.noise_cutoff:g} is above every "
+                f"eigenvalue but the trivial 1/2; nothing is left to fit")
+        fit_total = weyl_fit(moduli, config.fit_window)
         fit_plus = _fit_branch(_drop_trivial(lambda_plus), config.fit_window)
         fit_minus = _fit_branch(lambda_minus, config.fit_window)
         diagnostics = {

@@ -98,6 +98,17 @@ def test_spectrum_writes_requested_outputs(tmp_path):
     assert parsed["diagnostics"]["n_nodes"] == 128
 
 
+def test_noise_cutoff_above_every_eigenvalue_exits_config(tmp_path):
+    # only the trivial 1/2 survives the cutoff, so no fit window exists
+    config = write_config(tmp_path, {"surface": {"name": "sphere"},
+                                     "resolution": [8, 8],
+                                     "noise_cutoff": 10})
+    result = run_cli("spectrum", "--config", str(config))
+    assert result.returncode == 3
+    assert "/noise_cutoff: 10 " in result.stderr
+    assert "fit window" not in result.stderr
+
+
 def test_invalid_torus_parameters_exit_config(tmp_path):
     config = write_config(tmp_path, {
         "surface": {"name": "torus", "R": 1.0, "r": 2.0}})
