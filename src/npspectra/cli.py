@@ -14,7 +14,9 @@ overrides the config's grid resolution.  Exit codes: 0 success, 1 file
 system error, 2 usage, 3 invalid configuration or unusable geometry (an
 inversion center on the surface, a degenerate chart, a grid that cannot
 be assembled, or a value outside the domain of a spectral map), 4 lost
-positivity of the single layer, 5 numerical failure.
+positivity of the single layer, 5 numerical failure, 6 out of memory (an
+array the grid needs cannot be allocated; pick a coarser grid).  Codes 1
+and 3-6 print one ``error:`` line on stderr, with no traceback.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_NOT_PD = 4
 EXIT_NUMERICAL = 5
+EXIT_MEMORY = 6
 
 
 def _parse_resolution(text: str, option: str = "--resolution"):
@@ -202,6 +205,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # the interpreter's own MemoryError carries no message
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -24,10 +24,12 @@ each cell that some near pair integrates over, not once per near pair
 nor on every cell, fold the weights into those samples, and gather from
 that per-cell cache in bounded chunks.  An operator holds only these
 rows (``DiscreteOperator.rows``).  Every other row is a permuted copy of a
-representative row, and the n x n matrix is filled from them
-(``_fill_orbits``) only when ``DiscreteOperator.matrix`` is first read.
-Beyond the two returned row arrays, assembly therefore holds temporaries
-of O(n) plus a few dozen MiB, independent of n^2.
+representative row (``_orbit_sources``), gathered from them
+(``_fill_orbits``) into the n x n matrix only when
+``DiscreteOperator.matrix`` is first read, and into bounded chunks when a
+matrix dump streams them to its file (``dump_operator``).  Beyond the two
+returned row arrays, assembly therefore holds temporaries of O(n) plus a
+few dozen MiB, independent of n^2.
 
 Symmetrization has one route.  K and S commute with the mirror
 permutations of the grid's nodes and split into one block per character
@@ -35,10 +37,10 @@ of the mirror group (``_mirror_blocks``; a grid without mirrors is one
 block).  Each block is symmetrized through its own single layer
 (``_symmetrize_blocks``), so the reports, the study and
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n/8
-nodes on a catalog grid, and read only the representative rows: no n x n
-array is built unless a caller reads ``matrix``.  Every per-block step
-runs through ``_map_blocks``: the blocks side by side on a thread pool,
-each LAPACK call on one BLAS thread.
+nodes on a catalog grid, and read only the representative rows; so does
+a matrix dump.  No n x n array is built unless a caller reads ``matrix``.
+Every per-block step runs through ``_map_blocks``: the blocks side by side
+on a thread pool, each LAPACK call on one BLAS thread.
 """
 from __future__ import annotations
 
@@ -67,6 +69,8 @@ SELF_QUAD = 8                # radial/angular points of the self-cell rule
 # matrix entries per far-field row block and quadrature samples per chunk of
 # near pairs; bounds assembly's temporaries to a few dozen MiB at any n
 _BLOCK_ENTRIES = 1 << 17
+# matrix entries per row chunk of a matrix dump (2 MiB of float64)
+_DUMP_ENTRIES = 1 << 18
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
 _TAG_BASES = {v: k for k, v in _BASIS_TAGS.items()}
@@ -83,9 +87,12 @@ class DiscreteOperator:
     group (``grid.mirrors``), so it is held by ``rows``: the rows of the
     orbit representatives, the smallest node of each orbit, in ascending
     order.  An array of n rows is the whole matrix; so are the rows of a
-    grid without mirrors.  ``matrix`` is the n x n array, filled from
+    grid without mirrors.  ``matrix`` is the n x n array, gathered from
     ``rows`` (``_fill_orbits``) the first time it is read and kept from
     then on; when ``rows`` has n rows it is ``rows`` itself, not a copy.
+    A matrix dump (``dump_operator``) streams the same rows from ``rows``
+    in bounded chunks, with the same bits, and neither reads nor builds
+    ``matrix``.
 
     ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
     the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
@@ -104,8 +111,11 @@ class DiscreteOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
+        if self.rows.shape[0] == self.n:
+            return self.rows
         perms = self.grid.mirrors
-        return _fill_orbits(perms, _representatives(perms), self.rows)
+        return _fill_orbits(self.rows, perms, _orbit_sources(perms),
+                            np.empty((self.n, self.n)))
 
 
 # ------------------------------------------------------------------ helpers
@@ -266,22 +276,38 @@ def _representatives(perms: np.ndarray) -> np.ndarray:
     return np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
 
 
-def _fill_orbits(perms: np.ndarray, reps: np.ndarray,
-                 rows: np.ndarray) -> np.ndarray:
-    """The n x n matrix commuting with ``perms``, with ``rows`` at ``reps``.
+def _orbit_sources(perms: np.ndarray):
+    """Where each row of a matrix commuting with ``perms`` is copied from.
 
-    Every other row is a permuted copy, A[h r_a, j] = A[r_a, h j].  The
-    identity is written last, so a representative fixed by a stabilizer
-    element keeps its own row, not a permuted copy that equals it only to
-    rounding.  ``rows`` of n rows, the whole matrix, are returned
-    themselves, as are the rows of a grid without mirrors.
+    Returns (src, elem): row i is ``rows[src[i]]`` permuted by the group
+    element elem[i], A[i, j] = rows[src[i], perms[elem[i], j]], where
+    ``rows`` are the rows of the orbit representatives and
+    i = perms[elem[i], reps[src[i]]].  Found in O(n |G|) by replaying the
+    writes A[h r_a] = rows[a][h] over the group elements with the identity
+    last, so a representative fixed by a stabilizer element keeps its own
+    row, not a permuted copy that equals it only to rounding.
     """
-    if rows.shape[0] == perms.shape[1]:
-        return rows
-    n = perms.shape[1]
-    out = np.empty((n, n))
-    for perm in (*perms[1:], perms[0]):
-        out[perm[reps]] = rows[:, perm]
+    reps = _representatives(perms)
+    src = np.empty(perms.shape[1], dtype=np.intp)
+    elem = np.empty(perms.shape[1], dtype=np.intp)
+    for h in (*range(1, perms.shape[0]), 0):
+        src[perms[h, reps]] = np.arange(reps.size)
+        elem[perms[h, reps]] = h
+    return src, elem
+
+
+def _fill_orbits(rows: np.ndarray, perms: np.ndarray, sources,
+                 out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Write rows start, start + 1, ... of the full matrix into ``out``.
+
+    The matrix commutes with ``perms`` and has the representative rows
+    ``rows``; ``sources`` is ``_orbit_sources(perms)``.  Each row is one
+    gather of a representative row, A[h r_a, j] = A[r_a, h j], so the
+    entries are the rows' own bits.  Returns ``out``.
+    """
+    src, elem = sources
+    for i, row in enumerate(out, start):
+        row[:] = rows[src[i]][perms[elem[i]]]
     return out
 
 
@@ -315,9 +341,10 @@ def assemble_operators(grid: QuadratureGrid):
     (``grid.mirrors``), so only the rows of the orbit representatives, the
     smallest node of each orbit, are computed: about n/8 rows on a catalog
     grid, all n rows on a grid without mirrors.  The operators hold only
-    these rows; the other rows are permuted copies, filled in
-    (``_fill_orbits``) only when ``DiscreteOperator.matrix`` is read.  The
-    block route (``_mirror_blocks``) reads the rows alone.
+    these rows; the other rows are permuted copies, gathered
+    (``_fill_orbits``) only when ``DiscreteOperator.matrix`` is read or a
+    matrix dump streams them.  The block route (``_mirror_blocks``) reads
+    the rows alone.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -669,10 +696,11 @@ def _mirror_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
     The matrix M commutes with the mirror permutations, so its rows at the
     orbit representatives determine it: M[r_a, g r_b] = sum_chi chi(g)
     B_chi[a, b] / sqrt(o_a o_b) with o = |G| / st the orbit sizes.  The
-    other rows are permuted copies, M[h r_a, j] = M[r_a, h j], filled by
-    ``DiscreteOperator.matrix`` when read; an exactly symmetric set of
-    blocks gives an exactly symmetric matrix.  On a grid without mirrors
-    the single block is the whole matrix and is returned itself.
+    other rows are permuted copies, M[h r_a, j] = M[r_a, h j], gathered
+    by ``DiscreteOperator.matrix`` when read and by a matrix dump; an
+    exactly symmetric set of blocks gives an exactly symmetric matrix.  On
+    a grid without mirrors the single block is the whole matrix and is
+    returned itself.
     """
     perms = grid.mirrors
     if perms.shape[0] == 1:
@@ -751,11 +779,37 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
 
 
 # ------------------------------------------------------------------ binary dump
+def _matrix_chunks(op: DiscreteOperator):
+    """The rows of ``op.matrix`` in consecutive chunks, without building it.
+
+    Each chunk holds about ``_DUMP_ENTRIES`` entries.  An operator of n
+    rows yields slices of ``rows``, with no copy.  Otherwise each chunk is
+    gathered from the representative rows (``_fill_orbits``) into one
+    buffer that the next chunk overwrites, with the same sources and the
+    same bits as ``op.matrix``.
+    """
+    rows, n = op.rows, op.n
+    step = max(1, _DUMP_ENTRIES // n)
+    if rows.shape[0] == n:
+        for i0 in range(0, n, step):
+            yield rows[i0:i0 + step]
+        return
+    perms = op.grid.mirrors
+    sources = _orbit_sources(perms)
+    buf = np.empty((step, n))
+    for i0 in range(0, n, step):
+        yield _fill_orbits(rows, perms, sources, buf[:n - i0], i0)
+
+
 def dump_operator(op: DiscreteOperator, path) -> None:
     """Write a matrix dump: 32-byte header then row-major float64 data.
 
-    The dump goes to a temporary file that replaces ``path`` only once it
-    is complete, so a failed write leaves any earlier dump intact.
+    The rows are streamed in chunks of about ``_DUMP_ENTRIES`` entries,
+    gathered from ``op.rows`` (``_matrix_chunks``): the dump neither reads
+    nor builds the n x n ``op.matrix``, and holds O(n) plus one chunk
+    beyond the rows.  It goes to a temporary file that replaces ``path``
+    only once it is complete, so a write that fails at any chunk leaves
+    any earlier dump intact.
 
     Header layout (little-endian): magic "NPOP", format version u32, basis
     tag u32 (1 = nystrom, 2 = weighted_l2, 3 = symmetrized), node count u64,
@@ -763,10 +817,10 @@ def dump_operator(op: DiscreteOperator, path) -> None:
     """
     header = _DUMP_HEADER.pack(_DUMP_MAGIC, _DUMP_VERSION,
                                _BASIS_TAGS[op.basis], op.n)
-    data = np.ascontiguousarray(op.matrix, dtype="<f8")
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(data)
+        for chunk in _matrix_chunks(op):
+            fh.write(np.ascontiguousarray(chunk, dtype="<f8"))
 
 
 def read_matrix_dump(path):

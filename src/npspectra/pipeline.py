@@ -77,7 +77,7 @@ def compute_report(config: RunConfig) -> tuple:
         The report plus the symmetrized operator (kept for matrix dumps),
         Q blockdiag(sym_b) Q^T in the orthonormal basis of the blocks.  It
         holds its representative rows and builds its n x n ``matrix`` on
-        first access, which a ``matrix_dump`` makes.
+        first access; a ``matrix_dump`` streams the rows without it.
     """
     with _stage("geometry"):
         grid = build_grid(config.surface, *config.resolution)

@@ -45,10 +45,14 @@ def sphere_report_small():
 
 
 class _ShortWriter:
-    """File stand-in that writes half of its first chunk, then fails."""
+    """File stand-in whose write number ``fail_on`` writes half of its
+    data, then fails; the writes before it go through.  ``sizes`` records
+    the byte count of every write asked for."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, fail_on, sizes):
         self._fh = fh
+        self._fail_on = fail_on
+        self._sizes = sizes
 
     def __enter__(self):
         return self
@@ -58,6 +62,10 @@ class _ShortWriter:
         return False
 
     def write(self, data):
+        self._sizes.append(len(data) if isinstance(data, str)
+                           else memoryview(data).nbytes)
+        if len(self._sizes) < self._fail_on:
+            return self._fh.write(data)
         self._fh.write(data[:len(data) // 2])
         self._fh.flush()
         raise OSError(errno.ENOSPC, "No space left on device")
@@ -66,14 +74,18 @@ class _ShortWriter:
 @pytest.fixture
 def short_writes(monkeypatch):
     """Context manager under which every file opened by ``os.fdopen``
-    fails partway through its first write, as on a full disk."""
+    fails partway through write number ``fail_on`` (the first by default),
+    as on a full disk.  It yields the list of the byte counts of the
+    writes asked for."""
 
     @contextmanager
-    def active():
+    def active(fail_on=1):
+        sizes = []
         real_fdopen = os.fdopen
         with monkeypatch.context() as patch:
             patch.setattr(os, "fdopen", lambda fd, *args, **kwargs:
-                          _ShortWriter(real_fdopen(fd, *args, **kwargs)))
-            yield
+                          _ShortWriter(real_fdopen(fd, *args, **kwargs),
+                                       fail_on, sizes))
+            yield sizes
 
     return active

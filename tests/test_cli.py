@@ -223,6 +223,25 @@ def test_non_finite_operator_entry_exits_numerical(monkeypatch, capsys,
     assert err.count("\n") == 1
 
 
+# numpy's message for an array that cannot be allocated, and the bare
+# MemoryError of the interpreter; nothing is allocated here
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 484. GiB for an array with shape (90300, 720000) "
+     "and data type float64", None),
+    ("", "an allocation failed"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exits_memory(monkeypatch, capsys, sphere_config,
+                                    message, shown):
+    def unallocatable(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(spectrum, "assemble_operators", unallocatable)
+    code = cli.main(["spectrum", "--config", str(sphere_config)])
+    assert code == cli.EXIT_MEMORY == 6
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {shown or message}\n"
+
+
 @pytest.mark.parametrize("exc", ["DomainError", "PoleError"])
 def test_spectral_domain_faults_exit_config(monkeypatch, capsys,
                                             sphere_config, exc):

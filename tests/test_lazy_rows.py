@@ -8,9 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from npspectra import (assemble_operators, build_grid, ellipsoid,
-                       mobius_invert, operators, peanut, read_matrix_dump,
-                       spectrum, sphere)
+from npspectra import (DiscreteOperator, assemble_operators, build_grid,
+                       dump_operator, ellipsoid, mobius_invert, operators,
+                       peanut, read_matrix_dump, spectrum, sphere)
 from npspectra.pipeline import compute_report, write_outputs
 
 from conftest import make_config
@@ -18,13 +18,14 @@ from conftest import make_config
 
 @pytest.fixture
 def fill_calls(monkeypatch):
-    """List that records the row count of every ``_fill_orbits`` call."""
+    """List that records how many matrix rows each ``_fill_orbits`` call
+    writes: n for a fill of the n x n matrix, one chunk for a dump."""
     calls = []
     fill = operators._fill_orbits
 
-    def counted(perms, reps, rows):
-        calls.append(rows.shape[0])
-        return fill(perms, reps, rows)
+    def counted(rows, perms, sources, out, start=0):
+        calls.append(out.shape[0])
+        return fill(rows, perms, sources, out, start)
 
     monkeypatch.setattr(operators, "_fill_orbits", counted)
     return calls
@@ -58,18 +59,44 @@ def test_report_fills_no_matrix(fill_calls):
     assert sym.rows.shape[0] < sym.n == report.diagnostics["n_nodes"]
 
 
-def test_matrix_dump_fills_the_matrix_once(fill_calls, tmp_path):
+def test_matrix_dump_streams_without_a_fill(fill_calls, tmp_path):
+    # 1152 nodes: the dump takes several chunks
     config = make_config({"surface": {"name": "sphere"},
-                          "resolution": [12, 24],
+                          "resolution": [24, 48],
                           "outputs": [{"matrix_dump": "op.bin"}]})
     report, sym = compute_report(config)
     assert fill_calls == []
     write_outputs(report, sym, config, base_dir=str(tmp_path))
-    assert fill_calls == [sym.rows.shape[0]]
+    assert "matrix" not in sym.__dict__
+    # every row gathered once, one chunk at a time, none into an n x n
+    step = operators._DUMP_ENTRIES // sym.n
+    assert sum(fill_calls) == sym.n and len(fill_calls) > 1
+    assert max(fill_calls) <= step
     matrix, basis = read_matrix_dump(str(tmp_path / "op.bin"))
     assert basis == "symmetrized"
     assert np.array_equal(matrix, sym.matrix)
-    assert len(fill_calls) == 1
+    assert fill_calls[-1] == sym.n
+
+
+# 8 n^2 = 162 MiB at 4608 nodes, against one chunk and O(n) for the dump
+def test_dump_holds_far_less_than_the_matrix(tmp_path):
+    grid = build_grid(ellipsoid(2.0, 1.2, 1.0), 48, 96)
+    n = grid.n_nodes
+    reps = operators._representatives(grid.mirrors)
+    rows = np.random.default_rng(0).standard_normal((reps.size, n))
+    op = DiscreteOperator(rows, basis="symmetrized", grid=grid)
+    path = tmp_path / "op.bin"
+    tracemalloc.start()
+    try:
+        dump_operator(op, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 4, peak / (8 * n * n)
+    assert "matrix" not in op.__dict__
+    matrix, basis = read_matrix_dump(path)
+    assert basis == "symmetrized"
+    assert np.array_equal(matrix, op.matrix)
 
 
 def test_matrix_is_filled_once_and_kept(fill_calls):
@@ -78,7 +105,7 @@ def test_matrix_is_filled_once_and_kept(fill_calls):
     assert k_op.rows.shape[0] < grid.n_nodes == k_op.n
     assert k_op.matrix is k_op.matrix
     assert k_op.matrix.shape == (grid.n_nodes, grid.n_nodes)
-    assert len(fill_calls) == 1
+    assert fill_calls == [grid.n_nodes]
     # the representative rows are the matrix's own rows
     reps = operators._representatives(grid.mirrors)
     assert np.array_equal(k_op.matrix[reps], k_op.rows)

@@ -173,6 +173,67 @@ def test_symmetrized_matrix_is_exactly_symmetric(case):
                   - _signed(report)).max() <= 1e-12
 
 
+def _filled(rows, perms):
+    """The matrix A[h r_a] = rows[a][h] of representative rows ``rows``.
+
+    Written with the identity last, so that a representative fixed by a
+    stabilizer element keeps its own row; on every ``CASES`` grid some
+    such row differs from its permuted copies in the last bits.
+    """
+    reps = operators._representatives(perms)
+    out = np.empty((perms.shape[1], perms.shape[1]))
+    for perm in perms[1:]:
+        out[perm[reps]] = rows[:, perm]
+    out[reps] = rows
+    return out
+
+
+def _dump_bytes(op, path):
+    operators.dump_operator(op, path)
+    blob = path.read_bytes()
+    assert operators.read_matrix_dump(path)[1] == op.basis
+    return blob[32:]
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7],
+                         ids=["default-chunks", "7-row-chunks"])
+def test_matrix_dump_is_the_matrix_byte_for_byte(case, chunk_rows, tmp_path,
+                                                 monkeypatch):
+    grid, *_, sym = case
+    if chunk_rows:
+        monkeypatch.setattr(operators, "_DUMP_ENTRIES",
+                            chunk_rows * grid.n_nodes)
+    k_op, s_op = assemble_operators(grid)
+    # a fresh copy of the report's operator, whose matrix is not yet built
+    for i, op in enumerate((k_op, s_op, dataclasses.replace(sym))):
+        data = _dump_bytes(op, tmp_path / f"op{i}.bin")
+        assert "matrix" not in op.__dict__
+        assert data == _filled(op.rows, grid.mirrors).tobytes()
+        assert data == op.matrix.tobytes()
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7],
+                         ids=["default-chunks", "7-row-chunks"])
+def test_matrix_dump_of_full_rows_streams_the_rows(chunk_rows, tmp_path,
+                                                   monkeypatch):
+    mirrored = build_grid(sphere(), 12, 24)
+    plain = build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24)
+    assert plain.mirrors.shape[0] == 1
+    _, sym = symmetrized_spectrum(plain)
+    ops = [operators.to_weighted_l2(assemble_operators(mirrored)[0]),
+           *assemble_operators(plain), sym]
+    for i, op in enumerate(ops):
+        if chunk_rows:
+            monkeypatch.setattr(operators, "_DUMP_ENTRIES",
+                                chunk_rows * op.n)
+        assert op.rows.shape == (op.n, op.n)
+        chunks = list(operators._matrix_chunks(op))
+        assert len(chunks) == (-(-op.n // chunk_rows) if chunk_rows else 1)
+        assert all(np.shares_memory(c, op.rows) for c in chunks)
+        assert _dump_bytes(op, tmp_path / f"op{i}.bin") == op.rows.tobytes()
+        assert op.matrix is op.rows
+
+
 def test_study_counts_match_eigvalsh(case):
     grid, _, _, eigs, *_ = case
     neg = eigs[eigs < 0]

@@ -583,6 +583,25 @@ def test_failed_dump_keeps_old_file(tmp_path, sphere_sym, short_writes):
     assert basis == "weighted_l2" and np.array_equal(matrix, kw.matrix)
 
 
+def test_dump_failing_mid_stream_keeps_old_file(tmp_path, sphere_ops,
+                                                short_writes, monkeypatch):
+    grid, k_op, s_op = sphere_ops
+    # 100 rows per chunk: the 512 rows take six data writes
+    monkeypatch.setattr(operators, "_DUMP_ENTRIES", 100 * grid.n_nodes)
+    path = tmp_path / "op.bin"
+    dump_operator(s_op, path)
+    before = path.read_bytes()
+    with short_writes(fail_on=3) as sizes, \
+            pytest.raises(OSError, match="No space"):
+        dump_operator(k_op, path)
+    # the header and one whole chunk went out before the failing write
+    assert sizes == [32, 800 * grid.n_nodes, 800 * grid.n_nodes]
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["op.bin"]
+    matrix, basis = read_matrix_dump(path)
+    assert basis == "nystrom" and np.array_equal(matrix, s_op.matrix)
+
+
 def test_dump_rejects_short_header_and_wrong_size(tmp_path, sphere_sym):
     _, kw, _, _ = sphere_sym
     path = tmp_path / "op.bin"
