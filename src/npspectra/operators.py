@@ -21,10 +21,14 @@ grid, every row on a grid without mirrors.  It writes their one-point
 products in row blocks, which also find the near pairs.  The cell
 integrals then evaluate the surface chart once per quadrature panel on
 each cell that some near pair integrates over, not once per near pair
-nor on every cell, fold the weights into those samples, and gather from
-that per-cell cache in bounded chunks.  An operator holds only these
-rows (``DiscreteOperator.rows``).  Every other row is a permuted copy of a
-representative row (``_orbit_sources``), gathered from them
+nor on every cell, on the panel's tensor axes (u and v nodes as
+broadcastable axes, so a term of u alone runs once per u node), fold the
+weights into those samples, and gather from that per-cell cache in
+bounded chunks, one contiguous plane per coordinate.  The self-cell rule
+samples a polar pattern, not a tensor product, and takes full arrays.
+An operator holds only these rows (``DiscreteOperator.rows``).  Every
+other row is a permuted copy of a representative row
+(``_orbit_sources``), gathered from them
 (``_fill_orbits``) into the n x n matrix only when
 ``DiscreteOperator.matrix`` is first read, and into bounded chunks when a
 matrix dump streams them to its file (``dump_operator``).  Beyond the two
@@ -53,8 +57,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._fileio import atomic_write
-from .errors import (ConfigError, GridError, NotPositiveDefinite,
-                     NumericalError)
+from .errors import (ConfigError, DegenerateChart, DomainError, GridError,
+                     NotPositiveDefinite, NumericalError, SingularInversion)
 from .grids import QuadratureGrid
 
 FOUR_PI = 4.0 * np.pi
@@ -71,6 +75,10 @@ SELF_QUAD = 8                # radial/angular points of the self-cell rule
 _BLOCK_ENTRIES = 1 << 17
 # matrix entries per row chunk of a matrix dump (2 MiB of float64)
 _DUMP_ENTRIES = 1 << 18
+
+# the package's own errors, which a chart may raise and which keep their type
+_OWN_ERRORS = (ConfigError, DegenerateChart, DomainError, GridError,
+               SingularInversion)
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
 _TAG_BASES = {v: k for k, v in _BASIS_TAGS.items()}
@@ -130,15 +138,39 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
+def _not_broadcast(surf, uu, vv, what: str) -> ConfigError:
+    """The error for a chart that broke its contract on tensor axes."""
+    shape = np.broadcast_shapes(uu.shape, vv.shape)
+    return ConfigError(
+        f"the chart of surface {surf.name!r} {what} on u of shape "
+        f"{uu.shape} and v of shape {vv.shape}; a chart must accept "
+        f"broadcastable arguments and return their broadcast shape + (3,), "
+        f"here {(*shape, 3)}")
+
+
 def _panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
     """Chart samples on panel (a, b) of the parameter cells ``cells``.
 
     ``cells`` are node indices of ``comp`` minus comp.start.  Panel (a, b)
     of the nsub x nsub split of a node's cell carries a q x q
-    Gauss-Legendre rule.  Returns y, cross(y_u, y_v) and its norm ``jac``
-    at the rule's points, and the tensor weights ``ww``, each indexed like
-    ``cells`` along the first axis.  The chart is evaluated elementwise, so
-    every sample equals that of an evaluation on all cells of ``comp``.
+    Gauss-Legendre rule.  The chart receives the rule's nodes as the
+    tensor axes ``uq[:, :, None]`` and ``vq[:, None, :]``, so terms of u
+    alone or of v alone are evaluated on cells x q points, not on
+    cells x q x q; for the catalog charts each sample is bit for bit that
+    of an evaluation on the broadcast (cells, q, q) arrays.  Returns y,
+    cross(y_u, y_v) and its norm ``jac`` at the rule's points, and the
+    tensor weights ``ww``, each indexed like ``cells`` along the first
+    axis.  The chart is evaluated elementwise, so every sample equals that
+    of an evaluation on all cells of ``comp``.
+
+    Raises
+    ------
+    ConfigError
+        If the chart or its first derivatives fail on the tensor axes with
+        a ValueError of numpy's, or return a shape other than
+        (cells, q, q, 3): the chart does not broadcast its arguments as
+        ``ParametricSurface`` requires.  The package's own errors (such as
+        ``DegenerateChart``) pass through unchanged.
     """
     nodes = comp.start + cells
     q = gx.size
@@ -153,11 +185,19 @@ def _panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
     pp0 = p0 + dv * b / nsub
     vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
     wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
-    uu = np.broadcast_to(uq[:, :, None], (cells.size, q, q))
-    vv = np.broadcast_to(vq[:, None, :], (cells.size, q, q))
     surf = comp.surface
-    y = surf.position(uu, vv)
-    yu, yv = surf.first_derivatives(uu, vv)
+    uu, vv = uq[:, :, None], vq[:, None, :]
+    try:
+        y = surf.position(uu, vv)
+        yu, yv = surf.first_derivatives(uu, vv)
+    except _OWN_ERRORS:
+        raise
+    except ValueError as exc:
+        raise _not_broadcast(surf, uu, vv, f"raised {exc}") from exc
+    for out in (y, yu, yv):
+        if np.shape(out) != (cells.size, q, q, 3):
+            raise _not_broadcast(surf, uu, vv,
+                                 f"returned shape {np.shape(out)}")
     cr = np.cross(yu, yv)
     jac = np.sqrt(np.sum(cr * cr, axis=-1))
     ww = wu[:, :, None] * wv[:, None, :]
@@ -170,9 +210,14 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
     For each pair (src[p], tgt[p]), with tgt[p] owned by component ``comp``,
     integrates both kernels over tgt's parameter cell with an nsub x nsub
     panel split and a q x q Gauss-Legendre rule per panel.  The chart is
-    evaluated once per target cell and panel (``_panel_geometry``), panel
-    by panel, on the distinct cells of ``tgt`` only, and the pairs gather
-    from it in chunks of about _BLOCK_ENTRIES samples.
+    evaluated once per target cell and panel on its tensor axes
+    (``_panel_geometry``), panel by panel, on the distinct cells of ``tgt``
+    only.  Each panel's samples y and weighted normals are then copied into
+    three contiguous (cells, q^2) coordinate planes, and the pairs gather
+    from them in chunks of about _BLOCK_ENTRIES samples: per plane
+    d_k = y_k - x_k, then r^2 = d_0^2 + d_1^2 + d_2^2 and the numerator
+    sum_k d_k crw_k by elementwise products, and ``einsum`` only for the
+    sums over the q^2 samples.
 
     Returns
     -------
@@ -192,19 +237,35 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
         for b in range(nsub):
             y, cr, jac, ww = _panel_geometry(grid, comp, cells, gx, gw,
                                              a, b, nsub)
-            # weights, 1/(4 pi) and the orientation folded into the samples
-            jw = jac * ww / FOUR_PI
-            crw = cr * (sign * ww / FOUR_PI)[..., None]
+            # weights, 1/(4 pi) and the orientation folded into the samples;
+            # y and crw as planes (3, cells, q^2), one per coordinate
+            jw = (jac * ww / FOUR_PI).reshape(cells.size, q * q)
+            crw = _planes(cr * (sign * ww / FOUR_PI)[..., None])
+            y = _planes(y)
             for c0 in range(0, n_pairs, chunk):
                 c = slice(c0, c0 + chunk)
                 cell = loc[c]
-                diff = y[cell] - x_src[c, None, None, :]
-                inv = 1.0 / np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
-                i_s[c] += np.einsum("pij,pij->p", jw[cell], inv)
-                num = np.einsum("pijk,pijk->pij", diff, crw[cell])
-                i_k[c] += np.einsum("pij,pij->p", num,
+                d = [y[k][cell] for k in range(3)]
+                for k in range(3):
+                    d[k] -= x_src[c, k, None]
+                inv = d[0] * d[0]
+                inv += d[1] * d[1]
+                inv += d[2] * d[2]
+                np.sqrt(inv, out=inv)
+                np.divide(1.0, inv, out=inv)
+                i_s[c] += np.einsum("pi,pi->p", jw[cell], inv)
+                num = d[0] * crw[0][cell]
+                num += d[1] * crw[1][cell]
+                num += d[2] * crw[2][cell]
+                i_k[c] += np.einsum("pi,pi->p", num,
                                     np.power(inv, 3, out=inv))
     return i_s, i_k
+
+
+def _planes(v: np.ndarray) -> np.ndarray:
+    """Vectors (cells, q, q, 3) as contiguous planes (3, cells, q^2)."""
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0)).reshape(
+        3, v.shape[0], -1)
 
 
 def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray,
@@ -214,8 +275,10 @@ def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray,
     The 1/|y - x| singularity at the node is removed by integrating in
     polar parameter coordinates around it (the Jacobian rho cancels the
     singularity); the cell is covered by the four wedges subtended by its
-    corners.  Returns the positive integrals of 1/(4 pi |y - x|) dS for
-    the nodes ``rows``, in their order.
+    corners.  Its samples are not a tensor product of u and v nodes, so
+    the chart gets full (nodes, angles, radii) arrays.  Returns the
+    positive integrals of 1/(4 pi |y - x|) dS for the nodes ``rows``, in
+    their order.
     """
     out = np.zeros(rows.size)
     gx, gw = np.polynomial.legendre.leggauss(n_rule)

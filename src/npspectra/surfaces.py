@@ -32,12 +32,16 @@ class ParametricSurface:
     Parameters
     ----------
     position : callable
-        Map ``(u, v) -> points`` with output shape ``(..., 3)``; must accept
-        ndarray arguments of any common shape.
+        Map ``(u, v) -> points``; must accept broadcastable arguments,
+        returning their broadcast shape + (3,).  Assembly passes the nodes
+        of a quadrature panel as the axes ``u[:, :, None]`` and
+        ``v[:, None, :]``, so a term of u alone is evaluated once per u.
     d1 : callable, optional
-        Analytic first derivatives ``(u, v) -> (x_u, x_v)``.
+        Analytic first derivatives ``(u, v) -> (x_u, x_v)``, with the same
+        broadcasting contract.
     d2 : callable, optional
-        Analytic second derivatives ``(u, v) -> (x_uu, x_uv, x_vv)``.
+        Analytic second derivatives ``(u, v) -> (x_uu, x_uv, x_vv)``, with
+        the same broadcasting contract.
     kind : str
         ``"polar"`` (u in (0, pi)) or ``"biperiodic"`` (u of period
         2 pi).  The kind fixes the parameter domain; v has period 2 pi
@@ -172,6 +176,15 @@ def _tensor_layout(surface, n_u, n_v):
     return u, wu, ulo, uhi, dv * np.arange(n_v), dv
 
 
+def _vectors(*parts):
+    """Vectors from components of broadcastable shapes: that shape + (k,).
+
+    A component may depend on u alone, on v alone, or be a constant; each
+    is broadcast, without a copy, to the common shape before stacking.
+    """
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
 # ------------------------------------------------------------------ catalog
 def sphere(r=1.0):
     """Round sphere of radius ``r``; an alias for ellipsoid(r, r, r)."""
@@ -192,22 +205,20 @@ def ellipsoid(a, b, c):
 
     def fx(u, v):
         su = np.sin(u)
-        return np.stack([a * su * np.cos(v), b * su * np.sin(v),
-                         c * np.cos(u)], axis=-1)
+        return _vectors(a * su * np.cos(v), b * su * np.sin(v),
+                        c * np.cos(u))
 
     def d1(u, v):
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        z = np.zeros_like(u * v)
-        xu = np.stack([a * cu * cv, b * cu * sv, -c * su], axis=-1)
-        xv = np.stack([-a * su * sv, b * su * cv, z], axis=-1)
+        xu = _vectors(a * cu * cv, b * cu * sv, -c * su)
+        xv = _vectors(-a * su * sv, b * su * cv, 0.0)
         return xu, xv
 
     def d2(u, v):
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        z = np.zeros_like(u * v)
-        xuu = np.stack([-a * su * cv, -b * su * sv, -c * cu], axis=-1)
-        xuv = np.stack([-a * cu * sv, b * cu * cv, z], axis=-1)
-        xvv = np.stack([-a * su * cv, -b * su * sv, z], axis=-1)
+        xuu = _vectors(-a * su * cv, -b * su * sv, -c * cu)
+        xuv = _vectors(-a * cu * sv, b * cu * cv, 0.0)
+        xvv = _vectors(-a * su * cv, -b * su * sv, 0.0)
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="polar", name="ellipsoid",
@@ -236,23 +247,21 @@ def torus(R=2.0, r=1.0):
 
     def fx(u, v):
         w = R + r * np.cos(u)
-        return np.stack([w * np.cos(v), w * np.sin(v), r * np.sin(u)], axis=-1)
+        return _vectors(w * np.cos(v), w * np.sin(v), r * np.sin(u))
 
     def d1(u, v):
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
         w = R + r * cu
-        z = np.zeros_like(u * v)
-        xu = np.stack([-r * su * cv, -r * su * sv, r * cu], axis=-1)
-        xv = np.stack([-w * sv, w * cv, z], axis=-1)
+        xu = _vectors(-r * su * cv, -r * su * sv, r * cu)
+        xv = _vectors(-w * sv, w * cv, 0.0)
         return xu, xv
 
     def d2(u, v):
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
         w = R + r * cu
-        z = np.zeros_like(u * v)
-        xuu = np.stack([-r * cu * cv, -r * cu * sv, -r * su], axis=-1)
-        xuv = np.stack([r * su * sv, -r * su * cv, z], axis=-1)
-        xvv = np.stack([-w * cv, -w * sv, z], axis=-1)
+        xuu = _vectors(-r * cu * cv, -r * cu * sv, -r * su)
+        xuv = _vectors(r * su * sv, -r * su * cv, 0.0)
+        xvv = _vectors(-w * cv, -w * sv, 0.0)
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="biperiodic", name="torus",
@@ -291,16 +300,15 @@ def peanut(c=1.0, d=1.1):
     def fx(u, v):
         rho, _, _ = rho_funcs(u)
         su = np.sin(u)
-        return np.stack([rho * su * np.cos(v), rho * su * np.sin(v),
-                         rho * np.cos(u)], axis=-1)
+        return _vectors(rho * su * np.cos(v), rho * su * np.sin(v),
+                        rho * np.cos(u))
 
     def d1(u, v):
         rho, dr, _ = rho_funcs(u)
         su, cu, sv, cv = np.sin(u), np.cos(u), np.sin(v), np.cos(v)
         ru = dr * su + rho * cu
-        z = np.zeros_like(u * v)
-        xu = np.stack([ru * cv, ru * sv, dr * cu - rho * su], axis=-1)
-        xv = np.stack([-rho * su * sv, rho * su * cv, z], axis=-1)
+        xu = _vectors(ru * cv, ru * sv, dr * cu - rho * su)
+        xv = _vectors(-rho * su * sv, rho * su * cv, 0.0)
         return xu, xv
 
     def d2(u, v):
@@ -309,10 +317,9 @@ def peanut(c=1.0, d=1.1):
         ru = dr * su + rho * cu
         ruu = d2r * su + 2 * dr * cu - rho * su
         zuu = d2r * cu - 2 * dr * su - rho * cu
-        z = np.zeros_like(u * v)
-        xuu = np.stack([ruu * cv, ruu * sv, zuu], axis=-1)
-        xuv = np.stack([-ru * sv, ru * cv, z], axis=-1)
-        xvv = np.stack([-rho * su * cv, -rho * su * sv, z], axis=-1)
+        xuu = _vectors(ruu * cv, ruu * sv, zuu)
+        xuv = _vectors(-ru * sv, ru * cv, 0.0)
+        xvv = _vectors(-rho * su * cv, -rho * su * sv, 0.0)
         return xuu, xuv, xvv
 
     return ParametricSurface(fx, d1, d2, kind="polar", name="peanut",
@@ -350,7 +357,7 @@ def _distance_to_surface(surface, point):
     for _ in range(_NEWTON_STEPS):
         r = surface.position(uu, vv)[0] - point
         xu, xv = surface.first_derivatives(uu, vv)
-        jac = np.stack([xu[0], xv[0]], axis=1)
+        jac = _vectors(xu[0], xv[0])
         du, dv = np.linalg.lstsq(jac.T @ jac, -jac.T @ r, rcond=None)[0]
         uu, vv = uu + du, vv + dv
         if surface.kind == "polar":

@@ -329,8 +329,10 @@ def _egg():
     def fx(u, v):
         r = 1.0 + 0.2 * np.cos(u)
         su = np.sin(u)
-        return np.stack([r * su * np.cos(v), r * su * np.sin(v),
-                         r * np.cos(u)], axis=-1)
+        # z depends on u alone: broadcast it, as the chart contract asks
+        return np.stack(np.broadcast_arrays(r * su * np.cos(v),
+                                            r * su * np.sin(v),
+                                            r * np.cos(u)), axis=-1)
 
     return ParametricSurface(fx, kind="polar", name="egg")
 

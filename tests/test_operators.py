@@ -11,10 +11,13 @@ import scipy.linalg as sla
 from npspectra import operators
 from npspectra import (
     ConfigError,
+    DegenerateChart,
     DiscreteOperator,
     GridError,
     NotPositiveDefinite,
     NumericalError,
+    ParametricSurface,
+    SingularInversion,
     assemble_operators,
     build_grid,
     concatenate_grids,
@@ -29,6 +32,8 @@ from npspectra import (
     to_weighted_l2,
     torus,
 )
+
+from test_surfaces import _BROADCAST_CHARTS
 
 FOUR_PI = 4.0 * np.pi
 
@@ -357,18 +362,25 @@ def _per_pair_cell_integrals(grid, comp, src, tgt, q, nsub):
     """Near-pair cell integrals evaluating the chart afresh for every pair.
 
     The reference for the per-cell geometry cache: the same quadrature with
-    the same expressions, one chart evaluation per (pair, panel).
+    the same expressions, one chart evaluation per (pair, panel).  Like the
+    assembly, it works on contiguous (pairs, q^2) coordinate planes: d_k,
+    r^2 = d_0^2 + d_1^2 + d_2^2 and the numerator sum_k d_k crw_k by
+    elementwise products, ``einsum`` only for the sums over the samples.
     """
     sign = comp.surface.orientation_sign()
     i_s = np.zeros(len(src))
     i_k = np.zeros(len(src))
     for diff, cr, jac, ww in _per_pair_panels(grid, comp, src, tgt, q, nsub):
-        jw = jac * ww / FOUR_PI
+        jw = (jac * ww / FOUR_PI).reshape(len(src), q * q)
         crw = cr * (sign * ww / FOUR_PI)[..., None]
-        inv = 1.0 / np.sqrt(np.einsum("pijk,pijk->pij", diff, diff))
-        i_s += np.einsum("pij,pij->p", jw, inv)
-        num = np.einsum("pijk,pijk->pij", diff, crw)
-        i_k += np.einsum("pij,pij->p", num, np.power(inv, 3, out=inv))
+        d0, d1, d2 = (np.ascontiguousarray(diff[..., k]).reshape(len(src), -1)
+                      for k in range(3))
+        c0, c1, c2 = (np.ascontiguousarray(crw[..., k]).reshape(len(src), -1)
+                      for k in range(3))
+        inv = 1.0 / np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+        i_s += np.einsum("pi,pi->p", jw, inv)
+        num = d0 * c0 + d1 * c1 + d2 * c2
+        i_k += np.einsum("pi,pi->p", num, inv ** 3)
     return i_s, i_k
 
 
@@ -436,6 +448,109 @@ def test_panel_geometry_on_cells_matches_the_component(make_grid, comp_index,
     some = operators._panel_geometry(grid, comp, cells, gx, gw, a, b, nsub)
     for part, full in zip(some, whole):
         assert np.array_equal(part, full[cells])
+
+
+def _broadcast_panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
+    """``_panel_geometry`` with the chart on full (cells, q, q) arrays.
+
+    The oracle for the tensor axes: the panel nodes are broadcast to the
+    whole panel before the chart sees them, so every term is evaluated on
+    every sample.
+    """
+    nodes = comp.start + cells
+    q = gx.size
+    t0, t1 = grid.cell_u_lo[nodes], grid.cell_u_hi[nodes]
+    dv = grid.cell_dv[nodes]
+    p0 = grid.v[nodes] - 0.5 * dv
+    tt0 = t0 + (t1 - t0) * a / nsub
+    tt1 = t0 + (t1 - t0) * (a + 1) / nsub
+    uq = 0.5 * (tt1 - tt0)[:, None] * gx[None, :] \
+        + 0.5 * (tt1 + tt0)[:, None]
+    wu = 0.5 * (tt1 - tt0)[:, None] * gw[None, :]
+    pp0 = p0 + dv * b / nsub
+    vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
+    wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
+    uu = np.broadcast_to(uq[:, :, None], (cells.size, q, q))
+    vv = np.broadcast_to(vq[:, None, :], (cells.size, q, q))
+    surf = comp.surface
+    y = surf.position(uu, vv)
+    yu, yv = surf.first_derivatives(uu, vv)
+    cr = np.cross(yu, yv)
+    jac = np.sqrt(np.sum(cr * cr, axis=-1))
+    ww = wu[:, :, None] * wv[:, None, :]
+    return y, cr, jac, ww
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+@pytest.mark.parametrize("name", list(_BROADCAST_CHARTS))
+@pytest.mark.parametrize("a, b", [(0, 0), (2, 1)])
+def test_panel_geometry_on_tensor_axes_is_bit_identical(name, mode, a, b):
+    surf = _BROADCAST_CHARTS[name].with_derivative_mode(mode)
+    grid = build_grid(surf, 8, 16)
+    comp = grid.components[0]
+    gx, gw = np.polynomial.legendre.leggauss(operators.CELL_QUAD)
+    cells = np.arange(grid.n_nodes)
+    got = operators._panel_geometry(grid, comp, cells, gx, gw, a, b,
+                                    operators.CELL_SUBDIV)
+    ref = _broadcast_panel_geometry(grid, comp, cells, gx, gw, a, b,
+                                    operators.CELL_SUBDIV)
+    for part, full in zip(got, ref):
+        assert part.shape == full.shape
+        assert np.array_equal(part, full)
+
+
+def _egg_stacked():
+    """An egg-shaped chart that stacks coordinates of unequal shapes.
+
+    Its z coordinate depends on u alone, so on tensor axes np.stack meets
+    a (cells, q, 1) array beside (cells, q, q) ones and raises numpy's
+    ValueError; on the 1-d node arrays of ``build_grid`` it works.
+    """
+    def fx(u, v):
+        r = 1.0 + 0.2 * np.cos(u)
+        su = np.sin(u)
+        return np.stack([r * su * np.cos(v), r * su * np.sin(v),
+                         r * np.cos(u)], axis=-1)
+
+    return ParametricSurface(fx, kind="polar", name="egg")
+
+
+def test_chart_that_does_not_broadcast_is_a_config_error():
+    grid = build_grid(_egg_stacked(), 12, 24)
+    with pytest.raises(ConfigError, match=r"chart of surface 'egg' raised "
+                                          r"all input arrays must have the "
+                                          r"same shape .* broadcast shape"):
+        assemble_operators(grid)
+
+
+def test_chart_of_the_wrong_shape_is_a_config_error():
+    # a chart that flattens its points passes build_grid's 1-d nodes
+    flat = ParametricSurface(
+        lambda u, v: sphere().position(u, v).reshape(-1, 3), kind="polar",
+        name="flat")
+    grid = build_grid(flat, 8, 16)
+    with pytest.raises(ConfigError, match=r"'flat' returned shape \(\d+, 3\)"
+                                          r" on u of shape .* here "
+                                          r"\(\d+, 6, 6, 3\)"):
+        assemble_operators(grid)
+
+
+@pytest.mark.parametrize("error", [DegenerateChart, SingularInversion,
+                                   ConfigError])
+def test_chart_errors_of_the_package_pass_through(error):
+    base = sphere()
+
+    def fx(u, v):
+        if np.ndim(u) == 3:
+            raise error("raised by the chart")
+        return base.position(u, v)
+
+    grid = build_grid(ParametricSurface(fx, base._d1, base._d2, kind="polar",
+                                        name="raising"), 8, 16)
+    with pytest.raises(error) as err:
+        assemble_operators(grid)
+    assert type(err.value) is error
+    assert str(err.value) == "raised by the chart"
 
 
 _NEAR_GRIDS = [

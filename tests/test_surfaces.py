@@ -113,6 +113,41 @@ def test_fd_derivatives_match_analytic(surf):
     assert np.abs(fvv - xvv).max() <= 1e-6 * scale
 
 
+# a rotation that moves every coordinate plane off itself
+_ROTATION = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0],
+                      [0.48, 0.64, 0.6]])
+# the catalog and one rigid motion and one inversion of it
+_BROADCAST_CHARTS = {
+    "sphere": sphere(),
+    "ellipsoid": ellipsoid(2.0, 1.2, 1.0),
+    "spheroid": spheroid(1.0, 1.6),
+    "torus": torus(),
+    "peanut": peanut(),
+    "turned-peanut": rigid_transform(
+        peanut(), _ROTATION, (0.5, -1.0, 2.0)),
+    "inverted-peanut": mobius_invert(peanut(), (3.0, 0.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("mode", ["analytic", "finite_difference"])
+@pytest.mark.parametrize("name", list(_BROADCAST_CHARTS))
+def test_charts_broadcast_their_arguments(name, mode):
+    # u on one axis, v on another: the broadcast shape + (3,), with the
+    # values of an evaluation on the full arrays
+    surf = _BROADCAST_CHARTS[name].with_derivative_mode(mode)
+    u = np.linspace(0.2, 2.9, 4)[None, :, None]
+    v = np.linspace(0.1, 6.0, 5)[None, None, :]
+    uu, vv = np.broadcast_arrays(u, v)
+    for tensor, full in [
+        ((surf.position(u, v),), (surf.position(uu, vv),)),
+        (surf.first_derivatives(u, v), surf.first_derivatives(uu, vv)),
+        (surf.second_derivatives(u, v), surf.second_derivatives(uu, vv)),
+    ]:
+        for part, ref in zip(tensor, full):
+            assert part.shape == (1, 4, 5, 3)
+            assert np.array_equal(part, ref)
+
+
 def test_fd_only_surface_supports_frames():
     base = sphere()
     from npspectra import ParametricSurface
