@@ -50,7 +50,7 @@ def main() -> None:
         ("peanut", peanut(), (48, 96)),
     ]
     for name, surf, res in cases:
-        c = weyl_coefficients_signed(build_grid(surf, *res), 64)
+        c = weyl_coefficients_signed(build_grid(surf, *res))
         print(f"{name:<24}{c.A_total:>14.8f}{c.A_plus:>14.8f}"
               f"{c.A_minus:>14.8f}")
     print("  (A_minus vanishes exactly when both curvatures keep one "
@@ -59,8 +59,8 @@ def main() -> None:
 
     base = ellipsoid(2.0, 1.2, 1.0)
     image = mobius_invert(base, (2.1, 0.0, 0.0), 1.0)
-    cb = weyl_coefficients_signed(build_grid(base, 128, 256), 64)
-    ci = weyl_coefficients_signed(build_grid(image, 128, 256), 64)
+    cb = weyl_coefficients_signed(build_grid(base, 128, 256))
+    ci = weyl_coefficients_signed(build_grid(image, 128, 256))
     print("inversion invariance of the total coefficient")
     print(f"  A(ellipsoid) = {cb.A_total:.10f}")
     print(f"  A(image)     = {ci.A_total:.10f}   "

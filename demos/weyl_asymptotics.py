@@ -25,7 +25,7 @@ from npspectra import (
 
 def main() -> None:
     grid = build_grid(sphere(), 24, 48)
-    predicted = weyl_coefficients_signed(grid, 64)
+    predicted = weyl_coefficients_signed(grid)
     eigs, _ = symmetrized_spectrum(grid)
     lambda_plus, lambda_minus = split_spectrum(eigs, 1e-10)
     moduli = np.sort(np.concatenate([lambda_plus, lambda_minus]))[::-1]
@@ -41,7 +41,7 @@ def main() -> None:
     print()
 
     grid = build_grid(torus(2.0, 1.0), 48, 48)
-    predicted = weyl_coefficients_signed(grid, 64)
+    predicted = weyl_coefficients_signed(grid)
     eigs, _ = symmetrized_spectrum(grid)
     lambda_plus, lambda_minus = split_spectrum(eigs, 1e-10)
     print(f"torus(2, 1), {grid.n_nodes} nodes, "

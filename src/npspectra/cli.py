@@ -82,8 +82,7 @@ def cmd_coefficients(args) -> int:
     config = _load(args)
     print(_describe(config))
     grid = build_grid(config.surface, *config.resolution)
-    _print_coefficients(weyl_coefficients_signed(grid,
-                                                 config.angular_resolution))
+    _print_coefficients(weyl_coefficients_signed(grid))
     return EXIT_OK
 
 

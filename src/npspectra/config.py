@@ -5,7 +5,6 @@ A config document looks like
     {
       "surface": {"name": "torus", "R": 2.0, "r": 1.0},
       "resolution": [64, 64],
-      "angular_resolution": 64,
       "fit_window": "auto",
       "noise_cutoff": 1e-10,
       "outputs": [{"report_json": "report.json"}]
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ConfigError, SingularInversion
-from .functionals import check_angular_resolution
 from .grids import check_resolution
 from .surfaces import CATALOG, ParametricSurface, catalog_names, mobius_invert
 
@@ -41,7 +39,6 @@ class RunConfig:
     surface: ParametricSurface
     surface_spec: dict
     resolution: tuple
-    angular_resolution: int = 64
     fit_window: object = "auto"
     noise_cutoff: float = 1e-10
     outputs: list = field(default_factory=list)
@@ -51,7 +48,6 @@ class RunConfig:
         return {
             "surface": self.surface_spec,
             "resolution": list(self.resolution),
-            "angular_resolution": self.angular_resolution,
             "fit_window": self.fit_window if self.fit_window == "auto"
             else list(self.fit_window),
             "noise_cutoff": self.noise_cutoff,
@@ -148,8 +144,7 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON config document.
 
     Fills defaults: resolution 48x96 for polar charts and 64x64 for
-    biperiodic ones, angular_resolution 64, fit_window "auto",
-    noise_cutoff 1e-10, no outputs.
+    biperiodic ones, fit_window "auto", noise_cutoff 1e-10, no outputs.
 
     Raises
     ------
@@ -161,8 +156,8 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"/: invalid JSON ({exc})") from exc
     _expect(doc, dict, "", "an object")
-    known = {"surface", "resolution", "angular_resolution", "fit_window",
-             "noise_cutoff", "outputs"}
+    known = {"surface", "resolution", "fit_window", "noise_cutoff",
+             "outputs"}
     extra = set(doc) - known
     if extra:
         _fail("", f"unknown keys {sorted(extra)}; valid: {sorted(known)}")
@@ -181,10 +176,6 @@ def parse_config(text: str) -> RunConfig:
         resolution = (n_u, n_v)
     else:
         resolution = _DEFAULT_RESOLUTION[surface.kind]
-
-    angular = doc.get("angular_resolution", 64)
-    _expect(angular, int, "/angular_resolution", "an integer")
-    check_angular_resolution(angular, "/angular_resolution")
 
     fit_window = doc.get("fit_window", "auto")
     if fit_window != "auto":
@@ -228,7 +219,6 @@ def parse_config(text: str) -> RunConfig:
         surface=surface,
         surface_spec=doc["surface"],
         resolution=resolution,
-        angular_resolution=angular,
         fit_window=fit_window,
         noise_cutoff=cutoff,
         outputs=outputs,

@@ -8,7 +8,9 @@ k1, k2 (outer-normal convention, so spheres have negative curvatures):
 
 with W the Willmore energy, chi the Euler characteristic, x_+ = max(x, 0)
 and x_- = max(-x, 0).  Note the sign flip: A_plus integrates the negative
-part of the curvature form, A_minus the positive part.
+part of the curvature form, A_minus the positive part.  The inner integral
+has a closed form at each node (``_positive_part_integral``), so the only
+quadrature in A_pm is the grid's surface rule.
 """
 from __future__ import annotations
 
@@ -17,13 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, TopologyWarning
+from .errors import DomainError, TopologyWarning
 from .geometry import SurfaceFrame
 from .grids import QuadratureGrid, surface_integral
-
-# largest accepted angular node count; the angular quadrature holds several
-# n_nodes x n_theta arrays, so much larger counts only exhaust memory
-MAX_ANGULAR_RESOLUTION = 4096
 
 
 @dataclass
@@ -40,7 +38,6 @@ class WeylCoefficients:
     A_minus: float
     willmore: float
     euler_char: float
-    angular_resolution: int
 
 
 def willmore_energy(grid: QuadratureGrid) -> float:
@@ -83,64 +80,55 @@ def euler_characteristic(grid: QuadratureGrid) -> float:
     return chi
 
 
-def check_angular_resolution(n: int, where: str) -> None:
-    """Reject an angular node count below 16 or above MAX_ANGULAR_RESOLUTION.
+def _positive_part_integral(p, q):
+    """Int_0^2pi [(p + q cos 2t)_+]^2 dt, elementwise, for q >= 0.
 
-    Raises
-    ------
-    ConfigError
-        Naming ``where`` (a JSON pointer or an argument).
+    The closed form of ``weyl_coefficients_signed``: with
+    cos a = clip(-p/q, -1, 1) the form is positive where 2t is within a of
+    a multiple of 2 pi.  At q = 0 the form is the constant p, so a = pi
+    for p > 0 and a = 0 otherwise.
     """
-    if n < 16:
-        raise ConfigError(f"{where}: {n} too small (need >= 16)")
-    if n > MAX_ANGULAR_RESOLUTION:
-        raise ConfigError(f"{where}: {n} too large (at most "
-                          f"{MAX_ANGULAR_RESOLUTION})")
+    cos_a = np.clip(np.divide(-p, q, out=np.where(p > 0, -1.0, 1.0),
+                              where=q > 0), -1.0, 1.0)
+    a = np.arccos(cos_a)
+    sin_a = np.sin(a)
+    return (2 * p * p + q * q) * a + 4 * p * q * sin_a \
+        + q * q * sin_a * cos_a
 
 
-def signed_parts(x):
-    """Positive and negative parts (x_+, x_-), both nonnegative."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum(x, 0.0), np.maximum(-x, 0.0)
-
-
-def weyl_coefficients_signed(grid: QuadratureGrid,
-                             n_theta: int = 64) -> WeylCoefficients:
+def weyl_coefficients_signed(grid: QuadratureGrid) -> WeylCoefficients:
     """Signed and total asymptotics coefficients of a surface.
 
     Parameters
     ----------
     grid : QuadratureGrid
         Discretized surface with cached curvatures.
-    n_theta : int
-        Nodes of the periodic trapezoidal rule for the angular integral,
-        from 16 to ``MAX_ANGULAR_RESOLUTION``.
 
     Returns
     -------
     WeylCoefficients
-        A_plus and A_minus by angular quadrature, A_total from the Willmore
-        energy and Euler characteristic, plus the two functionals.
+        A_plus and A_minus, A_total from the Willmore energy and Euler
+        characteristic, plus the two functionals.
+
+    The angular integral is exact at each node.  With p = (k1 + k2)/2 and
+    q = |k1 - k2|/2, the curvature form is p + q cos 2t up to a shift of t
+    by pi/2, and the integral of its squared positive part over [0, 2 pi)
+    is (2 p^2 + q^2) a + 4 p q sin a + q^2 sin a cos a, with
+    cos a = clip(-p/q, -1, 1); its squared negative part takes -p for p.
     """
-    n_theta = int(n_theta)
-    check_angular_resolution(n_theta, "n_theta")
-    theta = 2 * np.pi * np.arange(n_theta) / n_theta
-    c2 = np.cos(theta) ** 2
-    s2 = np.sin(theta) ** 2
-    form = grid.k1[:, None] * c2[None, :] + grid.k2[:, None] * s2[None, :]
-    pos, neg = signed_parts(form)
-    dtheta = 2 * np.pi / n_theta
+    p = 0.5 * (grid.k1 + grid.k2)
+    q = 0.5 * np.abs(grid.k1 - grid.k2)
     # the mp subscript: A_plus integrates the negative part of the form
-    a_plus = surface_integral(grid, np.sum(neg * neg, axis=1) * dtheta) \
+    a_plus = surface_integral(grid, _positive_part_integral(-p, q)) \
         / (128 * np.pi ** 2)
-    a_minus = surface_integral(grid, np.sum(pos * pos, axis=1) * dtheta) \
+    a_minus = surface_integral(grid, _positive_part_integral(p, q)) \
         / (128 * np.pi ** 2)
     willmore = willmore_energy(grid)
     chi = euler_characteristic(grid)
     total = (3 * willmore - 2 * np.pi * chi) / (128 * np.pi)
     return WeylCoefficients(
         A_total=total, A_plus=float(a_plus), A_minus=float(a_minus),
-        willmore=willmore, euler_char=chi, angular_resolution=n_theta)
+        willmore=willmore, euler_char=chi)
 
 
 def principal_symbol(frame: SurfaceFrame, xi) -> float:

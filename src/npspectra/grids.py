@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateChart, NumericalError
 from .geometry import SurfaceFrame, evaluate_frame, principal_curvatures
-from .surfaces import TWO_PI, ParametricSurface, _tensor_layout
+from .surfaces import (TWO_PI, ParametricSurface, _chart_on_axes,
+                       _tensor_layout)
 
 # largest accepted node count; one dense n x n operator at this size would
 # take 2 PiB, so larger counts can only be typing errors
@@ -191,7 +192,11 @@ def _mirror_group(surface, grid, u_nodes, v_nodes):
 
 
 def check_resolution(n_u: int, n_v: int, where: str) -> None:
-    """Reject a grid resolution below 4 per direction or above MAX_NODES.
+    """Reject a non-integer resolution, or one below 4 or above MAX_NODES.
+
+    Each direction needs at least 4 nodes, and the grid at most MAX_NODES
+    in all.  Python and numpy integers count; ``bool``, floats and
+    strings do not, so no resolution is ever rounded or parsed.
 
     Raises
     ------
@@ -199,6 +204,11 @@ def check_resolution(n_u: int, n_v: int, where: str) -> None:
         Naming ``where`` (a JSON pointer, a command-line option or an
         argument).
     """
+    for n in (n_u, n_v):
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise ConfigError(f"{where}: {n_u!r}x{n_v!r} is not a pair of "
+                              f"integers ({type(n).__name__})")
+    n_u, n_v = int(n_u), int(n_v)
     if n_u < 4 or n_v < 4:
         raise ConfigError(f"{where}: {n_u}x{n_v} too small (need >= 4)")
     if n_u * n_v > MAX_NODES:
@@ -225,13 +235,17 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
     Raises
     ------
     ConfigError
-        If ``check_resolution`` rejects the resolution.
+        If ``check_resolution`` rejects the resolution, or if the chart
+        does not broadcast its arguments (``surfaces._chart_on_axes``),
+        probed on the first two u nodes as a 2 x 1 axis by the first two
+        v nodes as a 1 x 2 axis before any frame is evaluated.
     DegenerateChart
         If any node weight fails to be finite and positive.
     """
-    n_u, n_v = int(n_u), int(n_v)
     check_resolution(n_u, n_v, "grid resolution")
+    n_u, n_v = int(n_u), int(n_v)
     u, wu, ulo, uhi, v, dv = _tensor_layout(surface, n_u, n_v)
+    _chart_on_axes(surface, u[:2, None], v[None, :2])
     uu = np.repeat(u, n_v)
     vv = np.tile(v, n_u)
     frames = evaluate_frame(surface, uu, vv)

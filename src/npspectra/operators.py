@@ -57,9 +57,10 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._fileio import atomic_write
-from .errors import (ConfigError, DegenerateChart, DomainError, GridError,
-                     NotPositiveDefinite, NumericalError, SingularInversion)
+from .errors import (ConfigError, GridError, NotPositiveDefinite,
+                     NumericalError)
 from .grids import QuadratureGrid
+from .surfaces import _chart_on_axes
 
 FOUR_PI = 4.0 * np.pi
 
@@ -75,10 +76,6 @@ SELF_QUAD = 8                # radial/angular points of the self-cell rule
 _BLOCK_ENTRIES = 1 << 17
 # matrix entries per row chunk of a matrix dump (2 MiB of float64)
 _DUMP_ENTRIES = 1 << 18
-
-# the package's own errors, which a chart may raise and which keep their type
-_OWN_ERRORS = (ConfigError, DegenerateChart, DomainError, GridError,
-               SingularInversion)
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
 _TAG_BASES = {v: k for k, v in _BASIS_TAGS.items()}
@@ -138,16 +135,6 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_ENTRIES // n)
 
 
-def _not_broadcast(surf, uu, vv, what: str) -> ConfigError:
-    """The error for a chart that broke its contract on tensor axes."""
-    shape = np.broadcast_shapes(uu.shape, vv.shape)
-    return ConfigError(
-        f"the chart of surface {surf.name!r} {what} on u of shape "
-        f"{uu.shape} and v of shape {vv.shape}; a chart must accept "
-        f"broadcastable arguments and return their broadcast shape + (3,), "
-        f"here {(*shape, 3)}")
-
-
 def _panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
     """Chart samples on panel (a, b) of the parameter cells ``cells``.
 
@@ -166,14 +153,12 @@ def _panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
     Raises
     ------
     ConfigError
-        If the chart or its first derivatives fail on the tensor axes with
-        a ValueError of numpy's, or return a shape other than
-        (cells, q, q, 3): the chart does not broadcast its arguments as
-        ``ParametricSurface`` requires.  The package's own errors (such as
-        ``DegenerateChart``) pass through unchanged.
+        If the chart does not broadcast its arguments on the tensor axes
+        (``surfaces._chart_on_axes``).  ``build_grid`` probes the same
+        contract on 2 x 2 nodes, so only a chart that breaks on rank-3
+        arguments gets this far.
     """
     nodes = comp.start + cells
-    q = gx.size
     t0, t1 = grid.cell_u_lo[nodes], grid.cell_u_hi[nodes]
     dv = grid.cell_dv[nodes]
     p0 = grid.v[nodes] - 0.5 * dv
@@ -185,19 +170,7 @@ def _panel_geometry(grid, comp, cells, gx, gw, a, b, nsub):
     pp0 = p0 + dv * b / nsub
     vq = pp0[:, None] + (dv / nsub)[:, None] * 0.5 * (gx[None, :] + 1)
     wv = (dv / nsub)[:, None] * 0.5 * gw[None, :]
-    surf = comp.surface
-    uu, vv = uq[:, :, None], vq[:, None, :]
-    try:
-        y = surf.position(uu, vv)
-        yu, yv = surf.first_derivatives(uu, vv)
-    except _OWN_ERRORS:
-        raise
-    except ValueError as exc:
-        raise _not_broadcast(surf, uu, vv, f"raised {exc}") from exc
-    for out in (y, yu, yv):
-        if np.shape(out) != (cells.size, q, q, 3):
-            raise _not_broadcast(surf, uu, vv,
-                                 f"returned shape {np.shape(out)}")
+    y, yu, yv = _chart_on_axes(comp.surface, uq[:, :, None], vq[:, None, :])
     cr = np.cross(yu, yv)
     jac = np.sqrt(np.sum(cr * cr, axis=-1))
     ww = wu[:, :, None] * wv[:, None, :]

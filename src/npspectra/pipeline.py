@@ -81,7 +81,7 @@ def compute_report(config: RunConfig) -> tuple:
     """
     with _stage("geometry"):
         grid = build_grid(config.surface, *config.resolution)
-        predicted = weyl_coefficients_signed(grid, config.angular_resolution)
+        predicted = weyl_coefficients_signed(grid)
     with _stage("assembly"):
         blocks = _operator_blocks(grid)
         sym, sym_blocks = _symmetrize_blocks(grid, blocks)

@@ -67,7 +67,6 @@ def report_to_dict(report: SpectrumReport, config_echo: dict,
             "A_minus": coeffs.A_minus,
             "willmore": coeffs.willmore,
             "euler_char": coeffs.euler_char,
-            "angular_resolution": coeffs.angular_resolution,
         },
         "spectrum": {
             "lambda_plus": report.lambda_plus,

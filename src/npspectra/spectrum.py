@@ -297,11 +297,12 @@ def _block_negative_count(k, s, threshold: float) -> int:
     With -S = L L^T, the block's symmetrization sym(L^-1 K L)
     (``operators._plemelj_symmetrize``) equals L^-1 M L^-T for
     M = -sym(K S) (weighted_l2 basis), so by Sylvester's law of inertia
-    the count is the number of negative eigenvalues of M - threshold S.  A successful Cholesky factorization of
-    -S certifies that it is positive definite; the factor is not needed
-    otherwise.  One product K S and one LDL^T factorization replace the
-    similarity transform and the eigensolve; ``k`` and ``s`` are consumed,
-    and at most three arrays of their size are alive at any time.
+    the count is the number of negative eigenvalues of M - threshold S.
+    A successful Cholesky factorization of -S certifies that it is
+    positive definite; the factor is not needed otherwise.  One product
+    K S and one LDL^T factorization replace the similarity transform and
+    the eigensolve; ``k`` and ``s`` are consumed, and at most three arrays
+    of their size are alive at any time.
 
     Raises
     ------
@@ -354,24 +355,32 @@ def negative_count_study(surface, resolutions: Sequence,
     Raises
     ------
     ConfigError
-        On fewer than 3 or non-increasing resolutions, a resolution that
-        ``grids.check_resolution`` rejects (raised before any grid is
-        built), or a threshold that is not positive and finite.
+        On fewer than 3 or non-increasing resolutions, an entry that is
+        neither n nor a pair, a resolution that ``grids.check_resolution``
+        rejects (raised before any grid is built), or a threshold that is
+        not positive and finite.
     NotPositiveDefinite
         If -S is not positive definite on some grid.
     """
     if not 0 < threshold < np.inf:
         raise ConfigError(f"threshold must be positive and finite, "
                           f"got {threshold}")
-    res = [(int(r), int(r)) if np.isscalar(r) else (int(r[0]), int(r[1]))
-           for r in resolutions]
+    res = []
+    for i, r in enumerate(resolutions):
+        try:
+            pair = tuple(r)
+        except TypeError:       # not iterable: n means n x n
+            pair = (r, r)
+        if len(pair) != 2:
+            raise ConfigError(f"resolutions[{i}]: expected n or (n_u, n_v), "
+                              f"got {r!r}")
+        check_resolution(*pair, f"resolutions[{i}]")
+        res.append((int(pair[0]), int(pair[1])))
     if len(res) < 3:
         raise ConfigError("need at least 3 resolutions")
     sizes = [nu * nv for nu, nv in res]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError("resolutions must be strictly increasing")
-    for i, (nu, nv) in enumerate(res):
-        check_resolution(nu, nv, f"resolutions[{i}]")
     rows = []
     for nu, nv in res:
         grid = build_grid(surface, nu, nv)

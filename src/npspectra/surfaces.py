@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SingularInversion
+from .errors import (ConfigError, DegenerateChart, DomainError, GridError,
+                     SingularInversion)
 
 TWO_PI = 2.0 * np.pi
 # central-difference step, in parameter units, of finite-difference charts
@@ -24,6 +25,10 @@ _NEWTON_STEPS = 6
 PositionMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 FirstDerivatives = Callable[[np.ndarray, np.ndarray], tuple]
 SecondDerivatives = Callable[[np.ndarray, np.ndarray], tuple]
+
+# the package's own errors, which a chart may raise and which keep their type
+_OWN_ERRORS = (ConfigError, DegenerateChart, DomainError, GridError,
+               SingularInversion)
 
 
 class ParametricSurface:
@@ -174,6 +179,45 @@ def _tensor_layout(surface, n_u, n_v):
         ulo, uhi = u - du / 2, u + du / 2
     dv = TWO_PI / n_v
     return u, wu, ulo, uhi, dv * np.arange(n_v), dv
+
+
+def _not_broadcast(surf, uu, vv, what: str) -> ConfigError:
+    """The error for a chart that broke its contract on tensor axes."""
+    shape = np.broadcast_shapes(uu.shape, vv.shape)
+    return ConfigError(
+        f"the chart of surface {surf.name!r} {what} on u of shape "
+        f"{uu.shape} and v of shape {vv.shape}; a chart must accept "
+        f"broadcastable arguments and return their broadcast shape + (3,), "
+        f"here {(*shape, 3)}")
+
+
+def _chart_on_axes(surf, uu, vv):
+    """Position and first derivatives of a chart on broadcastable axes.
+
+    Returns (x, x_u, x_v), each of the broadcast shape of ``uu`` and
+    ``vv`` + (3,).
+
+    Raises
+    ------
+    ConfigError
+        If the chart or its first derivatives fail with a ValueError of
+        numpy's, or return another shape: the chart does not broadcast its
+        arguments as ``ParametricSurface`` requires.  The package's own
+        errors (such as ``DegenerateChart``) pass through unchanged.
+    """
+    try:
+        x = surf.position(uu, vv)
+        xu, xv = surf.first_derivatives(uu, vv)
+    except _OWN_ERRORS:
+        raise
+    except ValueError as exc:
+        raise _not_broadcast(surf, uu, vv, f"raised {exc}") from exc
+    shape = (*np.broadcast_shapes(uu.shape, vv.shape), 3)
+    for out in (x, xu, xv):
+        if np.shape(out) != shape:
+            raise _not_broadcast(surf, uu, vv,
+                                 f"returned shape {np.shape(out)}")
+    return x, xu, xv
 
 
 def _vectors(*parts):

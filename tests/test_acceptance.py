@@ -77,7 +77,7 @@ def sphere_report_full():
 def torus_branch_fit():
     """Signed-branch fit against the curvature prediction, 64 x 64 torus."""
     grid = build_grid(torus(2.0, 1.0), 64, 64)
-    predicted = weyl_coefficients_signed(grid, 64)
+    predicted = weyl_coefficients_signed(grid)
     eigs, _ = symmetrized_spectrum(grid)
     _, lambda_minus = split_spectrum(eigs, 1e-10)
     return predicted, weyl_fit(lambda_minus, "auto")
@@ -113,7 +113,7 @@ def test_coefficient_identities_on_catalog(announce):
     worst_sum = worst_formula = worst_chi = 0.0
     for name, surf, _ in CATALOG_INSTANCES:
         grid = build_grid(surf, *resolutions.get(name, (48, 96)))
-        c = weyl_coefficients_signed(grid, 64)
+        c = weyl_coefficients_signed(grid)
         worst_sum = max(worst_sum, abs(c.A_plus + c.A_minus - c.A_total))
         formula = (3.0 * c.willmore
                    - 2.0 * np.pi * c.euler_char) / (128.0 * np.pi)
@@ -177,8 +177,8 @@ def test_torus_signed_asymptotics(torus_branch_fit, announce):
 def test_mobius_invariance_of_total_coefficient(announce):
     base = ellipsoid(2.0, 1.2, 1.0)
     image = mobius_invert(base, (2.1, 0.0, 0.0), 1.0)
-    cb = weyl_coefficients_signed(build_grid(base, 128, 256), 64)
-    ci = weyl_coefficients_signed(build_grid(image, 128, 256), 64)
+    cb = weyl_coefficients_signed(build_grid(base, 128, 256))
+    ci = weyl_coefficients_signed(build_grid(image, 128, 256))
     rel = abs(ci.A_total - cb.A_total) / cb.A_total
     ok = rel <= 1e-2 and cb.A_minus <= 1e-12 and ci.A_minus > 1e-4
     announce("A is invariant under inversion while A_minus is not", ok,

@@ -312,12 +312,14 @@ def test_relative_and_absolute_output_paths_to_one_file_exit_config(
     assert not (tmp_path / "out.txt").exists()
 
 
-def test_oversized_angular_resolution_exits_config(capsys, tmp_path):
+def test_angular_resolution_key_exits_config_as_unknown(capsys, tmp_path):
+    # the angular integral is exact, so the former option is refused, not
+    # silently ignored
     path = write_config(tmp_path, {"surface": {"name": "sphere"},
                                    "resolution": [8, 16],
-                                   "angular_resolution": 4097})
+                                   "angular_resolution": 64})
     code = cli.main(["coefficients", "--config", str(path)])
     assert code == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: /angular_resolution: ")
+    assert err.startswith("error: /: unknown keys ['angular_resolution']; ")
     assert err.count("\n") == 1

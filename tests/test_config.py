@@ -18,7 +18,6 @@ def test_minimal_sphere_defaults():
     assert config.surface.name == "sphere"
     assert config.surface.params == {"r": 1.0}
     assert config.resolution == (48, 96)
-    assert config.angular_resolution == 64
     assert config.fit_window == "auto"
     assert config.noise_cutoff == 1e-10
     assert config.outputs == []
@@ -54,7 +53,6 @@ def test_full_document_round_trip():
     doc = {
         "surface": {"name": "torus", "R": 3.0, "r": 0.5},
         "resolution": [24, 24],
-        "angular_resolution": 32,
         "fit_window": [4, 40],
         "noise_cutoff": 1e-9,
         "outputs": [{"report_json": "report.json"},
@@ -69,6 +67,8 @@ def test_full_document_round_trip():
     assert echo["surface"] == doc["surface"]
     assert echo["resolution"] == [24, 24]
     assert echo["fit_window"] == [4, 40]
+    assert list(echo) == ["surface", "resolution", "fit_window",
+                          "noise_cutoff", "outputs"]
 
 
 def test_inversion_wrapper_surface():
@@ -101,8 +101,8 @@ def test_error_pointers():
                    "/resolution")
     expect_pointer({"surface": {"name": "sphere"},
                     "resolution": [16.0, 32]}, "/resolution/0")
-    expect_pointer({"surface": {"name": "sphere"}, "angular_resolution": 8},
-                   "/angular_resolution")
+    expect_pointer({"surface": {"name": "sphere"}, "angular_resolution": 64},
+                   "/")
     expect_pointer({"surface": {"name": "sphere"}, "fit_window": [0, 5]},
                    "/fit_window")
     expect_pointer({"surface": {"name": "sphere"}, "fit_window": "none"},
@@ -180,8 +180,6 @@ def test_load_config(tmp_path):
      "/resolution"),
     ({"surface": {"name": "sphere"}, "resolution": [4097, 4096]},
      "/resolution"),
-    ({"surface": {"name": "sphere"}, "angular_resolution": 4097},
-     "/angular_resolution"),
 ])
 def test_nonfinite_and_out_of_range_values_rejected(doc, pointer):
     expect_pointer(doc, pointer)
@@ -204,10 +202,8 @@ def test_repeated_output_path_rejected(outputs, pointer, first):
 
 def test_largest_grid_accepted():
     config = make_config({"surface": {"name": "sphere"},
-                          "resolution": [4096, 4096],
-                          "angular_resolution": 4096})
+                          "resolution": [4096, 4096]})
     assert config.resolution == (4096, 4096)
-    assert config.angular_resolution == 4096
 
 
 def test_radius_square_overflow_named():
@@ -240,7 +236,6 @@ _documents = st.fixed_dictionaries({}, optional={
     "surface": st.one_of(_surfaces, _inversions, _json),
     "resolution": st.one_of(st.lists(st.integers(-10, 10 ** 30), max_size=3),
                             _json),
-    "angular_resolution": st.one_of(st.integers(-100, 10 ** 6), _json),
     "fit_window": st.one_of(st.just("auto"),
                             st.lists(st.integers(-5, 100), max_size=3),
                             _json),

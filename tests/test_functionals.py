@@ -6,9 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from npspectra import (
-    ConfigError,
     TopologyWarning,
     build_grid,
     concatenate_grids,
@@ -17,13 +17,13 @@ from npspectra import (
     mobius_invert,
     peanut,
     rigid_transform,
-    signed_parts,
     sphere,
     spheroid,
     torus,
     weyl_coefficients_signed,
     willmore_energy,
 )
+from npspectra.functionals import _positive_part_integral
 import reference as ref
 
 
@@ -63,7 +63,6 @@ def test_sphere_coefficients(sphere_grid):
     assert coeffs.A_minus <= 1e-12
     assert coeffs.euler_char == pytest.approx(2.0, abs=1e-10)
     assert coeffs.willmore == pytest.approx(4.0 * np.pi, abs=1e-10)
-    assert coeffs.angular_resolution == 64
 
 
 def test_torus_willmore_closed_form(torus_grid):
@@ -82,6 +81,51 @@ def test_torus_signed_coefficients(torus_grid):
     assert abs(coeffs.A_minus - ref.TORUS_A_MINUS) <= 5e-6
 
 
+def test_torus_signed_coefficients_at_64x64():
+    # the angular integral is exact, so only the surface rule is left: a
+    # 64-point angular trapezoid rule was 3.5e-7 off here
+    coeffs = weyl_coefficients_signed(build_grid(torus(), 64, 64))
+    assert abs(coeffs.A_plus - ref.TORUS_A_PLUS) <= 1e-7
+    assert abs(coeffs.A_minus - ref.TORUS_A_MINUS) <= 1e-7
+
+
+def _squared_part_by_quad(k1, k2, sign):
+    """Int_0^2pi [sign f]_+^2 dt for f = k1 cos^2 t + k2 sin^2 t, by quad.
+
+    The interval is split where f changes sign, so each piece integrates a
+    smooth trigonometric polynomial.
+    """
+    def f(t):
+        return k1 * np.cos(t) ** 2 + k2 * np.sin(t) ** 2
+
+    cuts = [0.0, 2 * np.pi]
+    if k1 * k2 < 0:
+        t0 = np.arctan(np.sqrt(-k1 / k2))
+        cuts += [t0, np.pi - t0, np.pi + t0, 2 * np.pi - t0]
+    cuts = sorted(cuts)
+    total = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        if sign * f(0.5 * (lo + hi)) > 0:
+            total += quad(lambda t: f(t) ** 2, lo, hi,
+                          epsabs=1e-15 * (k1 * k1 + k2 * k2),
+                          epsrel=2e-14, limit=200)[0]
+    return total
+
+
+@pytest.mark.parametrize("k1, k2", [
+    (-1.0, -1.0), (-2.0, -0.5), (1.5, 0.25), (2.0, 2.0),
+    (-1.0, 0.4), (0.3, -2.0), (0.0, -1.0), (1.0, 0.0), (0.0, 0.0),
+    (1e6, -3e5), (-2e-6, 1e-6), (-1e6, -4e5), (7e-6, 7e-6), (-1e-6, 1e6),
+])
+def test_angular_integral_matches_quadrature(k1, k2):
+    p, q = np.array([0.5 * (k1 + k2)]), np.array([0.5 * abs(k1 - k2)])
+    scale = np.pi * (3 * k1 * k1 + 2 * k1 * k2 + 3 * k2 * k2) / 4
+    for sign in (1.0, -1.0):
+        got = _positive_part_integral(sign * p, q)[0]
+        assert abs(got - _squared_part_by_quad(k1, k2, sign)) \
+            <= 1e-13 * scale
+
+
 def test_peanut_signed_coefficients(peanut_grid):
     coeffs = weyl_coefficients_signed(peanut_grid)
     assert abs(coeffs.willmore - ref.PEANUT_WILLMORE) <= 5e-6
@@ -89,16 +133,6 @@ def test_peanut_signed_coefficients(peanut_grid):
     assert abs(coeffs.A_plus - ref.PEANUT_A_PLUS) <= 5e-6
     assert abs(coeffs.A_minus - ref.PEANUT_A_MINUS) <= 5e-6
     assert abs(coeffs.euler_char - 2.0) <= 5e-6
-
-
-def test_signed_parts_identities():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=257)
-    pos, neg = signed_parts(x)
-    assert np.all(pos >= 0.0)
-    assert np.all(neg >= 0.0)
-    assert np.allclose(pos - neg, x)
-    assert np.all(pos * neg == 0.0)
 
 
 @pytest.mark.parametrize("factory,res", [
@@ -118,35 +152,6 @@ def test_signed_sum_matches_total(factory, res):
                - 2.0 * np.pi * coeffs.euler_char) / (128.0 * np.pi)
     assert abs(coeffs.A_total - formula) <= 1e-12
     assert abs(coeffs.euler_char - round(coeffs.euler_char)) <= 6e-3
-
-
-def test_angular_refinement_stable_convex(sphere_grid):
-    c64 = weyl_coefficients_signed(sphere_grid, 64)
-    c128 = weyl_coefficients_signed(sphere_grid, 128)
-    assert abs(c64.A_plus - c128.A_plus) <= 1e-10
-    grid = build_grid(ellipsoid(2.0, 1.2, 1.0), 16, 32)
-    c64 = weyl_coefficients_signed(grid, 64)
-    c128 = weyl_coefficients_signed(grid, 128)
-    assert abs(c64.A_plus - c128.A_plus) <= 1e-10
-
-
-def test_angular_refinement_nonconvex_trapezoid_rate(torus_grid):
-    # the angular integrand has kinks where the curvature form changes
-    # sign, so doubling the angle count converges at the trapezoid rate
-    # rather than spectrally
-    c64 = weyl_coefficients_signed(torus_grid, 64)
-    c128 = weyl_coefficients_signed(torus_grid, 128)
-    assert abs(c64.A_minus - c128.A_minus) <= 1e-5
-    assert abs(c128.A_minus - ref.TORUS_A_MINUS) \
-        <= abs(c64.A_minus - ref.TORUS_A_MINUS) + 1e-12
-
-
-def test_angular_resolution_validation(sphere_grid):
-    with pytest.raises(ConfigError):
-        weyl_coefficients_signed(sphere_grid, 8)
-    # rejected before the n_nodes x n_theta arrays are allocated
-    with pytest.raises(ConfigError, match="at most 4096"):
-        weyl_coefficients_signed(sphere_grid, 10 ** 7)
 
 
 def test_euler_characteristic_warns_when_far_from_integer():

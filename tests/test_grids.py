@@ -29,6 +29,24 @@ def test_resolution_validation():
         build_grid(sphere(), 4097, 4097)
 
 
+@pytest.mark.parametrize("n_u, n_v", [
+    (16.9, 32.2), (16.0, 32), (8, np.float64(16.0)), ("8", "16"),
+    (True, 16), (8, np.bool_(True)), (None, 16),
+])
+def test_non_integer_resolution_rejected(n_u, n_v):
+    # never rounded or parsed into a grid of another size
+    with pytest.raises(ConfigError, match=r"^grid resolution: .* is not a "
+                                          r"pair of integers"):
+        build_grid(sphere(), n_u, n_v)
+
+
+def test_numpy_integer_resolution_accepted():
+    grid = build_grid(sphere(), np.int64(8), np.int32(16))
+    assert grid.resolution == (8, 16)
+    assert type(grid.components[0].n_u) is int
+    assert np.array_equal(grid.points, build_grid(sphere(), 8, 16).points)
+
+
 def test_sphere_grid_shapes_and_weights():
     grid = build_grid(sphere(), 12, 24)
     assert grid.n_nodes == 12 * 24

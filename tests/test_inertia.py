@@ -92,6 +92,12 @@ def test_study_rejects_nonfinite_threshold(threshold):
 @pytest.mark.parametrize("last, message", [
     ((3, 200), "too small"),
     ((4097, 4097), "more than"),
+    ((12, 24.7), "not a pair of integers"),
+    ("12", "not a pair of integers"),
+    (np.array(12), "not a pair of integers"),
+    ((12,), "expected n or"),
+    ((12, 24, 48), "expected n or"),
+    ((12, [24, 48]), "not a pair of integers"),
 ])
 def test_study_checks_every_resolution_first(last, message, monkeypatch):
     def no_grid(*args, **kwargs):
@@ -100,3 +106,14 @@ def test_study_checks_every_resolution_first(last, message, monkeypatch):
     monkeypatch.setattr(spectrum, "build_grid", no_grid)
     with pytest.raises(ConfigError, match=rf"resolutions\[2\]: .*{message}"):
         negative_count_study(sphere(), [(8, 8), (16, 16), last])
+
+
+def test_study_rejects_a_non_integer_first_resolution(monkeypatch):
+    # 16.7 would have run as 16 before any check
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid built before the resolutions were checked")
+
+    monkeypatch.setattr(spectrum, "build_grid", no_grid)
+    with pytest.raises(ConfigError, match=r"^resolutions\[0\]: 8x16\.7 is "
+                                          r"not a pair of integers"):
+        negative_count_study(sphere(), [(8, 16.7), (12, 24), (16, 32)])

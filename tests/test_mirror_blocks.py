@@ -11,6 +11,7 @@ assembly gives the blocks of the unblocked one, check that the report and
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -20,6 +21,7 @@ import scipy.linalg as sla
 from npspectra import (
     ParametricSurface,
     RunConfig,
+    TopologyWarning,
     assemble_operators,
     build_grid,
     compute_report,
@@ -124,7 +126,11 @@ def case(request):
     make_surface, res, order, tol = CASES[request.param]
     grid = build_grid(make_surface(), *res)
     eigs, svals, dense, exact = _dense(grid)
-    report, sym = _report(make_surface(), res)
+    # the report's Gauss-Bonnet integral is 2.005 on the coarse peanut
+    expected = pytest.warns(TopologyWarning, match="Gauss-Bonnet") \
+        if request.param == "peanut-16x32" else contextlib.nullcontext()
+    with expected:
+        report, sym = _report(make_surface(), res)
     return grid, order, tol, eigs, svals, dense, exact, report, sym
 
 

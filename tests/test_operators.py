@@ -503,8 +503,8 @@ def _egg_stacked():
     """An egg-shaped chart that stacks coordinates of unequal shapes.
 
     Its z coordinate depends on u alone, so on tensor axes np.stack meets
-    a (cells, q, 1) array beside (cells, q, q) ones and raises numpy's
-    ValueError; on the 1-d node arrays of ``build_grid`` it works.
+    a (n_u, 1) array beside (n_u, n_v) ones and raises numpy's ValueError;
+    on 1-d node arrays it works.
     """
     def fx(u, v):
         r = 1.0 + 0.2 * np.cos(u)
@@ -516,22 +516,38 @@ def _egg_stacked():
 
 
 def test_chart_that_does_not_broadcast_is_a_config_error():
-    grid = build_grid(_egg_stacked(), 12, 24)
+    # build_grid probes the contract before it evaluates any frame
     with pytest.raises(ConfigError, match=r"chart of surface 'egg' raised "
                                           r"all input arrays must have the "
                                           r"same shape .* broadcast shape"):
-        assemble_operators(grid)
+        build_grid(_egg_stacked(), 12, 24)
 
 
 def test_chart_of_the_wrong_shape_is_a_config_error():
-    # a chart that flattens its points passes build_grid's 1-d nodes
+    # a chart that flattens its points works on 1-d nodes only
     flat = ParametricSurface(
         lambda u, v: sphere().position(u, v).reshape(-1, 3), kind="polar",
         name="flat")
-    grid = build_grid(flat, 8, 16)
-    with pytest.raises(ConfigError, match=r"'flat' returned shape \(\d+, 3\)"
-                                          r" on u of shape .* here "
-                                          r"\(\d+, 6, 6, 3\)"):
+    with pytest.raises(ConfigError, match=r"'flat' returned shape \(4, 3\) "
+                                          r"on u of shape \(2, 1\) and v of "
+                                          r"shape \(1, 2\); .* here "
+                                          r"\(2, 2, 3\)"):
+        build_grid(flat, 8, 16)
+
+
+def test_chart_that_breaks_on_rank_3_is_a_config_error_of_assembly():
+    # the grid's probe runs on rank 2; the panels of assembly are rank 3
+    base = sphere()
+
+    def fx(u, v):
+        x = base.position(u, v)
+        return x.reshape(-1, 3) if np.ndim(u) == 3 else x
+
+    grid = build_grid(ParametricSurface(fx, base._d1, base._d2, kind="polar",
+                                        name="flat3"), 8, 16)
+    with pytest.raises(ConfigError, match=r"'flat3' returned shape "
+                                          r"\(\d+, 3\) on u of shape .* "
+                                          r"here \(\d+, 6, 6, 3\)"):
         assemble_operators(grid)
 
 

@@ -52,8 +52,7 @@ def test_report_schema_key_order(sphere_report_small):
     assert list(doc.keys()) == ["config_echo", "coefficients", "spectrum",
                                 "fit", "plasmon", "diagnostics", "version"]
     assert list(doc["coefficients"].keys()) == [
-        "A_total", "A_plus", "A_minus", "willmore", "euler_char",
-        "angular_resolution"]
+        "A_total", "A_plus", "A_minus", "willmore", "euler_char"]
     assert list(doc["spectrum"].keys()) == [
         "lambda_plus", "lambda_minus", "singular_values", "clusters"]
     # the same diagnostics at every grid size
