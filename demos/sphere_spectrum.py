@@ -2,8 +2,8 @@
 
 On the unit sphere the operator diagonalizes on spherical harmonics with
 eigenvalues 1/(2(2k+1)) of multiplicity 2k+1. The demo assembles the
-dense Nystrom matrices, splits them into the blocks of the grid's eight
-mirror symmetries, symmetrizes each block through its single layer, and
+meridian rows of the Nystrom matrices, splits them into one block per
+rotation mode, symmetrizes each block through its single layer, and
 prints the detected clusters next to the exact ladder, plus the
 symmetrization diagnostics that certify the discretization.
 """

@@ -21,7 +21,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ConfigError, SingularInversion
 from .grids import check_resolution
@@ -149,7 +148,9 @@ def parse_config(text: str) -> RunConfig:
     Raises
     ------
     ConfigError
-        With a JSON-pointer path for any schema violation.
+        With a JSON-pointer path for any schema violation, including an
+        output path that is empty or names a directory (a trailing
+        separator, or a last component "." or "..").
     """
     try:
         doc = json.loads(text)
@@ -208,6 +209,12 @@ def parse_config(text: str) -> RunConfig:
             for key, val in entry.items():
                 where = f"/outputs/{i}/{key}"
                 _expect(val, str, where, "a path string")
+                if not val:
+                    _fail(where, "empty path")
+                # a trailing separator, "." or ".." names a directory
+                if os.path.basename(val) in ("", ".", ".."):
+                    _fail(where, f"path {val!r} names a directory, "
+                                 f"not a file")
                 path = os.path.normpath(val)
                 if path in seen:
                     _fail(where, f"path {val!r} is already written by "

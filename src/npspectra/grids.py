@@ -14,11 +14,20 @@ grid nodes to grid nodes and reflect points, normals, weights and cells,
 and all their products.  Operators assembled on the grid commute with
 these permutations, so their spectra split into one block per character
 of the group (``operators._mirror_blocks``).
+
+A grid of a surface of revolution about the z axis also records its turn:
+the map (u, v) -> (u, v + 2 pi / n_v), kept only if it sends nodes to
+nodes, turns points and unit normals about the z axis by 2 pi / n_v, keeps
+the weights and shifts the cells, and only on a grid that also keeps the
+y-mirror v -> -v.  Operators on such a grid commute with the turn and the
+y-mirror, so they split into one real block of n_u x n_u per rotation
+mode m = 0 .. n_v // 2 (``operators._mode_blocks``), which replaces the
+mirror blocks on that grid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +65,11 @@ class QuadratureGrid:
     parameter cell owned by each node.  ``mirrors`` holds the node
     permutations of the mirror group, one row per element: row h composes
     the generating mirrors named by the bits of h, so row 0 is the identity
-    and a grid without mirrors has that row only.
+    and a grid without mirrors has that row only.  ``turn`` is True when
+    the turn (u, v) -> (u, v + 2 pi / n_v) and the y-mirror v -> -v both
+    map the grid onto itself; only ``build_grid`` sets it, on one
+    component.  Node (a, e) of such a grid is a * n_v + e, and the turn
+    sends it to (a, e + 1).
     """
 
     components: list
@@ -72,6 +85,7 @@ class QuadratureGrid:
     mean_curvature: np.ndarray = field(default=None, repr=False)
     gauss_curvature: np.ndarray = field(default=None, repr=False)
     mirrors: np.ndarray = field(default=None, repr=False)
+    turn: bool = False
 
     def __post_init__(self):
         if self.mirrors is None:
@@ -106,10 +120,11 @@ _MIRROR_MAPS = {
     "biperiodic": _MIRROR_XY + (lambda u, v: (-u, v),),
 }
 
-# tolerances of the mirror check: parameter images off the nodes by more
-# than _OFF_NODE periods drop a mirror; a kept mirror must reflect points
-# (relative to the grid extent), unit normals, weights (relative) and cell
-# bounds (in periods) to _MIRROR_TOL, or it is dropped too.
+# tolerances of the mirror and turn checks: parameter images off the nodes
+# by more than _OFF_NODE periods drop a map; a kept map must reflect (or
+# turn) points (relative to the grid extent), unit normals, weights
+# (relative) and cell bounds (in periods) to _MIRROR_TOL, or it is dropped
+# too.
 # Finite-difference charts carry rounding of about eps / FD_STEP ~ 2e-11
 # in normals and weights, which are checked to _MIRROR_TOL_FD on them.
 _OFF_NODE = 1e-9
@@ -143,52 +158,77 @@ def _bound_defect(a, b, lo, hi, period, unit):
                       np.abs(wrap(np.maximum(a, b) - hi))) / unit
 
 
-def _mirror_group(surface, grid, u_nodes, v_nodes):
-    """Node permutations of the mirror group of a single-component grid.
+def _node_map(surface, grid, u_nodes, v_nodes, fn, linear):
+    """Node permutation of a parameter map that moves the grid onto itself.
 
-    Each candidate mirror of the chart kind (``_MIRROR_MAPS``) whose
-    parameter map sends every node to a node, and whose permutation maps
-    points, unit normals, cell bounds and weights onto their reflections,
-    becomes a generator; the others are dropped (``v -> pi - v`` at odd
-    ``n_v``, or the z-mirror of an egg-shaped body, for example).  Returns
-    the group table of ``QuadratureGrid``.
+    ``fn`` maps (u, v) to (u, v) and ``linear`` is the orthogonal 3 x 3
+    matrix it should apply to points and unit normals.  Returns the
+    permutation perm with node perm[i] the image of node i, or None if some
+    parameter image is off the nodes by more than _OFF_NODE periods, or if
+    the images of the points (relative to the grid extent), unit normals,
+    weights (relative) or parameter cells (in periods) miss their nodes'
+    by more than the tolerances.
     """
-    n_u, n_v = u_nodes.size, v_nodes.size
+    n_v = v_nodes.size
     # the polar u-direction is the interval (0, pi); all others wrap at 2 pi
     u_wrap, u_scale = (None, np.pi) if surface.kind == "polar" \
         else (TWO_PI, TWO_PI)
+    mu, mv = fn(grid.u, grid.v)
+    iu, du = _node_indices(mu, u_nodes, u_wrap)
+    iv, dv = _node_indices(mv, v_nodes, TWO_PI)
+    if max(du.max() / u_scale, dv.max() / TWO_PI) > _OFF_NODE:
+        return None
+    perm = iu * n_v + iv
     x, nrm, w = grid.points, grid.normals, grid.weights
     scale = float(np.max(np.ptp(x, axis=0)))
     half = 0.5 * grid.cell_dv
     derived = _MIRROR_TOL if surface.derivative_mode == "analytic" \
         else _MIRROR_TOL_FD
+    # image of each node's parameter cell, from two opposite corners
+    ua, va = fn(grid.cell_u_lo, grid.v - half)
+    ub, vb = fn(grid.cell_u_hi, grid.v + half)
+    cell = np.maximum(
+        _bound_defect(ua, ub, grid.cell_u_lo[perm], grid.cell_u_hi[perm],
+                      u_wrap, u_scale),
+        _bound_defect(va, vb, (grid.v - half)[perm], (grid.v + half)[perm],
+                      TWO_PI, TWO_PI))
+    defects = (
+        (np.max(np.abs(x[perm] - x @ linear.T), axis=1) / scale,
+         _MIRROR_TOL),
+        (np.max(np.abs(nrm[perm] - nrm @ linear.T), axis=1), derived),
+        (np.abs(w[perm] - w) / w, derived),
+        (cell, _MIRROR_TOL),
+    )
+    return perm if all(d.max() <= tol for d, tol in defects) else None
+
+
+def _symmetries(surface, grid, u_nodes, v_nodes):
+    """Mirror group and turn of a single-component grid.
+
+    Each candidate mirror of the chart kind (``_MIRROR_MAPS``) that
+    ``_node_map`` keeps, as the reflection through its coordinate plane,
+    becomes a generator; the others are dropped (``v -> pi - v`` at odd
+    ``n_v``, or the z-mirror of an egg-shaped body, for example).  The turn
+    ``v -> v + 2 pi / n_v`` is checked as the rotation by 2 pi / n_v about
+    the z axis, and only on a grid that keeps the y-mirror ``v -> -v``.
+    Returns the group table of ``QuadratureGrid.mirrors`` and whether the
+    turn is kept.
+    """
     perms = [np.arange(grid.n_nodes)]
+    kept = []
     for axis, fn in enumerate(_MIRROR_MAPS[surface.kind]):
-        mu, mv = fn(grid.u, grid.v)
-        iu, du = _node_indices(mu, u_nodes, u_wrap)
-        iv, dv = _node_indices(mv, v_nodes, TWO_PI)
-        if max(du.max() / u_scale, dv.max() / TWO_PI) > _OFF_NODE:
-            continue
-        perm = iu * n_v + iv
         flip = np.ones(3)
         flip[axis] = -1.0
-        # image of each node's parameter cell, from two opposite corners
-        ua, va = fn(grid.cell_u_lo, grid.v - half)
-        ub, vb = fn(grid.cell_u_hi, grid.v + half)
-        cell = np.maximum(
-            _bound_defect(ua, ub, grid.cell_u_lo[perm], grid.cell_u_hi[perm],
-                          u_wrap, u_scale),
-            _bound_defect(va, vb, (grid.v - half)[perm],
-                          (grid.v + half)[perm], TWO_PI, TWO_PI))
-        defects = (
-            (np.max(np.abs(x[perm] - x * flip), axis=1) / scale, _MIRROR_TOL),
-            (np.max(np.abs(nrm[perm] - nrm * flip), axis=1), derived),
-            (np.abs(w[perm] - w) / w, derived),
-            (cell, _MIRROR_TOL),
-        )
-        if all(d.max() <= tol for d, tol in defects):
+        perm = _node_map(surface, grid, u_nodes, v_nodes, fn, np.diag(flip))
+        if perm is not None:
             perms += [perm[p] for p in perms]
-    return np.array(perms)
+            kept.append(axis)
+    dv = TWO_PI / v_nodes.size
+    c, s = np.cos(dv), np.sin(dv)
+    turn = 1 in kept and _node_map(
+        surface, grid, u_nodes, v_nodes, lambda u, v: (u, v + dv),
+        np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])) is not None
+    return np.array(perms), turn
 
 
 def check_resolution(n_u: int, n_v: int, where: str) -> None:
@@ -261,15 +301,15 @@ def build_grid(surface: ParametricSurface, n_u: int, n_v: int) -> QuadratureGrid
         components=[comp], u=uu, v=vv, weights=weights, frames=frames,
         cell_u_lo=np.repeat(ulo, n_v), cell_u_hi=np.repeat(uhi, n_v),
         cell_dv=np.full(n_u * n_v, dv))
-    grid.mirrors = _mirror_group(surface, grid, u, v)
+    grid.mirrors, grid.turn = _symmetries(surface, grid, u, v)
     return grid
 
 
 def concatenate_grids(grids: Sequence[QuadratureGrid]) -> QuadratureGrid:
     """Join grids over disjoint surfaces into one multi-component grid.
 
-    The joined grid keeps no mirrors: a mirror of one component need not
-    map the others onto themselves.
+    The joined grid keeps no mirrors and no turn: a mirror or turn of one
+    component need not map the others onto themselves.
     """
     grids = list(grids)
     if not grids:

@@ -16,9 +16,11 @@ are what keep -S positive definite and the spectrum's negative tail clean
 at production resolutions, so they are always applied.
 
 Assembly computes only the rows of the orbit representatives of the grid's
-mirror group, the smallest node of each orbit: about n/8 rows on a catalog
-grid, every row on a grid without mirrors.  It writes their one-point
-products in row blocks, which also find the near pairs.  The cell
+symmetry (``_row_nodes``): on a grid with the turn the n_u meridian nodes
+(a, 0), since every other row is a meridian row turned; otherwise the
+smallest node of each orbit of the mirror group, about n/8 rows on a
+catalog grid, every row on a grid without mirrors.  It writes their
+one-point products in row blocks, which also find the near pairs.  The cell
 integrals then evaluate the surface chart once per quadrature panel on
 each cell that some near pair integrates over, not once per near pair
 nor on every cell, on the panel's tensor axes (u and v nodes as
@@ -27,22 +29,27 @@ weights into those samples, and gather from that per-cell cache in
 bounded chunks, one contiguous plane per coordinate.  The self-cell rule
 samples a polar pattern, not a tensor product, and takes full arrays.
 An operator holds only these rows (``DiscreteOperator.rows``).  Every
-other row is a permuted copy of a representative row
-(``_orbit_sources``), gathered from them
-(``_fill_orbits``) into the n x n matrix only when
+other row is a turned copy of a meridian row (``_fill_turns``) or a
+permuted copy of a representative row (``_orbit_sources``,
+``_fill_orbits``), gathered into the n x n matrix only when
 ``DiscreteOperator.matrix`` is first read, and into bounded chunks when a
 matrix dump streams them to its file (``dump_operator``).  Beyond the two
 returned row arrays, assembly therefore holds temporaries of O(n) plus a
 few dozen MiB, independent of n^2.
 
-Symmetrization has one route.  K and S commute with the mirror
-permutations of the grid's nodes and split into one block per character
-of the mirror group (``_mirror_blocks``; a grid without mirrors is one
-block).  Each block is symmetrized through its own single layer
-(``_symmetrize_blocks``), so the reports, the study and
-``spectrum.symmetrized_spectrum`` do dense work on blocks of about n/8
-nodes on a catalog grid, and read only the representative rows; so does
-a matrix dump.  No n x n array is built unless a caller reads ``matrix``.
+Symmetrization has one route, on the blocks of the grid's symmetry.  On a
+grid with the turn and the y-mirror (a surface of revolution), K and S
+split into one real n_u x n_u block per rotation mode m = 0 .. n_v // 2,
+the real part of one ``rfft`` of the meridian rows along v
+(``_mode_blocks``), each standing for one or two blocks of the whole
+matrix.  Otherwise they commute with the mirror permutations of the
+grid's nodes and split into one block per character of the mirror group
+(``_mirror_blocks``; a grid without mirrors is one block).  Each block is
+symmetrized through its own single layer (``_symmetrize_blocks``), so the
+reports, the study and ``spectrum.symmetrized_spectrum`` do dense work on
+blocks of n_u nodes on a surface of revolution and of about n/8 nodes on
+another catalog grid, and read only the representative rows; so does a
+matrix dump.  No n x n array is built unless a caller reads ``matrix``.
 Every per-block step runs through ``_map_blocks``: the blocks side by side
 on a thread pool, each LAPACK call on one BLAS thread.
 """
@@ -51,7 +58,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -88,13 +95,15 @@ _DUMP_VERSION = 1
 class DiscreteOperator:
     """Dense discretization of a layer operator on a fixed grid.
 
-    The operator commutes with the node permutations of the grid's mirror
-    group (``grid.mirrors``), so it is held by ``rows``: the rows of the
-    orbit representatives, the smallest node of each orbit, in ascending
-    order.  An array of n rows is the whole matrix; so are the rows of a
-    grid without mirrors.  ``matrix`` is the n x n array, gathered from
-    ``rows`` (``_fill_orbits``) the first time it is read and kept from
-    then on; when ``rows`` has n rows it is ``rows`` itself, not a copy.
+    The operator commutes with the grid's turn (``grid.turn``) or the node
+    permutations of its mirror group (``grid.mirrors``), so it is held by
+    ``rows``: the rows of the nodes ``_row_nodes``, in ascending order,
+    the meridian nodes (a, 0) on a grid with the turn and otherwise the
+    orbit representatives, the smallest node of each orbit.  An array of
+    n rows is the whole matrix; so are the rows of a grid without mirrors
+    or turn.  ``matrix`` is the n x n array, gathered from ``rows``
+    (``_row_filler``) the first time it is read and kept from then on;
+    when ``rows`` has n rows it is ``rows`` itself, not a copy.
     A matrix dump (``dump_operator``) streams the same rows from ``rows``
     in bounded chunks, with the same bits, and neither reads nor builds
     ``matrix``.
@@ -118,9 +127,7 @@ class DiscreteOperator:
     def matrix(self) -> np.ndarray:
         if self.rows.shape[0] == self.n:
             return self.rows
-        perms = self.grid.mirrors
-        return _fill_orbits(self.rows, perms, _orbit_sources(perms),
-                            np.empty((self.n, self.n)))
+        return _row_filler(self)(np.empty((self.n, self.n)))
 
 
 # ------------------------------------------------------------------ helpers
@@ -312,6 +319,19 @@ def _representatives(perms: np.ndarray) -> np.ndarray:
     return np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
 
 
+def _row_nodes(grid: QuadratureGrid) -> np.ndarray:
+    """Nodes whose rows an operator holds, ascending.
+
+    On a grid with the turn, the meridian nodes (a, 0) = a * n_v, whose
+    rows give every other row by the turn; otherwise the orbit
+    representatives of the mirror group (``_representatives``).
+    """
+    if grid.turn:
+        n_u, n_v = grid.resolution
+        return np.arange(n_u) * n_v
+    return _representatives(grid.mirrors)
+
+
 def _orbit_sources(perms: np.ndarray):
     """Where each row of a matrix commuting with ``perms`` is copied from.
 
@@ -347,6 +367,40 @@ def _fill_orbits(rows: np.ndarray, perms: np.ndarray, sources,
     return out
 
 
+def _fill_turns(rows: np.ndarray, resolution, out: np.ndarray,
+                start: int = 0) -> np.ndarray:
+    """Write rows start, start + 1, ... of the full matrix into ``out``.
+
+    The matrix commutes with the turn of an n_u x n_v grid and has the
+    meridian rows ``rows`` (``_row_nodes``).  Row (a, e) is row (a, 0)
+    with its v index shifted by e, A[(a, e), (b, f)] = A[(a, 0), (b, f - e)],
+    copied in two slices per row, so the entries are the rows' own bits.
+    Returns ``out``.
+    """
+    n_u, n_v = resolution
+    meridian = rows.reshape(n_u, n_u, n_v)
+    for i, row in enumerate(out, start):
+        a, e = divmod(i, n_v)
+        row = row.reshape(n_u, n_v)
+        row[:, e:] = meridian[a, :, :n_v - e]
+        row[:, :e] = meridian[a, :, n_v - e:]
+    return out
+
+
+def _row_filler(op: DiscreteOperator):
+    """``fill(out, start=0)``: rows start, ... of ``op.matrix`` into ``out``.
+
+    Gathered from ``op.rows`` by the turn (``_fill_turns``) on a grid with
+    one, else over the mirror orbits (``_fill_orbits``).
+    """
+    grid = op.grid
+    if grid.turn:
+        return partial(_fill_turns, op.rows, grid.resolution)
+    perms = grid.mirrors
+    return partial(_fill_orbits, op.rows, perms,
+                             _orbit_sources(perms))
+
+
 def _check_finite(name: str, rows: np.ndarray, reps: np.ndarray) -> None:
     """Raise NumericalError at the first non-finite entry of ``rows``.
 
@@ -373,14 +427,16 @@ def assemble_operators(grid: QuadratureGrid):
     fixed by the row-sum identity K_ii = 1/2 - sum_{j != i} K_ij, which
     makes the constant vector an exact eigenvector with eigenvalue 1/2.
 
-    K and S commute with the node permutations of the grid's mirror group
-    (``grid.mirrors``), so only the rows of the orbit representatives, the
-    smallest node of each orbit, are computed: about n/8 rows on a catalog
-    grid, all n rows on a grid without mirrors.  The operators hold only
-    these rows; the other rows are permuted copies, gathered
-    (``_fill_orbits``) only when ``DiscreteOperator.matrix`` is read or a
-    matrix dump streams them.  The block route (``_mirror_blocks``) reads
-    the rows alone.
+    K and S commute with the grid's turn and with the node permutations of
+    its mirror group (``grid.mirrors``), so only the rows of the nodes
+    ``_row_nodes`` are computed: the n_u meridian nodes on a grid with the
+    turn, else the orbit representatives of the mirror group, the smallest
+    node of each orbit, about n/8 rows on a catalog grid and all n rows on
+    a grid without mirrors.  The operators hold only these rows; the other
+    rows are turned or permuted copies, gathered (``_row_filler``) only
+    when ``DiscreteOperator.matrix`` is read or a matrix dump streams them.
+    The block route (``_mode_blocks``, ``_mirror_blocks``) reads the rows
+    alone.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -394,9 +450,10 @@ def assemble_operators(grid: QuadratureGrid):
     S_ij = -(I_ij + I_ji w_j / w_i) / 2 averages them so that S is
     symmetric in the weighted_l2 basis.  Each entry is formed from its own
     row and column alone, so a grid rounds alike with or without its
-    mirrors.  Peak memory is the two returned row arrays, about
-    2 n^2 / |G| entries for a mirror group of order |G|, O(n) and a few
-    dozen MiB of block temporaries.
+    mirrors or turn.  Peak memory is the two returned row arrays, 2 n_u n
+    entries on a grid with the turn and about 2 n^2 / |G| entries for a
+    mirror group of order |G|, O(n) and a few dozen MiB of block
+    temporaries.
 
     Parameters
     ----------
@@ -427,8 +484,7 @@ def assemble_operators(grid: QuadratureGrid):
     w = grid.weights
     n = grid.n_nodes
     scale = float(np.max(np.ptp(x, axis=0)))
-    perms = grid.mirrors
-    reps = _representatives(perms)
+    reps = _row_nodes(grid)
     # row of each representative in the row arrays, -1 for other nodes
     pos = np.full(n, -1)
     pos[reps] = np.arange(reps.size)
@@ -600,7 +656,7 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
     symmetric and S K^T = K S, so L^-1 K L is symmetric for the continuous
     operators.  Its spectrum is that of K; another factor of -S (such as
     its square root) changes the result only by an orthogonal similarity.
-    ``_symmetrize_blocks`` calls it once per mirror block.
+    ``_symmetrize_blocks`` calls it once per block.
 
     Raises
     ------
@@ -759,17 +815,94 @@ def _mirror_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
     return rows
 
 
+# ------------------------------------------------------------------ modes
+def _mode_multiplicities(n_v: int) -> np.ndarray:
+    """Multiplicity of the modes m = 0 .. n_v // 2 of ``_mode_blocks``.
+
+    One for m = 0 and, at even n_v, for m = n_v / 2; two for every other
+    mode, whose cosine and sine vectors share one block.
+    """
+    mult = np.full(n_v // 2 + 1, 2)
+    mult[0] = 1
+    if n_v % 2 == 0:
+        mult[-1] = 1
+    return mult
+
+
+def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
+    """Blocks of K_w and S_w on the rotation modes of a grid with the turn.
+
+    ``k`` and ``s`` are the nystrom-basis meridian rows of
+    ``assemble_operators`` (``_row_nodes``), converted to the weighted_l2
+    basis in place.  K_w and S_w commute with the turn
+    (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and with the
+    y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even in d and in
+    the orthonormal real basis sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e)
+    (and the sines for 0 < m < n_v / 2), c_m the multiplicity of mode m
+    (``_mode_multiplicities``), both are block diagonal with the real
+    n_u x n_u blocks
+
+        B_m[a, b] = sum_d cos(2 pi m d / n_v) A_w[(a, 0), (b, d)],
+
+    the real part of one ``rfft`` along d of the rows as (n_u, n_u, n_v).
+    Returns one (K_b, S_b) pair per mode m = 0 .. n_v // 2, in mode order;
+    mode m stands for c_m blocks of the whole matrix.
+    """
+    n_u, n_v = grid.resolution
+    sw = np.sqrt(grid.weights)
+    reps = _row_nodes(grid)
+    per_op = []
+    for a in (k, s):
+        a *= sw[reps, None]
+        a /= sw[None, :]
+        modes = np.fft.rfft(a.reshape(n_u, n_u, n_v), axis=-1).real
+        per_op.append(np.ascontiguousarray(np.moveaxis(modes, -1, 0)))
+    return list(zip(*per_op))
+
+
+def _mode_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
+    """Meridian rows of Q blockdiag(blocks) Q^T (``_mode_blocks``).
+
+    M[(a, 0), (b, d)] = sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v, the
+    ``irfft`` (n = n_v) along the mode axis, averaged with their mirror
+    images M[(b, 0), (a, -d)] so that an exactly symmetric set of blocks
+    gives an exactly symmetric matrix.  The other rows follow by the turn
+    (``_fill_turns``).
+    """
+    n_u, n_v = grid.resolution
+    rows = np.fft.irfft(np.stack(blocks, axis=-1), n=n_v, axis=-1)
+    rows += rows.transpose(1, 0, 2)[..., -np.arange(n_v) % n_v]
+    rows *= 0.5
+    return rows.reshape(n_u, n_u * n_v)
+
+
+def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
+    """Blocks of K_w and S_w from their representative rows, and the
+    multiplicity of each block.
+
+    The rotation modes of ``_mode_blocks`` on a grid with the turn, with
+    the multiplicities of ``_mode_multiplicities``; otherwise the
+    characters of ``_mirror_blocks``, each of multiplicity 1.
+    """
+    if grid.turn:
+        return (_mode_blocks(grid, k, s),
+                _mode_multiplicities(grid.resolution[1]))
+    blocks = _mirror_blocks(grid, k, s)
+    return blocks, np.ones(len(blocks), dtype=int)
+
+
 def _map_blocks(fn, blocks) -> list:
     """``[fn(block) for block in blocks]``, the blocks run side by side.
 
-    One block, the grid without mirrors, runs inline on the process's BLAS
-    threads, since a large dense matrix gains from them.  Two or more run
-    on a pool of up to one worker thread per usable CPU, with every
-    OpenBLAS build at one thread (``_blas.single_threaded``): blocks of a
-    few hundred rows are faster on one thread than on all the CPUs, their
-    values then do not depend on the BLAS thread count or the CPU count,
-    and the workers overlap the numpy products of one block with the work
-    of another (the scipy.linalg LAPACK wrappers hold the GIL).  Results
+    One block, the grid without mirrors or turn, runs inline on the
+    process's BLAS threads, since a large dense matrix gains from them.
+    Two or more run on a pool of up to one worker thread per usable CPU,
+    with every OpenBLAS build at one thread (``_blas.single_threaded``):
+    blocks of a few hundred rows are faster on one thread than on all the
+    CPUs, their values then do not depend on the BLAS thread count or the
+    CPU count, and the workers overlap the numpy products of one block with
+    the work of another (the scipy.linalg LAPACK wrappers hold the GIL).
+    Results
     come in block order.  The first block in that order that fails raises
     its own exception, and blocks not yet started are cancelled.
     """
@@ -788,19 +921,21 @@ def _map_blocks(fn, blocks) -> list:
 
 
 def _symmetrize_blocks(grid: QuadratureGrid, blocks):
-    """Plemelj symmetrization per mirror block, and the merged operator.
+    """Plemelj symmetrization per block, and the merged operator.
 
-    Returns the ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T,
-    held by its representative rows (``_mirror_rows``; its n x n ``matrix``
-    is built on first access), which is the Plemelj symmetrization of K_w
-    for the factor
-    Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the Cholesky
-    factor of the whole -S_w differs from it by an orthogonal similarity;
-    on a grid without mirrors the two are the same), together with the
-    list of the symmetrized blocks sym_b.  Diagnostics merge over the
-    blocks: ``min_eig_negS`` is the smallest block value,
-    ``plemelj_residual`` is max ||R_b|| / (max ||K_b|| max ||S_b||) and
-    ``asymmetry_norm`` is max ||skew_b|| / max ||L_b^-1 K_b L_b||.
+    ``blocks`` are those of ``_mode_blocks`` on a grid with the turn and
+    of ``_mirror_blocks`` otherwise.  Returns the ``symmetrized``
+    DiscreteOperator Q blockdiag(sym_b) Q^T, held by its representative
+    rows (``_mode_rows`` or ``_mirror_rows``; its n x n ``matrix`` is
+    built on first access), which is the Plemelj symmetrization of K_w
+    for the factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization
+    for the Cholesky factor of the whole -S_w differs from it by an
+    orthogonal similarity; on a grid with one block the two are the
+    same), together with the list of the symmetrized blocks sym_b.
+    Diagnostics merge over the blocks, whatever their multiplicity:
+    ``min_eig_negS`` is the smallest block value, ``plemelj_residual`` is
+    max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
+    max ||skew_b|| / max ||L_b^-1 K_b L_b||.
 
     Raises
     ------
@@ -809,8 +944,9 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
     """
     syms, norms = zip(*_map_blocks(lambda kb: _plemelj_symmetrize(*kb),
                                    blocks))
-    sym = DiscreteOperator(_mirror_rows(grid, syms), basis="symmetrized",
-                           grid=grid, diagnostics=_merge_diagnostics(norms))
+    rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
+    sym = DiscreteOperator(rows, basis="symmetrized", grid=grid,
+                           diagnostics=_merge_diagnostics(norms))
     return sym, list(syms)
 
 
@@ -820,7 +956,7 @@ def _matrix_chunks(op: DiscreteOperator):
 
     Each chunk holds about ``_DUMP_ENTRIES`` entries.  An operator of n
     rows yields slices of ``rows``, with no copy.  Otherwise each chunk is
-    gathered from the representative rows (``_fill_orbits``) into one
+    gathered from the representative rows (``_row_filler``) into one
     buffer that the next chunk overwrites, with the same sources and the
     same bits as ``op.matrix``.
     """
@@ -830,11 +966,10 @@ def _matrix_chunks(op: DiscreteOperator):
         for i0 in range(0, n, step):
             yield rows[i0:i0 + step]
         return
-    perms = op.grid.mirrors
-    sources = _orbit_sources(perms)
+    fill = _row_filler(op)
     buf = np.empty((step, n))
     for i0 in range(0, n, step):
-        yield _fill_orbits(rows, perms, sources, buf[:n - i0], i0)
+        yield fill(buf[:n - i0], i0)
 
 
 def dump_operator(op: DiscreteOperator, path) -> None:

@@ -58,18 +58,19 @@ def _fit_branch(seq, window):
 def compute_report(config: RunConfig) -> tuple:
     """Run the numerical pipeline and build the report.
 
-    The representative rows of K and S are assembled and split into the
-    blocks of the grid's mirror group (``spectrum._operator_blocks``; a
-    grid without mirrors is one block), so on a grid with mirrors no n x n
-    array is built.  Each block is symmetrized on its own, and the
-    eigenvalues and the singular values of K_w are the sorted unions of
-    the block values; the diagnostics merge as described in
-    ``operators._symmetrize_blocks``.  Every report carries the same
-    diagnostics, whatever the grid size.  On a grid with mirrors the
-    blocks run side by side with one BLAS thread per call
-    (``operators._map_blocks``), so the report does not depend on the BLAS
-    thread count or the CPU count.  The eigenvalues and the symmetrized
-    operator are those of ``spectrum.symmetrized_spectrum``.
+    The representative rows of K and S are assembled and split into
+    blocks (``spectrum._operator_blocks``): the rotation modes of a grid
+    with the turn, else the characters of the grid's mirror group, one
+    block on a grid with neither.  So on a grid with mirrors or the turn
+    no n x n array is built.  Each block is symmetrized on its own, and
+    the eigenvalues and the singular values of K_w are the sorted unions
+    of the block values, each repeated by its block's multiplicity; the
+    diagnostics merge as described in ``operators._symmetrize_blocks``.
+    Every report carries the same diagnostics, whatever the grid size.  On
+    a grid of several blocks they run side by side with one BLAS thread
+    per call (``operators._map_blocks``), so the report does not depend on
+    the BLAS thread count or the CPU count.  The eigenvalues and the
+    symmetrized operator are those of ``spectrum.symmetrized_spectrum``.
 
     Returns
     -------
@@ -83,13 +84,13 @@ def compute_report(config: RunConfig) -> tuple:
         grid = build_grid(config.surface, *config.resolution)
         predicted = weyl_coefficients_signed(grid)
     with _stage("assembly"):
-        blocks = _operator_blocks(grid)
+        blocks, mult = _operator_blocks(grid)
         sym, sym_blocks = _symmetrize_blocks(grid, blocks)
     with _stage("spectrum"):
-        eigs = _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks))
+        eigs = _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks), mult)
         del sym_blocks
         singular_values = _sorted_union(
-            _map_blocks(lambda kb: sla.svdvals(kb[0]), blocks))
+            _map_blocks(lambda kb: sla.svdvals(kb[0]), blocks), mult)
         del blocks
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
@@ -136,15 +137,18 @@ def _output_jobs(config: RunConfig, base_dir: str) -> list:
     Raises
     ------
     ConfigError
-        At ``/outputs/<i>/<key>`` if two entries resolve to the same file;
-        ``parse_config`` cannot see this, since it does not know
-        ``base_dir``.
+        At ``/outputs/<i>/<key>`` if two entries resolve to the same file
+        or an entry resolves to an existing directory; ``parse_config``
+        cannot see either, since it does not know ``base_dir``.
     """
     jobs, seen = [], {}
     for i, entry in enumerate(config.outputs):
         for key, path in entry.items():
             where = f"/outputs/{i}/{key}"
             full = os.path.normpath(os.path.join(base_dir, path))
+            if os.path.isdir(full):
+                raise ConfigError(f"{where}: path {full!r} is an existing "
+                                  f"directory, not a file")
             if full in seen:
                 raise ConfigError(f"{where}: path {full!r} is already "
                                   f"written by {seen[full]}")
@@ -199,7 +203,8 @@ def run_pipeline(config: RunConfig, base_dir: str = ".") -> SpectrumReport:
     Raises
     ------
     ConfigError
-        Before any computation, if two outputs resolve to the same file.
+        Before any computation, if two outputs resolve to the same file or
+        one resolves to an existing directory.
     """
     _output_jobs(config, base_dir)
     report, sym = compute_report(config)

@@ -6,13 +6,16 @@ study utilities track how the number of negative eigenvalues behaves under
 grid refinement (bounded for convex-like bodies, growing for surfaces with
 a region of positive curvature form).  The study needs only that number,
 so it counts by Sylvester's law of inertia: one LDL^T factorization of
--sym(K S) - t S per block of the grid's mirror group, with no symmetrized
-matrix and no eigensolve.
+-sym(K S) - t S per block, with no symmetrized matrix and no eigensolve.
+The blocks are the rotation modes of a grid with the turn, n_v // 2 + 1
+blocks of n_u nodes on a surface of revolution, and otherwise the
+characters of the grid's mirror group (``_operator_blocks``); a mode of
+multiplicity 2 counts twice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg as sla
@@ -21,7 +24,7 @@ from scipy.linalg import lapack
 from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
-from .operators import (_cholesky_neg_s, _map_blocks, _mirror_blocks,
+from .operators import (_cholesky_neg_s, _map_blocks, _split_blocks,
                         _symmetrize_blocks, assemble_operators)
 
 BOUNDED = "BOUNDED"
@@ -206,36 +209,44 @@ def plasmon_map(lam: float) -> float:
 
 
 def _operator_blocks(grid):
-    """K_w and S_w split into the blocks of the grid's mirror group.
+    """K_w and S_w split into blocks, and the multiplicity of each block.
 
-    Assembles the representative rows of K and S and returns
-    ``_mirror_blocks`` of them: one (K_b, S_b) pair per character, or on
-    a grid without mirrors the single pair (K_w, S_w), the rows converted
-    in place.  No n x n array is built on a grid with mirrors, and the
-    rows are freed on return unless they are that single pair.
+    Assembles the representative rows of K and S and splits them
+    (``operators._split_blocks``).  On a grid with the turn they are the
+    n_u meridian rows and the blocks are one (K_b, S_b) pair per rotation
+    mode, of multiplicity 1 or 2.  Otherwise the blocks are one pair per
+    mirror character, each of multiplicity 1, or on a grid without mirrors
+    or turn the single pair (K_w, S_w), the rows converted in place.  No
+    n x n array is built on a grid with mirrors or the turn, and the rows
+    are freed on return unless they are that single pair.
     """
     k_op, s_op = assemble_operators(grid)
-    return _mirror_blocks(grid, k_op.rows, s_op.rows)
+    return _split_blocks(grid, k_op.rows, s_op.rows)
 
 
-def _sorted_union(parts):
-    """All values of the per-block arrays, sorted descending."""
-    return np.sort(np.concatenate(list(parts)))[::-1]
+def _sorted_union(parts, mult):
+    """All values of the per-block arrays, each repeated by the
+    multiplicity of its block, sorted descending."""
+    return np.sort(np.concatenate([np.tile(p, m)
+                                   for p, m in zip(parts, mult)]))[::-1]
 
 
 def symmetrized_spectrum(grid):
     """Assemble, symmetrize, and return eigenvalues sorted descending.
 
-    The route of ``compute_report``: each mirror block is symmetrized on
-    its own (``operators._symmetrize_blocks``) and the eigenvalues are the
-    sorted union of the block ``eigvalsh``, the blocks running side by
-    side with one BLAS thread per call (``operators._map_blocks``).
-    Returns them with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T
-    and its diagnostics; the operator holds its representative rows and
-    builds its n x n ``matrix`` on first access.
+    The route of ``compute_report``: each block (``_operator_blocks``: a
+    rotation mode on a grid with the turn, else a mirror character) is
+    symmetrized on its own (``operators._symmetrize_blocks``) and the
+    eigenvalues are the sorted union of the block ``eigvalsh``, each
+    repeated by its block's multiplicity, the blocks running side by side
+    with one BLAS thread per call (``operators._map_blocks``).  Returns
+    them with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T and its
+    diagnostics; the operator holds its representative rows and builds its
+    n x n ``matrix`` on first access.
     """
-    sym, sym_blocks = _symmetrize_blocks(grid, _operator_blocks(grid))
-    return _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks)), sym
+    blocks, mult = _operator_blocks(grid)
+    sym, sym_blocks = _symmetrize_blocks(grid, blocks)
+    return _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks), mult), sym
 
 
 def _negative_inertia(m: np.ndarray) -> int:
@@ -273,10 +284,11 @@ def _negative_inertia(m: np.ndarray) -> int:
 def _negative_count(grid, threshold: float) -> int:
     """Number of eigenvalues of the symmetrized double layer below -threshold.
 
-    K and S are split into the blocks of the grid's mirror group
-    (``_operator_blocks``; one block without mirrors), and the count is
-    the sum of the block counts (``_block_negative_count``), the blocks
-    running side by side with one BLAS thread per call
+    K and S are split into blocks (``_operator_blocks``: rotation modes
+    on a grid with the turn, mirror characters otherwise, one block on a
+    grid with neither), and the count is the sum of the block counts
+    (``_block_negative_count``), each times its block's multiplicity, the
+    blocks running side by side with one BLAS thread per call
     (``operators._map_blocks``).
 
     Raises
@@ -288,7 +300,8 @@ def _negative_count(grid, threshold: float) -> int:
     def count(block):
         return _block_negative_count(*block, threshold)
 
-    return sum(_map_blocks(count, _operator_blocks(grid)))
+    blocks, mult = _operator_blocks(grid)
+    return int(np.dot(mult, _map_blocks(count, blocks)))
 
 
 def _block_negative_count(k, s, threshold: float) -> int:
@@ -344,11 +357,13 @@ def negative_count_study(surface, resolutions: Sequence,
 
     Each count is that of the eigenvalues of the symmetrized double layer
     of ``symmetrized_spectrum`` below -threshold.  It is the sum over the
-    blocks of the grid's mirror group of the inertia of
-    -sym(K_b S_b) - threshold S_b (``_negative_count``), which needs only
-    dense work of the block sizes, about n/8 on a catalog surface, the
-    blocks running side by side with one BLAS thread per call, so on a
-    grid with mirrors the counts do not depend on the BLAS thread count.
+    blocks of the grid (``_operator_blocks``: rotation modes on a grid with
+    the turn, mirror characters otherwise), each times its multiplicity,
+    of the inertia of -sym(K_b S_b) - threshold S_b (``_negative_count``),
+    which needs only dense work of the block sizes, n_u on a surface of
+    revolution and about n/8 on another catalog surface, the blocks
+    running side by side with one BLAS thread per call, so on a grid with
+    several blocks the counts do not depend on the BLAS thread count.
     A Cholesky factorization of each block of -S gates positivity; no
     ``min_eig_negS``, Plemelj residual or asymmetry diagnostic is computed.
 

@@ -9,7 +9,7 @@ catalog's sphere and spheroid are aliases of its ellipsoid.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -61,7 +61,8 @@ class ParametricSurface:
         are central with step ``FD_STEP`` in parameter units.
 
     A surface declares no symmetries: ``grids.build_grid`` finds the
-    coordinate mirrors of each grid from its chart kind and geometry.
+    coordinate mirrors and the turn about the z axis of each grid from its
+    chart kind and geometry.
     """
 
     def __init__(self, position, d1=None, d2=None, *, kind,

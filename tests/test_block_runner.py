@@ -1,13 +1,14 @@
-"""The mirror blocks run side by side with one BLAS thread per call.
+"""The blocks run side by side with one BLAS thread per call.
 
-``operators._map_blocks`` runs the blocks of a grid with mirrors on a
-thread pool while every OpenBLAS build is held at one thread
-(``_blas.single_threaded``).  These tests check that the report bytes
-then do not depend on the BLAS thread count, that the block calls see one
-thread on a grid with mirrors and the process's count on a grid without,
-that the counts come back afterwards, also when a block fails, that the
-first failing block in block order raises and later blocks are not
-started, and that without a known OpenBLAS build the values stay the same.
+``operators._map_blocks`` runs the blocks of a grid with mirrors or the
+turn (mirror characters or rotation modes) on a thread pool while every
+OpenBLAS build is held at one thread (``_blas.single_threaded``).  These
+tests check that the report bytes then do not depend on the BLAS thread
+count, that the block calls see one thread on a grid with several blocks
+and the process's count on a grid of one block, that the counts come back
+afterwards, also when a block fails, that the first failing block in
+block order raises and later blocks are not started, and that without a
+known OpenBLAS build the values stay the same.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import pytest
 import scipy.linalg as sla
 
 import npspectra
-from npspectra import (NotPositiveDefinite, _blas, build_grid,
+from npspectra import (NotPositiveDefinite, _blas, build_grid, ellipsoid,
                        mobius_invert, negative_count_study, operators,
                        spectrum, sphere)
 from npspectra.pipeline import compute_report
@@ -89,16 +90,20 @@ def test_blocks_run_on_one_blas_thread_and_the_counts_return(
 
     monkeypatch.setattr(sla, "svdvals", recording)
     compute_report(make_config(_SPHERE_12))
-    assert len(seen) == 8
+    # one call per rotation mode m = 0 .. 12 of the 12x24 sphere
+    assert len(seen) == 13
     assert set(seen) == {(1,) * len(two_blas_threads)}
     assert _blas.thread_counts() == two_blas_threads
 
 
 
 @pytest.mark.parametrize("make_grid, n_blocks", [
-    (lambda: build_grid(sphere(), 12, 24), 8),
+    # the sphere takes the 13 rotation modes, the ellipsoid its 8 mirror
+    # characters
+    (lambda: build_grid(sphere(), 12, 24), 13),
+    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 12, 24), 8),
     (lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24), 1),
-], ids=["mirrored", "without-mirrors"])
+], ids=["mirrored", "mirror-characters", "without-mirrors"])
 def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
                                                   monkeypatch, make_grid,
                                                   n_blocks):
@@ -120,7 +125,8 @@ def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
 
 def _fail_blocks(monkeypatch, grid, failing):
     """Make ``sla.cholesky`` fail on the -S of the blocks in ``failing``."""
-    neg_s = [-s for _, s in spectrum._operator_blocks(grid)]
+    blocks, _ = spectrum._operator_blocks(grid)
+    neg_s = [-s for _, s in blocks]
     cholesky = sla.cholesky
 
     def injected(a, *args, **kwargs):
@@ -138,6 +144,7 @@ def _fail_blocks(monkeypatch, grid, failing):
 ], ids=["report", "study"])
 def test_a_failing_block_raises_its_typed_error(two_blas_threads,
                                                 monkeypatch, run):
+    # modes 2 and 7 of the 13 rotation modes of the 12x24 sphere
     _fail_blocks(monkeypatch, build_grid(sphere(), 12, 24), {2, 7})
     # the first failing block in block order, whichever worker ran first
     with pytest.raises(NotPositiveDefinite, match="injected in block 2"):

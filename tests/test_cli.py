@@ -323,3 +323,26 @@ def test_angular_resolution_key_exits_config_as_unknown(capsys, tmp_path):
     err = capsys.readouterr().err
     assert err.startswith("error: /: unknown keys ['angular_resolution']; ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", ["", "sub/", "existing"],
+                         ids=["empty", "trailing-separator",
+                              "existing-directory"])
+def test_output_path_naming_a_directory_exits_config_before_any_grid(
+        monkeypatch, capsys, tmp_path, path):
+    (tmp_path / "existing").mkdir()
+
+    def built(*args):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(pipeline, "build_grid", built)
+    config = write_config(tmp_path, {"surface": {"name": "sphere"},
+                                     "resolution": [8, 16],
+                                     "outputs": [{"eigen_csv": path}]})
+    code = cli.main(["spectrum", "--config", str(config),
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: /outputs/0/eigen_csv: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                         "existing"]

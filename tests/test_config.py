@@ -256,3 +256,20 @@ def test_parse_config_returns_config_or_config_error(doc):
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
+
+
+@pytest.mark.parametrize("path, message", [
+    ("", "empty path"),
+    ("sub/", "names a directory"),
+    ("sub//", "names a directory"),
+    (".", "names a directory"),
+    ("sub/.", "names a directory"),
+    ("sub/..", "names a directory"),
+], ids=["empty", "trailing-separator", "two-separators", "dot", "sub-dot",
+        "sub-dot-dot"])
+def test_output_path_naming_a_directory_rejected(path, message):
+    with pytest.raises(ConfigError, match=rf"^/outputs/1/eigen_csv: "
+                                          rf".*{message}"):
+        parse_config(json.dumps({"surface": {"name": "sphere"},
+                                 "outputs": [{"report_json": "r.json"},
+                                             {"eigen_csv": path}]}))

@@ -18,35 +18,45 @@ from conftest import make_config
 
 @pytest.fixture
 def fill_calls(monkeypatch):
-    """List that records how many matrix rows each ``_fill_orbits`` call
-    writes: n for a fill of the n x n matrix, one chunk for a dump."""
+    """List that records how many matrix rows each ``_fill_orbits`` or
+    ``_fill_turns`` call writes: n for a fill of the n x n matrix, one
+    chunk for a dump."""
     calls = []
-    fill = operators._fill_orbits
+    orbits, turns = operators._fill_orbits, operators._fill_turns
 
-    def counted(rows, perms, sources, out, start=0):
+    def counted_orbits(rows, perms, sources, out, start=0):
         calls.append(out.shape[0])
-        return fill(rows, perms, sources, out, start)
+        return orbits(rows, perms, sources, out, start)
 
-    monkeypatch.setattr(operators, "_fill_orbits", counted)
+    def counted_turns(rows, resolution, out, start=0):
+        calls.append(out.shape[0])
+        return turns(rows, resolution, out, start)
+
+    monkeypatch.setattr(operators, "_fill_orbits", counted_orbits)
+    monkeypatch.setattr(operators, "_fill_turns", counted_turns)
     return calls
 
 
 # At 2048 nodes the assembly's fixed temporaries (near-field chunks and
 # chart samples, a few MiB) stay well below one n x n array; on smaller
 # grids they alone exceed it, with or without n x n arrays.
-@pytest.mark.parametrize("make_surface", [
-    lambda: ellipsoid(2.0, 1.2, 1.0), peanut], ids=["ellipsoid", "peanut"])
-def test_operator_blocks_allocate_less_than_one_full_matrix(make_surface):
+# The ellipsoid splits into its 8 mirror characters, the peanut into its
+# 33 rotation modes.
+@pytest.mark.parametrize("make_surface, n_blocks", [
+    (lambda: ellipsoid(2.0, 1.2, 1.0), 8), (peanut, 33)],
+    ids=["ellipsoid", "peanut"])
+def test_operator_blocks_allocate_less_than_one_full_matrix(make_surface,
+                                                            n_blocks):
     grid = build_grid(make_surface(), 32, 64)
     n = grid.n_nodes
     assert grid.mirrors.shape[0] == 8
     tracemalloc.start()
     try:
-        blocks = spectrum._operator_blocks(grid)
+        blocks, _ = spectrum._operator_blocks(grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(blocks) == 8
+    assert len(blocks) == n_blocks
     assert peak < 8 * n * n, peak / (8 * n * n)
 
 
@@ -106,8 +116,10 @@ def test_matrix_is_filled_once_and_kept(fill_calls):
     assert k_op.matrix is k_op.matrix
     assert k_op.matrix.shape == (grid.n_nodes, grid.n_nodes)
     assert fill_calls == [grid.n_nodes]
-    # the representative rows are the matrix's own rows
-    reps = operators._representatives(grid.mirrors)
+    # the representative rows, here the meridian's, are the matrix's own
+    # rows
+    reps = operators._row_nodes(grid)
+    assert grid.turn and np.array_equal(reps, 24 * np.arange(12))
     assert np.array_equal(k_op.matrix[reps], k_op.rows)
     # a full matrix in place of the rows is returned as it is
     full = dataclasses.replace(s_op, rows=s_op.matrix)

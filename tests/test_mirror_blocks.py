@@ -6,7 +6,9 @@ every merged number with the same route on the grid stripped of its
 mirrors (one block, the whole matrices), check that the rows-only
 assembly gives the blocks of the unblocked one, check that the report and
 ``symmetrized_spectrum`` take one route, and check which mirrors
-``build_grid`` finds on catalog and derived surfaces.
+``build_grid`` finds on catalog and derived surfaces.  A grid with the
+turn takes the rotation modes instead (``tests/test_mode_blocks.py``), so
+the ``CASES`` grids and reports here have their turn stripped.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from npspectra import (
     symmetrized_spectrum,
     torus,
 )
-from npspectra import operators
+from npspectra import operators, pipeline
 from test_operators import _two_sphere_union
 
 # a rotation that moves every coordinate plane off itself
@@ -102,13 +104,14 @@ def _exact_norms(kw, sw):
 
 
 def _dense(grid):
-    """The block route on the grid without its mirrors: one whole block.
+    """The block route on the grid without its mirrors and turn: one whole
+    block.
 
     The oracle dict also carries ``raw_eigs``, the sorted real parts of
     the eigenvalues of K_w itself, unsymmetrized.
     """
-    whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
-    ((kw, sw),) = spectrum._operator_blocks(whole)
+    whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
+    ((kw, sw),), _ = spectrum._operator_blocks(whole)
     sym, _ = operators._symmetrize_blocks(whole, [(kw, sw)])
     eigs = np.sort(sla.eigvalsh(sym.matrix))
     exact = _exact_norms(kw, sw)
@@ -121,15 +124,22 @@ def _report(surface, res):
                                     resolution=res, noise_cutoff=1e-300))
 
 
+def _without_turn(surface, n_u, n_v):
+    """``build_grid`` with the turn stripped: the grid takes the mirror
+    blocks."""
+    return dataclasses.replace(build_grid(surface, n_u, n_v), turn=False)
+
+
 @pytest.fixture(scope="module", params=list(CASES))
 def case(request):
     make_surface, res, order, tol = CASES[request.param]
-    grid = build_grid(make_surface(), *res)
+    grid = _without_turn(make_surface(), *res)
     eigs, svals, dense, exact = _dense(grid)
     # the report's Gauss-Bonnet integral is 2.005 on the coarse peanut
     expected = pytest.warns(TopologyWarning, match="Gauss-Bonnet") \
         if request.param == "peanut-16x32" else contextlib.nullcontext()
-    with expected:
+    with expected, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "build_grid", _without_turn)
         report, sym = _report(make_surface(), res)
     return grid, order, tol, eigs, svals, dense, exact, report, sym
 
@@ -279,7 +289,7 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid):
     "torus-4x4"])
 def test_rows_only_assembly_matches_the_unblocked_one(name):
     make_surface, res, *_ = CASES[name]
-    grid = build_grid(make_surface(), *res)
+    grid = _without_turn(make_surface(), *res)
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
     ops = [op.matrix for op in assemble_operators(grid)]
     refs = [op.matrix for op in assemble_operators(whole)]

@@ -580,11 +580,11 @@ _NEAR_GRIDS = [
 @pytest.mark.parametrize("touching", [False, True])
 def test_near_entries_match_per_pair_chart_integrals(make_grid, comp_index,
                                                       touching):
-    # without its mirrors the grid assembles every row directly; with them
-    # the rows of other nodes are permuted copies, equal to these integrals
-    # only to rounding
+    # without its mirrors and turn the grid assembles every row directly;
+    # with them the rows of other nodes are permuted copies, equal to these
+    # integrals only to rounding
     grid = make_grid()
-    grid = dataclasses.replace(grid, mirrors=grid.mirrors[:1])
+    grid = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
     comp = grid.components[comp_index]
     ii, jj = _sample_pairs(grid, comp, touching)
     nsub = operators.CELL_SUBDIV if touching else 1
