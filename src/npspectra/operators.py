@@ -51,7 +51,9 @@ blocks of n_u nodes on a surface of revolution and of about n/8 nodes on
 another catalog grid, and read only the representative rows; so does a
 matrix dump.  No n x n array is built unless a caller reads ``matrix``.
 Every per-block step runs through ``_map_blocks``: the blocks side by side
-on a thread pool, each LAPACK call on one BLAS thread.
+on a thread pool, each LAPACK call on one BLAS thread.  Symmetrization
+hands it batches of consecutive blocks (``_batches``), so that each
+diagnostic norm of a batch is one Lanczos run on its block diagonal.
 """
 from __future__ import annotations
 
@@ -83,6 +85,9 @@ SELF_QUAD = 8                # radial/angular points of the self-cell rule
 _BLOCK_ENTRIES = 1 << 17
 # matrix entries per row chunk of a matrix dump (2 MiB of float64)
 _DUMP_ENTRIES = 1 << 18
+# block entries per batch of consecutive blocks that symmetrization takes
+# its diagnostic norms over in one Lanczos run each (1 MiB of float64)
+_BATCH_ENTRIES = 1 << 17
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
 _TAG_BASES = {v: k for k, v in _BASIS_TAGS.items()}
@@ -585,28 +590,46 @@ def to_weighted_l2(op: DiscreteOperator) -> DiscreteOperator:
                             basis="weighted_l2", grid=op.grid)
 
 
-def _spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value: ARPACK Lanczos on M^T M from a seeded start.
+def _spectral_norm(blocks) -> float:
+    """Largest singular value of blockdiag(blocks), the largest block norm.
 
-    ARPACK takes neither a 1 x 1 nor a zero operator; a matrix of one
-    column or zero has rank at most 1, so its Frobenius norm is exact.
+    One ARPACK Lanczos run on the Gram operator of the block diagonal from
+    a seeded start: its matvec applies M_b^T (M_b v_b) to the slice v_b of
+    each block, so a list of blocks costs one run, not one per block.
+    ARPACK takes neither a 1 x 1 nor a zero operator; a block diagonal of
+    one column or zero has rank at most 1, so its Frobenius norm is exact.
     """
     # imported here, since only the report diagnostics need scipy.sparse
     from scipy.sparse.linalg import LinearOperator, eigsh
-    n = m.shape[1]
-    if n == 1 or not m.any():
-        return float(np.linalg.norm(m))
-    gram = LinearOperator((n, n), matvec=lambda v: m.T @ (m @ v),
-                          dtype=m.dtype)
+    widths = [m.shape[1] for m in blocks]
+    ends = np.cumsum(widths)
+    starts = ends - widths
+    n = int(ends[-1])
+    if n == 1 or not any(m.any() for m in blocks):
+        return float(max(np.linalg.norm(m) for m in blocks))
+
+    def matvec(v):
+        return np.concatenate([m.T @ (m @ v[lo:hi])
+                               for m, lo, hi in zip(blocks, starts, ends)])
+
+    gram = LinearOperator((n, n), matvec=matvec, dtype=blocks[0].dtype)
     v0 = np.random.default_rng(0).standard_normal(n)
     return float(np.sqrt(eigsh(gram, k=1, v0=v0,
                                return_eigenvectors=False)[0]))
 
 
-def _plemelj_norms(k: np.ndarray, s: np.ndarray):
-    """Spectral norms of K S - (K S)^T, of K and of S (S symmetric)."""
+def _commutator(k: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S K^T - K S for a symmetric S, from the one product K S."""
     ks = k @ s
-    return _spectral_norm(ks.T - ks), _spectral_norm(k), _spectral_norm(s)
+    return ks.T - ks
+
+
+def _plemelj_norms(k, s):
+    """Spectral norms of the block diagonals of the S_b K_b^T - K_b S_b,
+    of the K_b and of the S_b (each S_b symmetric), for lists ``k`` and
+    ``s`` of blocks: three Lanczos runs, whatever the number of blocks."""
+    return (_spectral_norm([_commutator(kb, sb) for kb, sb in zip(k, s)]),
+            _spectral_norm(k), _spectral_norm(s))
 
 
 def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
@@ -623,7 +646,7 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
         raise ConfigError("plemelj_residual requires the weighted_l2 basis")
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
-    resid, k_norm, s_norm = _plemelj_norms(k_op.matrix, s_op.matrix)
+    resid, k_norm, s_norm = _plemelj_norms([k_op.matrix], [s_op.matrix])
     return resid / (k_norm * s_norm)
 
 
@@ -646,17 +669,8 @@ def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
             f"refine the grid") from exc
 
 
-def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
-    """Plemelj symmetrization of one weighted_l2 pair (K, S), and its norms.
-
-    Factors -S = L L^T and returns sym(L^-1 K L), exactly symmetric, with
-    the numbers its diagnostics merge from: the smallest eigenvalue of -S,
-    the exact Lanczos norms of the discarded skew part and of L^-1 K L,
-    and those of ``_plemelj_norms``.  This is Plemelj's symmetrization: S is
-    symmetric and S K^T = K S, so L^-1 K L is symmetric for the continuous
-    operators.  Its spectrum is that of K; another factor of -S (such as
-    its square root) changes the result only by an orthogonal similarity.
-    ``_symmetrize_blocks`` calls it once per block.
+def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
+    """The smallest eigenvalue of -S and L^-1 K L, for -S = L L^T.
 
     Raises
     ------
@@ -673,15 +687,47 @@ def _plemelj_symmetrize(k: np.ndarray, s: np.ndarray):
             f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
     lower = _cholesky_neg_s(lower)
     kt = np.matmul(k, lower, order="F")
-    kt = sla.solve_triangular(lower, kt, lower=True, overwrite_b=True)
-    del lower
-    skew_norm = _spectral_norm(0.5 * (kt - kt.T))
-    norms = (min_eig, skew_norm, _spectral_norm(kt), *_plemelj_norms(k, s))
-    return 0.5 * (kt + kt.T), norms
+    return min_eig, sla.solve_triangular(lower, kt, lower=True,
+                                         overwrite_b=True)
+
+
+def _plemelj_symmetrize(batch):
+    """Plemelj symmetrization of a batch of weighted_l2 pairs (K_b, S_b),
+    and the norms of their block diagonal.
+
+    Factors each -S_b = L_b L_b^T (``_cholesky_similarity``, in batch
+    order, so the first block that fails raises) and returns the list of
+    the sym(L_b^-1 K_b L_b), exactly symmetric, with one tuple of the
+    numbers the diagnostics merge from: the smallest eigenvalue of the
+    -S_b, the exact Lanczos norms (``_spectral_norm``) of the block
+    diagonals of the discarded skew parts and of the L_b^-1 K_b L_b, and
+    those of ``_plemelj_norms``.  That is five Lanczos runs per batch,
+    whatever its number of blocks; the batch holds its blocks' L_b^-1 K_b
+    L_b, skew parts and commutators only until their norms are taken.
+    This is Plemelj's symmetrization: S is symmetric and S K^T = K S, so
+    L^-1 K L is symmetric for the continuous operators.  Its spectrum is
+    that of K; another factor of -S (such as its square root) changes the
+    result only by an orthogonal similarity.  ``_symmetrize_blocks`` calls
+    it once per batch.
+
+    Raises
+    ------
+    NotPositiveDefinite
+        If some -S_b has a nonpositive eigenvalue or its Cholesky
+        factorization fails.
+    """
+    min_eigs, kts = zip(*(_cholesky_similarity(k, s) for k, s in batch))
+    skew_norm = _spectral_norm([0.5 * (kt - kt.T) for kt in kts])
+    kt_norm = _spectral_norm(kts)
+    syms = [0.5 * (kt + kt.T) for kt in kts]
+    del kts
+    k, s = zip(*batch)
+    return syms, (min(min_eigs), skew_norm, kt_norm, *_plemelj_norms(k, s))
 
 
 def _merge_diagnostics(norms) -> dict:
-    """Diagnostics of a block-diagonal operator from its blocks' norms.
+    """Diagnostics of a block-diagonal operator from the norms of its
+    batches of blocks (``_plemelj_symmetrize``).
 
     The spectral norm of an orthogonally block-diagonal matrix is the
     largest block norm and its smallest eigenvalue the smallest block one.
@@ -891,33 +937,56 @@ def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     return blocks, np.ones(len(blocks), dtype=int)
 
 
-def _map_blocks(fn, blocks) -> list:
-    """``[fn(block) for block in blocks]``, the blocks run side by side.
+def _map_blocks(fn, items, n_blocks=None) -> list:
+    """``[fn(item) for item in items]``, the items run side by side.
 
-    One block, the grid without mirrors or turn, runs inline on the
-    process's BLAS threads, since a large dense matrix gains from them.
-    Two or more run on a pool of up to one worker thread per usable CPU,
-    with every OpenBLAS build at one thread (``_blas.single_threaded``):
-    blocks of a few hundred rows are faster on one thread than on all the
-    CPUs, their values then do not depend on the BLAS thread count or the
-    CPU count, and the workers overlap the numpy products of one block with
-    the work of another (the scipy.linalg LAPACK wrappers hold the GIL).
-    Results
-    come in block order.  The first block in that order that fails raises
-    its own exception, and blocks not yet started are cancelled.
+    ``items`` are blocks, or batches of consecutive blocks
+    (``_symmetrize_blocks``) that cover ``n_blocks`` blocks in all; by
+    default each item is one block.  One block, the grid without mirrors
+    or turn, runs inline on the process's BLAS threads, since a large
+    dense matrix gains from them.  Two or more blocks run with every
+    OpenBLAS build at one thread (``_blas.single_threaded``), also when
+    they form one batch, and their items on a pool of up to one worker
+    thread per usable CPU: blocks of a few hundred rows are faster on one
+    thread than on all the CPUs, their values then do not depend on the
+    BLAS thread count or the CPU count, and the workers overlap the numpy
+    products of one item with the work of another (the scipy.linalg LAPACK
+    wrappers hold the GIL).  A pool that would have one worker, such as
+    for the one batch of a 24x48 sphere, is not started: the items run
+    inline, which also keeps their temporaries out of a worker thread's
+    malloc arena.  Results come in item order.  The first item in that
+    order that fails raises its own exception, and items not yet started
+    are cancelled.
     """
-    if len(blocks) < 2:
-        return [fn(b) for b in blocks]
+    if (len(items) if n_blocks is None else n_blocks) < 2:
+        return [fn(item) for item in items]
     # imported on first use, so that importing npspectra runs none of it
     from concurrent.futures import ThreadPoolExecutor
 
     from . import _blas
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with _blas.single_threaded(), \
-            ThreadPoolExecutor(min(len(blocks), cpus)) as pool:
-        # map cancels the blocks not yet started once a result raises
-        return list(pool.map(fn, blocks))
+    workers = min(len(items), cpus)
+    with _blas.single_threaded():
+        if workers < 2:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(workers) as pool:
+            # map cancels the items not yet started once a result raises
+            return list(pool.map(fn, items))
+
+
+def _batches(blocks) -> list:
+    """Consecutive runs of ``blocks``, each of at most ``_BATCH_ENTRIES``
+    entries of K in all; a larger block is a run of its own."""
+    batches, entries = [], 0
+    for block in blocks:
+        if batches and entries + block[0].size <= _BATCH_ENTRIES:
+            batches[-1].append(block)
+            entries += block[0].size
+        else:
+            batches.append([block])
+            entries = block[0].size
+    return batches
 
 
 def _symmetrize_blocks(grid: QuadratureGrid, blocks):
@@ -932,22 +1001,32 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
     for the Cholesky factor of the whole -S_w differs from it by an
     orthogonal similarity; on a grid with one block the two are the
     same), together with the list of the symmetrized blocks sym_b.
-    Diagnostics merge over the blocks, whatever their multiplicity:
-    ``min_eig_negS`` is the smallest block value, ``plemelj_residual`` is
+    The blocks go to ``_plemelj_symmetrize`` in consecutive batches
+    (``_batches``), which ``_map_blocks`` runs side by side; each batch
+    takes every diagnostic norm of its blocks in one Lanczos run on their
+    block diagonal, whose norm is the largest block norm.  So the 25
+    blocks of a 24x48 sphere cost 5 Lanczos runs, not 125, and a block of
+    more than ``_BATCH_ENTRIES`` entries, such as a mirror character of a
+    40x80 ellipsoid, is a batch of its own.  Diagnostics merge over the
+    batches, whatever the blocks' multiplicity: ``min_eig_negS`` is the
+    smallest block value, ``plemelj_residual`` is
     max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
     max ||skew_b|| / max ||L_b^-1 K_b L_b||.
 
     Raises
     ------
     NotPositiveDefinite
-        If some block of -S is not positive definite.
+        If some block of -S is not positive definite; the first such
+        block in block order raises.
     """
-    syms, norms = zip(*_map_blocks(lambda kb: _plemelj_symmetrize(*kb),
-                                   blocks))
+    results = _map_blocks(_plemelj_symmetrize, _batches(blocks),
+                          n_blocks=len(blocks))
+    syms = [sym_b for batch_syms, _ in results for sym_b in batch_syms]
     rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
     sym = DiscreteOperator(rows, basis="symmetrized", grid=grid,
-                           diagnostics=_merge_diagnostics(norms))
-    return sym, list(syms)
+                           diagnostics=_merge_diagnostics(
+                               [norms for _, norms in results]))
+    return sym, syms
 
 
 # ------------------------------------------------------------------ binary dump

@@ -65,10 +65,13 @@ def compute_report(config: RunConfig) -> tuple:
     no n x n array is built.  Each block is symmetrized on its own, and
     the eigenvalues and the singular values of K_w are the sorted unions
     of the block values, each repeated by its block's multiplicity; the
-    diagnostics merge as described in ``operators._symmetrize_blocks``.
-    Every report carries the same diagnostics, whatever the grid size.  On
-    a grid of several blocks they run side by side with one BLAS thread
-    per call (``operators._map_blocks``), so the report does not depend on
+    diagnostics merge as described in ``operators._symmetrize_blocks``,
+    which takes each diagnostic norm of a batch of consecutive blocks from
+    one Lanczos run on their block diagonal (5 runs in all on a 24x48
+    sphere, one batch of 25 modes).  Every report carries the same
+    diagnostics, whatever the grid size.  On a grid of several blocks the
+    blocks, or their batches, run side by side with one BLAS thread per
+    call (``operators._map_blocks``), so the report does not depend on
     the BLAS thread count or the CPU count.  The eigenvalues and the
     symmetrized operator are those of ``spectrum.symmetrized_spectrum``.
 

@@ -20,11 +20,38 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_float_vector(obj) -> bool:
+    """Whether ``obj`` is a 1-D float array or a sequence of floats only."""
+    if isinstance(obj, np.ndarray):
+        return obj.ndim == 1 and obj.dtype.kind == "f"
+    return all(isinstance(v, (float, np.floating)) for v in obj)
+
+
+def _render_floats(obj, inner: str) -> list:
+    """The items of a float vector (``_is_float_vector``), each on its own
+    indented line, as ``render_json`` renders them one by one.
+
+    Raises
+    ------
+    ConfigError
+        Naming the first non-finite value, as ``render_json`` does.
+    """
+    values = np.asarray(obj, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = obj[int(np.argmin(finite))]
+        raise ConfigError(f"cannot serialize non-finite value {bad}")
+    return [inner + format(x, ".17g") for x in values.tolist()]
+
+
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with fixed float formatting.
 
     Dicts keep insertion order (the schema fixes it); floats go through
-    ``format_float``; numpy scalars and arrays are accepted.
+    ``format_float``; numpy scalars and arrays are accepted.  A 1-D float
+    array or a sequence of floats, such as a report's spectrum, is checked
+    for finiteness and formatted in one pass (``_render_floats``), with
+    the same bytes and errors as element by element.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -35,10 +62,12 @@ def render_json(obj, indent: int = 0) -> str:
                  for k, v in obj.items())
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
+        if not len(obj):
             return "[]"
-        items = (inner + render_json(v, indent + 1) for v in seq)
+        if _is_float_vector(obj):
+            items = _render_floats(obj, inner)
+        else:
+            items = (inner + render_json(v, indent + 1) for v in obj)
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'

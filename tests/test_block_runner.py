@@ -8,7 +8,10 @@ count, that the block calls see one thread on a grid with several blocks
 and the process's count on a grid of one block, that the counts come back
 afterwards, also when a block fails, that the first failing block in
 block order raises and later blocks are not started, and that without a
-known OpenBLAS build the values stay the same.
+known OpenBLAS build the values stay the same.  Symmetrization runs the
+blocks in batches (``operators._batches``) that take each diagnostic norm
+in one Lanczos run; the values do not depend on how the blocks are
+batched.
 """
 from __future__ import annotations
 
@@ -20,11 +23,12 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse.linalg as ssl
 
 import npspectra
 from npspectra import (NotPositiveDefinite, _blas, build_grid, ellipsoid,
                        mobius_invert, negative_count_study, operators,
-                       spectrum, sphere)
+                       spectrum, sphere, torus)
 from npspectra.pipeline import compute_report
 
 from conftest import make_config
@@ -187,3 +191,44 @@ def test_report_without_openblas_builds_keeps_its_values(monkeypatch):
     for key, value in ref.diagnostics.items():
         assert abs(report.diagnostics[key] - value) <= 1e-12 * abs(value), key
 
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: build_grid(sphere(), 24, 48),
+    lambda: build_grid(torus(), 16, 16),
+    lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 16, 32),
+], ids=["sphere-24x48", "torus-16x16", "ellipsoid-16x32"])
+def test_values_do_not_depend_on_the_batching(monkeypatch, make_grid):
+    grid = make_grid()
+    blocks, _ = spectrum._operator_blocks(grid)
+    runs = []
+    # every block alone, then all of them in one batch
+    for entries, n_batches in ((1, len(blocks)), (1 << 40, 1)):
+        monkeypatch.setattr(operators, "_BATCH_ENTRIES", entries)
+        assert len(operators._batches(blocks)) == n_batches
+        runs.append(spectrum.symmetrized_spectrum(grid))
+    (alone, alone_sym), (batched, batched_sym) = runs
+    assert np.array_equal(alone, batched)
+    assert np.array_equal(alone_sym.rows, batched_sym.rows)
+    for key, value in alone_sym.diagnostics.items():
+        assert abs(batched_sym.diagnostics[key] - value) \
+            <= 1e-13 * abs(value), key
+
+
+@pytest.mark.parametrize("spec, calls", [
+    # the 25 rotation modes form one batch: one run per diagnostic norm
+    ({"surface": {"name": "sphere"}, "resolution": [24, 48]}, 5),
+    # each of the 8 mirror characters is a batch of its own
+    ({"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+      "resolution": [40, 80]}, 40),
+], ids=["sphere-24x48", "ellipsoid-40x80"])
+def test_lanczos_runs_per_report(monkeypatch, spec, calls):
+    seen = []
+    eigsh = ssl.eigsh
+
+    def counting(*args, **kwargs):
+        seen.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(ssl, "eigsh", counting)
+    compute_report(make_config(spec))
+    assert len(seen) == calls

@@ -46,7 +46,7 @@ def sphere_ops(sphere_grid_small):
 
 def _symmetrize(kw, sw):
     """Plemelj symmetrization of the whole weighted pair, unblocked."""
-    sym, norms = operators._plemelj_symmetrize(kw.matrix, sw.matrix)
+    (sym,), norms = operators._plemelj_symmetrize([(kw.matrix, sw.matrix)])
     return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
                             diagnostics=operators._merge_diagnostics([norms]))
 
@@ -686,7 +686,41 @@ def test_spectral_norm_is_exact():
     }
     for name, m in cases.items():
         want = sla.svdvals(m)[0]
-        assert abs(operators._spectral_norm(m) - want) <= 1e-13 * want, name
+        got = operators._spectral_norm([m])
+        assert abs(got - want) <= 1e-13 * want, name
+
+
+def _skew(n, top, seed):
+    """A skew n x n matrix whose largest singular value ``top`` is double."""
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    a -= a.T
+    return a * (top / sla.svdvals(a)[0])
+
+
+_ZERO = np.zeros((6, 6))
+
+
+@pytest.mark.parametrize("blocks", [
+    # the largest norm in the first, a middle and the last block
+    [_skew(40, 3.0, 1), _ZERO, np.array([[1.5]]), _skew(12, 2.0, 2)],
+    [_skew(7, 1.0, 3), _skew(30, 4.0, 4), np.array([[-2.0]]), _ZERO,
+     _skew(5, 0.5, 5)],
+    [_ZERO, np.array([[0.25]]), _skew(9, 1.0, 6), _skew(2, 0.75, 7),
+     _skew(64, 5.0, 8)],
+    # in a 1 x 1 block
+    [_skew(20, 1.0, 9), np.array([[-6.0]]), _skew(3, 2.0, 10)],
+], ids=["first", "middle", "last", "one-by-one"])
+def test_spectral_norm_of_a_block_diagonal_is_its_largest_block_norm(
+        blocks):
+    want = sla.svdvals(sla.block_diag(*blocks))[0]
+    assert want == pytest.approx(max(sla.svdvals(b)[0] for b in blocks),
+                                 rel=1e-13)
+    assert abs(operators._spectral_norm(blocks) - want) <= 1e-13 * want
+
+
+def test_spectral_norm_of_zero_blocks_is_zero():
+    assert operators._spectral_norm([np.zeros((3, 3)), np.zeros((1, 1))]) \
+        == 0.0
 
 
 def test_failed_cholesky_is_not_positive_definite(sphere_sym, monkeypatch):

@@ -45,6 +45,58 @@ def test_render_json_rejects_nonfinite():
         render_json([np.inf])
 
 
+def _one_by_one(values, indent):
+    """A JSON list rendered element by element, as before the float path."""
+    inner = "  " * (indent + 1)
+    return ("[\n" + ",\n".join(inner + render_json(v, indent + 1)
+                               for v in values)
+            + "\n" + "  " * indent + "]")
+
+
+_FLOATS = [0.5, -0.0, 1.0 / 3.0, 2.0, -1e-300, 5e-324,
+           1.7976931348623157e308, 1e16, 123456789.125, -0.1]
+
+
+@pytest.mark.parametrize("values", [
+    np.array(_FLOATS),
+    np.array([x for x in _FLOATS if abs(x) < 1e38], dtype=np.float32),
+    _FLOATS,
+    tuple(np.float64(x) for x in _FLOATS),
+    [np.float32(0.1), 0.1, np.float64(-2.5)],
+    np.array([7.0]),
+], ids=["float64", "float32", "list", "tuple-of-numpy", "mixed", "one"])
+@pytest.mark.parametrize("indent", [0, 3])
+def test_float_vectors_render_as_element_by_element(values, indent):
+    assert render_json(values, indent) == _one_by_one(values, indent)
+    doc = {"spectrum": {"lambda": values, "n": 3}}
+    assert json.loads(render_json(doc))["spectrum"]["lambda"] == [
+        float(v) for v in values]
+
+
+@pytest.mark.parametrize("values", [
+    # not float vectors: element by element, as before
+    [1.5, 2, True], np.arange(4), np.array([[0.5, 1.0], [2.0, 3.0]]),
+    [np.float64(1.0), None], np.array([True, False]),
+], ids=["ints-in-list", "int-array", "matrix", "none", "bool-array"])
+def test_other_sequences_render_element_by_element(values):
+    assert render_json(values, 1) == _one_by_one(values, 1)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0.5, 1.0, np.nan, np.inf]),
+    np.array([0.5, -np.inf, np.nan], dtype=np.float32),
+    [0.25, float("inf"), float("nan")],
+    (np.float64(1.0), np.float64("-inf")),
+], ids=["float64", "float32", "list", "tuple"])
+def test_float_vectors_name_the_first_nonfinite_value(values):
+    first = next(v for v in values if not np.isfinite(v))
+    with pytest.raises(ConfigError) as one:
+        render_json(first)
+    with pytest.raises(ConfigError) as whole:
+        render_json({"x": values})
+    assert str(whole.value) == str(one.value)
+
+
 def test_report_schema_key_order(sphere_report_small):
     report, _ = sphere_report_small
     doc = report_to_dict(report, {"surface": {"name": "sphere"}},
