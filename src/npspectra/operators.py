@@ -20,10 +20,12 @@ symmetry (``_row_nodes``): on a grid with the turn the n_u meridian nodes
 (a, 0), since every other row is a meridian row turned; otherwise the
 smallest node of each orbit of the mirror group, about n/8 rows on a
 catalog grid, every row on a grid without mirrors.  It writes their
-one-point products in row blocks, which also find the near pairs.  The cell
-integrals then evaluate the surface chart once per quadrature panel on
-each cell that some near pair integrates over, not once per near pair
-nor on every cell, on the panel's tensor axes (u and v nodes as
+one-point products in row blocks, which also find the near pairs.  Each
+near-pair integral is then taken over a row node's own cell, mapped there
+by the turn or a mirror (``_row_cell_sources``), and each distinct
+(cell, source) integral once.  The cell integrals evaluate the surface
+chart once per quadrature panel on those cells alone, n_u of them on a
+surface of revolution, on the panel's tensor axes (u and v nodes as
 broadcastable axes, so a term of u alone runs once per u node), fold the
 weights into those samples, and gather from that per-cell cache in
 bounded chunks, one contiguous plane per coordinate.  The self-cell rule
@@ -194,7 +196,9 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
 
     For each pair (src[p], tgt[p]), with tgt[p] owned by component ``comp``,
     integrates both kernels over tgt's parameter cell with an nsub x nsub
-    panel split and a q x q Gauss-Legendre rule per panel.  The chart is
+    panel split and a q x q Gauss-Legendre rule per panel.  Assembly
+    passes the row nodes' cells as ``tgt``, each (tgt, src) pair once
+    (``assemble_operators``).  The chart is
     evaluated once per target cell and panel on its tensor axes
     (``_panel_geometry``), panel by panel, on the distinct cells of ``tgt``
     only.  Each panel's samples y and weighted normals are then copied into
@@ -406,6 +410,29 @@ def _row_filler(op: DiscreteOperator):
                              _orbit_sources(perms))
 
 
+def _row_cell_sources(grid: QuadratureGrid, rows: np.ndarray,
+                      cols: np.ndarray):
+    """Each integral over cell ``cols`` from x_``rows`` as one over a row
+    node's cell.
+
+    ``rows`` are row nodes (``_row_nodes``).  Column j is g rho(j) for a
+    row node rho(j) and a symmetry g of the grid, which maps cells onto
+    cells and commutes with both kernels, so the integral over cell j
+    seen from x_r is that over cell rho(j) seen from x_{g^-1 r}.  On a
+    grid with the turn rho((b, d)) = (b, 0) and g^-1 (a, 0) = (a, -d);
+    otherwise rho and g are those of ``_orbit_sources``, and g^-1 = g,
+    every mirror being an involution.  On a grid without mirrors or turn
+    rho(j) = j and g is the identity.  Returns (cells, sources).
+    """
+    if grid.turn:
+        n_v = grid.resolution[1]
+        b, d = np.divmod(cols, n_v)
+        return b * n_v, rows + (-d % n_v)
+    perms = grid.mirrors
+    src, elem = _orbit_sources(perms)
+    return _representatives(perms)[src[cols]], perms[elem[cols], rows]
+
+
 def _check_finite(name: str, rows: np.ndarray, reps: np.ndarray) -> None:
     """Raise NumericalError at the first non-finite entry of ``rows``.
 
@@ -447,15 +474,23 @@ def assemble_operators(grid: QuadratureGrid):
     the two kernels, so assembling the pair together costs far less than
     two separate assemblies.  Far-field entries are written in row blocks
     of about ``_BLOCK_ENTRIES`` entries, which also check for coincident
-    nodes and collect the near pairs of the representatives; the cell
-    integrals then run over the pair list from a per-cell cache of chart
-    samples, taken only on the cells the pairs integrate over.  A near pair
-    (i, j) integrates both directions, I_ij over cell j seen from x_i and
-    I_ji over cell i seen from x_j, and the single-layer entry
+    nodes and collect the near pairs (i, j) of the row nodes i.  Such a
+    pair needs I_ij, over cell j seen from x_i, and I_ji, over cell i seen
+    from x_j; K_ij = I_ij, and the single-layer entry
     S_ij = -(I_ij + I_ji w_j / w_i) / 2 averages them so that S is
-    symmetric in the weighted_l2 basis.  Each entry is formed from its own
-    row and column alone, so a grid rounds alike with or without its
-    mirrors or turn.  Peak memory is the two returned row arrays, 2 n_u n
+    symmetric in the weighted_l2 basis.  Cell i is a row node's; I_ij is
+    taken over the cell of the row node rho(j) whose image under a
+    symmetry g is j, from x_{g^-1 i} (``_row_cell_sources``), the
+    fundamental-domain reduction of the near field.  The integrals form
+    one list of distinct (cell, source) tasks, each integrated once,
+    subdivided if either pair it serves touches, from a per-cell cache of
+    chart samples taken on the row nodes' cells alone: on a surface of
+    revolution the backward integrals of the meridian rows are all the
+    tasks there are.  On a grid without mirrors or turn rho(j) = j and
+    the entries are those of integrating each pair in both directions;
+    on a grid with them a row agrees with the row of the same grid
+    without them to rounding (the mapped cell's samples round
+    differently).  Peak memory is the two returned row arrays, 2 n_u n
     entries on a grid with the turn and about 2 n^2 / |G| entries for a
     mirror group of order |G|, O(n) and a few dozen MiB of block
     temporaries.
@@ -527,12 +562,8 @@ def assemble_operators(grid: QuadratureGrid):
                 bi, j = np.argwhere(bad)[0]
                 cross = (rows[bi], j)
         bi, jj = np.nonzero(near)
-        ii = rows[bi]
-        # a pair of two representatives is kept once, as r < j; its two
-        # integrals fill both of their rows
-        keep = (pos[jj] < 0) | (ii < jj)
         touch = rr[bi, jj] < TOUCH_RADIUS_CELLS * half[bi, jj]
-        pairs.append((ii[keep], jj[keep], touch[keep]))
+        pairs.append((rows[bi], jj, touch))
     # cross-chart cell integrals are not supported, so such grids cannot be
     # assembled accurately; raised only now so that coincident nodes in any
     # row block are reported first
@@ -542,28 +573,27 @@ def assemble_operators(grid: QuadratureGrid):
             f"are closer than the near-field correction radius; "
             f"separate the components or refine the grids")
     ii, jj, touch = (np.concatenate(p) for p in zip(*pairs))
+    # near pair (i, j) needs I_ij over cell j from x_i, taken over a row
+    # node's cell (_row_cell_sources), and I_ji over cell i from x_j; one
+    # task per distinct (cell, source), subdivided if either pair touches
+    cells, sources = _row_cell_sources(grid, ii, jj)
+    keys, task = np.unique(np.concatenate([cells * n + sources, ii * n + jj]),
+                           return_inverse=True)
+    cells, sources = np.divmod(keys, n)
+    sub = np.zeros(keys.size, dtype=bool)
+    sub[task[np.concatenate([touch, touch])]] = True
+    i_s = np.empty(keys.size)
+    i_k = np.empty(keys.size)
     for comp in grid.components:
-        in_comp = (ii >= comp.start) & (ii < comp.stop)
-        for mask, nsub in ((~touch, 1), (touch, CELL_SUBDIV)):
-            pick = in_comp & mask
-            if not pick.any():
-                continue
-            pi, pj = ii[pick], jj[pick]
-            m = pi.size
-            # both directions in one call: cells of pj from pi, then cells
-            # of pi from pj
-            i_s, i_k = _cell_kernel_integrals(
-                grid, comp, np.concatenate([pi, pj]),
-                np.concatenate([pj, pi]), CELL_QUAD, nsub)
-            # S_ij = -(I_ij + I_ji w_j / w_i) / 2, each entry from its own
-            # row and column, so it rounds alike whichever end is pi
-            s_ij = -0.5 * (i_s[:m] + i_s[m:] * (w[pj] / w[pi]))
-            s_ji = -0.5 * (i_s[m:] + i_s[:m] * (w[pi] / w[pj]))
-            smat[pos[pi], pj] = s_ij
-            kmat[pos[pi], pj] = i_k[:m]
-            both = pos[pj] >= 0
-            smat[pos[pj[both]], pi[both]] = s_ji[both]
-            kmat[pos[pj[both]], pi[both]] = i_k[m:][both]
+        in_comp = (cells >= comp.start) & (cells < comp.stop)
+        for mask, nsub in ((~sub, 1), (sub, CELL_SUBDIV)):
+            pick = np.flatnonzero(in_comp & mask)
+            if pick.size:
+                i_s[pick], i_k[pick] = _cell_kernel_integrals(
+                    grid, comp, sources[pick], cells[pick], CELL_QUAD, nsub)
+    fwd, bwd = task[:ii.size], task[ii.size:]
+    kmat[pos[ii], jj] = i_k[fwd]
+    smat[pos[ii], jj] = -0.5 * (i_s[fwd] + i_s[bwd] * (w[jj] / w[ii]))
     own = np.arange(reps.size)
     smat[own, reps] = -_self_cell_single_layer(grid, reps)
     # row-sum diagonal: the double layer maps constants to 1/2 exactly; K is

@@ -21,7 +21,7 @@ from .grids import build_grid
 from .operators import _map_blocks, _symmetrize_blocks, dump_operator
 from .report import render_eigen_csv, render_report_json, write_text
 from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
-                       _sorted_union, cluster_multiplicities, plasmon_map,
+                       _plasmon_values, _sorted_union, cluster_multiplicities,
                        split_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
@@ -121,9 +121,7 @@ def compute_report(config: RunConfig) -> tuple:
             "window": list(fit_total.window),
         }
         signed = np.sort(np.concatenate([lambda_plus, -lambda_minus]))[::-1]
-        # the discrete 1/2 eigenvalue approximates the pole of the map
-        plasmon = [plasmon_map(lam) for lam in signed
-                   if abs(lam - 0.5) > TRIVIAL_TOL]
+        plasmon = _plasmon_values(signed)[1].tolist()
     report = SpectrumReport(
         lambda_plus=lambda_plus, lambda_minus=lambda_minus,
         singular_values=singular_values, clusters=clusters, fit=fit,

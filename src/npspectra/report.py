@@ -5,14 +5,19 @@ format, so identical runs produce byte-identical files.
 """
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from ._fileio import atomic_write
 from .errors import ConfigError
-from .spectrum import TRIVIAL_TOL, SpectrumReport, plasmon_map
+from .spectrum import SpectrumReport, _plasmon_values
 
 CSV_FORMAT_LINE = "# eigen-table v1"
 CSV_HEADER = "j,lambda,sign,mu_j,epsilon_j"
+# rows of the eigen table per chunk: only one chunk's values are held as
+# Python floats at a time, so rendering holds no more than one list of rows
+_CSV_ROWS = 256
 
 
 def format_float(x: float) -> str:
@@ -117,6 +122,12 @@ def render_report_json(report: SpectrumReport, config_echo: dict,
     return render_json(report_to_dict(report, config_echo, version)) + "\n"
 
 
+def _formatted(values: np.ndarray):
+    """``format_float`` of each of ``values``, in order, as an iterator:
+    one ``format`` map over ``tolist()``, no list of strings held."""
+    return map(format, values.tolist(), repeat(".17g"))
+
+
 def render_eigen_csv(report: SpectrumReport) -> str:
     """Eigenvalue table as CSV text.
 
@@ -124,20 +135,24 @@ def render_eigen_csv(report: SpectrumReport) -> str:
     ``sign`` is +1 or -1, ``mu_j`` is the j-th singular value, and
     ``epsilon_j`` is the plasmonic eigenvalue (empty for the trivial
     eigenvalue near 1/2, the pole of the map, i.e. normally the first row).
+    Each column is formatted in one pass over its values (``_formatted``),
+    with the bytes of ``format_float``, in chunks of ``_CSV_ROWS`` rows.
     """
     signed = np.concatenate([report.lambda_plus, -report.lambda_minus])
-    order = np.argsort(-np.abs(signed), kind="stable")
+    lam = signed[np.argsort(-np.abs(signed), kind="stable")]
     mu = np.asarray(report.singular_values, dtype=float)
     lines = [CSV_FORMAT_LINE, CSV_HEADER]
-    for j, idx in enumerate(order, start=1):
-        lam = float(signed[idx])
-        if abs(lam - 0.5) <= TRIVIAL_TOL:
-            eps = ""
-        else:
-            eps = format_float(plasmon_map(lam))
-        mu_j = format_float(mu[j - 1]) if j - 1 < mu.size else ""
-        sign = 1 if lam > 0 else -1
-        lines.append(f"{j},{format_float(lam)},{sign},{mu_j},{eps}")
+    for r0 in range(0, lam.size, _CSV_ROWS):
+        part = lam[r0:r0 + _CSV_ROWS]
+        keep, eps = _plasmon_values(part)
+        eps_j = _formatted(eps)
+        cols = zip(_formatted(part), (part > 0).tolist(),
+                   chain(_formatted(mu[r0:r0 + part.size]), repeat("")),
+                   keep.tolist())
+        lines += [f"{j},{lam_j},{1 if pos else -1},{mu_j},"
+                  f"{next(eps_j) if kept else ''}"
+                  for j, (lam_j, pos, mu_j, kept)
+                  in enumerate(cols, start=r0 + 1)]
     return "\n".join(lines) + "\n"
 
 

@@ -24,8 +24,9 @@ from scipy.linalg import lapack
 from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
-from .operators import (_cholesky_neg_s, _map_blocks, _split_blocks,
-                        _symmetrize_blocks, assemble_operators)
+from .operators import (_batches, _cholesky_neg_s, _map_blocks,
+                        _split_blocks, _symmetrize_blocks,
+                        assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -208,6 +209,19 @@ def plasmon_map(lam: float) -> float:
     return 1.0 - 2.0 * lam / (lam - 0.5)
 
 
+def _plasmon_values(lam: np.ndarray):
+    """``plasmon_map`` of the eigenvalues ``lam`` in one array pass.
+
+    Returns the mask of the eigenvalues more than ``TRIVIAL_TOL`` from 1/2
+    and their epsilon values, in order, with the bits of ``plasmon_map``;
+    the discrete 1/2 eigenvalue approximates the pole of the map and gets
+    none.
+    """
+    keep = np.abs(lam - 0.5) > TRIVIAL_TOL
+    kept = lam[keep]
+    return keep, 1.0 - 2.0 * kept / (kept - 0.5)
+
+
 def _operator_blocks(grid):
     """K_w and S_w split into blocks, and the multiplicity of each block.
 
@@ -287,9 +301,11 @@ def _negative_count(grid, threshold: float) -> int:
     K and S are split into blocks (``_operator_blocks``: rotation modes
     on a grid with the turn, mirror characters otherwise, one block on a
     grid with neither), and the count is the sum of the block counts
-    (``_block_negative_count``), each times its block's multiplicity, the
-    blocks running side by side with one BLAS thread per call
-    (``operators._map_blocks``).
+    (``_block_negative_count``), each times its block's multiplicity.
+    The blocks go in the consecutive batches of symmetrization
+    (``operators._batches``), which run side by side with one BLAS thread
+    per call (``operators._map_blocks``); the 33 modes of a 32x64 peanut
+    form one batch, which runs inline.
 
     Raises
     ------
@@ -297,11 +313,12 @@ def _negative_count(grid, threshold: float) -> int:
         If the Cholesky factorization of some block of -S fails; the
         first such block in block order raises.
     """
-    def count(block):
-        return _block_negative_count(*block, threshold)
+    def count(batch):
+        return [_block_negative_count(k, s, threshold) for k, s in batch]
 
     blocks, mult = _operator_blocks(grid)
-    return int(np.dot(mult, _map_blocks(count, blocks)))
+    counts = _map_blocks(count, _batches(blocks), n_blocks=len(blocks))
+    return int(np.dot(mult, [c for batch in counts for c in batch]))
 
 
 def _block_negative_count(k, s, threshold: float) -> int:

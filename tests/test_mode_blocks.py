@@ -116,7 +116,8 @@ def test_meridian_rows_are_the_unblocked_rows(case):
     assert np.array_equal(meridian, n_v * np.arange(n_u))
     for op, ref in zip(assemble_operators(grid), assemble_operators(whole)):
         assert op.rows.shape == (n_u, grid.n_nodes)
-        assert np.array_equal(op.rows, ref.rows[meridian])
+        assert np.abs(op.rows - ref.rows[meridian]).max() \
+            <= TOL * np.abs(ref.rows[meridian]).max()
         # the other rows are turned copies, equal to the computed ones to
         # rounding
         assert np.abs(op.matrix - ref.matrix).max() \

@@ -617,6 +617,67 @@ def test_near_integrals_match_the_direct_formula(make_grid, comp_index,
         assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
 
 
+def _stripped(grid):
+    """``grid`` without its mirrors and turn: every row is assembled."""
+    return dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
+
+
+def _recorded_assembly(grid, monkeypatch):
+    """Assemble ``grid``, recording the cells the chart is sampled on
+    (``_panel_geometry``) and the (tgt, src) pairs that
+    ``_cell_kernel_integrals`` integrates."""
+    cells, pairs = [], []
+    panel = operators._panel_geometry
+    integrals = operators._cell_kernel_integrals
+
+    def recording_panel(grid, comp, comp_cells, *args):
+        cells.append(comp.start + comp_cells)
+        return panel(grid, comp, comp_cells, *args)
+
+    def recording_integrals(grid, comp, src, tgt, q, nsub):
+        pairs.append(np.stack([tgt, src], axis=1))
+        return integrals(grid, comp, src, tgt, q, nsub)
+
+    monkeypatch.setattr(operators, "_panel_geometry", recording_panel)
+    monkeypatch.setattr(operators, "_cell_kernel_integrals",
+                        recording_integrals)
+    ops = assemble_operators(grid)
+    return ops, np.concatenate(cells), np.concatenate(pairs)
+
+
+@pytest.mark.parametrize("make_grid, kind", [
+    (lambda: build_grid(peanut(), 16, 32), "turn"),
+    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 16, 32), "mirrors"),
+    (lambda: _stripped(build_grid(peanut(), 12, 24)), "none"),
+], ids=["peanut", "ellipsoid", "stripped-peanut"])
+def test_near_field_integrates_each_row_cell_task_once(make_grid, kind,
+                                                        monkeypatch):
+    grid = make_grid()
+    assert kind == ("turn" if grid.turn else "mirrors"
+                    if grid.mirrors.shape[0] > 1 else "none")
+    _, cells, pairs = _recorded_assembly(grid, monkeypatch)
+    # the chart is sampled on the cells of the row nodes alone
+    assert np.isin(cells, operators._row_nodes(grid)).all()
+    assert np.isin(pairs[:, 0], operators._row_nodes(grid)).all()
+    # and no (cell, source) integral is taken twice
+    assert np.unique(pairs, axis=0).shape == pairs.shape
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda: build_grid(peanut(), 12, 24),
+    _union_with_offset_peanut,
+], ids=["peanut", "offset-peanut"])
+def test_rows_without_symmetry_are_those_assembled_pair_by_pair(make_grid,
+                                                                monkeypatch):
+    grid = _stripped(make_grid())
+    ops = assemble_operators(grid)
+    # every task integrated with a chart evaluation of its own
+    monkeypatch.setattr(operators, "_cell_kernel_integrals",
+                        _per_pair_cell_integrals)
+    for op, ref in zip(ops, assemble_operators(grid)):
+        assert np.array_equal(op.rows, ref.rows)
+
+
 def test_row_blocks_do_not_change_the_operators(monkeypatch):
     grid = build_grid(peanut(), 12, 24)
     k_ref, s_ref = assemble_operators(grid)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from npspectra import ConfigError, __version__
+from conftest import make_config
+from npspectra import ConfigError, __version__, compute_report, plasmon_map
+from npspectra import report as report_module
 from npspectra.report import (
     CSV_FORMAT_LINE,
     CSV_HEADER,
@@ -18,6 +21,7 @@ from npspectra.report import (
     report_to_dict,
     write_text,
 )
+from npspectra.spectrum import TRIVIAL_TOL
 
 
 def test_format_float_seventeen_digits():
@@ -151,6 +155,65 @@ def test_eigen_csv_layout(sphere_report_small):
         lam = float(row[1])
         eps = float(row[4])
         assert eps == pytest.approx(1.0 - 2.0 * lam / (lam - 0.5), rel=1e-12)
+
+
+def _csv_row_by_row(report):
+    """The eigen table rendered row by row: three ``format_float`` calls and
+    one ``plasmon_map`` per eigenvalue, as before the column pass."""
+    signed = np.concatenate([report.lambda_plus, -report.lambda_minus])
+    order = np.argsort(-np.abs(signed), kind="stable")
+    mu = np.asarray(report.singular_values, dtype=float)
+    lines = [CSV_FORMAT_LINE, CSV_HEADER]
+    for j, idx in enumerate(order, start=1):
+        lam = float(signed[idx])
+        if abs(lam - 0.5) <= TRIVIAL_TOL:
+            eps = ""
+        else:
+            eps = format_float(plasmon_map(lam))
+        mu_j = format_float(mu[j - 1]) if j - 1 < mu.size else ""
+        sign = 1 if lam > 0 else -1
+        lines.append(f"{j},{format_float(lam)},{sign},{mu_j},{eps}")
+    return "\n".join(lines) + "\n"
+
+
+def _plasmon_one_by_one(report):
+    """The report's plasmon list by ``plasmon_map``, one eigenvalue at a
+    time."""
+    signed = np.sort(np.concatenate([report.lambda_plus,
+                                     -report.lambda_minus]))[::-1]
+    return [plasmon_map(lam) for lam in signed
+            if abs(lam - 0.5) > TRIVIAL_TOL]
+
+
+@pytest.mark.parametrize("spec, signs", [
+    ({"surface": {"name": "sphere"}, "resolution": [12, 24]}, {"1"}),
+    ({"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+      "resolution": [16, 32]}, {"1"}),
+    # every eigenvalue kept, so both signs reach the table
+    ({"surface": {"name": "torus"}, "resolution": [16, 16],
+      "noise_cutoff": 1e-300}, {"1", "-1"}),
+], ids=["sphere", "ellipsoid", "torus"])
+def test_eigen_csv_and_plasmon_match_the_row_by_row_rendering(spec, signs,
+                                                              monkeypatch):
+    report, _ = compute_report(make_config(spec))
+    text = render_eigen_csv(report)
+    assert text.encode() == _csv_row_by_row(report).encode()
+    assert [type(x) for x in report.plasmon] == [float] * len(report.plasmon)
+    assert [x.hex() for x in report.plasmon] \
+        == [x.hex() for x in _plasmon_one_by_one(report)]
+    rows = [line.split(",") for line in text.splitlines()[2:]]
+    # the first row is the trivial 1/2, with no epsilon; every other row
+    # has one
+    assert [r[4] == "" for r in rows] == [True] + [False] * (len(rows) - 1)
+    assert {r[2] for r in rows} == signs
+    # fewer singular values than eigenvalues leave the mu column empty
+    short = dataclasses.replace(report,
+                                singular_values=report.singular_values[:5])
+    assert render_eigen_csv(short) == _csv_row_by_row(short)
+    # chunks of 7 rows: the chunk ends fall inside every column
+    monkeypatch.setattr(report_module, "_CSV_ROWS", 7)
+    assert render_eigen_csv(report) == text
+    assert render_eigen_csv(short) == _csv_row_by_row(short)
 
 
 def test_failed_write_text_keeps_old_file(tmp_path, short_writes):
