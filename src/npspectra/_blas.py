@@ -1,11 +1,14 @@
-"""One BLAS thread per call while the mirror blocks run side by side.
+"""One BLAS thread per call while the blocks of a grid run in batches.
 
 numpy and scipy each load their own OpenBLAS build (numpy's ILP64
 ``libscipy_openblas64_``, scipy's ``libscipy_openblas``), and each defaults
-to one thread per CPU.  The blocks of the mirror group are small and
-independent: below about 800 rows a LAPACK call is faster on one thread
-than on two, and a single-threaded call gives the same bits whatever the
-CPU count (``operators._map_blocks``).
+to one thread per CPU.  The blocks of a grid's symmetry (its rotation
+modes or mirror characters) are small and independent: below about 800
+rows a LAPACK call is faster on one thread than on two, and a
+single-threaded call gives the same bits whatever the CPU count.  So
+``operators._map_blocks`` holds every build at one thread while it runs
+the batches of a grid of several blocks, inline when they form one batch
+and otherwise side by side.
 
 The builds are looked up once, on first use, among the shared objects
 mapped into the process.  Where none is found (another BLAS, or a system

@@ -5,7 +5,8 @@ the single-layer operator kernel -(1/4 pi) / |x - y|.  Both are assembled as
 dense matrices acting on point values (``nystrom`` basis, entry = kernel
 times target weight); assembly forms no square-root weights.  Conjugated
 by them (``weighted_l2`` basis) the single layer is symmetric; an entry
-changes basis only in ``_mirror_blocks`` and ``to_weighted_l2``.
+changes basis only in ``_mode_blocks``, ``_mirror_blocks`` and
+``to_weighted_l2``.
 
 Plain one-point products are spectrally accurate only for well-separated
 node pairs.  Near-diagonal entries (pairs closer than a few local cell
@@ -52,10 +53,13 @@ reports, the study and ``spectrum.symmetrized_spectrum`` do dense work on
 blocks of n_u nodes on a surface of revolution and of about n/8 nodes on
 another catalog grid, and read only the representative rows; so does a
 matrix dump.  No n x n array is built unless a caller reads ``matrix``.
-Every per-block step runs through ``_map_blocks``: the blocks side by side
-on a thread pool, each LAPACK call on one BLAS thread.  Symmetrization
-hands it batches of consecutive blocks (``_batches``), so that each
-diagnostic norm of a batch is one Lanczos run on its block diagonal.
+Every per-block step runs through ``_map_blocks``, which cuts the blocks
+into batches of consecutive blocks (``_batches``) and runs the batches
+side by side on a thread pool, each LAPACK call on one BLAS thread; a
+grid whose blocks form one batch starts no pool.  Symmetrization is one
+such pass (``_plemelj_symmetrize``): per batch it symmetrizes each block,
+takes its eigenvalues, and takes each diagnostic norm in one Lanczos run
+on the block diagonal, four runs per batch.
 """
 from __future__ import annotations
 
@@ -87,8 +91,9 @@ SELF_QUAD = 8                # radial/angular points of the self-cell rule
 _BLOCK_ENTRIES = 1 << 17
 # matrix entries per row chunk of a matrix dump (2 MiB of float64)
 _DUMP_ENTRIES = 1 << 18
-# block entries per batch of consecutive blocks that symmetrization takes
-# its diagnostic norms over in one Lanczos run each (1 MiB of float64)
+# block entries per batch of consecutive blocks that ``_map_blocks`` hands
+# to one call, and symmetrization takes its diagnostic norms over in one
+# Lanczos run each (1 MiB of float64)
 _BATCH_ENTRIES = 1 << 17
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
@@ -654,14 +659,6 @@ def _commutator(k: np.ndarray, s: np.ndarray) -> np.ndarray:
     return ks.T - ks
 
 
-def _plemelj_norms(k, s):
-    """Spectral norms of the block diagonals of the S_b K_b^T - K_b S_b,
-    of the K_b and of the S_b (each S_b symmetric), for lists ``k`` and
-    ``s`` of blocks: three Lanczos runs, whatever the number of blocks."""
-    return (_spectral_norm([_commutator(kb, sb) for kb, sb in zip(k, s)]),
-            _spectral_norm(k), _spectral_norm(s))
-
-
 def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
     """Relative defect of the symmetrization identity S K^T = K S.
 
@@ -676,8 +673,9 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
         raise ConfigError("plemelj_residual requires the weighted_l2 basis")
     if k_op.grid is not s_op.grid:
         raise ConfigError("operators were assembled on different grids")
-    resid, k_norm, s_norm = _plemelj_norms([k_op.matrix], [s_op.matrix])
-    return resid / (k_norm * s_norm)
+    k, s = k_op.matrix, s_op.matrix
+    return _spectral_norm([_commutator(k, s)]) / (_spectral_norm([k])
+                                                  * _spectral_norm([s]))
 
 
 def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
@@ -700,7 +698,11 @@ def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
-    """The smallest eigenvalue of -S and L^-1 K L, for -S = L L^T.
+    """The smallest and the largest eigenvalue of -S, and L^-1 K L, for
+    -S = L L^T.
+
+    Both eigenvalues come from one ``eigvalsh`` of -S; the largest is the
+    spectral norm of S once -S is positive definite.
 
     Raises
     ------
@@ -711,29 +713,33 @@ def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
     # -S and then its lower factor, in Fortran order so that the Cholesky
     # factorization and the triangular solve run in place
     lower = np.negative(s, order="F")
-    min_eig = float(sla.eigvalsh(lower, subset_by_index=[0, 0])[0])
+    eigs = sla.eigvalsh(lower)
+    min_eig = float(eigs[0])
     if min_eig <= 0.0:
         raise NotPositiveDefinite(
             f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
     lower = _cholesky_neg_s(lower)
     kt = np.matmul(k, lower, order="F")
-    return min_eig, sla.solve_triangular(lower, kt, lower=True,
-                                         overwrite_b=True)
+    return min_eig, float(eigs[-1]), sla.solve_triangular(
+        lower, kt, lower=True, overwrite_b=True)
 
 
 def _plemelj_symmetrize(batch):
     """Plemelj symmetrization of a batch of weighted_l2 pairs (K_b, S_b),
-    and the norms of their block diagonal.
+    the eigenvalues of each block, and the norms of their block diagonal.
 
     Factors each -S_b = L_b L_b^T (``_cholesky_similarity``, in batch
     order, so the first block that fails raises) and returns the list of
-    the sym(L_b^-1 K_b L_b), exactly symmetric, with one tuple of the
-    numbers the diagnostics merge from: the smallest eigenvalue of the
-    -S_b, the exact Lanczos norms (``_spectral_norm``) of the block
-    diagonals of the discarded skew parts and of the L_b^-1 K_b L_b, and
-    those of ``_plemelj_norms``.  That is five Lanczos runs per batch,
-    whatever its number of blocks; the batch holds its blocks' L_b^-1 K_b
-    L_b, skew parts and commutators only until their norms are taken.
+    the ``eigvalsh`` of the sym(L_b^-1 K_b L_b), the list of those
+    matrices, exactly symmetric, and one tuple of the numbers the
+    diagnostics merge from: the smallest eigenvalue of the -S_b, the exact
+    Lanczos norms (``_spectral_norm``) of the block diagonals of the
+    discarded skew parts, of the L_b^-1 K_b L_b, of the commutators
+    S_b K_b^T - K_b S_b and of the K_b, and the largest eigenvalue of the
+    -S_b, which is the norm of the block diagonal of the S_b.  That is
+    four Lanczos runs per batch, whatever its number of blocks; the batch
+    holds its blocks' L_b^-1 K_b L_b, skew parts and commutators only
+    until their norms are taken.
     This is Plemelj's symmetrization: S is symmetric and S K^T = K S, so
     L^-1 K L is symmetric for the continuous operators.  Its spectrum is
     that of K; another factor of -S (such as its square root) changes the
@@ -746,13 +752,16 @@ def _plemelj_symmetrize(batch):
         If some -S_b has a nonpositive eigenvalue or its Cholesky
         factorization fails.
     """
-    min_eigs, kts = zip(*(_cholesky_similarity(k, s) for k, s in batch))
+    min_eigs, s_norms, kts = zip(*(_cholesky_similarity(k, s)
+                                   for k, s in batch))
     skew_norm = _spectral_norm([0.5 * (kt - kt.T) for kt in kts])
     kt_norm = _spectral_norm(kts)
     syms = [0.5 * (kt + kt.T) for kt in kts]
     del kts
-    k, s = zip(*batch)
-    return syms, (min(min_eigs), skew_norm, kt_norm, *_plemelj_norms(k, s))
+    resid = _spectral_norm([_commutator(k, s) for k, s in batch])
+    k_norm = _spectral_norm([k for k, _ in batch])
+    return ([sla.eigvalsh(sym_b) for sym_b in syms], syms,
+            (min(min_eigs), skew_norm, kt_norm, resid, k_norm, max(s_norms)))
 
 
 def _merge_diagnostics(norms) -> dict:
@@ -814,11 +823,12 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     """Blocks of K_w and S_w on the character subspaces of the mirror group.
 
     ``k`` and ``s`` are the nystrom-basis representative rows of
-    ``assemble_operators`` (``DiscreteOperator.rows``), and this is the one
-    place on the block route where their entries change basis.  On a grid
-    with mirrors they are left unchanged: each gathered entry is converted
-    to the weighted_l2 basis on its own, exactly as an in-place conversion
-    would convert it.  On a grid without mirrors they are the whole
+    ``assemble_operators`` (``DiscreteOperator.rows``), and this is where
+    their entries change basis on a grid without the turn (``_mode_blocks``
+    converts them on a grid with it).  On a grid with mirrors they are left
+    unchanged: each gathered entry is converted to the weighted_l2 basis
+    on its own, exactly as an in-place conversion would convert it.  On a
+    grid without mirrors they are the whole
     matrices and are converted in place.  The grid's mirror group G, a
     product of Z2 factors, permutes the nodes (``grid.mirrors``) and K_w
     and S_w commute with its permutations, so in the orthonormal basis
@@ -967,42 +977,13 @@ def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     return blocks, np.ones(len(blocks), dtype=int)
 
 
-def _map_blocks(fn, items, n_blocks=None) -> list:
-    """``[fn(item) for item in items]``, the items run side by side.
-
-    ``items`` are blocks, or batches of consecutive blocks
-    (``_symmetrize_blocks``) that cover ``n_blocks`` blocks in all; by
-    default each item is one block.  One block, the grid without mirrors
-    or turn, runs inline on the process's BLAS threads, since a large
-    dense matrix gains from them.  Two or more blocks run with every
-    OpenBLAS build at one thread (``_blas.single_threaded``), also when
-    they form one batch, and their items on a pool of up to one worker
-    thread per usable CPU: blocks of a few hundred rows are faster on one
-    thread than on all the CPUs, their values then do not depend on the
-    BLAS thread count or the CPU count, and the workers overlap the numpy
-    products of one item with the work of another (the scipy.linalg LAPACK
-    wrappers hold the GIL).  A pool that would have one worker, such as
-    for the one batch of a 24x48 sphere, is not started: the items run
-    inline, which also keeps their temporaries out of a worker thread's
-    malloc arena.  Results come in item order.  The first item in that
-    order that fails raises its own exception, and items not yet started
-    are cancelled.
-    """
-    if (len(items) if n_blocks is None else n_blocks) < 2:
-        return [fn(item) for item in items]
-    # imported on first use, so that importing npspectra runs none of it
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import _blas
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(len(items), cpus)
-    with _blas.single_threaded():
-        if workers < 2:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(workers) as pool:
-            # map cancels the items not yet started once a result raises
-            return list(pool.map(fn, items))
+def _sorted_union(batches, mult):
+    """All values of the per-block arrays of ``batches`` (lists of
+    consecutive blocks, as ``_map_blocks`` returns them), each repeated by
+    the multiplicity of its block, sorted descending."""
+    parts = [p for batch in batches for p in batch]
+    return np.sort(np.concatenate([np.tile(p, m)
+                                   for p, m in zip(parts, mult)]))[::-1]
 
 
 def _batches(blocks) -> list:
@@ -1019,27 +1000,71 @@ def _batches(blocks) -> list:
     return batches
 
 
-def _symmetrize_blocks(grid: QuadratureGrid, blocks):
-    """Plemelj symmetrization per block, and the merged operator.
+def _map_blocks(fn, blocks) -> list:
+    """``[fn(batch) for batch in _batches(blocks)]``, the batches run side
+    by side.
+
+    ``fn`` maps one batch of consecutive blocks (``_batches``) to its
+    result, so that each diagnostic norm of a batch is one Lanczos run on
+    its block diagonal.  One block, the grid without mirrors or turn, runs
+    inline on the process's BLAS threads, since a large dense matrix gains
+    from them.  Two or more blocks run with every OpenBLAS build at one
+    thread (``_blas.single_threaded``), also when they form one batch, and
+    their batches on a pool of up to one worker thread per usable CPU:
+    blocks of a few hundred rows are faster on one thread than on all the
+    CPUs, their values then do not depend on the BLAS thread count or the
+    CPU count, and the workers overlap the numpy products of one batch
+    with the work of another (the scipy.linalg LAPACK wrappers hold the
+    GIL).  A pool that would have one worker, such as for the one batch
+    of the 25 modes of a 24x48 sphere or of any level of a peanut study,
+    is not started: the batch runs inline, which also keeps its
+    temporaries out of a worker thread's malloc arena.  Results come in
+    batch order.  The first batch in that order that fails raises its own
+    exception, and batches not yet started are cancelled.
+    """
+    batches = _batches(blocks)
+    if len(blocks) < 2:
+        return [fn(batch) for batch in batches]
+    # imported on first use, so that importing npspectra runs none of it
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import _blas
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(len(batches), cpus)
+    with _blas.single_threaded():
+        if workers < 2:
+            return [fn(batch) for batch in batches]
+        with ThreadPoolExecutor(workers) as pool:
+            # map cancels the batches not yet started once a result raises
+            return list(pool.map(fn, batches))
+
+
+def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
+    """Plemelj symmetrization per block: the eigenvalues, and the merged
+    operator.
 
     ``blocks`` are those of ``_mode_blocks`` on a grid with the turn and
-    of ``_mirror_blocks`` otherwise.  Returns the ``symmetrized``
-    DiscreteOperator Q blockdiag(sym_b) Q^T, held by its representative
-    rows (``_mode_rows`` or ``_mirror_rows``; its n x n ``matrix`` is
-    built on first access), which is the Plemelj symmetrization of K_w
-    for the factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization
-    for the Cholesky factor of the whole -S_w differs from it by an
-    orthogonal similarity; on a grid with one block the two are the
-    same), together with the list of the symmetrized blocks sym_b.
-    The blocks go to ``_plemelj_symmetrize`` in consecutive batches
-    (``_batches``), which ``_map_blocks`` runs side by side; each batch
-    takes every diagnostic norm of its blocks in one Lanczos run on their
-    block diagonal, whose norm is the largest block norm.  So the 25
-    blocks of a 24x48 sphere cost 5 Lanczos runs, not 125, and a block of
-    more than ``_BATCH_ENTRIES`` entries, such as a mirror character of a
-    40x80 ellipsoid, is a batch of its own.  Diagnostics merge over the
-    batches, whatever the blocks' multiplicity: ``min_eig_negS`` is the
-    smallest block value, ``plemelj_residual`` is
+    of ``_mirror_blocks`` otherwise, and ``mult`` their multiplicities
+    (``_split_blocks``).  The blocks go to ``_plemelj_symmetrize`` in the
+    batches of ``_map_blocks``, one pass that symmetrizes each block,
+    takes its ``eigvalsh`` and takes every diagnostic norm of a batch in
+    one Lanczos run on its block diagonal, whose norm is the largest block
+    norm.  So the 25 blocks of a 24x48 sphere cost 4 Lanczos runs, not
+    100, and a block of more than ``_BATCH_ENTRIES`` entries, such as a
+    mirror character of a 40x80 ellipsoid, is a batch of its own.
+
+    Returns the eigenvalues, the sorted union of the block eigenvalues
+    (``_sorted_union``), and the ``symmetrized`` DiscreteOperator
+    Q blockdiag(sym_b) Q^T, held by its representative rows
+    (``_mode_rows`` or ``_mirror_rows``; its n x n ``matrix`` is built on
+    first access).  That is the Plemelj symmetrization of K_w for the
+    factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the
+    Cholesky factor of the whole -S_w differs from it by an orthogonal
+    similarity; on a grid with one block the two are the same).  The
+    sym_b are freed once the rows are rebuilt.  Diagnostics merge over
+    the batches, whatever the blocks' multiplicity: ``min_eig_negS`` is
+    the smallest block value, ``plemelj_residual`` is
     max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
     max ||skew_b|| / max ||L_b^-1 K_b L_b||.
 
@@ -1049,14 +1074,13 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks):
         If some block of -S is not positive definite; the first such
         block in block order raises.
     """
-    results = _map_blocks(_plemelj_symmetrize, _batches(blocks),
-                          n_blocks=len(blocks))
-    syms = [sym_b for batch_syms, _ in results for sym_b in batch_syms]
+    eigs, syms, norms = zip(*_map_blocks(_plemelj_symmetrize, blocks))
+    syms = [sym_b for batch in syms for sym_b in batch]
     rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
-    sym = DiscreteOperator(rows, basis="symmetrized", grid=grid,
-                           diagnostics=_merge_diagnostics(
-                               [norms for _, norms in results]))
-    return sym, syms
+    del syms
+    return _sorted_union(eigs, mult), DiscreteOperator(
+        rows, basis="symmetrized", grid=grid,
+        diagnostics=_merge_diagnostics(norms))
 
 
 # ------------------------------------------------------------------ binary dump

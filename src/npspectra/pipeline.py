@@ -18,10 +18,11 @@ from .errors import (ConfigError, DegenerateChart, GridError, NumericalError,
                      SingularInversion)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
-from .operators import _map_blocks, _symmetrize_blocks, dump_operator
+from .operators import (_map_blocks, _sorted_union, _symmetrize_blocks,
+                        dump_operator)
 from .report import render_eigen_csv, render_report_json, write_text
 from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
-                       _plasmon_values, _sorted_union, cluster_multiplicities,
+                       _plasmon_values, cluster_multiplicities,
                        split_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
@@ -62,18 +63,22 @@ def compute_report(config: RunConfig) -> tuple:
     blocks (``spectrum._operator_blocks``): the rotation modes of a grid
     with the turn, else the characters of the grid's mirror group, one
     block on a grid with neither.  So on a grid with mirrors or the turn
-    no n x n array is built.  Each block is symmetrized on its own, and
-    the eigenvalues and the singular values of K_w are the sorted unions
-    of the block values, each repeated by its block's multiplicity; the
-    diagnostics merge as described in ``operators._symmetrize_blocks``,
-    which takes each diagnostic norm of a batch of consecutive blocks from
-    one Lanczos run on their block diagonal (5 runs in all on a 24x48
-    sphere, one batch of 25 modes).  Every report carries the same
-    diagnostics, whatever the grid size.  On a grid of several blocks the
-    blocks, or their batches, run side by side with one BLAS thread per
-    call (``operators._map_blocks``), so the report does not depend on
-    the BLAS thread count or the CPU count.  The eigenvalues and the
-    symmetrized operator are those of ``spectrum.symmetrized_spectrum``.
+    no n x n array is built.  The blocks take two passes of batches of
+    consecutive blocks (``operators._map_blocks``).  The first
+    (``operators._symmetrize_blocks``, the route of
+    ``spectrum.symmetrized_spectrum``) symmetrizes each block on its own,
+    takes its eigenvalues, and takes each diagnostic norm of a batch from
+    one Lanczos run on its block diagonal (4 runs in all on a 24x48
+    sphere, one batch of 25 modes); the second takes the singular values
+    of each K_b.  The eigenvalues and the singular values of K_w are the
+    sorted unions of the block values, each repeated by its block's
+    multiplicity, and the diagnostics merge as described in
+    ``operators._symmetrize_blocks``.  Every report carries the same
+    diagnostics, whatever the grid size.  On a grid of several blocks
+    every LAPACK call runs on one BLAS thread, and several batches run
+    side by side, so the report does not depend on the BLAS thread count
+    or the CPU count; a grid whose blocks form one batch starts no
+    thread pool.
 
     Returns
     -------
@@ -88,12 +93,10 @@ def compute_report(config: RunConfig) -> tuple:
         predicted = weyl_coefficients_signed(grid)
     with _stage("assembly"):
         blocks, mult = _operator_blocks(grid)
-        sym, sym_blocks = _symmetrize_blocks(grid, blocks)
+        eigs, sym = _symmetrize_blocks(grid, blocks, mult)
     with _stage("spectrum"):
-        eigs = _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks), mult)
-        del sym_blocks
-        singular_values = _sorted_union(
-            _map_blocks(lambda kb: sla.svdvals(kb[0]), blocks), mult)
+        singular_values = _sorted_union(_map_blocks(
+            lambda batch: [sla.svdvals(k) for k, _ in batch], blocks), mult)
         del blocks
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)

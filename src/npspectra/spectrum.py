@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
-from .operators import (_batches, _cholesky_neg_s, _map_blocks,
-                        _split_blocks, _symmetrize_blocks,
-                        assemble_operators)
+from .operators import (_cholesky_neg_s, _map_blocks, _split_blocks,
+                        _symmetrize_blocks, assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -238,29 +236,21 @@ def _operator_blocks(grid):
     return _split_blocks(grid, k_op.rows, s_op.rows)
 
 
-def _sorted_union(parts, mult):
-    """All values of the per-block arrays, each repeated by the
-    multiplicity of its block, sorted descending."""
-    return np.sort(np.concatenate([np.tile(p, m)
-                                   for p, m in zip(parts, mult)]))[::-1]
-
-
 def symmetrized_spectrum(grid):
     """Assemble, symmetrize, and return eigenvalues sorted descending.
 
     The route of ``compute_report``: each block (``_operator_blocks``: a
     rotation mode on a grid with the turn, else a mirror character) is
-    symmetrized on its own (``operators._symmetrize_blocks``) and the
-    eigenvalues are the sorted union of the block ``eigvalsh``, each
-    repeated by its block's multiplicity, the blocks running side by side
-    with one BLAS thread per call (``operators._map_blocks``).  Returns
-    them with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T and its
+    symmetrized and solved on its own in one batch pass
+    (``operators._symmetrize_blocks``), and the eigenvalues are the sorted
+    union of the block ``eigvalsh``, each repeated by its block's
+    multiplicity; on a grid of several batches they run side by side with
+    one BLAS thread per call (``operators._map_blocks``).  Returns them
+    with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T and its
     diagnostics; the operator holds its representative rows and builds its
     n x n ``matrix`` on first access.
     """
-    blocks, mult = _operator_blocks(grid)
-    sym, sym_blocks = _symmetrize_blocks(grid, blocks)
-    return _sorted_union(_map_blocks(sla.eigvalsh, sym_blocks), mult), sym
+    return _symmetrize_blocks(grid, *_operator_blocks(grid))
 
 
 def _negative_inertia(m: np.ndarray) -> int:
@@ -302,10 +292,9 @@ def _negative_count(grid, threshold: float) -> int:
     on a grid with the turn, mirror characters otherwise, one block on a
     grid with neither), and the count is the sum of the block counts
     (``_block_negative_count``), each times its block's multiplicity.
-    The blocks go in the consecutive batches of symmetrization
-    (``operators._batches``), which run side by side with one BLAS thread
-    per call (``operators._map_blocks``); the 33 modes of a 32x64 peanut
-    form one batch, which runs inline.
+    The blocks go in the consecutive batches of ``operators._map_blocks``,
+    which run side by side with one BLAS thread per call; the 33 modes of
+    a 32x64 peanut form one batch, which runs inline with no pool.
 
     Raises
     ------
@@ -317,7 +306,7 @@ def _negative_count(grid, threshold: float) -> int:
         return [_block_negative_count(k, s, threshold) for k, s in batch]
 
     blocks, mult = _operator_blocks(grid)
-    counts = _map_blocks(count, _batches(blocks), n_blocks=len(blocks))
+    counts = _map_blocks(count, blocks)
     return int(np.dot(mult, [c for batch in counts for c in batch]))
 
 

@@ -1,20 +1,22 @@
-"""The blocks run side by side with one BLAS thread per call.
+"""The blocks run in batches with one BLAS thread per call.
 
-``operators._map_blocks`` runs the blocks of a grid with mirrors or the
-turn (mirror characters or rotation modes) on a thread pool while every
-OpenBLAS build is held at one thread (``_blas.single_threaded``).  These
-tests check that the report bytes then do not depend on the BLAS thread
-count, that the block calls see one thread on a grid with several blocks
-and the process's count on a grid of one block, that the counts come back
-afterwards, also when a block fails, that the first failing block in
-block order raises and later blocks are not started, and that without a
-known OpenBLAS build the values stay the same.  Symmetrization runs the
-blocks in batches (``operators._batches``) that take each diagnostic norm
-in one Lanczos run; the values do not depend on how the blocks are
-batched.
+``operators._map_blocks`` cuts the blocks of a grid with mirrors or the
+turn (mirror characters or rotation modes) into batches of consecutive
+blocks (``operators._batches``) and runs the batches on a thread pool
+while every OpenBLAS build is held at one thread
+(``_blas.single_threaded``).  These tests check that the report bytes
+then do not depend on the BLAS thread count, that the block calls see one
+thread on a grid with several blocks and the process's count on a grid of
+one block, that the counts come back afterwards, also when a block fails,
+that the first failing block in block order raises and later batches are
+not started, that a grid whose blocks form one batch starts no pool, and
+that without a known OpenBLAS build the values stay the same.
+Symmetrization takes each diagnostic norm of a batch in one Lanczos run;
+the values do not depend on how the blocks are batched.
 """
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -28,7 +30,7 @@ import scipy.sparse.linalg as ssl
 import npspectra
 from npspectra import (NotPositiveDefinite, _blas, build_grid, ellipsoid,
                        mobius_invert, negative_count_study, operators,
-                       spectrum, sphere, torus)
+                       peanut, spectrum, sphere, torus)
 from npspectra.pipeline import compute_report
 
 from conftest import make_config
@@ -157,25 +159,54 @@ def test_a_failing_block_raises_its_typed_error(two_blas_threads,
 
 
 
-def test_blocks_after_a_failure_are_not_started(monkeypatch):
-    # two workers, whatever the CPU count of the machine
+def _two_cpus(monkeypatch):
+    """Two pool workers, whatever the CPU count of the machine."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+def test_blocks_after_a_failure_are_not_started(monkeypatch):
+    _two_cpus(monkeypatch)
+    # each of the 8 one-entry blocks is a batch of its own
+    monkeypatch.setattr(operators, "_BATCH_ENTRIES", 1)
+    blocks = [(np.zeros(1), index) for index in range(8)]
     started = []
 
-    def run(block):
-        started.append(block)
-        if block == 0:
+    def run(batch):
+        ((_, index),) = batch
+        started.append(index)
+        if index == 0:
             raise ValueError("block 0 failed")
         time.sleep(0.2)
-        return block
+        return index
 
     with pytest.raises(ValueError, match="block 0 failed"):
-        operators._map_blocks(run, list(range(8)))
-    # only the blocks already running when block 0 failed; without the
+        operators._map_blocks(run, blocks)
+    # only the batches already running when block 0 failed; without the
     # cancel the pool would run all 8 before the error is raised
     assert len(started) < 8
+
+
+class _NoPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+
+@pytest.mark.parametrize("run", [
+    lambda: compute_report(make_config(
+        {"surface": {"name": "sphere"}, "resolution": [24, 48]})),
+    lambda: spectrum.symmetrized_spectrum(build_grid(sphere(), 24, 48)),
+    lambda: negative_count_study(peanut(),
+                                 [(16, 32), (24, 48), (32, 64)]),
+], ids=["report", "symmetrized-spectrum", "study"])
+def test_blocks_of_one_batch_start_no_pool(monkeypatch, run):
+    # the 25 modes of the 24x48 sphere and the modes of each study level
+    # form one batch, so no step needs a pool even with two CPUs
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _NoPool)
+    run()
+
 
 def test_report_without_openblas_builds_keeps_its_values(monkeypatch):
     config = make_config(_SPHERE_12)
@@ -215,11 +246,12 @@ def test_values_do_not_depend_on_the_batching(monkeypatch, make_grid):
 
 
 @pytest.mark.parametrize("spec, calls", [
-    # the 25 rotation modes form one batch: one run per diagnostic norm
-    ({"surface": {"name": "sphere"}, "resolution": [24, 48]}, 5),
+    # the 25 rotation modes form one batch: one run per Lanczos norm, the
+    # norm of S coming from the eigvalsh of -S
+    ({"surface": {"name": "sphere"}, "resolution": [24, 48]}, 4),
     # each of the 8 mirror characters is a batch of its own
     ({"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
-      "resolution": [40, 80]}, 40),
+      "resolution": [40, 80]}, 32),
 ], ids=["sphere-24x48", "ellipsoid-40x80"])
 def test_lanczos_runs_per_report(monkeypatch, spec, calls):
     seen = []

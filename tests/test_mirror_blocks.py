@@ -112,7 +112,7 @@ def _dense(grid):
     """
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
     ((kw, sw),), _ = spectrum._operator_blocks(whole)
-    sym, _ = operators._symmetrize_blocks(whole, [(kw, sw)])
+    _, sym = operators._symmetrize_blocks(whole, [(kw, sw)], [1])
     eigs = np.sort(sla.eigvalsh(sym.matrix))
     exact = _exact_norms(kw, sw)
     exact["raw_eigs"] = np.sort(np.linalg.eigvals(kw).real)
@@ -265,15 +265,26 @@ def test_study_counts_match_eigvalsh(case):
     lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 16, 32),
     _two_sphere_union,
 ], ids=["rotated-ellipsoid", "inverted-sphere", "two-spheres"])
-def test_surfaces_without_mirrors_take_the_dense_route(make_grid):
+def test_surfaces_without_mirrors_take_the_dense_route(make_grid,
+                                                       monkeypatch):
     grid = make_grid()
     assert grid.mirrors.shape == (1, grid.n_nodes)
     eigs, svals, dense, _ = _dense(grid)
     k_op, s_op = assemble_operators(grid)
     blocks = operators._mirror_blocks(grid, k_op.rows, s_op.rows)
     assert len(blocks) == 1 and blocks[0][0] is k_op.rows
-    sym, sym_blocks = operators._symmetrize_blocks(grid, blocks)
-    assert sym_blocks[0] is sym.matrix
+    sym_blocks = []
+    symmetrize = operators._plemelj_symmetrize
+
+    def recording(batch):
+        result = symmetrize(batch)
+        sym_blocks.extend(result[1])
+        return result
+
+    monkeypatch.setattr(operators, "_plemelj_symmetrize", recording)
+    _, sym = operators._symmetrize_blocks(grid, blocks, [1])
+    assert len(sym_blocks) == 1
+    assert sym_blocks[0] is sym.rows and sym.rows is sym.matrix
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix)) - eigs).max() <= 1e-12
     assert np.abs(np.sort(sla.svdvals(blocks[0][0])) - svals).max() <= 1e-12
     assert np.abs(sym.matrix - dense.matrix).max() <= 1e-12

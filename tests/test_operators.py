@@ -46,7 +46,8 @@ def sphere_ops(sphere_grid_small):
 
 def _symmetrize(kw, sw):
     """Plemelj symmetrization of the whole weighted pair, unblocked."""
-    (sym,), norms = operators._plemelj_symmetrize([(kw.matrix, sw.matrix)])
+    _, (sym,), norms = operators._plemelj_symmetrize(
+        [(kw.matrix, sw.matrix)])
     return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
                             diagnostics=operators._merge_diagnostics([norms]))
 
