@@ -262,8 +262,7 @@ def _planes(v: np.ndarray) -> np.ndarray:
         3, v.shape[0], -1)
 
 
-def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray,
-                            n_rule: int = SELF_QUAD):
+def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray):
     """Diagonal single-layer integrals by a polar rule on the nodes' cells.
 
     The 1/|y - x| singularity at the node is removed by integrating in
@@ -275,7 +274,7 @@ def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray,
     their order.
     """
     out = np.zeros(rows.size)
-    gx, gw = np.polynomial.legendre.leggauss(n_rule)
+    gx, gw = np.polynomial.legendre.leggauss(SELF_QUAD)
     for comp in grid.components:
         surf = comp.surface
         at = np.flatnonzero((rows >= comp.start) & (rows < comp.stop))

@@ -320,6 +320,17 @@ def test_non_finite_entries_are_a_numerical_error(monkeypatch, stage):
         assemble_operators(grid)
 
 
+def test_self_cell_rule_reads_its_order_at_call_time(monkeypatch):
+    grid = build_grid(sphere(), 8, 16)
+    rows = np.arange(len(grid.points))
+    coarse = operators._self_cell_single_layer(grid, rows)
+    monkeypatch.setattr(operators, "SELF_QUAD", 16)
+    fine = operators._self_cell_single_layer(grid, rows)
+    # 8 and 16 points differ by 6.4e-4 relative on this grid
+    assert not np.array_equal(fine, coarse)
+    np.testing.assert_allclose(fine, coarse, rtol=1e-3)
+
+
 def test_coincident_nodes_rejected():
     grid = build_grid(sphere(), 8, 16)
     with pytest.raises(GridError, match="coincident quadrature nodes"):
