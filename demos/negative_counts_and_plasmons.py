@@ -38,7 +38,7 @@ def main() -> None:
     print()
 
     grid = build_grid(sphere(), 16, 32)
-    eigs, _ = symmetrized_spectrum(grid)
+    eigs, _, _ = symmetrized_spectrum(grid)
     lambda_plus, _ = split_spectrum(eigs, 1e-10)
     print("plasmonic eigenvalues of the unit sphere "
           "(exact ladder eps_k = (k + 1)/k)")

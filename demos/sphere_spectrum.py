@@ -19,7 +19,7 @@ from npspectra import assemble_operators, build_grid, \
 def main() -> None:
     grid = build_grid(sphere(), 24, 48)
     print(f"unit sphere, {grid.n_nodes} nodes")
-    eigs, sym = symmetrized_spectrum(grid)
+    eigs, _, sym = symmetrized_spectrum(grid)
 
     d = sym.diagnostics
     print(f"  asymmetry of weighted K : {d['asymmetry_norm']:.3e}")

@@ -58,8 +58,10 @@ into batches of consecutive blocks (``_batches``) and runs the batches
 side by side on a thread pool, each LAPACK call on one BLAS thread; a
 grid whose blocks form one batch starts no pool.  Symmetrization is one
 such pass (``_plemelj_symmetrize``): per batch it symmetrizes each block,
-takes its eigenvalues, and takes each diagnostic norm in one Lanczos run
-on the block diagonal, four runs per batch.
+takes its eigenvalues and the singular values of its K_b, and takes the
+skew and commutator norms in one Lanczos run each on the block diagonal,
+two runs per batch; the norms of K and of the symmetrized operator are
+read off the block spectra.
 """
 from __future__ import annotations
 
@@ -92,8 +94,8 @@ _BLOCK_ENTRIES = 1 << 17
 # matrix entries per row chunk of a matrix dump (2 MiB of float64)
 _DUMP_ENTRIES = 1 << 18
 # block entries per batch of consecutive blocks that ``_map_blocks`` hands
-# to one call, and symmetrization takes its diagnostic norms over in one
-# Lanczos run each (1 MiB of float64)
+# to one call, and symmetrization takes its skew and commutator norms over
+# in one Lanczos run each (1 MiB of float64)
 _BATCH_ENTRIES = 1 << 17
 
 _BASIS_TAGS = {"nystrom": 1, "weighted_l2": 2, "symmetrized": 3}
@@ -122,8 +124,9 @@ class DiscreteOperator:
 
     ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
     the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
-    (positivity margin of the single layer), ``asymmetry_norm`` (relative
-    norm of the skew part that was discarded) and ``plemelj_residual``.
+    (positivity margin of the single layer), ``asymmetry_norm`` (norm of
+    the skew part that was discarded, relative to the largest |eigenvalue|
+    of the symmetrized operator) and ``plemelj_residual``.
     """
 
     rows: np.ndarray
@@ -725,20 +728,23 @@ def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
 
 def _plemelj_symmetrize(batch):
     """Plemelj symmetrization of a batch of weighted_l2 pairs (K_b, S_b),
-    the eigenvalues of each block, and the norms of their block diagonal.
+    the eigenvalues and singular values of each block, and the norms of
+    their block diagonal.
 
     Factors each -S_b = L_b L_b^T (``_cholesky_similarity``, in batch
     order, so the first block that fails raises) and returns the list of
-    the ``eigvalsh`` of the sym(L_b^-1 K_b L_b), the list of those
-    matrices, exactly symmetric, and one tuple of the numbers the
-    diagnostics merge from: the smallest eigenvalue of the -S_b, the exact
-    Lanczos norms (``_spectral_norm``) of the block diagonals of the
-    discarded skew parts, of the L_b^-1 K_b L_b, of the commutators
-    S_b K_b^T - K_b S_b and of the K_b, and the largest eigenvalue of the
-    -S_b, which is the norm of the block diagonal of the S_b.  That is
-    four Lanczos runs per batch, whatever its number of blocks; the batch
-    holds its blocks' L_b^-1 K_b L_b, skew parts and commutators only
-    until their norms are taken.
+    the ``eigvalsh`` of the sym(L_b^-1 K_b L_b), the list of the
+    ``svdvals`` of the K_b, the list of the sym(L_b^-1 K_b L_b), exactly
+    symmetric, and one tuple of the numbers the diagnostics merge from:
+    the smallest eigenvalue of the -S_b, the exact Lanczos norms
+    (``_spectral_norm``) of the block diagonals of the discarded skew
+    parts and of the commutators S_b K_b^T - K_b S_b, and the largest
+    eigenvalue of the -S_b, which is the norm of the block diagonal of
+    the S_b.  That is two Lanczos runs per batch, whatever its number of
+    blocks; the norms of the K_b and of the sym_b are read off their
+    spectra (``_merge_diagnostics``).  The batch holds its blocks'
+    L_b^-1 K_b L_b, skew parts and commutators only until their norms are
+    taken.
     This is Plemelj's symmetrization: S is symmetric and S K^T = K S, so
     L^-1 K L is symmetric for the continuous operators.  Its spectrum is
     that of K; another factor of -S (such as its square root) changes the
@@ -754,29 +760,33 @@ def _plemelj_symmetrize(batch):
     min_eigs, s_norms, kts = zip(*(_cholesky_similarity(k, s)
                                    for k, s in batch))
     skew_norm = _spectral_norm([0.5 * (kt - kt.T) for kt in kts])
-    kt_norm = _spectral_norm(kts)
     syms = [0.5 * (kt + kt.T) for kt in kts]
     del kts
     resid = _spectral_norm([_commutator(k, s) for k, s in batch])
-    k_norm = _spectral_norm([k for k, _ in batch])
-    return ([sla.eigvalsh(sym_b) for sym_b in syms], syms,
-            (min(min_eigs), skew_norm, kt_norm, resid, k_norm, max(s_norms)))
+    return ([sla.eigvalsh(sym_b) for sym_b in syms],
+            [sla.svdvals(k) for k, _ in batch], syms,
+            (min(min_eigs), skew_norm, resid, max(s_norms)))
 
 
-def _merge_diagnostics(norms) -> dict:
+def _merge_diagnostics(norms, eigs, singular_values) -> dict:
     """Diagnostics of a block-diagonal operator from the norms of its
-    batches of blocks (``_plemelj_symmetrize``).
+    batches of blocks (``_plemelj_symmetrize``) and the sorted unions of
+    its block eigenvalues and singular values, both descending.
 
     The spectral norm of an orthogonally block-diagonal matrix is the
-    largest block norm and its smallest eigenvalue the smallest block one.
+    largest block norm and its smallest eigenvalue the smallest block one,
+    so ||K|| is the first singular value and ||sym|| the largest
+    |eigenvalue|.  ``asymmetry_norm`` is max ||skew_b|| / ||sym||, so
+    that it times the largest |eigenvalue| is the Bauer & Fike bound
+    max ||skew_b|| on the distance of the raw eigenvalues from the
+    symmetrized ones.
     """
-    min_eig, skew, kt, resid, k_norm, s_norm = (
-        np.array(col) for col in zip(*norms))
+    min_eig, skew, resid, s_norm = (np.array(col) for col in zip(*norms))
     return {
         "min_eig_negS": float(min_eig.min()),
-        "asymmetry_norm": float(skew.max() / kt.max()),
+        "asymmetry_norm": float(skew.max() / max(eigs[0], -eigs[-1])),
         "plemelj_residual": float(
-            resid.max() / (k_norm.max() * s_norm.max())),
+            resid.max() / (singular_values[0] * s_norm.max())),
     }
 
 
@@ -1004,8 +1014,8 @@ def _map_blocks(fn, blocks) -> list:
     by side.
 
     ``fn`` maps one batch of consecutive blocks (``_batches``) to its
-    result, so that each diagnostic norm of a batch is one Lanczos run on
-    its block diagonal.  One block, the grid without mirrors or turn, runs
+    result, so that each Lanczos norm of a batch is one run on its block
+    diagonal.  One block, the grid without mirrors or turn, runs
     inline on the process's BLAS threads, since a large dense matrix gains
     from them.  Two or more blocks run with every OpenBLAS build at one
     thread (``_blas.single_threaded``), also when they form one batch, and
@@ -1040,22 +1050,24 @@ def _map_blocks(fn, blocks) -> list:
 
 
 def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
-    """Plemelj symmetrization per block: the eigenvalues, and the merged
-    operator.
+    """Plemelj symmetrization per block: the eigenvalues, the singular
+    values of K_w, and the merged operator.
 
     ``blocks`` are those of ``_mode_blocks`` on a grid with the turn and
     of ``_mirror_blocks`` otherwise, and ``mult`` their multiplicities
     (``_split_blocks``).  The blocks go to ``_plemelj_symmetrize`` in the
     batches of ``_map_blocks``, one pass that symmetrizes each block,
-    takes its ``eigvalsh`` and takes every diagnostic norm of a batch in
-    one Lanczos run on its block diagonal, whose norm is the largest block
-    norm.  So the 25 blocks of a 24x48 sphere cost 4 Lanczos runs, not
-    100, and a block of more than ``_BATCH_ENTRIES`` entries, such as a
-    mirror character of a 40x80 ellipsoid, is a batch of its own.
+    takes its ``eigvalsh`` and the ``svdvals`` of its K_b, and takes the
+    skew and commutator norms of a batch in one Lanczos run each on its
+    block diagonal, whose norm is the largest block norm.  So the 25
+    blocks of a 24x48 sphere cost 2 Lanczos runs, not 50, and a block of
+    more than ``_BATCH_ENTRIES`` entries, such as a mirror character of a
+    40x80 ellipsoid, is a batch of its own.
 
-    Returns the eigenvalues, the sorted union of the block eigenvalues
-    (``_sorted_union``), and the ``symmetrized`` DiscreteOperator
-    Q blockdiag(sym_b) Q^T, held by its representative rows
+    Returns the eigenvalues and the singular values of K_w, the sorted
+    unions of the block values (``_sorted_union``), and the
+    ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T, held by its
+    representative rows
     (``_mode_rows`` or ``_mirror_rows``; its n x n ``matrix`` is built on
     first access).  That is the Plemelj symmetrization of K_w for the
     factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the
@@ -1065,7 +1077,9 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
     the batches, whatever the blocks' multiplicity: ``min_eig_negS`` is
     the smallest block value, ``plemelj_residual`` is
     max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
-    max ||skew_b|| / max ||L_b^-1 K_b L_b||.
+    max ||skew_b|| / max ||sym_b||, with max ||K_b|| the first singular
+    value and max ||sym_b|| the largest |eigenvalue|
+    (``_merge_diagnostics``).
 
     Raises
     ------
@@ -1073,13 +1087,15 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
         If some block of -S is not positive definite; the first such
         block in block order raises.
     """
-    eigs, syms, norms = zip(*_map_blocks(_plemelj_symmetrize, blocks))
+    eigs, svals, syms, norms = zip(*_map_blocks(_plemelj_symmetrize,
+                                                blocks))
     syms = [sym_b for batch in syms for sym_b in batch]
     rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
     del syms
-    return _sorted_union(eigs, mult), DiscreteOperator(
+    eigs, svals = _sorted_union(eigs, mult), _sorted_union(svals, mult)
+    return eigs, svals, DiscreteOperator(
         rows, basis="symmetrized", grid=grid,
-        diagnostics=_merge_diagnostics(norms))
+        diagnostics=_merge_diagnostics(norms, eigs, svals))
 
 
 # ------------------------------------------------------------------ binary dump

@@ -10,7 +10,6 @@ import os
 from contextlib import contextmanager
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._version import __version__
 from .config import RunConfig
@@ -18,12 +17,11 @@ from .errors import (ConfigError, DegenerateChart, GridError, NumericalError,
                      SingularInversion)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
-from .operators import (_map_blocks, _sorted_union, _symmetrize_blocks,
-                        dump_operator)
+from .operators import dump_operator
 from .report import render_eigen_csv, render_report_json, write_text
-from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
-                       _plasmon_values, cluster_multiplicities,
-                       split_spectrum, weyl_fit)
+from .spectrum import (TRIVIAL_TOL, SpectrumReport, _plasmon_values,
+                       cluster_multiplicities, split_spectrum,
+                       symmetrized_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
 MAX_REPORTED_CLUSTERS = 32
@@ -59,26 +57,26 @@ def _fit_branch(seq, window):
 def compute_report(config: RunConfig) -> tuple:
     """Run the numerical pipeline and build the report.
 
-    The representative rows of K and S are assembled and split into
+    The spectra come from ``spectrum.symmetrized_spectrum``, which
+    assembles the representative rows of K and S and splits them into
     blocks (``spectrum._operator_blocks``): the rotation modes of a grid
     with the turn, else the characters of the grid's mirror group, one
     block on a grid with neither.  So on a grid with mirrors or the turn
-    no n x n array is built.  The blocks take two passes of batches of
-    consecutive blocks (``operators._map_blocks``).  The first
-    (``operators._symmetrize_blocks``, the route of
-    ``spectrum.symmetrized_spectrum``) symmetrizes each block on its own,
-    takes its eigenvalues, and takes each diagnostic norm of a batch from
-    one Lanczos run on its block diagonal (4 runs in all on a 24x48
-    sphere, one batch of 25 modes); the second takes the singular values
-    of each K_b.  The eigenvalues and the singular values of K_w are the
-    sorted unions of the block values, each repeated by its block's
-    multiplicity, and the diagnostics merge as described in
-    ``operators._symmetrize_blocks``.  Every report carries the same
-    diagnostics, whatever the grid size.  On a grid of several blocks
-    every LAPACK call runs on one BLAS thread, and several batches run
-    side by side, so the report does not depend on the BLAS thread count
-    or the CPU count; a grid whose blocks form one batch starts no
-    thread pool.
+    no n x n array is built.  The blocks take one pass of batches of
+    consecutive blocks (``operators._map_blocks``,
+    ``operators._symmetrize_blocks``), which symmetrizes each block on its
+    own, takes its eigenvalues and the singular values of its K_b, and
+    takes the skew and commutator norms of a batch from one Lanczos run
+    each on its block diagonal (2 runs in all on a 24x48 sphere, one
+    batch of 25 modes).  The eigenvalues and the singular values of K_w
+    are the sorted unions of the block values, each repeated by its
+    block's multiplicity, and the diagnostics merge as described in
+    ``operators._symmetrize_blocks``, with ||K|| and ||sym|| read off
+    those unions.  Every report carries the same diagnostics, whatever
+    the grid size.  On a grid of several blocks every LAPACK call runs on
+    one BLAS thread, and several batches run side by side, so the report
+    does not depend on the BLAS thread count or the CPU count; a grid
+    whose blocks form one batch starts no thread pool.
 
     Returns
     -------
@@ -92,12 +90,8 @@ def compute_report(config: RunConfig) -> tuple:
         grid = build_grid(config.surface, *config.resolution)
         predicted = weyl_coefficients_signed(grid)
     with _stage("assembly"):
-        blocks, mult = _operator_blocks(grid)
-        eigs, sym = _symmetrize_blocks(grid, blocks, mult)
+        eigs, singular_values, sym = symmetrized_spectrum(grid)
     with _stage("spectrum"):
-        singular_values = _sorted_union(_map_blocks(
-            lambda batch: [sla.svdvals(k) for k, _ in batch], blocks), mult)
-        del blocks
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
         clusters = clusters[:MAX_REPORTED_CLUSTERS]

@@ -237,18 +237,21 @@ def _operator_blocks(grid):
 
 
 def symmetrized_spectrum(grid):
-    """Assemble, symmetrize, and return eigenvalues sorted descending.
+    """Assemble and symmetrize; return the eigenvalues and the singular
+    values of K_w, both sorted descending, and the symmetrized operator.
 
     The route of ``compute_report``: each block (``_operator_blocks``: a
     rotation mode on a grid with the turn, else a mirror character) is
     symmetrized and solved on its own in one batch pass
-    (``operators._symmetrize_blocks``), and the eigenvalues are the sorted
-    union of the block ``eigvalsh``, each repeated by its block's
-    multiplicity; on a grid of several batches they run side by side with
-    one BLAS thread per call (``operators._map_blocks``).  Returns them
-    with the ``symmetrized`` operator Q blockdiag(sym_b) Q^T and its
-    diagnostics; the operator holds its representative rows and builds its
-    n x n ``matrix`` on first access.
+    (``operators._symmetrize_blocks``), which also takes the ``svdvals``
+    of each K_b, since ||K|| in the diagnostics is the first of them.  The
+    eigenvalues and the singular values are the sorted unions of the block
+    values, each repeated by its block's multiplicity; on a grid of
+    several batches they run side by side with one BLAS thread per call
+    (``operators._map_blocks``).  Returns ``(eigs, singular_values,
+    sym)``, with ``sym`` the ``symmetrized`` operator Q blockdiag(sym_b)
+    Q^T and its diagnostics; it holds its representative rows and builds
+    its n x n ``matrix`` on first access.
     """
     return _symmetrize_blocks(grid, *_operator_blocks(grid))
 

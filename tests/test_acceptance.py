@@ -78,7 +78,7 @@ def torus_branch_fit():
     """Signed-branch fit against the curvature prediction, 64 x 64 torus."""
     grid = build_grid(torus(2.0, 1.0), 64, 64)
     predicted = weyl_coefficients_signed(grid)
-    eigs, _ = symmetrized_spectrum(grid)
+    eigs, _, _ = symmetrized_spectrum(grid)
     _, lambda_minus = split_spectrum(eigs, 1e-10)
     return predicted, weyl_fit(lambda_minus, "auto")
 
@@ -191,7 +191,7 @@ def test_symmetrization_diagnostics_under_refinement(announce):
     plemelj, asymmetry = [], []
     sv_dev = None
     for n_u, n_v in [(16, 32), (24, 48), (32, 64)]:
-        eigs, sym = symmetrized_spectrum(build_grid(surf, n_u, n_v))
+        eigs, _, sym = symmetrized_spectrum(build_grid(surf, n_u, n_v))
         plemelj.append(sym.diagnostics["plemelj_residual"])
         asymmetry.append(sym.diagnostics["asymmetry_norm"])
         if (n_u, n_v) == (24, 48):

@@ -11,8 +11,9 @@ one block, that the counts come back afterwards, also when a block fails,
 that the first failing block in block order raises and later batches are
 not started, that a grid whose blocks form one batch starts no pool, and
 that without a known OpenBLAS build the values stay the same.
-Symmetrization takes each diagnostic norm of a batch in one Lanczos run;
-the values do not depend on how the blocks are batched.
+Symmetrization takes the skew and the commutator norm of a batch in one
+Lanczos run each, and a report cuts its blocks into batches once; the
+values do not depend on how the blocks are batched.
 """
 from __future__ import annotations
 
@@ -237,8 +238,10 @@ def test_values_do_not_depend_on_the_batching(monkeypatch, make_grid):
         monkeypatch.setattr(operators, "_BATCH_ENTRIES", entries)
         assert len(operators._batches(blocks)) == n_batches
         runs.append(spectrum.symmetrized_spectrum(grid))
-    (alone, alone_sym), (batched, batched_sym) = runs
+    (alone, alone_svals, alone_sym), (batched, batched_svals,
+                                      batched_sym) = runs
     assert np.array_equal(alone, batched)
+    assert np.array_equal(alone_svals, batched_svals)
     assert np.array_equal(alone_sym.rows, batched_sym.rows)
     for key, value in alone_sym.diagnostics.items():
         assert abs(batched_sym.diagnostics[key] - value) \
@@ -246,12 +249,13 @@ def test_values_do_not_depend_on_the_batching(monkeypatch, make_grid):
 
 
 @pytest.mark.parametrize("spec, calls", [
-    # the 25 rotation modes form one batch: one run per Lanczos norm, the
-    # norm of S coming from the eigvalsh of -S
-    ({"surface": {"name": "sphere"}, "resolution": [24, 48]}, 4),
+    # the 25 rotation modes form one batch: one run each for the skew and
+    # the commutator norm; the norms of S, K and sym come from the
+    # eigvalsh of -S, the svdvals of K and the eigvalsh of sym
+    ({"surface": {"name": "sphere"}, "resolution": [24, 48]}, 2),
     # each of the 8 mirror characters is a batch of its own
     ({"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
-      "resolution": [40, 80]}, 32),
+      "resolution": [40, 80]}, 16),
 ], ids=["sphere-24x48", "ellipsoid-40x80"])
 def test_lanczos_runs_per_report(monkeypatch, spec, calls):
     seen = []
@@ -264,3 +268,20 @@ def test_lanczos_runs_per_report(monkeypatch, spec, calls):
     monkeypatch.setattr(ssl, "eigsh", counting)
     compute_report(make_config(spec))
     assert len(seen) == calls
+
+
+def test_report_cuts_its_blocks_into_batches_once(monkeypatch):
+    # symmetrization, eigenvalues, singular values and diagnostics all come
+    # from one pass over the batches
+    seen = []
+    batches = operators._batches
+
+    def counting(blocks):
+        seen.append(len(blocks))
+        return batches(blocks)
+
+    monkeypatch.setattr(operators, "_batches", counting)
+    compute_report(make_config(
+        {"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+         "resolution": [12, 24]}))
+    assert seen == [8]

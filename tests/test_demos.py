@@ -1,12 +1,16 @@
-"""The demos use only names the package exports; checked statically.
+"""The demos use only names the package exports, and each one runs.
 
-The demo scripts are parsed, never run, so this stays fast while still
-catching a demo that imports a renamed or removed function.
+The imports are checked statically, which names a demo that imports a
+renamed or removed function; each demo also runs to exit 0 in a
+subprocess, which catches a changed signature or return value.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,15 @@ def test_public_names_resolve():
     unresolved = [name for name in npspectra.__all__
                   if not hasattr(npspectra, name)]
     assert not unresolved
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    src = os.path.dirname(os.path.dirname(npspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, str(path)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.iterdir())

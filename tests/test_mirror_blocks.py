@@ -100,7 +100,7 @@ def _exact_norms(kw, sw):
     kt = sla.solve_triangular(low, kw @ low, lower=True)
     ks = kw @ sw
     return {"plemelj_residual": norm(ks - ks.T) / (norm(kw) * norm(sw)),
-            "asymmetry_norm": norm(kt - kt.T) / (2.0 * norm(kt))}
+            "asymmetry_norm": norm(kt - kt.T) / norm(kt + kt.T)}
 
 
 def _dense(grid):
@@ -112,7 +112,7 @@ def _dense(grid):
     """
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
     ((kw, sw),), _ = spectrum._operator_blocks(whole)
-    _, sym = operators._symmetrize_blocks(whole, [(kw, sw)], [1])
+    _, _, sym = operators._symmetrize_blocks(whole, [(kw, sw)], [1])
     eigs = np.sort(sla.eigvalsh(sym.matrix))
     exact = _exact_norms(kw, sw)
     exact["raw_eigs"] = np.sort(np.linalg.eigvals(kw).real)
@@ -172,13 +172,27 @@ def test_diagnostics_match_dense(case):
         # with K and S only to about 2e-11, which moves the block norms by
         # about 1e-9 (see the fd-ellipsoid case)
         assert abs(diag[key] - exact[key]) <= 100 * tol * exact[key]
-    # Bauer & Fike: K_w is similar to sym + skew, |skew| = asymmetry_norm
-    # |L^-1 K L|, so each raw eigenvalue lies that close to a symmetrized
-    # one; the sorted pairs are held to the slightly smaller
-    # asymmetry_norm max|lambda| (they read at most 3.5% of it)
+    # Bauer & Fike: K_w is similar to sym + skew, so each raw eigenvalue
+    # lies within max |skew_b| of a symmetrized one, and that bound is
+    # exactly asymmetry_norm max|lambda|; the sorted pairs are held to it
+    # (they read at most 3.5% of it, on torus-4x4)
     signed = _signed(report)
     bound = diag["asymmetry_norm"] * np.abs(signed).max()
     assert np.abs(exact["raw_eigs"] - signed).max() <= bound
+
+
+def test_asymmetry_norm_is_the_largest_skew_norm_over_the_spectrum(case):
+    # the skew parts of the blocks, by Cholesky factors of their own
+    grid, *_, report, _ = case
+    blocks, _ = spectrum._operator_blocks(grid)
+    skew_norms = []
+    for k, s in blocks:
+        low = sla.cholesky(-s, lower=True)
+        kt = sla.solve_triangular(low, k @ low, lower=True)
+        skew_norms.append(sla.svdvals(0.5 * (kt - kt.T))[0])
+    want = max(skew_norms)
+    got = report.diagnostics["asymmetry_norm"] * np.abs(_signed(report)).max()
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_symmetrized_matrix_is_exactly_symmetric(case):
@@ -235,7 +249,7 @@ def test_matrix_dump_of_full_rows_streams_the_rows(chunk_rows, tmp_path,
     mirrored = build_grid(sphere(), 12, 24)
     plain = build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24)
     assert plain.mirrors.shape[0] == 1
-    _, sym = symmetrized_spectrum(plain)
+    _, _, sym = symmetrized_spectrum(plain)
     ops = [operators.to_weighted_l2(assemble_operators(mirrored)[0]),
            *assemble_operators(plain), sym]
     for i, op in enumerate(ops):
@@ -278,11 +292,11 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid,
 
     def recording(batch):
         result = symmetrize(batch)
-        sym_blocks.extend(result[1])
+        sym_blocks.extend(result[2])
         return result
 
     monkeypatch.setattr(operators, "_plemelj_symmetrize", recording)
-    _, sym = operators._symmetrize_blocks(grid, blocks, [1])
+    _, _, sym = operators._symmetrize_blocks(grid, blocks, [1])
     assert len(sym_blocks) == 1
     assert sym_blocks[0] is sym.rows and sym.rows is sym.matrix
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix)) - eigs).max() <= 1e-12
@@ -327,12 +341,13 @@ def test_rows_only_assembly_matches_the_unblocked_one(name):
      (16, 32)),
 ], ids=["ellipsoid", "rotated-ellipsoid"])
 def test_symmetrized_spectrum_is_the_report_route(make_surface, res):
-    eigs, sym = symmetrized_spectrum(build_grid(make_surface(), *res))
+    eigs, svals, sym = symmetrized_spectrum(build_grid(make_surface(), *res))
     report, report_sym = _report(make_surface(), res)
     plus, minus = split_spectrum(eigs, 1e-300)
     assert plus.size + minus.size == eigs.size
     assert np.array_equal(plus, report.lambda_plus)
     assert np.array_equal(minus, report.lambda_minus)
+    assert np.array_equal(svals, report.singular_values)
     assert np.array_equal(sym.matrix, report_sym.matrix)
     assert sym.diagnostics == {key: report.diagnostics[key]
                                for key in sym.diagnostics}

@@ -46,10 +46,11 @@ def sphere_ops(sphere_grid_small):
 
 def _symmetrize(kw, sw):
     """Plemelj symmetrization of the whole weighted pair, unblocked."""
-    _, (sym,), norms = operators._plemelj_symmetrize(
+    (eigs,), (svals,), (sym,), norms = operators._plemelj_symmetrize(
         [(kw.matrix, sw.matrix)])
     return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
-                            diagnostics=operators._merge_diagnostics([norms]))
+                            diagnostics=operators._merge_diagnostics(
+                                [norms], eigs[::-1], svals))
 
 
 @pytest.fixture(scope="module")
@@ -706,13 +707,13 @@ def _eigh_symmetrization(kw, sw):
     """Square-root symmetrization, built independently of ``_symmetrize``.
 
     Eigendecomposes -S = Q Lambda Q^T, forms P = Q Lambda^(1/2) Q^T and
-    P^{-1}, and returns min eig(-S), sym(P^{-1} K P) and the relative
-    norm of the discarded skew part.
+    P^{-1}, and returns min eig(-S), sym(P^{-1} K P) and the norm of the
+    discarded skew part relative to that of sym(P^{-1} K P).
     """
     lam, q = sla.eigh(-sw.matrix)
     root = np.sqrt(lam)
     kt = (q / root) @ q.T @ kw.matrix @ (q * root) @ q.T
-    asym = sla.svdvals(0.5 * (kt - kt.T))[0] / sla.svdvals(kt)[0]
+    asym = sla.svdvals(kt - kt.T)[0] / sla.svdvals(kt + kt.T)[0]
     return float(lam[0]), 0.5 * (kt + kt.T), asym
 
 
