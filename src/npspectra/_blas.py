@@ -8,7 +8,10 @@ rows a LAPACK call is faster on one thread than on two, and a
 single-threaded call gives the same bits whatever the CPU count.  So
 ``operators._map_blocks`` holds every build at one thread while it runs
 the batches of a grid of several blocks, inline when they form one batch
-and otherwise side by side.
+and otherwise side by side.  The pin covers both builds: the stacked
+eigensolves, factorizations and products of a batch are numpy calls,
+which run in numpy's build and release the GIL, so two batches' calls
+run at once, while the per-block triangular solves run in scipy's.
 
 The builds are looked up once, on first use, among the shared objects
 mapped into the process.  Where none is found (another BLAS, or a system

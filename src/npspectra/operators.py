@@ -56,12 +56,17 @@ matrix dump.  No n x n array is built unless a caller reads ``matrix``.
 Every per-block step runs through ``_map_blocks``, which cuts the blocks
 into batches of consecutive blocks (``_batches``) and runs the batches
 side by side on a thread pool, each LAPACK call on one BLAS thread; a
-grid whose blocks form one batch starts no pool.  Symmetrization is one
-such pass (``_plemelj_symmetrize``): per batch it symmetrizes each block,
-takes its eigenvalues and the singular values of its K_b, and takes the
-skew and commutator norms in one Lanczos run each on the block diagonal,
-two runs per batch; the norms of K and of the symmetrized operator are
-read off the block spectra.
+grid whose blocks form one batch starts no pool.  Within a batch,
+consecutive blocks of one shape form one (b, m, m) stack (``_stacks``),
+all the rotation modes of a batch and each mirror character alone, and
+every dense step is one numpy ``linalg`` or ``matmul`` call per stack;
+these calls release the GIL, so the pool runs the eigensolves of one
+batch beside those of another.  Symmetrization is one such pass
+(``_plemelj_symmetrize``): per batch it symmetrizes each stack, takes its
+eigenvalues and the singular values of its K_b, and takes the skew and
+commutator norms in one Lanczos run each on the block diagonal, two runs
+per batch; the norms of K and of the symmetrized operator are read off
+the block spectra.
 """
 from __future__ import annotations
 
@@ -69,15 +74,16 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import groupby
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.blas import dtrsm
 
 from ._fileio import atomic_write
 from .errors import (ConfigError, GridError, NotPositiveDefinite,
                      NumericalError)
 from .grids import QuadratureGrid
-from .surfaces import _chart_on_axes
+from .surfaces import _chart_on_axes, _gauss_legendre
 
 FOUR_PI = 4.0 * np.pi
 
@@ -223,7 +229,7 @@ def _cell_kernel_integrals(grid, comp, src, tgt, q, nsub):
         I_K = integral of <y - x, n(y)>/(4 pi |y - x|^3) dS(y).
     """
     sign = comp.surface.orientation_sign()
-    gx, gw = np.polynomial.legendre.leggauss(q)
+    gx, gw = _gauss_legendre(q)
     cells, loc = np.unique(tgt - comp.start, return_inverse=True)
     x_src = grid.points[src]
     n_pairs = len(src)
@@ -277,7 +283,7 @@ def _self_cell_single_layer(grid: QuadratureGrid, rows: np.ndarray):
     their order.
     """
     out = np.zeros(rows.size)
-    gx, gw = np.polynomial.legendre.leggauss(SELF_QUAD)
+    gx, gw = _gauss_legendre(SELF_QUAD)
     for comp in grid.components:
         surf = comp.surface
         at = np.flatnonzero((rows >= comp.start) & (rows < comp.stop))
@@ -630,35 +636,41 @@ def to_weighted_l2(op: DiscreteOperator) -> DiscreteOperator:
 def _spectral_norm(blocks) -> float:
     """Largest singular value of blockdiag(blocks), the largest block norm.
 
-    One ARPACK Lanczos run on the Gram operator of the block diagonal from
-    a seeded start: its matvec applies M_b^T (M_b v_b) to the slice v_b of
-    each block, so a list of blocks costs one run, not one per block.
+    Each entry of ``blocks`` is one matrix or a (b, r, c) stack of b
+    matrices of one shape.  One ARPACK Lanczos run on the Gram operator of
+    the block diagonal from a seeded start: its matvec applies
+    M^T (M v_M) to the slice v_M of each matrix, one batched ``matmul``
+    pair per stack, so a list of stacks costs one run, not one per block.
     ARPACK takes neither a 1 x 1 nor a zero operator; a block diagonal of
     one column or zero has rank at most 1, so its Frobenius norm is exact.
     """
     # imported here, since only the report diagnostics need scipy.sparse
     from scipy.sparse.linalg import LinearOperator, eigsh
-    widths = [m.shape[1] for m in blocks]
+    stacks = [m.reshape(-1, *m.shape[-2:]) for m in blocks]
+    widths = [m.shape[0] * m.shape[2] for m in stacks]
     ends = np.cumsum(widths)
     starts = ends - widths
     n = int(ends[-1])
-    if n == 1 or not any(m.any() for m in blocks):
-        return float(max(np.linalg.norm(m) for m in blocks))
+    if n == 1 or not any(m.any() for m in stacks):
+        return float(max(np.linalg.norm(m) for m in stacks))
 
     def matvec(v):
-        return np.concatenate([m.T @ (m @ v[lo:hi])
-                               for m, lo, hi in zip(blocks, starts, ends)])
+        return np.concatenate([
+            np.matmul(np.swapaxes(m, 1, 2),
+                      np.matmul(m, v[lo:hi].reshape(len(m), -1, 1))).ravel()
+            for m, lo, hi in zip(stacks, starts, ends)])
 
-    gram = LinearOperator((n, n), matvec=matvec, dtype=blocks[0].dtype)
+    gram = LinearOperator((n, n), matvec=matvec, dtype=stacks[0].dtype)
     v0 = np.random.default_rng(0).standard_normal(n)
     return float(np.sqrt(eigsh(gram, k=1, v0=v0,
                                return_eigenvectors=False)[0]))
 
 
 def _commutator(k: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """S K^T - K S for a symmetric S, from the one product K S."""
-    ks = k @ s
-    return ks.T - ks
+    """S K^T - K S for a symmetric S, from the one product K S; ``k`` and
+    ``s`` are matrices or stacks of them."""
+    ks = np.matmul(k, s)
+    return np.swapaxes(ks, -1, -2) - ks
 
 
 def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
@@ -680,19 +692,31 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
                                                   * _spectral_norm([s]))
 
 
-def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of -S, computed in the storage of ``neg_s``.
+def _stacks(batch) -> list:
+    """The (K_b, S_b) pairs of a batch as (K, S) stacks of consecutive
+    blocks of one shape, each a (b, m, m) array, in block order.
 
-    ``neg_s`` holds -S in Fortran order (overwritten; with another order
-    LAPACK would work on a copy).
+    A block alone is a stack of one, a view of its own arrays; several
+    blocks of one shape, such as the rotation modes of a batch, are copied
+    into one array each, at most ``_BATCH_ENTRIES`` entries of K.
+    """
+    return [tuple(a[0][None] if len(a) == 1 else np.stack(a)
+                  for a in zip(*group))
+            for _, group in groupby(batch, key=lambda pair: pair[0].shape)]
+
+
+def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a (b, m, m) stack of -S_b, in one
+    ``np.linalg.cholesky`` call.
 
     Raises
     ------
     NotPositiveDefinite
-        If the factorization fails, that is, -S is not positive definite.
+        If a factorization fails, that is, some -S_b is not positive
+        definite.
     """
     try:
-        return sla.cholesky(neg_s, lower=True, overwrite_a=True)
+        return np.linalg.cholesky(neg_s)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"Cholesky factorization of -S failed ({exc}); "
@@ -700,30 +724,43 @@ def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
-    """The smallest and the largest eigenvalue of -S, and L^-1 K L, for
-    -S = L L^T.
+    """The smallest and the largest eigenvalue of the -S_b of a stack, and
+    the stack of the L_b^-1 K_b L_b, for -S_b = L_b L_b^T.
 
-    Both eigenvalues come from one ``eigvalsh`` of -S; the largest is the
-    spectral norm of S once -S is positive definite.
+    Both eigenvalues come from one ``eigvalsh`` of the stack of -S_b; the
+    largest is the spectral norm of the S_b once each -S_b is positive
+    definite.  Only the result outlives the call, not -S_b or its factors.
 
     Raises
     ------
     NotPositiveDefinite
-        If -S has a nonpositive eigenvalue or its Cholesky factorization
-        fails (discretization too coarse or inconsistent geometry).
+        If some -S_b has a nonpositive eigenvalue, the first in block
+        order, or its Cholesky factorization fails.
     """
-    # -S and then its lower factor, in Fortran order so that the Cholesky
-    # factorization and the triangular solve run in place
-    lower = np.negative(s, order="F")
-    eigs = sla.eigvalsh(lower)
-    min_eig = float(eigs[0])
-    if min_eig <= 0.0:
+    neg_s = np.negative(s)
+    eigs = np.linalg.eigvalsh(neg_s)
+    bad = np.flatnonzero(eigs[:, 0] <= 0.0)
+    if bad.size:
         raise NotPositiveDefinite(
-            f"-S has min eigenvalue {min_eig:.3e}; refine the grid")
-    lower = _cholesky_neg_s(lower)
-    kt = np.matmul(k, lower, order="F")
-    return min_eig, float(eigs[-1]), sla.solve_triangular(
-        lower, kt, lower=True, overwrite_b=True)
+            f"-S has min eigenvalue {eigs[bad[0], 0]:.3e}; refine the grid")
+    lower = _cholesky_neg_s(neg_s)
+    del neg_s
+    kt = np.matmul(k, lower)
+    for x, low in zip(kt, lower):
+        # L X = K L solved as X^T L^T = (K L)^T: the transposes of the
+        # C-ordered x and low are Fortran-ordered, so dtrsm works in the
+        # storage of x
+        dtrsm(1.0, low.T, x.T, side=1, overwrite_b=1)
+    return float(eigs[:, 0].min()), float(eigs[:, -1].max()), kt
+
+
+def _half_sum(kt: np.ndarray, sign: float) -> np.ndarray:
+    """(kt + sign kt^T) / 2 for each matrix of the stack ``kt``: its
+    symmetric part for sign 1, its skew part for sign -1, in one array."""
+    out = np.swapaxes(kt, 1, 2) * sign
+    out += kt
+    out *= 0.5
+    return out
 
 
 def _plemelj_symmetrize(batch):
@@ -731,20 +768,30 @@ def _plemelj_symmetrize(batch):
     the eigenvalues and singular values of each block, and the norms of
     their block diagonal.
 
-    Factors each -S_b = L_b L_b^T (``_cholesky_similarity``, in batch
-    order, so the first block that fails raises) and returns the list of
-    the ``eigvalsh`` of the sym(L_b^-1 K_b L_b), the list of the
-    ``svdvals`` of the K_b, the list of the sym(L_b^-1 K_b L_b), exactly
-    symmetric, and one tuple of the numbers the diagnostics merge from:
-    the smallest eigenvalue of the -S_b, the exact Lanczos norms
-    (``_spectral_norm``) of the block diagonals of the discarded skew
-    parts and of the commutators S_b K_b^T - K_b S_b, and the largest
-    eigenvalue of the -S_b, which is the norm of the block diagonal of
-    the S_b.  That is two Lanczos runs per batch, whatever its number of
-    blocks; the norms of the K_b and of the sym_b are read off their
-    spectra (``_merge_diagnostics``).  The batch holds its blocks'
-    L_b^-1 K_b L_b, skew parts and commutators only until their norms are
-    taken.
+    The batch is cut into stacks of consecutive blocks of one shape
+    (``_stacks``), and each dense step is one numpy call per stack, which
+    runs without the GIL (``_cholesky_similarity``): one ``eigvalsh`` of
+    the -S_b, which gives the smallest eigenvalue of each -S_b and the
+    largest, the norm of S_b; one ``cholesky`` -S_b = L_b L_b^T
+    (``_cholesky_neg_s``); one ``matmul`` K_b L_b; then one ``eigvalsh``
+    of the sym(L_b^-1 K_b L_b) and one ``svd`` of the K_b for their
+    singular values.  The triangular solves L_b^-1 (K_b L_b), which numpy
+    lacks, are one BLAS ``dtrsm`` per block, in place.  Stacks go in
+    block order, so the first block whose -S_b has a nonpositive
+    eigenvalue raises, else the first stack whose factorization fails.
+
+    Returns the list of the ascending eigenvalues of the sym_b, as one
+    (b, m) array per stack, the list of the descending singular values of
+    the K_b, likewise, the list of the sym_b stacks, exactly symmetric,
+    and one tuple of the numbers the diagnostics merge from: the smallest
+    eigenvalue of the -S_b, the exact Lanczos norms (``_spectral_norm``)
+    of the block diagonals of the discarded skew parts and of the
+    commutators S_b K_b^T - K_b S_b, and the largest eigenvalue of the
+    -S_b, which is the norm of the block diagonal of the S_b.  That is two
+    Lanczos runs per batch, whatever its number of blocks; the norms of
+    the K_b and of the sym_b are read off their spectra
+    (``_merge_diagnostics``).  The batch holds its blocks' L_b^-1 K_b L_b,
+    skew parts and commutators only until their norms are taken.
     This is Plemelj's symmetrization: S is symmetric and S K^T = K S, so
     L^-1 K L is symmetric for the continuous operators.  Its spectrum is
     that of K; another factor of -S (such as its square root) changes the
@@ -757,14 +804,15 @@ def _plemelj_symmetrize(batch):
         If some -S_b has a nonpositive eigenvalue or its Cholesky
         factorization fails.
     """
+    stacks = _stacks(batch)
     min_eigs, s_norms, kts = zip(*(_cholesky_similarity(k, s)
-                                   for k, s in batch))
-    skew_norm = _spectral_norm([0.5 * (kt - kt.T) for kt in kts])
-    syms = [0.5 * (kt + kt.T) for kt in kts]
+                                   for k, s in stacks))
+    skew_norm = _spectral_norm([_half_sum(kt, -1.0) for kt in kts])
+    syms = [_half_sum(kt, 1.0) for kt in kts]
     del kts
-    resid = _spectral_norm([_commutator(k, s) for k, s in batch])
-    return ([sla.eigvalsh(sym_b) for sym_b in syms],
-            [sla.svdvals(k) for k, _ in batch], syms,
+    resid = _spectral_norm([_commutator(k, s) for k, s in stacks])
+    return ([np.linalg.eigvalsh(sym) for sym in syms],
+            [np.linalg.svd(k, compute_uv=False) for k, _ in stacks], syms,
             (min(min_eigs), skew_norm, resid, max(s_norms)))
 
 
@@ -877,8 +925,9 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     return blocks
 
 
-def _mirror_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
-    """Representative rows of Q blockdiag(blocks) Q^T (``_mirror_blocks``).
+def _mirror_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
+    """Representative rows of Q blockdiag(blocks) Q^T (``_mirror_blocks``),
+    the blocks given as (b, m, m) stacks in character order.
 
     The matrix M commutes with the mirror permutations, so its rows at the
     orbit representatives determine it: M[r_a, g r_b] = sum_chi chi(g)
@@ -887,17 +936,17 @@ def _mirror_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
     by ``DiscreteOperator.matrix`` when read and by a matrix dump; an
     exactly symmetric set of blocks gives an exactly symmetric matrix.  On
     a grid without mirrors the single block is the whole matrix and is
-    returned itself.
+    returned itself, a view of its stack of one.
     """
     perms = grid.mirrors
     if perms.shape[0] == 1:
-        return blocks[0]
+        return stacks[0][0]
     reps, chi, valid, stab = _orbits(perms)
     m, n = reps.size, perms.shape[1]
     scale = np.sqrt(stab / perms.shape[0])
     # blocks come in character order, without the empty ones
     padded = []
-    blocks = iter(blocks)
+    blocks = (block for stack in stacks for block in stack)
     for pick in valid:
         p = np.zeros((m, m))
         if pick.any():
@@ -940,8 +989,9 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
         B_m[a, b] = sum_d cos(2 pi m d / n_v) A_w[(a, 0), (b, d)],
 
     the real part of one ``rfft`` along d of the rows as (n_u, n_u, n_v).
-    Returns one (K_b, S_b) pair per mode m = 0 .. n_v // 2, in mode order;
-    mode m stands for c_m blocks of the whole matrix.
+    Returns one (K_b, S_b) pair per mode m = 0 .. n_v // 2, in mode order,
+    views of two contiguous (modes, n_u, n_u) arrays; mode m stands for c_m
+    blocks of the whole matrix.
     """
     n_u, n_v = grid.resolution
     sw = np.sqrt(grid.weights)
@@ -955,8 +1005,9 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     return list(zip(*per_op))
 
 
-def _mode_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
-    """Meridian rows of Q blockdiag(blocks) Q^T (``_mode_blocks``).
+def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
+    """Meridian rows of Q blockdiag(blocks) Q^T (``_mode_blocks``), the
+    blocks given as (b, n_u, n_u) stacks in mode order.
 
     M[(a, 0), (b, d)] = sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v, the
     ``irfft`` (n = n_v) along the mode axis, averaged with their mirror
@@ -965,7 +1016,9 @@ def _mode_rows(grid: QuadratureGrid, blocks) -> np.ndarray:
     (``_fill_turns``).
     """
     n_u, n_v = grid.resolution
-    rows = np.fft.irfft(np.stack(blocks, axis=-1), n=n_v, axis=-1)
+    rows = np.fft.irfft(np.stack([block for stack in stacks
+                                  for block in stack], axis=-1),
+                        n=n_v, axis=-1)
     rows += rows.transpose(1, 0, 2)[..., -np.arange(n_v) % n_v]
     rows *= 0.5
     return rows.reshape(n_u, n_u * n_v)
@@ -987,12 +1040,17 @@ def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
 
 
 def _sorted_union(batches, mult):
-    """All values of the per-block arrays of ``batches`` (lists of
-    consecutive blocks, as ``_map_blocks`` returns them), each repeated by
-    the multiplicity of its block, sorted descending."""
-    parts = [p for batch in batches for p in batch]
-    return np.sort(np.concatenate([np.tile(p, m)
-                                   for p, m in zip(parts, mult)]))[::-1]
+    """All values of ``batches``, each repeated by the multiplicity of its
+    block, sorted descending.
+
+    ``batches`` holds one list per batch, as ``_map_blocks`` returns them,
+    of one (b, m) array per stack of blocks (``_stacks``), a row of values
+    per block."""
+    stacks = [stack for batch in batches for stack in batch]
+    ends = np.cumsum([len(stack) for stack in stacks])
+    return np.sort(np.concatenate([
+        np.repeat(stack, m, axis=0).ravel()
+        for stack, m in zip(stacks, np.split(mult, ends[:-1]))]))[::-1]
 
 
 def _batches(blocks) -> list:
@@ -1015,19 +1073,22 @@ def _map_blocks(fn, blocks) -> list:
 
     ``fn`` maps one batch of consecutive blocks (``_batches``) to its
     result, so that each Lanczos norm of a batch is one run on its block
-    diagonal.  One block, the grid without mirrors or turn, runs
+    diagonal and each dense step one call per stack of the batch
+    (``_stacks``).  One block, the grid without mirrors or turn, runs
     inline on the process's BLAS threads, since a large dense matrix gains
     from them.  Two or more blocks run with every OpenBLAS build at one
     thread (``_blas.single_threaded``), also when they form one batch, and
     their batches on a pool of up to one worker thread per usable CPU:
     blocks of a few hundred rows are faster on one thread than on all the
     CPUs, their values then do not depend on the BLAS thread count or the
-    CPU count, and the workers overlap the numpy products of one batch
-    with the work of another (the scipy.linalg LAPACK wrappers hold the
-    GIL).  A pool that would have one worker, such as for the one batch
-    of the 25 modes of a 24x48 sphere or of any level of a peanut study,
-    is not started: the batch runs inline, which also keeps its
-    temporaries out of a worker thread's malloc arena.  Results come in
+    CPU count, and the workers overlap the dense work of one batch with
+    that of another, since the numpy ``linalg`` and ``matmul`` calls
+    release the GIL; only the per-block triangular solves (a scipy BLAS
+    wrapper) and the Lanczos iterations' Python steps hold it.  A pool
+    that would have one worker, such as for the one batch of the 25 modes
+    of a 24x48 sphere or of any level of a peanut study, is not started:
+    the batch runs inline, which also keeps its temporaries out of a
+    worker thread's malloc arena.  Results come in
     batch order.  The first batch in that order that fails raises its own
     exception, and batches not yet started are cancelled.
     """
@@ -1056,13 +1117,16 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
     ``blocks`` are those of ``_mode_blocks`` on a grid with the turn and
     of ``_mirror_blocks`` otherwise, and ``mult`` their multiplicities
     (``_split_blocks``).  The blocks go to ``_plemelj_symmetrize`` in the
-    batches of ``_map_blocks``, one pass that symmetrizes each block,
-    takes its ``eigvalsh`` and the ``svdvals`` of its K_b, and takes the
-    skew and commutator norms of a batch in one Lanczos run each on its
-    block diagonal, whose norm is the largest block norm.  So the 25
-    blocks of a 24x48 sphere cost 2 Lanczos runs, not 50, and a block of
-    more than ``_BATCH_ENTRIES`` entries, such as a mirror character of a
-    40x80 ellipsoid, is a batch of its own.
+    batches of ``_map_blocks``, one pass that symmetrizes each stack of
+    blocks of one shape (``_stacks``), takes their ``eigvalsh`` and the
+    singular values of their K_b, one GIL-free numpy call per stack and
+    step, and takes the skew and commutator norms of a batch in one
+    Lanczos run each on its block diagonal, whose norm is the largest
+    block norm.  So the 25 blocks of a 24x48 sphere, one batch and one
+    stack, cost 2 Lanczos runs, not 50, 2 ``eigvalsh`` calls and 1
+    ``svd`` call, not 50 and 25; a block of more than ``_BATCH_ENTRIES``
+    entries, such as a mirror character of a 40x80 ellipsoid, is a batch
+    and a stack of its own.
 
     Returns the eigenvalues and the singular values of K_w, the sorted
     unions of the block values (``_sorted_union``), and the
@@ -1089,7 +1153,7 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
     """
     eigs, svals, syms, norms = zip(*_map_blocks(_plemelj_symmetrize,
                                                 blocks))
-    syms = [sym_b for batch in syms for sym_b in batch]
+    syms = [stack for batch in syms for stack in batch]
     rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
     del syms
     eigs, svals = _sorted_union(eigs, mult), _sorted_union(svals, mult)

@@ -67,14 +67,17 @@ def compute_report(config: RunConfig) -> tuple:
     ``operators._symmetrize_blocks``), which symmetrizes each block on its
     own, takes its eigenvalues and the singular values of its K_b, and
     takes the skew and commutator norms of a batch from one Lanczos run
-    each on its block diagonal (2 runs in all on a 24x48 sphere, one
-    batch of 25 modes).  The eigenvalues and the singular values of K_w
-    are the sorted unions of the block values, each repeated by its
-    block's multiplicity, and the diagnostics merge as described in
-    ``operators._symmetrize_blocks``, with ||K|| and ||sym|| read off
-    those unions.  Every report carries the same diagnostics, whatever
-    the grid size.  On a grid of several blocks every LAPACK call runs on
-    one BLAS thread, and several batches run side by side, so the report
+    each on its block diagonal.  The consecutive blocks of one shape in a
+    batch form one stack, and each dense step is one numpy call per
+    stack: on a 24x48 sphere, one batch and one stack of 25 modes, that
+    is 2 ``eigvalsh`` calls, 1 ``svd`` call and 2 Lanczos runs in all.
+    The eigenvalues and the singular values of K_w are the sorted unions
+    of the block values, each repeated by its block's multiplicity, and
+    the diagnostics merge as described in ``operators._symmetrize_blocks``,
+    with ||K|| and ||sym|| read off those unions.  Every report carries
+    the same diagnostics, whatever the grid size.  On a grid of several
+    blocks every LAPACK call runs on one BLAS thread, and several batches
+    run side by side, their numpy calls free of the GIL, so the report
     does not depend on the BLAS thread count or the CPU count; a grid
     whose blocks form one batch starts no thread pool.
 

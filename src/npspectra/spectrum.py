@@ -24,7 +24,7 @@ from .errors import ConfigError, DomainError, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
 from .operators import (_cholesky_neg_s, _map_blocks, _split_blocks,
-                        _symmetrize_blocks, assemble_operators)
+                        _stacks, _symmetrize_blocks, assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -243,7 +243,7 @@ def symmetrized_spectrum(grid):
     The route of ``compute_report``: each block (``_operator_blocks``: a
     rotation mode on a grid with the turn, else a mirror character) is
     symmetrized and solved on its own in one batch pass
-    (``operators._symmetrize_blocks``), which also takes the ``svdvals``
+    (``operators._symmetrize_blocks``), which also takes the singular values
     of each K_b, since ||K|| in the diagnostics is the first of them.  The
     eigenvalues and the singular values are the sorted unions of the block
     values, each repeated by its block's multiplicity; on a grid of
@@ -294,52 +294,56 @@ def _negative_count(grid, threshold: float) -> int:
     K and S are split into blocks (``_operator_blocks``: rotation modes
     on a grid with the turn, mirror characters otherwise, one block on a
     grid with neither), and the count is the sum of the block counts
-    (``_block_negative_count``), each times its block's multiplicity.
+    (``_stack_negative_counts``), each times its block's multiplicity.
     The blocks go in the consecutive batches of ``operators._map_blocks``,
-    which run side by side with one BLAS thread per call; the 33 modes of
-    a 32x64 peanut form one batch, which runs inline with no pool.
+    which run side by side with one BLAS thread per call, each batch as
+    stacks of blocks of one shape (``operators._stacks``); the 33 modes of
+    a 32x64 peanut form one batch and one stack, which runs inline with
+    no pool.
 
     Raises
     ------
     NotPositiveDefinite
         If the Cholesky factorization of some block of -S fails; the
-        first such block in block order raises.
+        first such stack in block order raises.
     """
     def count(batch):
-        return [_block_negative_count(k, s, threshold) for k, s in batch]
+        return [c for k, s in _stacks(batch)
+                for c in _stack_negative_counts(k, s, threshold)]
 
     blocks, mult = _operator_blocks(grid)
     counts = _map_blocks(count, blocks)
     return int(np.dot(mult, [c for batch in counts for c in batch]))
 
 
-def _block_negative_count(k, s, threshold: float) -> int:
-    """Eigenvalues below -threshold of the symmetrization of one block.
+def _stack_negative_counts(k, s, threshold: float) -> list:
+    """Eigenvalues below -threshold of the symmetrization of each block of
+    a (b, m, m) stack.
 
     With -S = L L^T, the block's symmetrization sym(L^-1 K L)
     (``operators._plemelj_symmetrize``) equals L^-1 M L^-T for
     M = -sym(K S) (weighted_l2 basis), so by Sylvester's law of inertia
     the count is the number of negative eigenvalues of M - threshold S.
     A successful Cholesky factorization of -S certifies that it is
-    positive definite; the factor is not needed otherwise.  One product
-    K S and one LDL^T factorization replace the similarity transform and
-    the eigensolve; ``k`` and ``s`` are consumed, and at most three arrays
-    of their size are alive at any time.
+    positive definite; the factors are not needed otherwise.  One
+    ``cholesky`` of the stack, one batched product K S and one LDL^T
+    factorization per block (``_negative_inertia``) replace the
+    similarity transform and the eigensolve; ``s`` is consumed, and at
+    most three arrays of the stack's size are alive at any time.
 
     Raises
     ------
     NotPositiveDefinite
-        If the Cholesky factorization of -S fails.
+        If the Cholesky factorization of some -S_b fails.
     """
-    _cholesky_neg_s(np.negative(s, order="F"))
-    m = k @ s
-    del k
-    m += m.T
+    _cholesky_neg_s(np.negative(s))
+    m = np.matmul(k, s)
+    m += np.swapaxes(m, 1, 2)
     m *= -0.5
     s *= threshold
     m -= s
     del s
-    return _negative_inertia(m)
+    return [_negative_inertia(block) for block in m]
 
 
 def negative_count_study(surface, resolutions: Sequence,

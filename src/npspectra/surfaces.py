@@ -9,6 +9,7 @@ catalog's sphere and spheroid are aliases of its ellipsoid.
 """
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -151,6 +152,18 @@ class ParametricSurface:
         return self._orientation_sign
 
 
+@functools.cache
+def _gauss_legendre(q: int):
+    """Nodes and weights of the q-point Gauss-Legendre rule on [-1, 1].
+
+    ``np.polynomial.legendre.leggauss(q)``, computed once per q and shared
+    by every caller, so both arrays are read-only.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(q)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _tensor_layout(surface, n_u, n_v):
     """Node layout of the tensor rule in each parameter direction.
 
@@ -161,7 +174,7 @@ def _tensor_layout(surface, n_u, n_v):
     spacing dv.
     """
     if surface.kind == "polar":
-        t, wt = np.polynomial.legendre.leggauss(n_u)
+        t, wt = _gauss_legendre(n_u)
         u = np.arccos(t)[::-1]
         wq = wt[::-1]
         # cell edges split [-1, 1] by the cumulative weights, so each node

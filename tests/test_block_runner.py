@@ -25,7 +25,6 @@ import time
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 import scipy.sparse.linalg as ssl
 
 import npspectra
@@ -89,60 +88,66 @@ def two_blas_threads():
 def test_blocks_run_on_one_blas_thread_and_the_counts_return(
         two_blas_threads, monkeypatch):
     seen = []
-    svdvals = sla.svdvals
+    svd = np.linalg.svd
 
     def recording(a, *args, **kwargs):
         seen.append(_blas.thread_counts())
-        return svdvals(a, *args, **kwargs)
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "svdvals", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording)
     compute_report(make_config(_SPHERE_12))
-    # one call per rotation mode m = 0 .. 12 of the 12x24 sphere
-    assert len(seen) == 13
+    # one call for the one stack of the rotation modes m = 0 .. 12 of the
+    # 12x24 sphere
+    assert len(seen) == 1
     assert set(seen) == {(1,) * len(two_blas_threads)}
     assert _blas.thread_counts() == two_blas_threads
 
 
 
-@pytest.mark.parametrize("make_grid, n_blocks", [
-    # the sphere takes the 13 rotation modes, the ellipsoid its 8 mirror
-    # characters
-    (lambda: build_grid(sphere(), 12, 24), 13),
-    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 12, 24), 8),
-    (lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24), 1),
+@pytest.mark.parametrize("make_grid, n_blocks, n_stacks", [
+    # the sphere takes the 13 rotation modes, one stack; the ellipsoid its
+    # 8 mirror characters of 42, 36, 36, 30, 42, 36, 36 and 30 nodes, six
+    # stacks of consecutive blocks of one shape
+    (lambda: build_grid(sphere(), 12, 24), 13, 1),
+    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 12, 24), 8, 6),
+    (lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24),
+     1, 1),
 ], ids=["mirrored", "mirror-characters", "without-mirrors"])
 def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
                                                   monkeypatch, make_grid,
-                                                  n_blocks):
+                                                  n_blocks, n_stacks):
     seen = []
-    eigvalsh = sla.eigvalsh
+    eigvalsh = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
         seen.append(_blas.thread_counts())
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     spectrum.symmetrized_spectrum(make_grid())
-    # symmetrization and spectrum call eigvalsh at least once per block
-    assert len(seen) >= n_blocks
+    # symmetrization calls eigvalsh once per stack for -S, once for sym
+    assert len(seen) == 2 * n_stacks
     pinned = (1,) * len(two_blas_threads)
     assert set(seen) == {pinned if n_blocks > 1 else two_blas_threads}
     assert _blas.thread_counts() == two_blas_threads
 
 
 def _fail_blocks(monkeypatch, grid, failing):
-    """Make ``sla.cholesky`` fail on the -S of the blocks in ``failing``."""
+    """Make ``np.linalg.cholesky`` fail on a stack that holds the -S of a
+    block in ``failing``, naming the first such block of the stack."""
     blocks, _ = spectrum._operator_blocks(grid)
     neg_s = [-s for _, s in blocks]
-    cholesky = sla.cholesky
+    cholesky = np.linalg.cholesky
 
     def injected(a, *args, **kwargs):
-        index = next(i for i, m in enumerate(neg_s) if np.array_equal(a, m))
-        if index in failing:
-            raise np.linalg.LinAlgError(f"injected in block {index}")
+        indices = [next(i for i, m in enumerate(neg_s)
+                        if np.array_equal(b, m)) for b in a]
+        bad = sorted(failing.intersection(indices))
+        if bad:
+            raise np.linalg.LinAlgError(f"injected in block {bad[0]}")
         return cholesky(a, *args, **kwargs)
 
-    monkeypatch.setattr(sla, "cholesky", injected)
+    monkeypatch.setattr(np.linalg, "cholesky", injected)
 
 
 @pytest.mark.parametrize("run", [

@@ -77,7 +77,7 @@ def test_failed_cholesky_in_study_is_not_positive_definite(monkeypatch):
     def failing_cholesky(*args, **kwargs):
         raise np.linalg.LinAlgError("leading minor not positive definite")
 
-    monkeypatch.setattr(sla, "cholesky", failing_cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     with pytest.raises(NotPositiveDefinite, match="Cholesky") as err:
         negative_count_study(sphere(), [(8, 16), (10, 20), (12, 24)])
     assert not isinstance(err.value, np.linalg.LinAlgError)

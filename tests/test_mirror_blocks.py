@@ -297,8 +297,9 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid,
 
     monkeypatch.setattr(operators, "_plemelj_symmetrize", recording)
     _, _, sym = operators._symmetrize_blocks(grid, blocks, [1])
-    assert len(sym_blocks) == 1
-    assert sym_blocks[0] is sym.rows and sym.rows is sym.matrix
+    # one stack of one block, whose storage the operator holds, not a copy
+    assert len(sym_blocks) == 1 and sym_blocks[0].shape[0] == 1
+    assert sym.rows.base is sym_blocks[0] and sym.rows is sym.matrix
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix)) - eigs).max() <= 1e-12
     assert np.abs(np.sort(sla.svdvals(blocks[0][0])) - svals).max() <= 1e-12
     assert np.abs(sym.matrix - dense.matrix).max() <= 1e-12

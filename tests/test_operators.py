@@ -45,9 +45,10 @@ def sphere_ops(sphere_grid_small):
 
 
 def _symmetrize(kw, sw):
-    """Plemelj symmetrization of the whole weighted pair, unblocked."""
-    (eigs,), (svals,), (sym,), norms = operators._plemelj_symmetrize(
-        [(kw.matrix, sw.matrix)])
+    """Plemelj symmetrization of the whole weighted pair, unblocked: one
+    stack of one block."""
+    ((eigs,),), ((svals,),), ((sym,),), norms = \
+        operators._plemelj_symmetrize([(kw.matrix, sw.matrix)])
     return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
                             diagnostics=operators._merge_diagnostics(
                                 [norms], eigs[::-1], svals))
@@ -330,6 +331,26 @@ def test_self_cell_rule_reads_its_order_at_call_time(monkeypatch):
     # 8 and 16 points differ by 6.4e-4 relative on this grid
     assert not np.array_equal(fine, coarse)
     np.testing.assert_allclose(fine, coarse, rtol=1e-3)
+
+
+def test_gauss_legendre_rules_are_leggauss_cached(monkeypatch):
+    for q in (1, 6, 8, 16, 24):
+        nodes, weights = operators._gauss_legendre(q)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(q)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        # one shared pair per order, which no caller can change
+        assert operators._gauss_legendre(q)[0] is nodes
+        assert not (nodes.flags.writeable or weights.flags.writeable)
+    # the cache is keyed on the order, which the self-cell rule still
+    # reads from SELF_QUAD at call time
+    grid = build_grid(sphere(), 8, 16)
+    rule, orders = operators._gauss_legendre, []
+    monkeypatch.setattr(operators, "_gauss_legendre",
+                        lambda q: orders.append(q) or rule(q))
+    monkeypatch.setattr(operators, "SELF_QUAD", 16)
+    operators._self_cell_single_layer(grid, np.arange(grid.n_nodes))
+    assert orders == [16]
 
 
 def test_coincident_nodes_rejected():
@@ -804,7 +825,7 @@ def test_failed_cholesky_is_not_positive_definite(sphere_sym, monkeypatch):
     def failing_cholesky(*args, **kwargs):
         raise np.linalg.LinAlgError("leading minor not positive definite")
 
-    monkeypatch.setattr(sla, "cholesky", failing_cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
     with pytest.raises(NotPositiveDefinite, match="Cholesky"):
         _symmetrize(kw, sw)
 
