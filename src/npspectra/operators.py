@@ -53,16 +53,17 @@ reports, the study and ``spectrum.symmetrized_spectrum`` do dense work on
 blocks of n_u nodes on a surface of revolution and of about n/8 nodes on
 another catalog grid, and read only the representative rows; so does a
 matrix dump.  No n x n array is built unless a caller reads ``matrix``.
-Every per-block step runs through ``_map_blocks``, which cuts the blocks
-into batches of consecutive blocks (``_batches``) and runs the batches
-side by side on a thread pool, each LAPACK call on one BLAS thread; a
-grid whose blocks form one batch starts no pool.  Within a batch,
-consecutive blocks of one shape form one (b, m, m) stack (``_stacks``),
-all the rotation modes of a batch and each mirror character alone, and
-every dense step is one numpy ``linalg`` or ``matmul`` call per stack;
-these calls release the GIL, so the pool runs the eigensolves of one
-batch beside those of another.  Symmetrization is one such pass
-(``_plemelj_symmetrize``): per batch it symmetrizes each stack, takes its
+The blocks are held as a list of (K, S) stacks of (b, m, m) arrays, in
+block order: the modes are one stack pair (``_mode_blocks``), each mirror
+character a stack of one, a view of its block.  Every per-block step runs
+through ``_map_blocks``, which cuts the stacks into batches of contiguous
+slices (``_batches``), views that copy no data, and runs the batches side
+by side on a thread pool, each LAPACK call on one BLAS thread; a grid
+whose blocks form one batch starts no pool.  Every dense step is one
+numpy ``linalg`` or ``matmul`` call per slice; these calls release the
+GIL, so the pool runs the eigensolves of one batch beside those of
+another.  Symmetrization is one such pass
+(``_plemelj_symmetrize``): per batch it symmetrizes each slice, takes its
 eigenvalues and the singular values of its K_b, and takes the skew and
 commutator norms in one Lanczos run each on the block diagonal, two runs
 per batch; the norms of K and of the symmetrized operator are read off
@@ -74,7 +75,6 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import groupby
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
@@ -692,19 +692,6 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
                                                   * _spectral_norm([s]))
 
 
-def _stacks(batch) -> list:
-    """The (K_b, S_b) pairs of a batch as (K, S) stacks of consecutive
-    blocks of one shape, each a (b, m, m) array, in block order.
-
-    A block alone is a stack of one, a view of its own arrays; several
-    blocks of one shape, such as the rotation modes of a batch, are copied
-    into one array each, at most ``_BATCH_ENTRIES`` entries of K.
-    """
-    return [tuple(a[0][None] if len(a) == 1 else np.stack(a)
-                  for a in zip(*group))
-            for _, group in groupby(batch, key=lambda pair: pair[0].shape)]
-
-
 def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of a (b, m, m) stack of -S_b, in one
     ``np.linalg.cholesky`` call.
@@ -764,13 +751,13 @@ def _half_sum(kt: np.ndarray, sign: float) -> np.ndarray:
 
 
 def _plemelj_symmetrize(batch):
-    """Plemelj symmetrization of a batch of weighted_l2 pairs (K_b, S_b),
-    the eigenvalues and singular values of each block, and the norms of
-    their block diagonal.
+    """Plemelj symmetrization of a batch of weighted_l2 (K, S) stacks of
+    blocks (K_b, S_b), the eigenvalues and singular values of each block,
+    and the norms of their block diagonal.
 
-    The batch is cut into stacks of consecutive blocks of one shape
-    (``_stacks``), and each dense step is one numpy call per stack, which
-    runs without the GIL (``_cholesky_similarity``): one ``eigvalsh`` of
+    The batch is a list of (b, m, m) stack pairs (``_batches``), and each
+    dense step is one numpy call per stack, which runs without the GIL
+    (``_cholesky_similarity``): one ``eigvalsh`` of
     the -S_b, which gives the smallest eigenvalue of each -S_b and the
     largest, the norm of S_b; one ``cholesky`` -S_b = L_b L_b^T
     (``_cholesky_neg_s``); one ``matmul`` K_b L_b; then one ``eigvalsh``
@@ -804,15 +791,14 @@ def _plemelj_symmetrize(batch):
         If some -S_b has a nonpositive eigenvalue or its Cholesky
         factorization fails.
     """
-    stacks = _stacks(batch)
     min_eigs, s_norms, kts = zip(*(_cholesky_similarity(k, s)
-                                   for k, s in stacks))
+                                   for k, s in batch))
     skew_norm = _spectral_norm([_half_sum(kt, -1.0) for kt in kts])
     syms = [_half_sum(kt, 1.0) for kt in kts]
     del kts
-    resid = _spectral_norm([_commutator(k, s) for k, s in stacks])
+    resid = _spectral_norm([_commutator(k, s) for k, s in batch])
     return ([np.linalg.eigvalsh(sym) for sym in syms],
-            [np.linalg.svd(k, compute_uv=False) for k, _ in stacks], syms,
+            [np.linalg.svd(k, compute_uv=False) for k, _ in batch], syms,
             (min(min_eigs), skew_norm, resid, max(s_norms)))
 
 
@@ -896,10 +882,11 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
         B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b).
 
     Each block entry gathers from the row of r_a: |G| gathers of m x m
-    entries for m orbits, about n^2 / |G| in all.  Returns one (K_b, S_b)
-    pair per nonempty block, in character order; on a grid without
-    mirrors that is the single pair (K_w, S_w), the same arrays as ``k``
-    and ``s``.
+    entries for m orbits, about n^2 / |G| in all.  Returns one (K, S)
+    stack pair of one block per nonempty character, in character order,
+    each stack a (1, m, m) view of its block; on a grid without mirrors
+    that is the single pair of views of K_w and S_w, the arrays ``k`` and
+    ``s``.
     """
     sw = np.sqrt(grid.weights)
     perms = grid.mirrors
@@ -907,7 +894,7 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
         for a in (k, s):
             a *= sw[:, None]
             a /= sw[None, :]
-        return [(k, s)]
+        return [(k[None], s[None])]
     reps, chi, valid, stab = _orbits(perms)
     cols = perms[:, reps]
     scale = 1.0 / np.sqrt(stab)
@@ -921,7 +908,7 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
         if pick.any():
             ix = np.ix_(pick, pick)
             f = np.outer(scale[pick], scale[pick])
-            blocks.append((projected[0][c][ix] * f, projected[1][c][ix] * f))
+            blocks.append(tuple((p[c][ix] * f)[None] for p in projected))
     return blocks
 
 
@@ -989,8 +976,8 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
         B_m[a, b] = sum_d cos(2 pi m d / n_v) A_w[(a, 0), (b, d)],
 
     the real part of one ``rfft`` along d of the rows as (n_u, n_u, n_v).
-    Returns one (K_b, S_b) pair per mode m = 0 .. n_v // 2, in mode order,
-    views of two contiguous (modes, n_u, n_u) arrays; mode m stands for c_m
+    Returns one (K, S) stack pair, two contiguous (modes, n_u, n_u) arrays
+    of the modes m = 0 .. n_v // 2 in mode order; mode m stands for c_m
     blocks of the whole matrix.
     """
     n_u, n_v = grid.resolution
@@ -1002,7 +989,7 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
         a /= sw[None, :]
         modes = np.fft.rfft(a.reshape(n_u, n_u, n_v), axis=-1).real
         per_op.append(np.ascontiguousarray(np.moveaxis(modes, -1, 0)))
-    return list(zip(*per_op))
+    return [tuple(per_op)]
 
 
 def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
@@ -1025,18 +1012,19 @@ def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
 
 
 def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
-    """Blocks of K_w and S_w from their representative rows, and the
-    multiplicity of each block.
+    """Blocks of K_w and S_w from their representative rows, as a list of
+    (K, S) stacks, and the multiplicity of each block.
 
-    The rotation modes of ``_mode_blocks`` on a grid with the turn, with
-    the multiplicities of ``_mode_multiplicities``; otherwise the
-    characters of ``_mirror_blocks``, each of multiplicity 1.
+    The rotation modes of ``_mode_blocks`` on a grid with the turn, one
+    stack pair, with the multiplicities of ``_mode_multiplicities``;
+    otherwise the characters of ``_mirror_blocks``, a stack of one each,
+    each of multiplicity 1.
     """
     if grid.turn:
         return (_mode_blocks(grid, k, s),
                 _mode_multiplicities(grid.resolution[1]))
-    blocks = _mirror_blocks(grid, k, s)
-    return blocks, np.ones(len(blocks), dtype=int)
+    stacks = _mirror_blocks(grid, k, s)
+    return stacks, np.ones(len(stacks), dtype=int)
 
 
 def _sorted_union(batches, mult):
@@ -1044,8 +1032,8 @@ def _sorted_union(batches, mult):
     block, sorted descending.
 
     ``batches`` holds one list per batch, as ``_map_blocks`` returns them,
-    of one (b, m) array per stack of blocks (``_stacks``), a row of values
-    per block."""
+    of one (b, m) array per stack of the batch (``_batches``), a row of
+    values per block."""
     stacks = [stack for batch in batches for stack in batch]
     ends = np.cumsum([len(stack) for stack in stacks])
     return np.sort(np.concatenate([
@@ -1053,48 +1041,74 @@ def _sorted_union(batches, mult):
         for stack, m in zip(stacks, np.split(mult, ends[:-1]))]))[::-1]
 
 
-def _batches(blocks) -> list:
-    """Consecutive runs of ``blocks``, each of at most ``_BATCH_ENTRIES``
-    entries of K in all; a larger block is a run of its own."""
+def _batches(stacks) -> list:
+    """Consecutive runs of the blocks of the (K, S) ``stacks``, each of at
+    most ``_BATCH_ENTRIES`` entries of K in all; a larger block is a run
+    of its own.  A run is a list of (K, S) slices of the stacks it draws
+    from, in block order, contiguous views that copy no data."""
     batches, entries = [], 0
-    for block in blocks:
-        if batches and entries + block[0].size <= _BATCH_ENTRIES:
-            batches[-1].append(block)
-            entries += block[0].size
-        else:
-            batches.append([block])
-            entries = block[0].size
+    for k, s in stacks:
+        start = 0
+        for i in range(len(k)):
+            if batches and entries + k[i].size <= _BATCH_ENTRIES:
+                entries += k[i].size
+            else:
+                if i > start:
+                    batches[-1].append((k[start:i], s[start:i]))
+                batches.append([])
+                start, entries = i, k[i].size
+        batches[-1].append((k[start:], s[start:]))
     return batches
 
 
-def _map_blocks(fn, blocks) -> list:
-    """``[fn(batch) for batch in _batches(blocks)]``, the batches run side
+def _map_blocks(fn, stacks, name: str) -> list:
+    """``[fn(batch) for batch in _batches(stacks)]``, the batches run side
     by side.
 
-    ``fn`` maps one batch of consecutive blocks (``_batches``) to its
-    result, so that each Lanczos norm of a batch is one run on its block
-    diagonal and each dense step one call per stack of the batch
-    (``_stacks``).  One block, the grid without mirrors or turn, runs
-    inline on the process's BLAS threads, since a large dense matrix gains
-    from them.  Two or more blocks run with every OpenBLAS build at one
-    thread (``_blas.single_threaded``), also when they form one batch, and
-    their batches on a pool of up to one worker thread per usable CPU:
-    blocks of a few hundred rows are faster on one thread than on all the
-    CPUs, their values then do not depend on the BLAS thread count or the
-    CPU count, and the workers overlap the dense work of one batch with
-    that of another, since the numpy ``linalg`` and ``matmul`` calls
-    release the GIL; only the per-block triangular solves (a scipy BLAS
-    wrapper) and the Lanczos iterations' Python steps hold it.  A pool
-    that would have one worker, such as for the one batch of the 25 modes
-    of a 24x48 sphere or of any level of a peanut study, is not started:
-    the batch runs inline, which also keeps its temporaries out of a
-    worker thread's malloc arena.  Results come in
-    batch order.  The first batch in that order that fails raises its own
-    exception, and batches not yet started are cancelled.
+    ``fn`` maps one batch, a list of (K, S) slices of the stacks
+    (``_batches``), to its result, so that each Lanczos norm of a batch is
+    one run on its block diagonal and each dense step one numpy call per
+    slice.  One block, the grid without mirrors or turn, runs inline on
+    the process's BLAS threads, since a large dense matrix gains from
+    them.  Two or more blocks run with every OpenBLAS build at one thread
+    (``_blas.single_threaded``), and their batches on a pool of up to one
+    worker thread per usable CPU: blocks of a few hundred rows are faster
+    on one thread than on all the CPUs, their values then do not depend
+    on the BLAS thread count or the CPU count, and the workers overlap the
+    dense work of one batch with that of another, since the numpy
+    ``linalg`` and ``matmul`` calls release the GIL; only the per-block
+    triangular solves and the Lanczos iterations' Python steps hold it.
+    A pool that would have one worker, such as for the 25 modes of a
+    24x48 sphere or any level of a peanut study, is not started, which
+    also keeps the batch's temporaries out of a worker thread's malloc
+    arena.  Results come in batch order.  The first batch in that order
+    that fails raises, and batches not yet started are cancelled.  A
+    NotPositiveDefinite is named after the first failing block, ``name``
+    and its index in block order: on that error path only, a batch of
+    several blocks runs again one block at a time, with the same values,
+    since each numpy call of a stack treats its blocks one by one.
     """
-    batches = _batches(blocks)
-    if len(blocks) < 2:
-        return [fn(batch) for batch in batches]
+    batches = _batches(stacks)
+    firsts = np.cumsum([0] + [sum(len(k) for k, _ in batch)
+                              for batch in batches])
+
+    def run(batch, first):
+        try:
+            return fn(batch)
+        except NotPositiveDefinite as exc:
+            blocks = [(k[j:j + 1], s[j:j + 1]) for k, s in batch
+                      for j in range(len(k))]
+            for i, block in enumerate(blocks, first):
+                try:
+                    if len(blocks) == 1:
+                        raise exc
+                    fn([block])
+                except NotPositiveDefinite as failure:
+                    raise NotPositiveDefinite(f"{name} {i}: {failure}")
+            raise
+
+    if firsts[-1] < 2:
+        return [run(batch, 0) for batch in batches]
     # imported on first use, so that importing npspectra runs none of it
     from concurrent.futures import ThreadPoolExecutor
 
@@ -1104,36 +1118,31 @@ def _map_blocks(fn, blocks) -> list:
     workers = min(len(batches), cpus)
     with _blas.single_threaded():
         if workers < 2:
-            return [fn(batch) for batch in batches]
+            return list(map(run, batches, firsts))
         with ThreadPoolExecutor(workers) as pool:
             # map cancels the batches not yet started once a result raises
-            return list(pool.map(fn, batches))
+            return list(pool.map(run, batches, firsts))
 
 
-def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
+def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     """Plemelj symmetrization per block: the eigenvalues, the singular
     values of K_w, and the merged operator.
 
-    ``blocks`` are those of ``_mode_blocks`` on a grid with the turn and
-    of ``_mirror_blocks`` otherwise, and ``mult`` their multiplicities
-    (``_split_blocks``).  The blocks go to ``_plemelj_symmetrize`` in the
-    batches of ``_map_blocks``, one pass that symmetrizes each stack of
-    blocks of one shape (``_stacks``), takes their ``eigvalsh`` and the
-    singular values of their K_b, one GIL-free numpy call per stack and
-    step, and takes the skew and commutator norms of a batch in one
-    Lanczos run each on its block diagonal, whose norm is the largest
-    block norm.  So the 25 blocks of a 24x48 sphere, one batch and one
-    stack, cost 2 Lanczos runs, not 50, 2 ``eigvalsh`` calls and 1
-    ``svd`` call, not 50 and 25; a block of more than ``_BATCH_ENTRIES``
-    entries, such as a mirror character of a 40x80 ellipsoid, is a batch
-    and a stack of its own.
+    ``stacks`` and ``mult`` are the (K, S) stacks of ``_split_blocks``
+    (the rotation modes as one stack pair, else each mirror character as
+    a stack of one) and the multiplicities of their blocks.  The stacks
+    go to ``_plemelj_symmetrize`` in the batches of ``_map_blocks``,
+    slices that copy no data: one pass that symmetrizes each slice and
+    takes its ``eigvalsh`` and the singular values of its K_b, one
+    GIL-free numpy call per slice and step, and the skew and commutator
+    norms of a batch in one Lanczos run each on its block diagonal.  So
+    the 25 modes of a 24x48 sphere, one batch and one slice, cost 2
+    Lanczos runs, 2 ``eigvalsh`` calls and 1 ``svd`` call.
 
     Returns the eigenvalues and the singular values of K_w, the sorted
     unions of the block values (``_sorted_union``), and the
     ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T, held by its
-    representative rows
-    (``_mode_rows`` or ``_mirror_rows``; its n x n ``matrix`` is built on
-    first access).  That is the Plemelj symmetrization of K_w for the
+    representative rows (``_mode_rows`` or ``_mirror_rows``).  That is the Plemelj symmetrization of K_w for the
     factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the
     Cholesky factor of the whole -S_w differs from it by an orthogonal
     similarity; on a grid with one block the two are the same).  The
@@ -1149,10 +1158,12 @@ def _symmetrize_blocks(grid: QuadratureGrid, blocks, mult):
     ------
     NotPositiveDefinite
         If some block of -S is not positive definite; the first such
-        block in block order raises.
+        block in block order raises, named ``mode m`` on a grid with the
+        turn, else ``mirror character i`` (the nonempty ones counted).
     """
-    eigs, svals, syms, norms = zip(*_map_blocks(_plemelj_symmetrize,
-                                                blocks))
+    eigs, svals, syms, norms = zip(*_map_blocks(
+        _plemelj_symmetrize, stacks,
+        "mode" if grid.turn else "mirror character"))
     syms = [stack for batch in syms for stack in batch]
     rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
     del syms

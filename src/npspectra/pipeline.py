@@ -17,11 +17,11 @@ from .errors import (ConfigError, DegenerateChart, GridError, NumericalError,
                      SingularInversion)
 from .functionals import weyl_coefficients_signed
 from .grids import build_grid
-from .operators import dump_operator
+from .operators import _symmetrize_blocks, dump_operator
 from .report import render_eigen_csv, render_report_json, write_text
-from .spectrum import (TRIVIAL_TOL, SpectrumReport, _plasmon_values,
-                       cluster_multiplicities, split_spectrum,
-                       symmetrized_spectrum, weyl_fit)
+from .spectrum import (TRIVIAL_TOL, SpectrumReport, _operator_blocks,
+                       _plasmon_values, cluster_multiplicities,
+                       split_spectrum, weyl_fit)
 
 CLUSTER_REL_TOL = 5e-2
 MAX_REPORTED_CLUSTERS = 32
@@ -57,29 +57,13 @@ def _fit_branch(seq, window):
 def compute_report(config: RunConfig) -> tuple:
     """Run the numerical pipeline and build the report.
 
-    The spectra come from ``spectrum.symmetrized_spectrum``, which
-    assembles the representative rows of K and S and splits them into
-    blocks (``spectrum._operator_blocks``): the rotation modes of a grid
-    with the turn, else the characters of the grid's mirror group, one
-    block on a grid with neither.  So on a grid with mirrors or the turn
-    no n x n array is built.  The blocks take one pass of batches of
-    consecutive blocks (``operators._map_blocks``,
-    ``operators._symmetrize_blocks``), which symmetrizes each block on its
-    own, takes its eigenvalues and the singular values of its K_b, and
-    takes the skew and commutator norms of a batch from one Lanczos run
-    each on its block diagonal.  The consecutive blocks of one shape in a
-    batch form one stack, and each dense step is one numpy call per
-    stack: on a 24x48 sphere, one batch and one stack of 25 modes, that
-    is 2 ``eigvalsh`` calls, 1 ``svd`` call and 2 Lanczos runs in all.
-    The eigenvalues and the singular values of K_w are the sorted unions
-    of the block values, each repeated by its block's multiplicity, and
-    the diagnostics merge as described in ``operators._symmetrize_blocks``,
-    with ||K|| and ||sym|| read off those unions.  Every report carries
-    the same diagnostics, whatever the grid size.  On a grid of several
-    blocks every LAPACK call runs on one BLAS thread, and several batches
-    run side by side, their numpy calls free of the GIL, so the report
-    does not depend on the BLAS thread count or the CPU count; a grid
-    whose blocks form one batch starts no thread pool.
+    Assembly splits the representative rows of K and S into (K, S)
+    stacks of blocks (``spectrum._operator_blocks``), so on a grid with
+    mirrors or the turn no n x n array is built; the symmetrization,
+    spectra and diagnostics then come from one pass over the stacks,
+    described in ``operators._symmetrize_blocks``.  An error is tagged
+    with its stage: ``assembly``, ``symmetrize`` (a block whose -S is not
+    positive definite, named in the message) or ``spectrum``.
 
     Returns
     -------
@@ -93,7 +77,10 @@ def compute_report(config: RunConfig) -> tuple:
         grid = build_grid(config.surface, *config.resolution)
         predicted = weyl_coefficients_signed(grid)
     with _stage("assembly"):
-        eigs, singular_values, sym = symmetrized_spectrum(grid)
+        stacks, mult = _operator_blocks(grid)
+    with _stage("symmetrize"):
+        eigs, singular_values, sym = _symmetrize_blocks(grid, stacks, mult)
+    del stacks
     with _stage("spectrum"):
         lambda_plus, lambda_minus = split_spectrum(eigs, config.noise_cutoff)
         clusters = cluster_multiplicities(eigs, CLUSTER_REL_TOL)
@@ -104,7 +91,10 @@ def compute_report(config: RunConfig) -> tuple:
             raise ConfigError(
                 f"/noise_cutoff: {config.noise_cutoff:g} is above every "
                 f"eigenvalue but the trivial 1/2; nothing is left to fit")
-        fit_total = weyl_fit(moduli, config.fit_window)
+        try:
+            fit_total = weyl_fit(moduli, config.fit_window)
+        except ConfigError as exc:
+            raise ConfigError(f"/fit_window: {exc}") from exc
         fit_plus = _fit_branch(_drop_trivial(lambda_plus), config.fit_window)
         fit_minus = _fit_branch(lambda_minus, config.fit_window)
         diagnostics = {

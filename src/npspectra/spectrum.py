@@ -20,11 +20,11 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import ConfigError, DomainError, PoleError
+from .errors import ConfigError, DomainError, NotPositiveDefinite, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
 from .operators import (_cholesky_neg_s, _map_blocks, _split_blocks,
-                        _stacks, _symmetrize_blocks, assemble_operators)
+                        _symmetrize_blocks, assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -221,16 +221,15 @@ def _plasmon_values(lam: np.ndarray):
 
 
 def _operator_blocks(grid):
-    """K_w and S_w split into blocks, and the multiplicity of each block.
+    """K_w and S_w split into blocks, as a list of (K, S) stacks, and the
+    multiplicity of each block.
 
     Assembles the representative rows of K and S and splits them
-    (``operators._split_blocks``).  On a grid with the turn they are the
-    n_u meridian rows and the blocks are one (K_b, S_b) pair per rotation
-    mode, of multiplicity 1 or 2.  Otherwise the blocks are one pair per
-    mirror character, each of multiplicity 1, or on a grid without mirrors
-    or turn the single pair (K_w, S_w), the rows converted in place.  No
-    n x n array is built on a grid with mirrors or the turn, and the rows
-    are freed on return unless they are that single pair.
+    (``operators._split_blocks``): the rotation modes of a grid with the
+    turn, one stack pair, each of multiplicity 1 or 2; otherwise the
+    mirror characters, a stack of one each, of multiplicity 1, which on a
+    grid without mirrors or turn views the whole rows converted in place.
+    No n x n array is built on a grid with mirrors or the turn.
     """
     k_op, s_op = assemble_operators(grid)
     return _split_blocks(grid, k_op.rows, s_op.rows)
@@ -240,18 +239,11 @@ def symmetrized_spectrum(grid):
     """Assemble and symmetrize; return the eigenvalues and the singular
     values of K_w, both sorted descending, and the symmetrized operator.
 
-    The route of ``compute_report``: each block (``_operator_blocks``: a
-    rotation mode on a grid with the turn, else a mirror character) is
-    symmetrized and solved on its own in one batch pass
-    (``operators._symmetrize_blocks``), which also takes the singular values
-    of each K_b, since ||K|| in the diagnostics is the first of them.  The
-    eigenvalues and the singular values are the sorted unions of the block
-    values, each repeated by its block's multiplicity; on a grid of
-    several batches they run side by side with one BLAS thread per call
-    (``operators._map_blocks``).  Returns ``(eigs, singular_values,
-    sym)``, with ``sym`` the ``symmetrized`` operator Q blockdiag(sym_b)
-    Q^T and its diagnostics; it holds its representative rows and builds
-    its n x n ``matrix`` on first access.
+    The route of ``compute_report``: the blocks of ``_operator_blocks``
+    in one pass of ``operators._symmetrize_blocks``.  Returns ``(eigs,
+    singular_values, sym)``, with ``sym`` the ``symmetrized`` operator
+    Q blockdiag(sym_b) Q^T and its diagnostics; it holds its
+    representative rows and builds its n x n ``matrix`` on first access.
     """
     return _symmetrize_blocks(grid, *_operator_blocks(grid))
 
@@ -291,28 +283,28 @@ def _negative_inertia(m: np.ndarray) -> int:
 def _negative_count(grid, threshold: float) -> int:
     """Number of eigenvalues of the symmetrized double layer below -threshold.
 
-    K and S are split into blocks (``_operator_blocks``: rotation modes
-    on a grid with the turn, mirror characters otherwise, one block on a
-    grid with neither), and the count is the sum of the block counts
-    (``_stack_negative_counts``), each times its block's multiplicity.
-    The blocks go in the consecutive batches of ``operators._map_blocks``,
-    which run side by side with one BLAS thread per call, each batch as
-    stacks of blocks of one shape (``operators._stacks``); the 33 modes of
-    a 32x64 peanut form one batch and one stack, which runs inline with
-    no pool.
+    K and S are split into (K, S) stacks of blocks (``_operator_blocks``:
+    the rotation modes as one stack pair on a grid with the turn, each
+    mirror character a stack of one otherwise), and the count is the sum
+    of the block counts (``_stack_negative_counts``), each times its
+    block's multiplicity, over the batches of ``operators._map_blocks``,
+    slices of the stacks that copy no data; the 33 modes of a 32x64
+    peanut form one batch and one slice, which runs inline with no pool.
 
     Raises
     ------
     NotPositiveDefinite
         If the Cholesky factorization of some block of -S fails; the
-        first such stack in block order raises.
+        first such block in block order raises, named as in
+        ``operators._symmetrize_blocks``.
     """
     def count(batch):
-        return [c for k, s in _stacks(batch)
+        return [c for k, s in batch
                 for c in _stack_negative_counts(k, s, threshold)]
 
-    blocks, mult = _operator_blocks(grid)
-    counts = _map_blocks(count, blocks)
+    stacks, mult = _operator_blocks(grid)
+    counts = _map_blocks(count, stacks,
+                         "mode" if grid.turn else "mirror character")
     return int(np.dot(mult, [c for batch in counts for c in batch]))
 
 
@@ -328,8 +320,9 @@ def _stack_negative_counts(k, s, threshold: float) -> list:
     positive definite; the factors are not needed otherwise.  One
     ``cholesky`` of the stack, one batched product K S and one LDL^T
     factorization per block (``_negative_inertia``) replace the
-    similarity transform and the eigensolve; ``s`` is consumed, and at
-    most three arrays of the stack's size are alive at any time.
+    similarity transform and the eigensolve.  ``k`` and ``s`` are left
+    as they are, and at most three arrays of the stack's size are alive
+    at any time.
 
     Raises
     ------
@@ -340,9 +333,7 @@ def _stack_negative_counts(k, s, threshold: float) -> list:
     m = np.matmul(k, s)
     m += np.swapaxes(m, 1, 2)
     m *= -0.5
-    s *= threshold
-    m -= s
-    del s
+    m -= threshold * s
     return [_negative_inertia(block) for block in m]
 
 
@@ -369,16 +360,12 @@ def negative_count_study(surface, resolutions: Sequence,
         strictly increasing throughout, INCONCLUSIVE otherwise.
 
     Each count is that of the eigenvalues of the symmetrized double layer
-    of ``symmetrized_spectrum`` below -threshold.  It is the sum over the
-    blocks of the grid (``_operator_blocks``: rotation modes on a grid with
-    the turn, mirror characters otherwise), each times its multiplicity,
-    of the inertia of -sym(K_b S_b) - threshold S_b (``_negative_count``),
-    which needs only dense work of the block sizes, n_u on a surface of
-    revolution and about n/8 on another catalog surface, the blocks
-    running side by side with one BLAS thread per call, so on a grid with
-    several blocks the counts do not depend on the BLAS thread count.
-    A Cholesky factorization of each block of -S gates positivity; no
-    ``min_eig_negS``, Plemelj residual or asymmetry diagnostic is computed.
+    of ``symmetrized_spectrum`` below -threshold, summed over the blocks
+    of the grid from their inertias (``_negative_count``), with dense
+    work of the block sizes only; on a grid of several blocks it does not
+    depend on the BLAS thread count.  A Cholesky factorization of each
+    block of -S gates positivity; no ``min_eig_negS``, Plemelj residual or
+    asymmetry diagnostic is computed.
 
     Raises
     ------
@@ -388,7 +375,8 @@ def negative_count_study(surface, resolutions: Sequence,
         rejects (raised before any grid is built), or a threshold that is
         not positive and finite.
     NotPositiveDefinite
-        If -S is not positive definite on some grid.
+        If -S is not positive definite on some grid; the message names
+        the first such grid and its first failing block.
     """
     if not 0 < threshold < np.inf:
         raise ConfigError(f"threshold must be positive and finite, "
@@ -412,7 +400,11 @@ def negative_count_study(surface, resolutions: Sequence,
     rows = []
     for nu, nv in res:
         grid = build_grid(surface, nu, nv)
-        rows.append((grid.n_nodes, _negative_count(grid, threshold)))
+        try:
+            rows.append((grid.n_nodes, _negative_count(grid, threshold)))
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(
+                f"{nu}x{nv} grid ({grid.n_nodes} nodes): {exc}") from exc
     counts = [c for _, c in rows]
     if all(b > a for a, b in zip(counts, counts[1:])):
         classification = GROWING

@@ -106,10 +106,10 @@ def test_blocks_run_on_one_blas_thread_and_the_counts_return(
 
 @pytest.mark.parametrize("make_grid, n_blocks, n_stacks", [
     # the sphere takes the 13 rotation modes, one stack; the ellipsoid its
-    # 8 mirror characters of 42, 36, 36, 30, 42, 36, 36 and 30 nodes, six
-    # stacks of consecutive blocks of one shape
+    # 8 mirror characters of 42, 36, 36, 30, 42, 36, 36 and 30 nodes, a
+    # stack of one each
     (lambda: build_grid(sphere(), 12, 24), 13, 1),
-    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 12, 24), 8, 6),
+    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 12, 24), 8, 8),
     (lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24),
      1, 1),
 ], ids=["mirrored", "mirror-characters", "without-mirrors"])
@@ -135,8 +135,8 @@ def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
 def _fail_blocks(monkeypatch, grid, failing):
     """Make ``np.linalg.cholesky`` fail on a stack that holds the -S of a
     block in ``failing``, naming the first such block of the stack."""
-    blocks, _ = spectrum._operator_blocks(grid)
-    neg_s = [-s for _, s in blocks]
+    stacks, _ = spectrum._operator_blocks(grid)
+    neg_s = [-b for _, s in stacks for b in s]
     cholesky = np.linalg.cholesky
 
     def injected(a, *args, **kwargs):
@@ -174,13 +174,13 @@ def _two_cpus(monkeypatch):
 
 def test_blocks_after_a_failure_are_not_started(monkeypatch):
     _two_cpus(monkeypatch)
-    # each of the 8 one-entry blocks is a batch of its own
+    # each of the 8 one-entry blocks of one stack is a batch of its own
     monkeypatch.setattr(operators, "_BATCH_ENTRIES", 1)
-    blocks = [(np.zeros(1), index) for index in range(8)]
+    blocks = [(np.zeros((8, 1, 1)), np.arange(8))]
     started = []
 
     def run(batch):
-        ((_, index),) = batch
+        ((_, (index,)),) = batch
         started.append(index)
         if index == 0:
             raise ValueError("block 0 failed")
@@ -188,7 +188,7 @@ def test_blocks_after_a_failure_are_not_started(monkeypatch):
         return index
 
     with pytest.raises(ValueError, match="block 0 failed"):
-        operators._map_blocks(run, blocks)
+        operators._map_blocks(run, blocks, "block")
     # only the batches already running when block 0 failed; without the
     # cancel the pool would run all 8 before the error is raised
     assert len(started) < 8
@@ -236,12 +236,13 @@ def test_report_without_openblas_builds_keeps_its_values(monkeypatch):
 ], ids=["sphere-24x48", "torus-16x16", "ellipsoid-16x32"])
 def test_values_do_not_depend_on_the_batching(monkeypatch, make_grid):
     grid = make_grid()
-    blocks, _ = spectrum._operator_blocks(grid)
+    stacks, _ = spectrum._operator_blocks(grid)
     runs = []
     # every block alone, then all of them in one batch
-    for entries, n_batches in ((1, len(blocks)), (1 << 40, 1)):
+    n_blocks = sum(len(k) for k, _ in stacks)
+    for entries, n_batches in ((1, n_blocks), (1 << 40, 1)):
         monkeypatch.setattr(operators, "_BATCH_ENTRIES", entries)
-        assert len(operators._batches(blocks)) == n_batches
+        assert len(operators._batches(stacks)) == n_batches
         runs.append(spectrum.symmetrized_spectrum(grid))
     (alone, alone_svals, alone_sym), (batched, batched_svals,
                                       batched_sym) = runs
@@ -281,9 +282,9 @@ def test_report_cuts_its_blocks_into_batches_once(monkeypatch):
     seen = []
     batches = operators._batches
 
-    def counting(blocks):
-        seen.append(len(blocks))
-        return batches(blocks)
+    def counting(stacks):
+        seen.append(len(stacks))
+        return batches(stacks)
 
     monkeypatch.setattr(operators, "_batches", counting)
     compute_report(make_config(

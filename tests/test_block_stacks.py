@@ -1,11 +1,14 @@
-"""The blocks of a batch as stacks: one numpy call per stack and step.
+"""The blocks as (K, S) stacks: one numpy call per stack and step.
 
-Symmetrization (``operators._plemelj_symmetrize``) groups the consecutive
-blocks of one shape of a batch into (b, m, m) stacks (``operators._stacks``)
-and runs each dense step as one numpy ``linalg`` call per stack.  These
-tests check the grouping, compare every block of the stacked pass with a
-per-block scipy computation on the mode and mirror ``CASES`` grids, and
-count the calls of a report.
+``operators._split_blocks`` holds the blocks as (b, m, m) stacks, the
+rotation modes as one stack pair and each mirror character as a stack of
+one, and ``operators._batches`` cuts them into batches of slices that
+copy no data.  Symmetrization (``operators._plemelj_symmetrize``) runs
+each dense step as one numpy ``linalg`` call per slice.  These tests
+check that the batches are views of the split, compare every block of
+the stacked pass with a per-block scipy computation on the mode and
+mirror ``CASES`` grids, check that a failing block is named by its place
+in block order, and count the calls of a report.
 """
 
 from __future__ import annotations
@@ -16,29 +19,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from npspectra import build_grid, operators, spectrum
+from npspectra import NotPositiveDefinite, build_grid, operators, spectrum
 from npspectra.pipeline import compute_report
 
 from conftest import make_config
 from test_mirror_blocks import CASES as MIRROR_CASES, _without_turn
 from test_mode_blocks import CASES as MODE_CASES
-
-
-def test_stacks_group_consecutive_blocks_of_one_shape():
-    sizes = [3, 3, 2, 3, 4, 4]
-    batch = [(np.full((m, m), i, dtype=float), np.full((m, m), -i - 0.5))
-             for i, m in enumerate(sizes)]
-    stacks = operators._stacks(batch)
-    assert [(k.shape, s.shape) for k, s in stacks] == [
-        ((2, 3, 3),) * 2, ((1, 2, 2),) * 2, ((1, 3, 3),) * 2,
-        ((2, 4, 4),) * 2]
-    blocks = [pair for k, s in stacks for pair in zip(k, s)]
-    assert len(blocks) == len(batch)
-    for (k, s), (k_ref, s_ref) in zip(blocks, batch):
-        assert np.array_equal(k, k_ref) and np.array_equal(s, s_ref)
-    # a block alone is a view of its own arrays, not a copy
-    assert stacks[1][0].base is batch[2][0]
-    assert stacks[1][1].base is batch[2][1]
 
 
 def _grid(case):
@@ -54,16 +40,86 @@ def _blockwise(stacks):
     return [block for stack in stacks for block in stack]
 
 
+def _pairs(stacks):
+    return [pair for k, s in stacks for pair in zip(k, s)]
+
+
+@pytest.mark.parametrize("case, entries, slices", [
+    # the 13 modes of a 12x24 sphere, one stack pair, in batches of 5, 5
+    # and 3 modes, one slice each
+    (("mode", "sphere-12x24"), 5 * 12 * 12, [[5], [5], [3]]),
+    # the 8 mirror characters of a 16x32 ellipsoid, of 72, 64, 64, 56, 72,
+    # 64, 64 and 56 nodes, a stack of one each, in two batches of 4
+    (("mirror", "ellipsoid-16x32"), 72 ** 2 + 2 * 64 ** 2 + 56 ** 2,
+     [[1] * 4] * 2),
+], ids=["mode", "mirror"])
+def test_batches_are_views_of_the_split_stacks(monkeypatch, case, entries,
+                                               slices):
+    monkeypatch.setattr(operators, "_BATCH_ENTRIES", entries)
+    stacks, mult = spectrum._operator_blocks(_grid(case))
+    assert sum(len(k) for k, _ in stacks) == len(mult)
+    batches = operators._batches(stacks)
+    assert [[len(k) for k, _ in batch] for batch in batches] == slices
+    # each slice is a (b, m, m) stack pair sharing memory with the split,
+    # and the batches hold every block once, in block order
+    for k, s in (pair for batch in batches for pair in batch):
+        assert k.ndim == s.ndim == 3 and k.shape == s.shape
+    pairs = [pair for batch in batches for pair in _pairs(batch)]
+    assert len(pairs) == len(mult)
+    for (k, s), (k_ref, s_ref) in zip(pairs, _pairs(stacks)):
+        assert k.shape == k_ref.shape and s.shape == s_ref.shape
+        assert np.shares_memory(k, k_ref) and np.shares_memory(s, s_ref)
+
+
+def _synthetic_stack(n_blocks, m, bad):
+    """A (K, S) stack pair whose -S_b are positive definite but block
+    ``bad``'s, which has one negative eigenvalue."""
+    rng = np.random.default_rng(3)
+    k = 0.1 * rng.standard_normal((n_blocks, m, m))
+    a = rng.standard_normal((n_blocks, m, m))
+    s = -(np.eye(m) + 0.1 * (a + np.swapaxes(a, 1, 2)))
+    s[bad, 0, 0] = 2.0
+    return k, s
+
+
+def _count(batch):
+    return [c for k, s in batch
+            for c in spectrum._stack_negative_counts(k, s, 1e-3)]
+
+
+def _layout(k, s, layout):
+    if layout == "one-stack":
+        return [(k, s)]
+    return [(k[i:i + 1], s[i:i + 1]) for i in range(len(k))]
+
+
+@pytest.mark.parametrize("fn", [operators._plemelj_symmetrize, _count],
+                         ids=["symmetrize", "count"])
+@pytest.mark.parametrize("layout", ["one-stack", "stacks-of-one"])
+@pytest.mark.parametrize("per_batch", [6, 2, 1])
+def test_a_failing_block_is_named_by_its_place_in_block_order(
+        monkeypatch, fn, layout, per_batch):
+    k, s = _synthetic_stack(6, 5, bad=3)
+    monkeypatch.setattr(operators, "_BATCH_ENTRIES", per_batch * 25)
+    stacks = _layout(k, s, layout)
+    assert len(operators._batches(stacks)) == 6 // per_batch
+    with pytest.raises(NotPositiveDefinite, match=r"^mode 3: "):
+        operators._map_blocks(fn, stacks, "mode")
+    # without block 3 every block passes
+    good = [0, 1, 2, 4, 5]
+    operators._map_blocks(fn, _layout(k[good], s[good], layout), "mode")
+
+
 @pytest.mark.parametrize("case", [("mode", name) for name in MODE_CASES]
                          + [("mirror", name) for name in MIRROR_CASES],
                          ids=lambda case: "-".join(case))
 def test_stacked_pass_matches_a_per_block_scipy_computation(case):
-    blocks, _ = spectrum._operator_blocks(_grid(case))
-    for batch in operators._batches(blocks):
+    stacks, _ = spectrum._operator_blocks(_grid(case))
+    for batch in operators._batches(stacks):
         eigs, svals, syms, norms = operators._plemelj_symmetrize(batch)
         min_eig, skew_norm, resid, s_norm = norms
         ref_neg_s, ref_skew, ref_resid = [], [], []
-        for (k, s), eig, sval, sym in zip(batch, _blockwise(eigs),
+        for (k, s), eig, sval, sym in zip(_pairs(batch), _blockwise(eigs),
                                           _blockwise(svals),
                                           _blockwise(syms)):
             low = sla.cholesky(-s, lower=True)

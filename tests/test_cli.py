@@ -109,6 +109,18 @@ def test_noise_cutoff_above_every_eigenvalue_exits_config(tmp_path):
     assert "fit window" not in result.stderr
 
 
+def test_fit_window_past_the_spectrum_names_its_pointer(capsys, tmp_path):
+    config = write_config(tmp_path, {"surface": {"name": "sphere"},
+                                     "resolution": [8, 16],
+                                     "fit_window": [4, 5000]})
+    code = cli.main(["spectrum", "--config", str(config)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: spectrum: /fit_window: fit window "
+                          "(4, 5000) outside valid range [1, ")
+    assert err.count("\n") == 1
+
+
 def test_invalid_torus_parameters_exit_config(tmp_path):
     config = write_config(tmp_path, {
         "surface": {"name": "torus", "R": 1.0, "r": 2.0}})
@@ -221,6 +233,30 @@ def test_non_finite_operator_entry_exits_numerical(monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: assembly: double-layer entry (0, ")
     assert err.count("\n") == 1
+
+
+def _without_self_cell_integrals(monkeypatch):
+    """Zero the single-layer diagonal, so that -S is not positive
+    definite; on a 12x24 sphere mode 0 fails first."""
+    monkeypatch.setattr(operators, "_self_cell_single_layer",
+                        lambda grid, rows: np.zeros(rows.size))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["spectrum"], "error: symmetrize: mode 0: -S has min eigenvalue "
+                   "-2.186e-02; refine the grid\n"),
+    (["study-negatives", "--resolutions", "12x24,14x28,16x32"],
+     "error: 12x24 grid (288 nodes): mode 0: Cholesky factorization of -S "
+     "failed (Matrix is not positive definite); refine the grid\n"),
+], ids=["spectrum", "study-negatives"])
+def test_lost_positivity_exits_4_naming_the_stage_and_the_block(
+        monkeypatch, capsys, tmp_path, argv, line):
+    config = write_config(tmp_path, {"surface": {"name": "sphere"},
+                                     "resolution": [12, 24]})
+    _without_self_cell_integrals(monkeypatch)
+    code = cli.main([argv[0], "--config", str(config), *argv[1:]])
+    assert code == cli.EXIT_NOT_PD == 4
+    assert capsys.readouterr().err == line
 
 
 # numpy's message for an array that cannot be allocated, and the bare

@@ -52,11 +52,11 @@ def test_operator_blocks_allocate_less_than_one_full_matrix(make_surface,
     assert grid.mirrors.shape[0] == 8
     tracemalloc.start()
     try:
-        blocks, _ = spectrum._operator_blocks(grid)
+        stacks, _ = spectrum._operator_blocks(grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(blocks) == n_blocks
+    assert sum(len(k) for k, _ in stacks) == n_blocks
     assert peak < 8 * n * n, peak / (8 * n * n)
 
 

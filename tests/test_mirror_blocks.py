@@ -111,8 +111,9 @@ def _dense(grid):
     the eigenvalues of K_w itself, unsymmetrized.
     """
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
-    ((kw, sw),), _ = spectrum._operator_blocks(whole)
-    _, _, sym = operators._symmetrize_blocks(whole, [(kw, sw)], [1])
+    stacks, _ = spectrum._operator_blocks(whole)
+    _, _, sym = operators._symmetrize_blocks(whole, stacks, [1])
+    (((kw,), (sw,)),) = stacks
     eigs = np.sort(sla.eigvalsh(sym.matrix))
     exact = _exact_norms(kw, sw)
     exact["raw_eigs"] = np.sort(np.linalg.eigvals(kw).real)
@@ -184,9 +185,9 @@ def test_diagnostics_match_dense(case):
 def test_asymmetry_norm_is_the_largest_skew_norm_over_the_spectrum(case):
     # the skew parts of the blocks, by Cholesky factors of their own
     grid, *_, report, _ = case
-    blocks, _ = spectrum._operator_blocks(grid)
+    stacks, _ = spectrum._operator_blocks(grid)
     skew_norms = []
-    for k, s in blocks:
+    for k, s in ((k, s) for ks, ss in stacks for k, s in zip(ks, ss)):
         low = sla.cholesky(-s, lower=True)
         kt = sla.solve_triangular(low, k @ low, lower=True)
         skew_norms.append(sla.svdvals(0.5 * (kt - kt.T))[0])
@@ -286,7 +287,8 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid,
     eigs, svals, dense, _ = _dense(grid)
     k_op, s_op = assemble_operators(grid)
     blocks = operators._mirror_blocks(grid, k_op.rows, s_op.rows)
-    assert len(blocks) == 1 and blocks[0][0] is k_op.rows
+    # one stack of one block, a view of the rows converted in place
+    assert len(blocks) == 1 and blocks[0][0].base is k_op.rows
     sym_blocks = []
     symmetrize = operators._plemelj_symmetrize
 
@@ -301,7 +303,8 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid,
     assert len(sym_blocks) == 1 and sym_blocks[0].shape[0] == 1
     assert sym.rows.base is sym_blocks[0] and sym.rows is sym.matrix
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix)) - eigs).max() <= 1e-12
-    assert np.abs(np.sort(sla.svdvals(blocks[0][0])) - svals).max() <= 1e-12
+    assert np.abs(np.sort(sla.svdvals(blocks[0][0][0]))
+                  - svals).max() <= 1e-12
     assert np.abs(sym.matrix - dense.matrix).max() <= 1e-12
     for key in ("min_eig_negS", "plemelj_residual", "asymmetry_norm"):
         ref = dense.diagnostics[key]

@@ -63,9 +63,10 @@ def test_grid_keeps_the_turn(case):
     grid, *_ = case
     n_u, n_v = grid.resolution
     assert grid.turn
-    blocks, mult = spectrum._operator_blocks(grid)
-    assert len(blocks) == len(mult) == n_v // 2 + 1
-    assert all(k.shape == s.shape == (n_u, n_u) for k, s in blocks)
+    # the modes are one stack pair
+    ((k, s),), mult = spectrum._operator_blocks(grid)
+    assert k.shape == s.shape == (len(mult), n_u, n_u)
+    assert len(mult) == n_v // 2 + 1
     # every node counted once over the modes and their multiplicities
     assert n_u * int(np.sum(mult)) == grid.n_nodes
     assert list(mult[:2]) == [1, 2] and mult[-1] == 2 - (n_v + 1) % 2

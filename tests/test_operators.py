@@ -48,7 +48,7 @@ def _symmetrize(kw, sw):
     """Plemelj symmetrization of the whole weighted pair, unblocked: one
     stack of one block."""
     ((eigs,),), ((svals,),), ((sym,),), norms = \
-        operators._plemelj_symmetrize([(kw.matrix, sw.matrix)])
+        operators._plemelj_symmetrize([(kw.matrix[None], sw.matrix[None])])
     return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
                             diagnostics=operators._merge_diagnostics(
                                 [norms], eigs[::-1], svals))

@@ -51,7 +51,7 @@ def test_diagnostics_contents(sphere_report_small):
     # the raw spectrum of the unblocked K_w, unsymmetrized
     grid = build_grid(sphere(), 16, 32)
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
-    ((kw, _),), _ = spectrum._operator_blocks(whole)
+    (((kw,), _),), _ = spectrum._operator_blocks(whole)
     raw = np.sort(np.linalg.eigvals(kw).real)
     signed = np.sort(np.concatenate([report.lambda_plus,
                                      -report.lambda_minus]))

@@ -1,0 +1,57 @@
+"""The seed-0 benchmark outputs, pinned.
+
+The benchmark's three reference configs (seed 0 of ``perfbench``), built
+here from their documents: a 24x48 sphere report, a 40x80 ellipsoid
+report with a matrix dump, and a peanut study at 16x32, 24x48 and 32x64.
+Each report's digest is the sha256 of its ``report.json`` and
+``eigen.csv`` bytes, in that order.  A change that moves these numbers on
+purpose updates the literals below and declares them in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from npspectra import negative_count_study, parse_config, peanut
+from npspectra.pipeline import compute_report, write_outputs
+from npspectra.spectrum import GROWING
+
+_SPHERE = {"surface": {"name": "sphere", "r": 1.0}, "resolution": [24, 48],
+           "outputs": [{"report_json": "report.json"},
+                       {"eigen_csv": "eigen.csv"}]}
+_ELLIPSOID = {"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+              "resolution": [40, 80],
+              "outputs": [{"report_json": "report.json"},
+                          {"eigen_csv": "eigen.csv"},
+                          {"matrix_dump": "operator.npop"}]}
+
+
+def _sha256(*paths) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("doc, digest, dump", [
+    (_SPHERE, "078e86329e9085c5", None),
+    (_ELLIPSOID, "7552215d0e0f9ed6", "fad577faf4153535"),
+], ids=["sphere-24x48", "ellipsoid-40x80"])
+def test_seed_0_report_digests(tmp_path, doc, digest, dump):
+    config = parse_config(json.dumps(doc, sort_keys=True))
+    report, sym = compute_report(config)
+    write_outputs(report, sym, config, str(tmp_path))
+    assert _sha256(tmp_path / "report.json",
+                   tmp_path / "eigen.csv")[:16] == digest
+    if dump is not None:
+        assert _sha256(tmp_path / "operator.npop")[:16] == dump
+
+
+def test_seed_0_peanut_study():
+    study = negative_count_study(peanut(1.0, 1.1),
+                                 [(16, 32), (24, 48), (32, 64)])
+    assert study.rows == [(512, 104), (1152, 235), (2048, 374)]
+    assert study.classification == GROWING
