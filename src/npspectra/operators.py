@@ -51,8 +51,8 @@ grid's nodes and split into one block per character of the mirror group
 symmetrized through its own single layer (``_symmetrize_blocks``), so the
 reports, the study and ``spectrum.symmetrized_spectrum`` do dense work on
 blocks of n_u nodes on a surface of revolution and of about n/8 nodes on
-another catalog grid, and read only the representative rows; so does a
-matrix dump.  No n x n array is built unless a caller reads ``matrix``.
+another catalog grid; the symmetrized operator keeps the blocks and joins
+its rows only when read.  No n x n array is built unless ``matrix`` is read.
 The blocks are held as a list of (K, S) stacks of (b, m, m) arrays, in
 block order: the modes are one stack pair (``_mode_blocks``), each mirror
 character a stack of one, a view of its block.  Every per-block step runs
@@ -126,7 +126,9 @@ class DiscreteOperator:
     when ``rows`` has n rows it is ``rows`` itself, not a copy.
     A matrix dump (``dump_operator``) streams the same rows from ``rows``
     in bounded chunks, with the same bits, and neither reads nor builds
-    ``matrix``.
+    ``matrix``.  The symmetrized operator (``_symmetrize_blocks``) is made
+    with ``rows=None`` and its blocks' ``stacks``; the first read of
+    ``rows`` joins them (``_mode_rows`` or ``_mirror_rows``), then drops them.
 
     ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
     the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
@@ -135,14 +137,26 @@ class DiscreteOperator:
     of the symmetrized operator) and ``plemelj_residual``.
     """
 
-    rows: np.ndarray
+    rows: np.ndarray | None
     basis: str
     grid: QuadratureGrid = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
+    stacks: list | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.rows is None:
+            del self.rows
+
+    def __getattr__(self, name):
+        if name != "rows":
+            raise AttributeError(name)
+        join = _mode_rows if self.grid.turn else _mirror_rows
+        self.rows, self.stacks = join(self.grid, self.stacks), None
+        return self.rows
 
     @property
     def n(self) -> int:
-        return self.rows.shape[1]
+        return self.grid.n_nodes
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -918,12 +932,12 @@ def _mirror_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
 
     The matrix M commutes with the mirror permutations, so its rows at the
     orbit representatives determine it: M[r_a, g r_b] = sum_chi chi(g)
-    B_chi[a, b] / sqrt(o_a o_b) with o = |G| / st the orbit sizes.  The
-    other rows are permuted copies, M[h r_a, j] = M[r_a, h j], gathered
-    by ``DiscreteOperator.matrix`` when read and by a matrix dump; an
-    exactly symmetric set of blocks gives an exactly symmetric matrix.  On
-    a grid without mirrors the single block is the whole matrix and is
-    returned itself, a view of its stack of one.
+    B_chi[a, b] / sqrt(o_a o_b) with o = |G| / st the orbit sizes, joined
+    on the first read of a symmetrized operator's ``rows``.  The other
+    rows are permuted copies, M[h r_a, j] = M[r_a, h j], and an exactly
+    symmetric set of blocks gives an exactly symmetric matrix.  On a grid
+    without mirrors the single block is the whole matrix and is returned
+    itself, a view of its stack of one.
     """
     perms = grid.mirrors
     if perms.shape[0] == 1:
@@ -1000,7 +1014,7 @@ def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     ``irfft`` (n = n_v) along the mode axis, averaged with their mirror
     images M[(b, 0), (a, -d)] so that an exactly symmetric set of blocks
     gives an exactly symmetric matrix.  The other rows follow by the turn
-    (``_fill_turns``).
+    (``_fill_turns``).  Joined when a symmetrized operator's ``rows`` is read.
     """
     n_u, n_v = grid.resolution
     rows = np.fft.irfft(np.stack([block for stack in stacks
@@ -1140,19 +1154,17 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     Lanczos runs, 2 ``eigvalsh`` calls and 1 ``svd`` call.
 
     Returns the eigenvalues and the singular values of K_w, the sorted
-    unions of the block values (``_sorted_union``), and the
-    ``symmetrized`` DiscreteOperator Q blockdiag(sym_b) Q^T, held by its
-    representative rows (``_mode_rows`` or ``_mirror_rows``).  That is the Plemelj symmetrization of K_w for the
-    factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization for the
-    Cholesky factor of the whole -S_w differs from it by an orthogonal
-    similarity; on a grid with one block the two are the same).  The
-    sym_b are freed once the rows are rebuilt.  Diagnostics merge over
-    the batches, whatever the blocks' multiplicity: ``min_eig_negS`` is
-    the smallest block value, ``plemelj_residual`` is
-    max ||R_b|| / (max ||K_b|| max ||S_b||) and ``asymmetry_norm`` is
+    unions of the block values (``_sorted_union``), and the ``symmetrized``
+    DiscreteOperator Q blockdiag(sym_b) Q^T, held by the stacks of its
+    sym_b until its rows are read.  That is the Plemelj symmetrization of
+    K_w for the factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization
+    for the Cholesky factor of the whole -S_w differs from it by an
+    orthogonal similarity; on a grid with one block the two are the same).
+    Diagnostics merge over the batches, whatever the blocks' multiplicity:
+    ``min_eig_negS`` is the smallest block value, ``plemelj_residual`` is
+    max ||R_b|| / (max ||K_b|| max ||S_b||), and ``asymmetry_norm`` is
     max ||skew_b|| / max ||sym_b||, with max ||K_b|| the first singular
-    value and max ||sym_b|| the largest |eigenvalue|
-    (``_merge_diagnostics``).
+    value and max ||sym_b|| the largest |eigenvalue| (``_merge_diagnostics``).
 
     Raises
     ------
@@ -1164,13 +1176,11 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     eigs, svals, syms, norms = zip(*_map_blocks(
         _plemelj_symmetrize, stacks,
         "mode" if grid.turn else "mirror character"))
-    syms = [stack for batch in syms for stack in batch]
-    rows = _mode_rows(grid, syms) if grid.turn else _mirror_rows(grid, syms)
-    del syms
     eigs, svals = _sorted_union(eigs, mult), _sorted_union(svals, mult)
     return eigs, svals, DiscreteOperator(
-        rows, basis="symmetrized", grid=grid,
-        diagnostics=_merge_diagnostics(norms, eigs, svals))
+        None, basis="symmetrized", grid=grid,
+        diagnostics=_merge_diagnostics(norms, eigs, svals),
+        stacks=[stack for batch in syms for stack in batch])
 
 
 # ------------------------------------------------------------------ binary dump

@@ -70,8 +70,8 @@ def compute_report(config: RunConfig) -> tuple:
     (SpectrumReport, DiscreteOperator)
         The report plus the symmetrized operator (kept for matrix dumps),
         Q blockdiag(sym_b) Q^T in the orthonormal basis of the blocks.  It
-        holds its representative rows and builds its n x n ``matrix`` on
-        first access; a ``matrix_dump`` streams the rows without it.
+        holds its blocks, joins its representative rows on first read, and
+        builds ``matrix`` from them; a ``matrix_dump`` streams the rows.
     """
     with _stage("geometry"):
         grid = build_grid(config.surface, *config.resolution)
@@ -153,7 +153,7 @@ def write_outputs(report: SpectrumReport, sym, config: RunConfig,
     """Write the outputs requested by the config; returns written paths.
 
     Paths are resolved against ``base_dir`` (``_output_jobs``); all file
-    content is rendered before the first write.
+    content is rendered, a dump's rows joined, before the first write.
     """
     jobs = _output_jobs(config, base_dir)
     rendered = {}
@@ -163,6 +163,8 @@ def write_outputs(report: SpectrumReport, sym, config: RunConfig,
                                                 __version__)
         elif key == "eigen_csv":
             rendered[full] = render_eigen_csv(report)
+        elif key == "matrix_dump":
+            rendered[full] = sym.rows  # joined before any file opens
     written = []
     for key, full in jobs:
         parent = os.path.dirname(full)

@@ -242,8 +242,8 @@ def symmetrized_spectrum(grid):
     The route of ``compute_report``: the blocks of ``_operator_blocks``
     in one pass of ``operators._symmetrize_blocks``.  Returns ``(eigs,
     singular_values, sym)``, with ``sym`` the ``symmetrized`` operator
-    Q blockdiag(sym_b) Q^T and its diagnostics; it holds its
-    representative rows and builds its n x n ``matrix`` on first access.
+    Q blockdiag(sym_b) Q^T and its diagnostics; it holds its blocks and
+    joins its representative rows on first read.
     """
     return _symmetrize_blocks(grid, *_operator_blocks(grid))
 

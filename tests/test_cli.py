@@ -278,6 +278,26 @@ def test_out_of_memory_exits_memory(monkeypatch, capsys, sphere_config,
     assert err == f"error: out of memory: {shown or message}\n"
 
 
+def test_out_of_memory_in_the_dump_writes_no_output(monkeypatch, capsys,
+                                                    tmp_path):
+    # the dumped rows are joined before the first output file opens
+    def unallocatable(*args, **kwargs):
+        raise MemoryError("")
+
+    monkeypatch.setattr(operators, "_mirror_rows", unallocatable)
+    config = write_config(tmp_path, {
+        "surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+        "resolution": [16, 32],
+        "outputs": [{"report_json": "report.json"},
+                    {"matrix_dump": "operator.npop"}]})
+    out = tmp_path / "out"
+    code = cli.main(["spectrum", "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_MEMORY == 6
+    assert capsys.readouterr().err == ("error: out of memory: an allocation "
+                                       "failed\n")
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("exc", ["DomainError", "PoleError"])
 def test_spectral_domain_faults_exit_config(monkeypatch, capsys,
                                             sphere_config, exc):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -35,6 +36,54 @@ def fill_calls(monkeypatch):
     monkeypatch.setattr(operators, "_fill_orbits", counted_orbits)
     monkeypatch.setattr(operators, "_fill_turns", counted_turns)
     return calls
+
+
+@pytest.fixture
+def join_calls(monkeypatch):
+    """List that records each ``_mode_rows`` or ``_mirror_rows`` call by
+    name: each joins a symmetrized operator's blocks into its rows."""
+    calls = []
+
+    def spy(name):
+        join = getattr(operators, name)
+
+        def joined(grid, stacks):
+            calls.append(name)
+            return join(grid, stacks)
+        return joined
+
+    for name in ("_mode_rows", "_mirror_rows"):
+        monkeypatch.setattr(operators, name, spy(name))
+    return calls
+
+
+# the digests pin the bytes of the symmetrized matrix, so that joining
+# its rows on first read changes no bit of it
+@pytest.mark.parametrize("surface, resolution, join, digest", [
+    ({"name": "sphere"}, [24, 48], "_mode_rows", "b62c83b2cc881782"),
+    ({"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0}, [16, 32],
+     "_mirror_rows", "654fcef1554a5941"),
+], ids=["sphere-24x48", "ellipsoid-16x32"])
+def test_rows_are_joined_only_for_a_dump_and_once(join_calls, tmp_path,
+                                                  surface, resolution, join,
+                                                  digest):
+    doc = {"surface": surface, "resolution": resolution,
+           "outputs": [{"report_json": "report.json"},
+                       {"eigen_csv": "eigen.csv"}]}
+    config = make_config(doc)
+    report, sym = compute_report(config)
+    write_outputs(report, sym, config, str(tmp_path / "report"))
+    assert join_calls == []
+    assert "rows" not in sym.__dict__ and sym.stacks
+    assert sym.n == report.diagnostics["n_nodes"] and join_calls == []
+    dumped = make_config({**doc, "outputs": [{"matrix_dump": "op.bin"}]})
+    write_outputs(report, sym, dumped, str(tmp_path))
+    assert join_calls == [join] and sym.stacks is None
+    matrix = sym.matrix
+    assert join_calls == [join]
+    assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == digest
+    assert np.array_equal(read_matrix_dump(str(tmp_path / "op.bin"))[0],
+                          matrix)
 
 
 # At 2048 nodes the assembly's fixed temporaries (near-field chunks and
