@@ -17,8 +17,9 @@ be assembled, or a value outside the domain of a spectral map), 4 lost
 positivity of the single layer, 5 numerical failure, 6 out of memory (an
 array the grid needs cannot be allocated; pick a coarser grid).  Codes 1
 and 3-6 print one ``error:`` line on stderr, with no traceback.  Code 4
-names the first block whose -S is not positive definite, ``mode m`` on a
-surface of revolution, else ``mirror character i`` (the nonempty ones
+names the first block whose -S is not positive definite, ``mode m even``
+or ``mode m odd`` on a surface of revolution with the z-mirror, ``mode m``
+on one without it, else ``mirror character i`` (the nonempty ones
 counted from 0), after ``symmetrize:`` in a report and after the failing
 grid, such as ``224x448 grid (100352 nodes):``, in a study.
 """

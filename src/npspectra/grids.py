@@ -22,7 +22,8 @@ the weights and shifts the cells, and only on a grid that also keeps the
 y-mirror v -> -v.  Operators on such a grid commute with the turn and the
 y-mirror, so they split into one real block of n_u x n_u per rotation
 mode m = 0 .. n_v // 2 (``operators._mode_blocks``), which replaces the
-mirror blocks on that grid.
+mirror blocks on that grid; the z-mirror, where the grid keeps it,
+splits each mode block in two.
 """
 from __future__ import annotations
 

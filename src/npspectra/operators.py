@@ -16,17 +16,22 @@ polar (Duffy-style) integral over the node's own cell.  These corrections
 are what keep -S positive definite and the spectrum's negative tail clean
 at production resolutions, so they are always applied.
 
-Assembly computes only the rows of the orbit representatives of the grid's
+An operator holds the rows of the orbit representatives of the grid's
 symmetry (``_row_nodes``): on a grid with the turn the n_u meridian nodes
 (a, 0), since every other row is a meridian row turned; otherwise the
 smallest node of each orbit of the mirror group, about n/8 rows on a
-catalog grid, every row on a grid without mirrors.  It writes their
-one-point products in row blocks, which also find the near pairs.  Each
-near-pair integral is then taken over a row node's own cell, mapped there
-by the turn or a mirror (``_row_cell_sources``), and each distinct
-(cell, source) integral once.  The cell integrals evaluate the surface
-chart once per quadrature panel on those cells alone, n_u of them on a
-surface of revolution, on the panel's tensor axes (u and v nodes as
+catalog grid, every row on a grid without mirrors.  Assembly computes
+the rows of the representatives of the mirrors that map these rows onto
+each other (``_row_mirrors``): on a grid with the turn and the z-mirror
+(a, e) -> (P a, e), about n_u / 2 meridian rows, and copies the others,
+A[(P a, 0), j] = A[(a, 0), Z j]; elsewhere every held row.  It writes
+their one-point products in row blocks, which also find the near pairs.
+Each near-pair integral is then taken over a computed row node's own
+cell, mapped there by the turn, the z-mirror or a mirror
+(``_row_cell_sources``), and each distinct (cell, source) integral once.
+The cell integrals evaluate the surface chart once per quadrature panel
+on those cells alone, about n_u / 2 of them on a catalog surface of
+revolution, on the panel's tensor axes (u and v nodes as
 broadcastable axes, so a term of u alone runs once per u node), fold the
 weights into those samples, and gather from that per-cell cache in
 bounded chunks, one contiguous plane per coordinate.  The self-cell rule
@@ -43,22 +48,26 @@ few dozen MiB, independent of n^2.
 Symmetrization has one route, on the blocks of the grid's symmetry.  On a
 grid with the turn and the y-mirror (a surface of revolution), K and S
 split into one real n_u x n_u block per rotation mode m = 0 .. n_v // 2,
-the real part of one ``rfft`` of the meridian rows along v
-(``_mode_blocks``), each standing for one or two blocks of the whole
-matrix.  Otherwise they commute with the mirror permutations of the
-grid's nodes and split into one block per character of the mirror group
-(``_mirror_blocks``; a grid without mirrors is one block).  Each block is
-symmetrized through its own single layer (``_symmetrize_blocks``), so the
-reports, the study and ``spectrum.symmetrized_spectrum`` do dense work on
-blocks of n_u nodes on a surface of revolution and of about n/8 nodes on
+the real part of one ``rfft`` of the meridian rows along v, each
+standing for one or two blocks of the whole matrix, and the z-mirror,
+where the grid keeps it, splits each mode block into an even and an odd
+block by the characters of the mirror route (``_mode_blocks``,
+``_character_blocks``).  Otherwise they commute with the mirror
+permutations of the grid's nodes and split into one block per character
+of the mirror group (``_mirror_blocks``; a grid without mirrors is one
+block).  Each block is symmetrized through its own single layer
+(``_symmetrize_blocks``), so the reports, the study and
+``spectrum.symmetrized_spectrum`` do dense work on blocks of about n_u / 2
+nodes on a catalog surface of revolution and of about n/8 nodes on
 another catalog grid; the symmetrized operator keeps the blocks and joins
 its rows only when read.  No n x n array is built unless ``matrix`` is read.
 The blocks are held as a list of (K, S) stacks of (b, m, m) arrays, in
-block order: the modes are one stack pair (``_mode_blocks``), each mirror
-character a stack of one, a view of its block.  Every per-block step runs
-through ``_map_blocks``, which cuts the stacks into batches of contiguous
-slices (``_batches``), views that copy no data, and runs the batches side
-by side on a thread pool, each LAPACK call on one BLAS thread; a grid
+block order: the modes are one stack pair per parity (``_mode_blocks``),
+each mirror character a stack of one, a view of its block.  Every
+per-block step runs through ``_map_blocks``, which cuts the stacks into
+batches of contiguous slices (``_batches``), views that copy no data, and
+runs the batches side by side on a thread pool, each LAPACK call on one
+BLAS thread; a grid
 whose blocks form one batch starts no pool.  Every dense step is one
 numpy ``linalg`` or ``matmul`` call per slice; these calls release the
 GIL, so the pool runs the eigensolves of one batch beside those of
@@ -119,7 +128,9 @@ class DiscreteOperator:
     permutations of its mirror group (``grid.mirrors``), so it is held by
     ``rows``: the rows of the nodes ``_row_nodes``, in ascending order,
     the meridian nodes (a, 0) on a grid with the turn and otherwise the
-    orbit representatives, the smallest node of each orbit.  An array of
+    orbit representatives, the smallest node of each orbit.  Assembly
+    computes the rows of the z-mirror's representatives among the
+    meridian nodes and copies the others (``_row_mirrors``).  An array of
     n rows is the whole matrix; so are the rows of a grid without mirrors
     or turn.  ``matrix`` is the n x n array, gathered from ``rows``
     (``_row_filler``) the first time it is read and kept from then on;
@@ -368,6 +379,25 @@ def _row_nodes(grid: QuadratureGrid) -> np.ndarray:
     return _representatives(grid.mirrors)
 
 
+def _row_mirrors(grid: QuadratureGrid):
+    """The mirrors that map the rows of ``_row_nodes`` onto each other.
+
+    On a grid with the turn, the elements of ``grid.mirrors`` that keep
+    the v index of every node: the identity and, where the grid keeps it,
+    the z-mirror (a, e) -> (P a, e), which commutes with the turn and the
+    y-mirror.  Otherwise the identity alone.  Returns them as a group
+    table of node permutations, the identity first, and as the table of
+    their permutations of the row nodes: row P a for row a.
+    """
+    rows = _row_nodes(grid)
+    perms = grid.mirrors[:1]
+    if grid.turn:
+        n_v = grid.resolution[1]
+        perms = grid.mirrors[np.all(
+            grid.mirrors % n_v == np.arange(grid.n_nodes) % n_v, axis=1)]
+    return perms, np.searchsorted(rows, perms[:, rows])
+
+
 def _orbit_sources(perms: np.ndarray):
     """Where each row of a matrix commuting with ``perms`` is copied from.
 
@@ -442,19 +472,26 @@ def _row_cell_sources(grid: QuadratureGrid, rows: np.ndarray,
     """Each integral over cell ``cols`` from x_``rows`` as one over a row
     node's cell.
 
-    ``rows`` are row nodes (``_row_nodes``).  Column j is g rho(j) for a
-    row node rho(j) and a symmetry g of the grid, which maps cells onto
-    cells and commutes with both kernels, so the integral over cell j
-    seen from x_r is that over cell rho(j) seen from x_{g^-1 r}.  On a
-    grid with the turn rho((b, d)) = (b, 0) and g^-1 (a, 0) = (a, -d);
-    otherwise rho and g are those of ``_orbit_sources``, and g^-1 = g,
-    every mirror being an involution.  On a grid without mirrors or turn
-    rho(j) = j and g is the identity.  Returns (cells, sources).
+    ``rows`` are computed row nodes (``assemble_operators``).  Column j is
+    g rho(j) for a computed row node rho(j) and a symmetry g of the grid,
+    which maps cells onto cells and commutes with both kernels, so the
+    integral over cell j seen from x_r is that over cell rho(j) seen from
+    x_{g^-1 r}.  On a grid with the turn, the turn by d and a mirror h of
+    ``_row_mirrors`` take the computed row node (c, 0) to (b, d) = h (c, d),
+    with c the representative of b's orbit under h (``_orbit_sources`` of
+    the row table), so rho((b, d)) = (c, 0) and g^-1 (a, 0) = h (a, -d).
+    Otherwise rho and g are those of ``_orbit_sources`` of the mirror
+    group, and g^-1 = g, every mirror being an involution.  On a grid
+    without mirrors or turn rho(j) = j and g is the identity.  Returns
+    (cells, sources).
     """
     if grid.turn:
         n_v = grid.resolution[1]
+        perms, table = _row_mirrors(grid)
+        src, elem = _orbit_sources(table)
         b, d = np.divmod(cols, n_v)
-        return b * n_v, rows + (-d % n_v)
+        return (_representatives(table)[src[b]] * n_v,
+                perms[elem[b], rows + (-d % n_v)])
     perms = grid.mirrors
     src, elem = _orbit_sources(perms)
     return _representatives(perms)[src[cols]], perms[elem[cols], rows]
@@ -487,15 +524,20 @@ def assemble_operators(grid: QuadratureGrid):
     makes the constant vector an exact eigenvector with eigenvalue 1/2.
 
     K and S commute with the grid's turn and with the node permutations of
-    its mirror group (``grid.mirrors``), so only the rows of the nodes
-    ``_row_nodes`` are computed: the n_u meridian nodes on a grid with the
-    turn, else the orbit representatives of the mirror group, the smallest
-    node of each orbit, about n/8 rows on a catalog grid and all n rows on
-    a grid without mirrors.  The operators hold only these rows; the other
-    rows are turned or permuted copies, gathered (``_row_filler``) only
-    when ``DiscreteOperator.matrix`` is read or a matrix dump streams them.
+    its mirror group (``grid.mirrors``), so the operators hold only the
+    rows of the nodes ``_row_nodes``: the n_u meridian nodes on a grid
+    with the turn, else the orbit representatives of the mirror group, the
+    smallest node of each orbit, about n/8 rows on a catalog grid and all
+    n rows on a grid without mirrors.  Of these, only the rows of the
+    representatives of ``_row_mirrors`` are computed: on a grid with the
+    turn and the z-mirror Z (a, e) = (P a, e), taken from
+    ``grid.mirrors``, the meridian rows (a, 0) with a <= P a, about
+    n_u / 2; the others are copies, A[(P a, 0), j] = A[(a, 0), Z j], each
+    with its own row-sum diagonal.  The other rows of the matrix are
+    turned or permuted copies, gathered (``_row_filler``) only when
+    ``DiscreteOperator.matrix`` is read or a matrix dump streams them.
     The block route (``_mode_blocks``, ``_mirror_blocks``) reads the rows
-    alone.
+    of the computed representatives alone.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -506,18 +548,21 @@ def assemble_operators(grid: QuadratureGrid):
     from x_j; K_ij = I_ij, and the single-layer entry
     S_ij = -(I_ij + I_ji w_j / w_i) / 2 averages them so that S is
     symmetric in the weighted_l2 basis.  Cell i is a row node's; I_ij is
-    taken over the cell of the row node rho(j) whose image under a
-    symmetry g is j, from x_{g^-1 i} (``_row_cell_sources``), the
-    fundamental-domain reduction of the near field.  The integrals form
-    one list of distinct (cell, source) tasks, each integrated once,
-    subdivided if either pair it serves touches, from a per-cell cache of
-    chart samples taken on the row nodes' cells alone: on a surface of
-    revolution the backward integrals of the meridian rows are all the
-    tasks there are.  On a grid without mirrors or turn rho(j) = j and
-    the entries are those of integrating each pair in both directions;
-    on a grid with them a row agrees with the row of the same grid
-    without them to rounding (the mapped cell's samples round
-    differently).  Peak memory is the two returned row arrays, 2 n_u n
+    taken over the cell of the computed row node rho(j) whose image under
+    a symmetry g (the turn, the z-mirror or a mirror) is j, from
+    x_{g^-1 i} (``_row_cell_sources``), the fundamental-domain reduction
+    of the near field.  The integrals form one list of distinct
+    (cell, source) tasks, each integrated once, subdivided if either pair
+    it serves touches, from a per-cell cache of chart samples taken on
+    the computed row nodes' cells alone: on a surface of revolution the
+    backward integrals of the computed meridian rows are all the tasks
+    there are, half as many with the z-mirror as without it (677 against
+    1354 on the 24x48 sphere).  On a grid without mirrors or turn
+    rho(j) = j and the entries are those of integrating each pair in both
+    directions; on a grid with them a row agrees with the row of the same
+    grid without them to rounding (the mapped cell's samples round
+    differently, and a copied row's diagonal sums its row in another
+    order).  Peak memory is the two returned row arrays, 2 n_u n
     entries on a grid with the turn and about 2 n^2 / |G| entries for a
     mirror group of order |G|, O(n) and a few dozen MiB of block
     temporaries.
@@ -552,6 +597,10 @@ def assemble_operators(grid: QuadratureGrid):
     n = grid.n_nodes
     scale = float(np.max(np.ptp(x, axis=0)))
     reps = _row_nodes(grid)
+    # the rows computed, and where each other row is copied from
+    perms, table = _row_mirrors(grid)
+    own = _representatives(table)
+    src, elem = _orbit_sources(table)
     # row of each representative in the row arrays, -1 for other nodes
     pos = np.full(n, -1)
     pos[reps] = np.arange(reps.size)
@@ -563,9 +612,9 @@ def assemble_operators(grid: QuadratureGrid):
         comp_id[c.slice] = k
     pairs, cross = [], None
     step = _block_rows(n)
-    for r0 in range(0, reps.size, step):
-        r1 = min(reps.size, r0 + step)
-        rows = reps[r0:r1]
+    for r0 in range(0, own.size, step):
+        block = own[r0:r0 + step]
+        rows = reps[block]
         diff = x[rows, None, :] - x[None, :, :]
         rr = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         rr[np.arange(rows.size), rows] = np.inf
@@ -576,9 +625,9 @@ def assemble_operators(grid: QuadratureGrid):
                 f"(distance {rr[bi, j]:.3e})")
         num = -np.einsum("ijk,jk->ij", diff, nrm)
         del diff
-        kmat[r0:r1] = (num / (FOUR_PI * rr ** 3)) * w[None, :]
+        kmat[block] = (num / (FOUR_PI * rr ** 3)) * w[None, :]
         del num
-        smat[r0:r1] = -(1.0 / (FOUR_PI * rr)) * w[None, :]
+        smat[block] = -(1.0 / (FOUR_PI * rr)) * w[None, :]
         # near pairs within NEAR_RADIUS_CELLS mean cell diameters, the
         # touching ones among them also within TOUCH_RADIUS_CELLS
         half = 0.5 * (diam[rows, None] + diam[None, :])
@@ -621,13 +670,17 @@ def assemble_operators(grid: QuadratureGrid):
     fwd, bwd = task[:ii.size], task[ii.size:]
     kmat[pos[ii], jj] = i_k[fwd]
     smat[pos[ii], jj] = -0.5 * (i_s[fwd] + i_s[bwd] * (w[jj] / w[ii]))
-    own = np.arange(reps.size)
-    smat[own, reps] = -_self_cell_single_layer(grid, reps)
+    smat[own, reps[own]] = -_self_cell_single_layer(grid, reps[own])
+    kmat[own, reps[own]] = 0.0
+    # every other row is a mirrored copy, A[h r, j] = A[r, h j]; a copy
+    # follows its source row, so a fault shows first in a computed row
+    copies = np.flatnonzero(elem)
+    for a in (kmat, smat):
+        a[copies] = a[own[src[copies]][:, None], perms[elem[copies]]]
     # row-sum diagonal: the double layer maps constants to 1/2 exactly; K is
     # checked first, since the sum would spread a fault to the diagonal
-    kmat[own, reps] = 0.0
     _check_finite("double-layer", kmat, reps)
-    kmat[own, reps] = 0.5 - kmat.sum(axis=1)
+    kmat[np.arange(reps.size), reps] = 0.5 - kmat.sum(axis=1)
     _check_finite("single-layer", smat, reps)
     return (DiscreteOperator(kmat, basis="nystrom", grid=grid),
             DiscreteOperator(smat, basis="nystrom", grid=grid))
@@ -909,55 +962,85 @@ def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
             a *= sw[:, None]
             a /= sw[None, :]
         return [(k[None], s[None])]
-    reps, chi, valid, stab = _orbits(perms)
-    cols = perms[:, reps]
-    scale = 1.0 / np.sqrt(stab)
+    reps = _representatives(perms)
     # each gathered entry converted to the weighted basis as an in-place
     # conversion of the whole matrix would, times sw[r], then over sw[j]
-    projected = [_character_sums([a[:, c] * sw[reps, None] / sw[None, c]
-                                  for c in cols], chi)
-                 for a in (k, s)]
+    return [tuple(b[None] for b in pair) for pair in _character_blocks(
+        [lambda c, a=a: a[:, c] * sw[reps, None] / sw[None, c]
+         for a in (k, s)], perms)]
+
+
+def _character_blocks(gathers, perms):
+    """Blocks B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b)
+    of operators A that commute with the group ``perms``.
+
+    ``gathers`` holds one callable per operator that maps the columns
+    h r_b of the orbit representatives r_b under one group element h to
+    A[..., r_a, h r_b], an array (..., m, m) for the m representatives
+    (``_orbits``).  Returns one tuple of blocks, one per operator, per
+    character with a nonempty block, in character order, each block a
+    C-contiguous (..., m_chi, m_chi) array (``_mirror_blocks``).
+    """
+    reps, chi, valid, stab = _orbits(perms)
+    scale = 1.0 / np.sqrt(stab)
+    projected = [_character_sums([gather(c) for c in perms[:, reps]], chi)
+                 for gather in gathers]
     blocks = []
     for c, pick in enumerate(valid):
         if pick.any():
-            ix = np.ix_(pick, pick)
+            ix = (..., *np.ix_(pick, pick))
             f = np.outer(scale[pick], scale[pick])
-            blocks.append(tuple((p[c][ix] * f)[None] for p in projected))
+            blocks.append(tuple(np.ascontiguousarray(p[c][ix] * f)
+                                for p in projected))
     return blocks
+
+
+def _character_rows(blocks, perms) -> np.ndarray:
+    """Representative rows of Q blockdiag(blocks) Q^T, the inverse of
+    ``_character_blocks``.
+
+    ``blocks`` are the nonempty characters' (..., m_chi, m_chi) blocks of
+    the group ``perms``, in character order, with one leading shape.  The
+    matrix M commutes with the permutations, so its rows at the orbit
+    representatives determine it: M[r_a, g r_b] = sum_chi chi(g)
+    B_chi[a, b] / sqrt(o_a o_b), with o = |G| / st the orbit sizes.
+    Returns them as one (..., m, n) array, built one group element g at
+    a time, so that one character sum is alive at once.
+    """
+    reps, chi, valid, stab = _orbits(perms)
+    m, n = reps.size, perms.shape[1]
+    lead = blocks[0].shape[:-2]
+    scale = np.sqrt(stab / perms.shape[0])
+    blocks = iter(blocks)
+    padded = []
+    for pick in valid:
+        p = np.zeros(lead + (m, m))
+        if pick.any():
+            p[(..., *np.ix_(pick, pick))] = next(blocks) * np.outer(
+                scale[pick], scale[pick])
+        padded.append(p)
+    rows = np.empty(lead + (m, n))
+    for h, cols in enumerate(perms[:, reps]):
+        rows[..., cols] = _character_sums(padded, chi.T[h:h + 1])[0]
+    return rows
 
 
 def _mirror_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     """Representative rows of Q blockdiag(blocks) Q^T (``_mirror_blocks``),
     the blocks given as (b, m, m) stacks in character order.
 
-    The matrix M commutes with the mirror permutations, so its rows at the
-    orbit representatives determine it: M[r_a, g r_b] = sum_chi chi(g)
-    B_chi[a, b] / sqrt(o_a o_b) with o = |G| / st the orbit sizes, joined
-    on the first read of a symmetrized operator's ``rows``.  The other
-    rows are permuted copies, M[h r_a, j] = M[r_a, h j], and an exactly
-    symmetric set of blocks gives an exactly symmetric matrix.  On a grid
-    without mirrors the single block is the whole matrix and is returned
-    itself, a view of its stack of one.
+    The rows (``_character_rows``) are joined on the first read of a
+    symmetrized operator's ``rows``.  The other rows are permuted copies,
+    M[h r_a, j] = M[r_a, h j], and an exactly symmetric set of blocks
+    gives an exactly symmetric matrix.  On a grid without mirrors the
+    single block is the whole matrix and is returned itself, a view of
+    its stack of one.
     """
     perms = grid.mirrors
     if perms.shape[0] == 1:
         return stacks[0][0]
-    reps, chi, valid, stab = _orbits(perms)
-    m, n = reps.size, perms.shape[1]
-    scale = np.sqrt(stab / perms.shape[0])
-    # blocks come in character order, without the empty ones
-    padded = []
-    blocks = (block for stack in stacks for block in stack)
-    for pick in valid:
-        p = np.zeros((m, m))
-        if pick.any():
-            p[np.ix_(pick, pick)] = next(blocks) * np.outer(scale[pick],
-                                                           scale[pick])
-        padded.append(p)
-    rows = np.empty((m, n))
-    for cols, w in zip(perms[:, reps], _character_sums(padded, chi.T)):
-        rows[:, cols] = w
-    return rows
+    return _character_rows([block for stack in stacks for block in stack],
+                           perms)
 
 
 # ------------------------------------------------------------------ modes
@@ -975,51 +1058,76 @@ def _mode_multiplicities(n_v: int) -> np.ndarray:
 
 
 def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
-    """Blocks of K_w and S_w on the rotation modes of a grid with the turn.
+    """Blocks of K_w and S_w on the rotation modes of a grid with the
+    turn, split by the z-mirror into an even and an odd block each.
 
     ``k`` and ``s`` are the nystrom-basis meridian rows of
-    ``assemble_operators`` (``_row_nodes``), converted to the weighted_l2
-    basis in place.  K_w and S_w commute with the turn
-    (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and with the
-    y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even in d and in
-    the orthonormal real basis sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e)
-    (and the sines for 0 < m < n_v / 2), c_m the multiplicity of mode m
+    ``assemble_operators`` (``_row_nodes``); only the rows of the
+    representatives of the row mirrors (``_row_mirrors``) are read,
+    converted to the weighted_l2 basis on a copy.  K_w and S_w commute
+    with the turn (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and
+    with the y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even
+    in d and in the orthonormal real basis
+    sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e) (and the sines for
+    0 < m < n_v / 2), c_m the multiplicity of mode m
     (``_mode_multiplicities``), both are block diagonal with the real
     n_u x n_u blocks
 
         B_m[a, b] = sum_d cos(2 pi m d / n_v) A_w[(a, 0), (b, d)],
 
-    the real part of one ``rfft`` along d of the rows as (n_u, n_u, n_v).
-    Returns one (K, S) stack pair, two contiguous (modes, n_u, n_u) arrays
-    of the modes m = 0 .. n_v // 2 in mode order; mode m stands for c_m
-    blocks of the whole matrix.
+    the real part of one ``rfft`` along d of the rows as (rows, n_u, n_v).
+    The z-mirror (a, e) -> (P a, e) commutes with the turn and the
+    y-mirror, so B_m[P a, P b] = B_m[a, b], and its two characters split
+    each B_m as the mirror route splits a matrix (``_character_blocks``),
+    with the stabilizer scaling of a node that P fixes: an even block of
+    the orbits of P, about n_u / 2 nodes, and an odd block of the orbits
+    of two nodes.  Returns one (K, S) stack pair per parity, even first,
+    each two contiguous (modes, m, m) arrays of the modes
+    m = 0 .. n_v // 2 in mode order; mode m stands for c_m blocks of the
+    whole matrix.  On a grid without the z-mirror the one pair holds the
+    B_m themselves.
     """
     n_u, n_v = grid.resolution
     sw = np.sqrt(grid.weights)
-    reps = _row_nodes(grid)
-    per_op = []
-    for a in (k, s):
-        a *= sw[reps, None]
+    _, table = _row_mirrors(grid)
+    own = _representatives(table)
+    nodes = _row_nodes(grid)[own]
+
+    def modes(a):
+        a = a[own]
+        a *= sw[nodes, None]
         a /= sw[None, :]
-        modes = np.fft.rfft(a.reshape(n_u, n_u, n_v), axis=-1).real
-        per_op.append(np.ascontiguousarray(np.moveaxis(modes, -1, 0)))
-    return [tuple(per_op)]
+        return np.moveaxis(np.fft.rfft(a.reshape(own.size, n_u, n_v),
+                                       axis=-1).real, -1, 0)
+
+    return _character_blocks([lambda c, b=modes(a): b[..., c]
+                              for a in (k, s)], table)
 
 
 def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     """Meridian rows of Q blockdiag(blocks) Q^T (``_mode_blocks``), the
-    blocks given as (b, n_u, n_u) stacks in mode order.
+    blocks given as (b, m, m) stacks in block order, the even modes first.
 
-    M[(a, 0), (b, d)] = sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v, the
-    ``irfft`` (n = n_v) along the mode axis, averaged with their mirror
-    images M[(b, 0), (a, -d)] so that an exactly symmetric set of blocks
-    gives an exactly symmetric matrix.  The other rows follow by the turn
-    (``_fill_turns``).  Joined when a symmetrized operator's ``rows`` is read.
+    Each parity's modes join into the rows of the representatives of the
+    B_m (``_character_rows``), and the other rows of the B_m are mirrored
+    copies, B_m[P a, b] = B_m[a, P b].  Then M[(a, 0), (b, d)] =
+    sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v, the ``irfft``
+    (n = n_v) along the mode axis, averaged with their mirror images
+    M[(b, 0), (a, -d)] so that an exactly symmetric set of blocks gives
+    an exactly symmetric matrix.  The other rows follow by the turn
+    (``_fill_turns``).  Joined when a symmetrized operator's ``rows`` is
+    read.
     """
     n_u, n_v = grid.resolution
-    rows = np.fft.irfft(np.stack([block for stack in stacks
-                                  for block in stack], axis=-1),
-                        n=n_v, axis=-1)
+    _, table = _row_mirrors(grid)
+    src, elem = _orbit_sources(table)
+    blocks = [block for stack in stacks for block in stack]
+    n_modes = n_v // 2 + 1
+    rep_rows = _character_rows([np.stack(blocks[i:i + n_modes])
+                                for i in range(0, len(blocks), n_modes)],
+                               table)
+    full = rep_rows[:, src[:, None], table[elem]]
+    rows = np.fft.irfft(np.moveaxis(full, 0, -1), n=n_v, axis=-1)
     rows += rows.transpose(1, 0, 2)[..., -np.arange(n_v) % n_v]
     rows *= 0.5
     return rows.reshape(n_u, n_u * n_v)
@@ -1030,15 +1138,30 @@ def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     (K, S) stacks, and the multiplicity of each block.
 
     The rotation modes of ``_mode_blocks`` on a grid with the turn, one
-    stack pair, with the multiplicities of ``_mode_multiplicities``;
-    otherwise the characters of ``_mirror_blocks``, a stack of one each,
-    each of multiplicity 1.
+    stack pair per parity, with the multiplicities of
+    ``_mode_multiplicities`` for each; otherwise the characters of
+    ``_mirror_blocks``, a stack of one each, each of multiplicity 1.
     """
     if grid.turn:
-        return (_mode_blocks(grid, k, s),
-                _mode_multiplicities(grid.resolution[1]))
+        stacks = _mode_blocks(grid, k, s)
+        return stacks, np.tile(_mode_multiplicities(grid.resolution[1]),
+                               len(stacks))
     stacks = _mirror_blocks(grid, k, s)
     return stacks, np.ones(len(stacks), dtype=int)
+
+
+def _block_names(grid: QuadratureGrid, stacks) -> list:
+    """The name of each block of the split ``stacks`` (``_split_blocks``),
+    in block order, for the message of a block that is not positive
+    definite: ``mode m even`` and ``mode m odd`` on a grid with the turn
+    and the z-mirror, ``mode m`` on a grid with the turn alone, otherwise
+    ``mirror character i``, the nonempty characters counted from 0."""
+    if not grid.turn:
+        return [f"mirror character {i}" for i in range(len(stacks))]
+    parities = [""] if len(stacks) == 1 else [" even", " odd"]
+    return [f"mode {m}{parity}"
+            for parity, (k, _) in zip(parities, stacks)
+            for m in range(len(k))]
 
 
 def _sorted_union(batches, mult):
@@ -1075,7 +1198,7 @@ def _batches(stacks) -> list:
     return batches
 
 
-def _map_blocks(fn, stacks, name: str) -> list:
+def _map_blocks(fn, stacks, names) -> list:
     """``[fn(batch) for batch in _batches(stacks)]``, the batches run side
     by side.
 
@@ -1092,13 +1215,14 @@ def _map_blocks(fn, stacks, name: str) -> list:
     dense work of one batch with that of another, since the numpy
     ``linalg`` and ``matmul`` calls release the GIL; only the per-block
     triangular solves and the Lanczos iterations' Python steps hold it.
-    A pool that would have one worker, such as for the 25 modes of a
-    24x48 sphere or any level of a peanut study, is not started, which
+    A pool that would have one worker, such as for the 50 mode blocks of
+    a 24x48 sphere or any level of a peanut study, is not started, which
     also keeps the batch's temporaries out of a worker thread's malloc
     arena.  Results come in batch order.  The first batch in that order
     that fails raises, and batches not yet started are cancelled.  A
-    NotPositiveDefinite is named after the first failing block, ``name``
-    and its index in block order: on that error path only, a batch of
+    NotPositiveDefinite is named after the first failing block, by its
+    entry in ``names``, one per block in block order (``_block_names``):
+    on that error path only, a batch of
     several blocks runs again one block at a time, with the same values,
     since each numpy call of a stack treats its blocks one by one.
     """
@@ -1118,7 +1242,7 @@ def _map_blocks(fn, stacks, name: str) -> list:
                         raise exc
                     fn([block])
                 except NotPositiveDefinite as failure:
-                    raise NotPositiveDefinite(f"{name} {i}: {failure}")
+                    raise NotPositiveDefinite(f"{names[i]}: {failure}")
             raise
 
     if firsts[-1] < 2:
@@ -1143,15 +1267,17 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     values of K_w, and the merged operator.
 
     ``stacks`` and ``mult`` are the (K, S) stacks of ``_split_blocks``
-    (the rotation modes as one stack pair, else each mirror character as
-    a stack of one) and the multiplicities of their blocks.  The stacks
-    go to ``_plemelj_symmetrize`` in the batches of ``_map_blocks``,
+    (the rotation modes as one stack pair per parity, else each mirror
+    character as a stack of one) and the multiplicities of their blocks.
+    The stacks go to ``_plemelj_symmetrize`` in the batches of
+    ``_map_blocks``,
     slices that copy no data: one pass that symmetrizes each slice and
     takes its ``eigvalsh`` and the singular values of its K_b, one
     GIL-free numpy call per slice and step, and the skew and commutator
     norms of a batch in one Lanczos run each on its block diagonal.  So
-    the 25 modes of a 24x48 sphere, one batch and one slice, cost 2
-    Lanczos runs, 2 ``eigvalsh`` calls and 1 ``svd`` call.
+    the 25 even and 25 odd modes of a 24x48 sphere, one batch of two
+    slices, cost 2 Lanczos runs, 4 ``eigvalsh`` calls and 2 ``svd``
+    calls.
 
     Returns the eigenvalues and the singular values of K_w, the sorted
     unions of the block values (``_sorted_union``), and the ``symmetrized``
@@ -1170,12 +1296,13 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     ------
     NotPositiveDefinite
         If some block of -S is not positive definite; the first such
-        block in block order raises, named ``mode m`` on a grid with the
-        turn, else ``mirror character i`` (the nonempty ones counted).
+        block in block order raises, named as in ``_block_names``:
+        ``mode m even`` or ``mode m odd`` on a grid with the turn and the
+        z-mirror, ``mode m`` on one with the turn alone, else
+        ``mirror character i`` (the nonempty ones counted).
     """
     eigs, svals, syms, norms = zip(*_map_blocks(
-        _plemelj_symmetrize, stacks,
-        "mode" if grid.turn else "mirror character"))
+        _plemelj_symmetrize, stacks, _block_names(grid, stacks)))
     eigs, svals = _sorted_union(eigs, mult), _sorted_union(svals, mult)
     return eigs, svals, DiscreteOperator(
         None, basis="symmetrized", grid=grid,

@@ -7,9 +7,10 @@ grid refinement (bounded for convex-like bodies, growing for surfaces with
 a region of positive curvature form).  The study needs only that number,
 so it counts by Sylvester's law of inertia: one LDL^T factorization of
 -sym(K S) - t S per block, with no symmetrized matrix and no eigensolve.
-The blocks are the rotation modes of a grid with the turn, n_v // 2 + 1
-blocks of n_u nodes on a surface of revolution, and otherwise the
-characters of the grid's mirror group (``_operator_blocks``); a mode of
+The blocks are the rotation modes of a grid with the turn, each split by
+the z-mirror into an even and an odd block of about n_u / 2 nodes on a
+catalog surface of revolution, and otherwise the characters of the
+grid's mirror group (``_operator_blocks``); a block of a mode of
 multiplicity 2 counts twice.
 """
 from __future__ import annotations
@@ -23,8 +24,9 @@ from scipy.linalg import lapack
 from .errors import ConfigError, DomainError, NotPositiveDefinite, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
-from .operators import (_cholesky_neg_s, _map_blocks, _split_blocks,
-                        _symmetrize_blocks, assemble_operators)
+from .operators import (_block_names, _cholesky_neg_s, _map_blocks,
+                        _split_blocks, _symmetrize_blocks,
+                        assemble_operators)
 
 BOUNDED = "BOUNDED"
 GROWING = "GROWING"
@@ -226,7 +228,8 @@ def _operator_blocks(grid):
 
     Assembles the representative rows of K and S and splits them
     (``operators._split_blocks``): the rotation modes of a grid with the
-    turn, one stack pair, each of multiplicity 1 or 2; otherwise the
+    turn, one stack pair per parity of the z-mirror, each block of
+    multiplicity 1 or 2; otherwise the
     mirror characters, a stack of one each, of multiplicity 1, which on a
     grid without mirrors or turn views the whole rows converted in place.
     No n x n array is built on a grid with mirrors or the turn.
@@ -248,11 +251,12 @@ def symmetrized_spectrum(grid):
     return _symmetrize_blocks(grid, *_operator_blocks(grid))
 
 
-def _negative_inertia(m: np.ndarray) -> int:
+def _negative_inertia(m: np.ndarray, lwork: int) -> int:
     """Number of negative eigenvalues of the symmetric matrix ``m``.
 
     Factors m = P L D L^T P^T by Bunch-Kaufman pivoting (LAPACK ``sytrf``,
-    in the storage of ``m``, which is overwritten).  By Sylvester's law of
+    in the storage of ``m``, which is overwritten, with the workspace size
+    ``lwork`` of ``lapack.dsytrf_lwork``).  By Sylvester's law of
     inertia m and the block-diagonal D have the same inertia.  A 1 x 1
     pivot counts by its sign; a 2 x 2 block [[a, b], [b, c]] has one
     negative eigenvalue if its determinant is negative, two if the
@@ -260,10 +264,9 @@ def _negative_inertia(m: np.ndarray) -> int:
     determinant is zero and the trace negative.
     """
     n = m.shape[0]
-    lwork, _ = lapack.dsytrf_lwork(n, lower=1)
     # m is symmetric, so its transpose is the Fortran-ordered operand that
     # sytrf factors without a copy
-    ldu, ipiv, _ = lapack.dsytrf(m.T, lower=1, lwork=int(lwork),
+    ldu, ipiv, _ = lapack.dsytrf(m.T, lower=1, lwork=lwork,
                                  overwrite_a=1)
     d = ldu.diagonal()
     # a 2 x 2 block (k, k+1) has ipiv[k] = ipiv[k+1] < 0, so in a run of
@@ -284,12 +287,13 @@ def _negative_count(grid, threshold: float) -> int:
     """Number of eigenvalues of the symmetrized double layer below -threshold.
 
     K and S are split into (K, S) stacks of blocks (``_operator_blocks``:
-    the rotation modes as one stack pair on a grid with the turn, each
-    mirror character a stack of one otherwise), and the count is the sum
-    of the block counts (``_stack_negative_counts``), each times its
-    block's multiplicity, over the batches of ``operators._map_blocks``,
-    slices of the stacks that copy no data; the 33 modes of a 32x64
-    peanut form one batch and one slice, which runs inline with no pool.
+    the rotation modes as one stack pair per parity on a grid with the
+    turn, each mirror character a stack of one otherwise), and the count
+    is the sum of the block counts (``_stack_negative_counts``), each
+    times its block's multiplicity, over the batches of
+    ``operators._map_blocks``, slices of the stacks that copy no data; the
+    33 even and 33 odd modes of a 32x64 peanut form one batch of two
+    slices, which runs inline with no pool.
 
     Raises
     ------
@@ -303,8 +307,7 @@ def _negative_count(grid, threshold: float) -> int:
                 for c in _stack_negative_counts(k, s, threshold)]
 
     stacks, mult = _operator_blocks(grid)
-    counts = _map_blocks(count, stacks,
-                         "mode" if grid.turn else "mirror character")
+    counts = _map_blocks(count, stacks, _block_names(grid, stacks))
     return int(np.dot(mult, [c for batch in counts for c in batch]))
 
 
@@ -319,8 +322,9 @@ def _stack_negative_counts(k, s, threshold: float) -> list:
     A successful Cholesky factorization of -S certifies that it is
     positive definite; the factors are not needed otherwise.  One
     ``cholesky`` of the stack, one batched product K S and one LDL^T
-    factorization per block (``_negative_inertia``) replace the
-    similarity transform and the eigensolve.  ``k`` and ``s`` are left
+    factorization per block (``_negative_inertia``, with the workspace
+    size queried once per stack) replace the similarity transform and
+    the eigensolve.  ``k`` and ``s`` are left
     as they are, and at most three arrays of the stack's size are alive
     at any time.
 
@@ -334,7 +338,8 @@ def _stack_negative_counts(k, s, threshold: float) -> list:
     m += np.swapaxes(m, 1, 2)
     m *= -0.5
     m -= threshold * s
-    return [_negative_inertia(block) for block in m]
+    lwork = int(lapack.dsytrf_lwork(m.shape[1], lower=1)[0])
+    return [_negative_inertia(block, lwork) for block in m]
 
 
 def negative_count_study(surface, resolutions: Sequence,

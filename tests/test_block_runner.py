@@ -96,19 +96,20 @@ def test_blocks_run_on_one_blas_thread_and_the_counts_return(
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     compute_report(make_config(_SPHERE_12))
-    # one call for the one stack of the rotation modes m = 0 .. 12 of the
-    # 12x24 sphere
-    assert len(seen) == 1
+    # one call for each of the two stacks, even and odd, of the rotation
+    # modes m = 0 .. 12 of the 12x24 sphere
+    assert len(seen) == 2
     assert set(seen) == {(1,) * len(two_blas_threads)}
     assert _blas.thread_counts() == two_blas_threads
 
 
 
 @pytest.mark.parametrize("make_grid, n_blocks, n_stacks", [
-    # the sphere takes the 13 rotation modes, one stack; the ellipsoid its
+    # the sphere takes the 13 rotation modes, split by the z-mirror into
+    # an even and an odd stack; the ellipsoid its
     # 8 mirror characters of 42, 36, 36, 30, 42, 36, 36 and 30 nodes, a
     # stack of one each
-    (lambda: build_grid(sphere(), 12, 24), 13, 1),
+    (lambda: build_grid(sphere(), 12, 24), 26, 2),
     (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 12, 24), 8, 8),
     (lambda: build_grid(mobius_invert(sphere(), (3.0, 0.5, 0.2)), 12, 24),
      1, 1),

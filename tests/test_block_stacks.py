@@ -45,9 +45,11 @@ def _pairs(stacks):
 
 
 @pytest.mark.parametrize("case, entries, slices", [
-    # the 13 modes of a 12x24 sphere, one stack pair, in batches of 5, 5
-    # and 3 modes, one slice each
-    (("mode", "sphere-12x24"), 5 * 12 * 12, [[5], [5], [3]]),
+    # the 13 modes of a 12x24 sphere, an even and an odd stack pair of
+    # 6-node blocks, in batches of 5 blocks: the third batch takes the
+    # last 3 even modes and the first 2 odd ones, a slice of each stack
+    (("mode", "sphere-12x24"), 5 * 6 * 6,
+     [[5], [5], [3, 2], [5], [5], [1]]),
     # the 8 mirror characters of a 16x32 ellipsoid, of 72, 64, 64, 56, 72,
     # 64, 64 and 56 nodes, a stack of one each, in two batches of 4
     (("mirror", "ellipsoid-16x32"), 72 ** 2 + 2 * 64 ** 2 + 56 ** 2,
@@ -103,11 +105,12 @@ def test_a_failing_block_is_named_by_its_place_in_block_order(
     monkeypatch.setattr(operators, "_BATCH_ENTRIES", per_batch * 25)
     stacks = _layout(k, s, layout)
     assert len(operators._batches(stacks)) == 6 // per_batch
+    names = [f"mode {i}" for i in range(6)]
     with pytest.raises(NotPositiveDefinite, match=r"^mode 3: "):
-        operators._map_blocks(fn, stacks, "mode")
+        operators._map_blocks(fn, stacks, names)
     # without block 3 every block passes
     good = [0, 1, 2, 4, 5]
-    operators._map_blocks(fn, _layout(k[good], s[good], layout), "mode")
+    operators._map_blocks(fn, _layout(k[good], s[good], layout), names)
 
 
 @pytest.mark.parametrize("case", [("mode", name) for name in MODE_CASES]
@@ -163,7 +166,8 @@ def test_a_report_makes_one_call_per_stack_and_step(monkeypatch):
         for name in names:
             count(module, name)
     compute_report(config)
-    # the 25 rotation modes are one batch and one stack: eigvalsh of -S
-    # and of sym, one Cholesky and one svd of K, and no scipy eigensolve
-    assert calls == {"numpy.linalg.eigvalsh": 2, "numpy.linalg.svd": 1,
-                     "numpy.linalg.cholesky": 1}
+    # the 25 rotation modes are one batch of two stacks, even and odd:
+    # per stack eigvalsh of -S and of sym, one Cholesky and one svd of K,
+    # and no scipy eigensolve
+    assert calls == {"numpy.linalg.eigvalsh": 4, "numpy.linalg.svd": 2,
+                     "numpy.linalg.cholesky": 2}

@@ -237,17 +237,17 @@ def test_non_finite_operator_entry_exits_numerical(monkeypatch, capsys,
 
 def _without_self_cell_integrals(monkeypatch):
     """Zero the single-layer diagonal, so that -S is not positive
-    definite; on a 12x24 sphere mode 0 fails first."""
+    definite; on a 12x24 sphere the even block of mode 0 fails first."""
     monkeypatch.setattr(operators, "_self_cell_single_layer",
                         lambda grid, rows: np.zeros(rows.size))
 
 
 @pytest.mark.parametrize("argv, line", [
-    (["spectrum"], "error: symmetrize: mode 0: -S has min eigenvalue "
-                   "-2.186e-02; refine the grid\n"),
+    (["spectrum"], "error: symmetrize: mode 0 even: -S has min eigenvalue "
+                   "-1.476e-02; refine the grid\n"),
     (["study-negatives", "--resolutions", "12x24,14x28,16x32"],
-     "error: 12x24 grid (288 nodes): mode 0: Cholesky factorization of -S "
-     "failed (Matrix is not positive definite); refine the grid\n"),
+     "error: 12x24 grid (288 nodes): mode 0 even: Cholesky factorization "
+     "of -S failed (Matrix is not positive definite); refine the grid\n"),
 ], ids=["spectrum", "study-negatives"])
 def test_lost_positivity_exits_4_naming_the_stage_and_the_block(
         monkeypatch, capsys, tmp_path, argv, line):

@@ -65,12 +65,13 @@ def test_negative_inertia_with_two_by_two_pivots():
     assert sla.svdvals(b).min() > 0.1
     _, ipiv, _ = lapack.dsytrf(m, lower=1)
     assert np.any(ipiv < 0)
-    assert spectrum._negative_inertia(m.copy()) == p
+    lwork = int(lapack.dsytrf_lwork(2 * p, lower=1)[0])
+    assert spectrum._negative_inertia(m.copy(), lwork) == p
     eigs = sla.eigvalsh(m)
     for shift in np.concatenate([[-20.0, 0.5, 20.0],
                                  0.5 * (eigs[:-1] + eigs[1:])]):
-        assert spectrum._negative_inertia(m - shift * np.eye(2 * p)) \
-            == int(np.sum(eigs < shift))
+        assert spectrum._negative_inertia(m - shift * np.eye(2 * p),
+                                          lwork) == int(np.sum(eigs < shift))
 
 
 def test_failed_cholesky_in_study_is_not_positive_definite(monkeypatch):

@@ -1,18 +1,24 @@
 """Rotation-mode block spectra against the mirror route.
 
 On a grid with the turn (u, v) -> (u, v + 2 pi / n_v) and the y-mirror,
-``compute_report``, ``symmetrized_spectrum`` and the study assemble the n_u
-meridian rows and split K and S into one real block per rotation mode
-(``operators._mode_blocks``).  These tests compare every merged number with
-the same grid with its turn stripped, which takes the mirror blocks, check
-that the meridian rows are those of the unblocked assembly and fill the
-matrix and its dump, and check which grids keep the turn.
+``compute_report``, ``symmetrized_spectrum`` and the study hold the n_u
+meridian rows, compute those of the z-mirror's representatives and copy
+the others, and split K and S into one real block per rotation mode and
+parity of the z-mirror (``operators._mode_blocks``).  These tests compare
+every merged number with the same grid with its turn stripped, which
+takes the mirror blocks, compare the parity blocks with the mode blocks
+of the unblocked assembly projected by the z-mirror found from the
+points, check that the meridian rows are those of the unblocked assembly
+and fill the matrix and its dump, count the near-field tasks, pin a grid
+without the z-mirror to the bits of the unsplit modes, and check which
+grids keep the turn.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -30,6 +36,8 @@ from test_operators import _two_sphere_union
 CASES = {
     "sphere-12x24": (sphere, (12, 24)),
     "sphere-12x25": (sphere, (12, 25)),
+    # the z-mirror fixes the equator node
+    "sphere-13x24": (sphere, (13, 24)),
     "spheroid-12x24": (lambda: spheroid(1.0, 1.6), (12, 24)),
     "peanut-16x32": (peanut, (16, 32)),
     "peanut-16x33": (peanut, (16, 33)),
@@ -59,17 +67,75 @@ def case(request):
     return grid, report, sym, ref, ref_sym
 
 
+def _meridian_z_mirror(grid):
+    """The z-mirror of the meridian nodes, found from the points alone:
+    p[a] = b when node (b, 0) is the reflection of node (a, 0) through
+    the plane z = 0, or None if some reflection misses every node."""
+    n_u, n_v = grid.resolution
+    x = grid.points[::n_v]
+    dist = np.linalg.norm(x[:, None, :] * [1.0, 1.0, -1.0] - x[None, :, :],
+                          axis=-1)
+    p = dist.argmin(axis=1)
+    if dist[np.arange(n_u), p].max() > 1e-12 * np.abs(x).max():
+        return None
+    return p
+
+
+def _parity_bases(p):
+    """Orthonormal columns of the even and of the odd vectors of the
+    involution p, one per orbit {a, p[a]} in the order of its smaller node
+    a: e_a alone for a fixed node, else (e_a +- e_p[a]) / sqrt 2."""
+    n = p.size
+    even, odd = [], []
+    for a in range(n):
+        if a < p[a]:
+            even.append(np.zeros(n))
+            even[-1][[a, p[a]]] = 1.0 / np.sqrt(2.0)
+            odd.append(np.zeros(n))
+            odd[-1][[a, p[a]]] = np.array([1.0, -1.0]) / np.sqrt(2.0)
+        elif a == p[a]:
+            even.append(np.eye(n)[a])
+    return [np.array(even).T, np.array(odd).T]
+
+
 def test_grid_keeps_the_turn(case):
     grid, *_ = case
     n_u, n_v = grid.resolution
     assert grid.turn
-    # the modes are one stack pair
-    ((k, s),), mult = spectrum._operator_blocks(grid)
-    assert k.shape == s.shape == (len(mult), n_u, n_u)
-    assert len(mult) == n_v // 2 + 1
-    # every node counted once over the modes and their multiplicities
-    assert n_u * int(np.sum(mult)) == grid.n_nodes
-    assert list(mult[:2]) == [1, 2] and mult[-1] == 2 - (n_v + 1) % 2
+    # one stack pair of the modes per parity of the z-mirror, if it is kept
+    stacks, mult = spectrum._operator_blocks(grid)
+    p = _meridian_z_mirror(grid)
+    assert len(stacks) == (1 if p is None else 2)
+    n_modes = n_v // 2 + 1
+    sizes = [k.shape[1] for k, _ in stacks]
+    for (k, s), m in zip(stacks, sizes):
+        assert k.shape == s.shape == (n_modes, m, m)
+    assert sum(sizes) == n_u
+    # every node counted once over the blocks and their multiplicities
+    assert np.dot(np.repeat(sizes, n_modes), mult) == grid.n_nodes
+    for part in np.split(mult, len(stacks)):
+        assert list(part[:2]) == [1, 2] and part[-1] == 2 - (n_v + 1) % 2
+
+
+def test_parity_blocks_are_the_mode_blocks_projected(case):
+    grid, *_ = case
+    n_u, n_v = grid.resolution
+    # the mode blocks of the unblocked assembly, from its meridian rows
+    whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
+    meridian = n_v * np.arange(n_u)
+    sw = np.sqrt(grid.weights)
+    p = _meridian_z_mirror(grid)
+    bases = [np.eye(n_u)] if p is None else _parity_bases(p)
+    stacks, _ = spectrum._operator_blocks(grid)
+    assert len(stacks) == len(bases)
+    for i, op in enumerate(assemble_operators(whole)):
+        rows = op.rows[meridian] * sw[meridian, None] / sw[None, :]
+        modes = np.moveaxis(np.fft.rfft(rows.reshape(n_u, n_u, n_v),
+                                        axis=-1).real, -1, 0)
+        for stack, basis in zip(stacks, bases):
+            want = basis.T @ modes @ basis
+            assert np.abs(stack[i] - want).max() \
+                <= TOL * np.abs(modes).max()
 
 
 def test_spectra_match_the_mirror_route(case):
@@ -188,3 +254,47 @@ def test_grids_without_the_turn_keep_the_mirror_route(make_grid, order,
 def test_egg_keeps_the_turn_without_the_z_mirror():
     grid = build_grid(_egg(), 12, 24)
     assert grid.turn and grid.mirrors.shape[0] == 4
+
+
+def test_near_field_tasks_are_halved_by_the_z_mirror(monkeypatch):
+    # the integrals over the meridian cells of the z-mirror's
+    # representatives only: 1354 and 2554 tasks over all the meridian
+    # cells before the split
+    tasks = []
+    integrals = operators._cell_kernel_integrals
+
+    def counted(grid, comp, src, tgt, q, nsub):
+        tasks.append(src.size)
+        return integrals(grid, comp, src, tgt, q, nsub)
+
+    monkeypatch.setattr(operators, "_cell_kernel_integrals", counted)
+    for make_surface, res, want in ((sphere, (24, 48), 677),
+                                    (peanut, (32, 64), 1277)):
+        tasks.clear()
+        assemble_operators(build_grid(make_surface(), *res))
+        assert sum(tasks) == want, res
+
+
+def test_a_grid_without_the_z_mirror_keeps_the_bits():
+    # the unsplit modes of the torus inverted about (0, 0, 3), which keeps
+    # the turn but not the z-mirror: the assembled rows, the blocks, the
+    # spectra, the symmetrized matrix and the diagnostics, pinned to the
+    # bits of the route before the z-mirror split
+    make_surface, res = CASES["inverted-torus-16x16"]
+    grid = build_grid(make_surface(), *res)
+    digest = hashlib.sha256()
+    for op in assemble_operators(grid):
+        digest.update(op.rows.tobytes())
+    ((k, s),), _ = spectrum._operator_blocks(grid)
+    eigs, svals, sym = spectrum.symmetrized_spectrum(grid)
+    for a in (k, s, eigs, svals, sym.matrix):
+        digest.update(a.tobytes())
+    digest.update(repr(sorted(sym.diagnostics.items())).encode())
+    assert digest.hexdigest()[:16] == "5a7913ef5495788c"
+
+
+@pytest.mark.parametrize("res, count", [
+    ((48, 96), 750), ((64, 128), 1177), ((96, 192), 2132)])
+def test_peanut_counts_past_the_seed_study(res, count):
+    grid = build_grid(peanut(1.0, 1.1), *res)
+    assert spectrum._negative_count(grid, 1e-3) == count
