@@ -258,8 +258,8 @@ def test_egg_keeps_the_turn_without_the_z_mirror():
 
 def test_near_field_tasks_are_halved_by_the_z_mirror(monkeypatch):
     # the integrals over the meridian cells of the z-mirror's
-    # representatives only: 1354 and 2554 tasks over all the meridian
-    # cells before the split
+    # representatives only, half of the 1354 and 2554 tasks that all the
+    # meridian cells take
     tasks = []
     integrals = operators._cell_kernel_integrals
 
@@ -279,7 +279,7 @@ def test_a_grid_without_the_z_mirror_keeps_the_bits():
     # the unsplit modes of the torus inverted about (0, 0, 3), which keeps
     # the turn but not the z-mirror: the assembled rows, the blocks, the
     # spectra, the symmetrized matrix and the diagnostics, pinned to the
-    # bits of the route before the z-mirror split
+    # bits of the unsplit mode route
     make_surface, res = CASES["inverted-torus-16x16"]
     grid = build_grid(make_surface(), *res)
     digest = hashlib.sha256()
