@@ -17,16 +17,15 @@ are what keep -S positive definite and the spectrum's negative tail clean
 at production resolutions, so they are always applied.
 
 An operator holds the rows of the orbit representatives of the grid's
-symmetry (``_row_nodes``): on a grid with the turn the n_u meridian nodes
-(a, 0), since every other row is a meridian row turned; otherwise the
-smallest node of each orbit of the mirror group, about n/8 rows on a
-catalog grid, every row on a grid without mirrors.  Assembly computes
-the rows of the representatives of the mirrors that map these rows onto
-each other (``_row_mirrors``): on a grid with the turn and the z-mirror
-(a, e) -> (P a, e), about n_u / 2 meridian rows, and copies the others,
-A[(P a, 0), j] = A[(a, 0), Z j]; elsewhere every held row.  It writes
-their one-point products in row blocks, which also find the near pairs.
-Each near-pair integral is then taken over a computed row node's own
+symmetry (``_row_nodes``), and assembly computes these rows and no
+others: on a grid with the turn the meridian nodes (a, 0) with a the
+representative of its orbit under the z-mirror (a, e) -> (P a, e)
+(``_row_mirrors``), about n_u / 2 rows, or all n_u where the grid lacks
+the z-mirror, since every other row is such a row mirrored and turned;
+otherwise the smallest node of each orbit of the mirror group, about n/8
+rows on a catalog grid, every row on a grid without mirrors.  Assembly
+writes their one-point products in row blocks, which also find the near
+pairs.  Each near-pair integral is then taken over a row node's own
 cell, mapped there by the turn, the z-mirror or a mirror
 (``_row_cell_sources``), and each distinct (cell, source) integral once.
 The cell integrals evaluate the surface chart once per quadrature panel
@@ -37,11 +36,11 @@ weights into those samples, and gather from that per-cell cache in
 bounded chunks, one contiguous plane per coordinate.  The self-cell rule
 samples a polar pattern, not a tensor product, and takes full arrays.
 An operator holds only these rows (``DiscreteOperator.rows``).  Every
-other row is a turned copy of a meridian row (``_fill_turns``) or a
-permuted copy of a representative row (``_orbit_sources``,
-``_fill_orbits``), gathered into the n x n matrix only when
-``DiscreteOperator.matrix`` is first read, and into bounded chunks when a
-matrix dump streams them to its file (``dump_operator``).  Beyond the two
+other row is a mirrored and turned copy of a meridian row
+(``_fill_turns``) or a permuted copy of a representative row
+(``_orbit_sources``, ``_fill_orbits``), gathered into the n x n matrix
+only when ``DiscreteOperator.matrix`` is first read, and into bounded
+chunks when a matrix dump streams them to its file (``dump_operator``).  Beyond the two
 returned row arrays, assembly therefore holds temporaries of O(n) plus a
 few dozen MiB, independent of n^2.
 
@@ -126,15 +125,15 @@ class DiscreteOperator:
 
     The operator commutes with the grid's turn (``grid.turn``) or the node
     permutations of its mirror group (``grid.mirrors``), so it is held by
-    ``rows``: the rows of the nodes ``_row_nodes``, in ascending order,
-    the meridian nodes (a, 0) on a grid with the turn and otherwise the
-    orbit representatives, the smallest node of each orbit.  Assembly
-    computes the rows of the z-mirror's representatives among the
-    meridian nodes and copies the others (``_row_mirrors``).  An array of
-    n rows is the whole matrix; so are the rows of a grid without mirrors
-    or turn.  ``matrix`` is the n x n array, gathered from ``rows``
-    (``_row_filler``) the first time it is read and kept from then on;
-    when ``rows`` has n rows it is ``rows`` itself, not a copy.
+    ``rows``, the rows that assembly computes: those of the nodes
+    ``_row_nodes``, in ascending order.  On a grid with the turn these are
+    the meridian nodes (a, 0) of the z-mirror's representatives a
+    (``_row_mirrors``), otherwise the orbit representatives, the smallest
+    node of each orbit.  An array of n rows is the whole matrix; so are
+    the rows of a grid without mirrors or turn.  ``matrix`` is the n x n
+    array, gathered from ``rows`` (``_row_filler``) the first time it is
+    read and kept from then on; when ``rows`` has n rows it is ``rows``
+    itself, not a copy.
     A matrix dump (``dump_operator``) streams the same rows from ``rows``
     in bounded chunks, with the same bits, and neither reads nor builds
     ``matrix``.  The symmetrized operator (``_symmetrize_blocks``) is made
@@ -369,33 +368,31 @@ def _representatives(perms: np.ndarray) -> np.ndarray:
 def _row_nodes(grid: QuadratureGrid) -> np.ndarray:
     """Nodes whose rows an operator holds, ascending.
 
-    On a grid with the turn, the meridian nodes (a, 0) = a * n_v, whose
-    rows give every other row by the turn; otherwise the orbit
-    representatives of the mirror group (``_representatives``).
+    On a grid with the turn, the meridian nodes (a, 0) = a * n_v of the
+    representatives a of the row mirrors (``_row_mirrors``), whose rows
+    give every other row by the z-mirror and the turn; otherwise the
+    orbit representatives of the mirror group (``_representatives``).
     """
     if grid.turn:
-        n_u, n_v = grid.resolution
-        return np.arange(n_u) * n_v
+        return _representatives(_row_mirrors(grid)[1]) * grid.resolution[1]
     return _representatives(grid.mirrors)
 
 
 def _row_mirrors(grid: QuadratureGrid):
-    """The mirrors that map the rows of ``_row_nodes`` onto each other.
+    """The mirrors of a grid with the turn that map meridian nodes onto
+    meridian nodes.
 
-    On a grid with the turn, the elements of ``grid.mirrors`` that keep
-    the v index of every node: the identity and, where the grid keeps it,
-    the z-mirror (a, e) -> (P a, e), which commutes with the turn and the
-    y-mirror.  Otherwise the identity alone.  Returns them as a group
-    table of node permutations, the identity first, and as the table of
-    their permutations of the row nodes: row P a for row a.
+    The elements of ``grid.mirrors`` that keep the v index of every node:
+    the identity and, where the grid keeps it, the z-mirror
+    (a, e) -> (P a, e), which commutes with the turn and the y-mirror.
+    Returns them as a group table of node permutations, the identity
+    first, and as the table of their permutations of the meridian
+    indices: P a for a.
     """
-    rows = _row_nodes(grid)
-    perms = grid.mirrors[:1]
-    if grid.turn:
-        n_v = grid.resolution[1]
-        perms = grid.mirrors[np.all(
-            grid.mirrors % n_v == np.arange(grid.n_nodes) % n_v, axis=1)]
-    return perms, np.searchsorted(rows, perms[:, rows])
+    n_v = grid.resolution[1]
+    perms = grid.mirrors[np.all(
+        grid.mirrors % n_v == np.arange(grid.n_nodes) % n_v, axis=1)]
+    return perms, perms[:, ::n_v] // n_v
 
 
 def _orbit_sources(perms: np.ndarray):
@@ -433,35 +430,47 @@ def _fill_orbits(rows: np.ndarray, perms: np.ndarray, sources,
     return out
 
 
-def _fill_turns(rows: np.ndarray, resolution, out: np.ndarray,
-                start: int = 0) -> np.ndarray:
+def _fill_turns(rows: np.ndarray, table: np.ndarray, sources, n_v: int,
+                out: np.ndarray, start: int = 0) -> np.ndarray:
     """Write rows start, start + 1, ... of the full matrix into ``out``.
 
-    The matrix commutes with the turn of an n_u x n_v grid and has the
-    meridian rows ``rows`` (``_row_nodes``).  Row (a, e) is row (a, 0)
-    with its v index shifted by e, A[(a, e), (b, f)] = A[(a, 0), (b, f - e)],
-    copied in two slices per row, so the entries are the rows' own bits.
+    The matrix commutes with the turn of an n_u x n_v grid and with the
+    row mirrors, whose permutations of the meridian indices are ``table``
+    (``_row_mirrors``), and has the rows ``rows`` of the meridian nodes
+    (c, 0) of the representatives c (``_row_nodes``); ``sources`` is
+    ``_orbit_sources(table)``.  Row (P c, e) is row (c, 0) with its u
+    index permuted by P and its v index shifted by e,
+    A[(P c, e), (b, f)] = A[(c, 0), (P b, f - e)].  The meridian row
+    (P c, 0) is gathered once per call for all its turns, and each row
+    copied from it in two slices, so the entries are the rows' own bits.
     Returns ``out``.
     """
-    n_u, n_v = resolution
-    meridian = rows.reshape(n_u, n_u, n_v)
+    n_u = table.shape[1]
+    src, elem = sources
+    held = rows.reshape(-1, n_u, n_v)
+    last = None
     for i, row in enumerate(out, start):
         a, e = divmod(i, n_v)
+        if a != last:
+            last, meridian = a, held[src[a]][table[elem[a]]]
         row = row.reshape(n_u, n_v)
-        row[:, e:] = meridian[a, :, :n_v - e]
-        row[:, :e] = meridian[a, :, n_v - e:]
+        row[:, e:] = meridian[:, :n_v - e]
+        row[:, :e] = meridian[:, n_v - e:]
     return out
 
 
 def _row_filler(op: DiscreteOperator):
     """``fill(out, start=0)``: rows start, ... of ``op.matrix`` into ``out``.
 
-    Gathered from ``op.rows`` by the turn (``_fill_turns``) on a grid with
-    one, else over the mirror orbits (``_fill_orbits``).
+    Gathered from ``op.rows`` by the z-mirror and the turn
+    (``_fill_turns``) on a grid with the turn, else over the mirror orbits
+    (``_fill_orbits``).
     """
     grid = op.grid
     if grid.turn:
-        return partial(_fill_turns, op.rows, grid.resolution)
+        _, table = _row_mirrors(grid)
+        return partial(_fill_turns, op.rows, table, _orbit_sources(table),
+                       grid.resolution[1])
     perms = grid.mirrors
     return partial(_fill_orbits, op.rows, perms,
                              _orbit_sources(perms))
@@ -472,14 +481,14 @@ def _row_cell_sources(grid: QuadratureGrid, rows: np.ndarray,
     """Each integral over cell ``cols`` from x_``rows`` as one over a row
     node's cell.
 
-    ``rows`` are computed row nodes (``assemble_operators``).  Column j is
-    g rho(j) for a computed row node rho(j) and a symmetry g of the grid,
-    which maps cells onto cells and commutes with both kernels, so the
-    integral over cell j seen from x_r is that over cell rho(j) seen from
-    x_{g^-1 r}.  On a grid with the turn, the turn by d and a mirror h of
-    ``_row_mirrors`` take the computed row node (c, 0) to (b, d) = h (c, d),
-    with c the representative of b's orbit under h (``_orbit_sources`` of
-    the row table), so rho((b, d)) = (c, 0) and g^-1 (a, 0) = h (a, -d).
+    ``rows`` are row nodes (``_row_nodes``).  Column j is g rho(j) for a
+    row node rho(j) and a symmetry g of the grid, which maps cells onto
+    cells and commutes with both kernels, so the integral over cell j seen
+    from x_r is that over cell rho(j) seen from x_{g^-1 r}.  On a grid
+    with the turn, the turn by d and a mirror h of ``_row_mirrors`` take
+    the row node (c, 0) to (b, d) = h (c, d), with c the representative
+    of b's orbit under h (``_orbit_sources`` of the row table), so
+    rho((b, d)) = (c, 0) and g^-1 (a, 0) = h (a, -d).
     Otherwise rho and g are those of ``_orbit_sources`` of the mirror
     group, and g^-1 = g, every mirror being an involution.  On a grid
     without mirrors or turn rho(j) = j and g is the identity.  Returns
@@ -525,19 +534,19 @@ def assemble_operators(grid: QuadratureGrid):
 
     K and S commute with the grid's turn and with the node permutations of
     its mirror group (``grid.mirrors``), so the operators hold only the
-    rows of the nodes ``_row_nodes``: the n_u meridian nodes on a grid
-    with the turn, else the orbit representatives of the mirror group, the
-    smallest node of each orbit, about n/8 rows on a catalog grid and all
-    n rows on a grid without mirrors.  Of these, only the rows of the
-    representatives of ``_row_mirrors`` are computed: on a grid with the
-    turn and the z-mirror Z (a, e) = (P a, e), taken from
-    ``grid.mirrors``, the meridian rows (a, 0) with a <= P a, about
-    n_u / 2; the others are copies, A[(P a, 0), j] = A[(a, 0), Z j], each
-    with its own row-sum diagonal.  The other rows of the matrix are
-    turned or permuted copies, gathered (``_row_filler``) only when
-    ``DiscreteOperator.matrix`` is read or a matrix dump streams them.
-    The block route (``_mode_blocks``, ``_mirror_blocks``) reads the rows
-    of the computed representatives alone.
+    rows of the nodes ``_row_nodes``, and assembly computes these and no
+    others: on a grid with the turn the meridian rows (a, 0) of the
+    representatives of ``_row_mirrors``, with the z-mirror
+    Z (a, e) = (P a, e) taken from ``grid.mirrors`` those with a <= P a,
+    about n_u / 2, and all n_u on a grid without the z-mirror; else the
+    orbit representatives of the mirror group, the smallest node of each
+    orbit, about n/8 rows on a catalog grid and all n rows on a grid
+    without mirrors.  Each row takes its own self-cell entry and row-sum
+    diagonal.  The other rows of the matrix are mirrored, turned or
+    permuted copies, A[Z r, j] = A[r, Z j], gathered (``_row_filler``)
+    only when ``DiscreteOperator.matrix`` is read or a matrix dump streams
+    them.  The block route (``_mode_blocks``, ``_mirror_blocks``) reads
+    every held row.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -548,24 +557,24 @@ def assemble_operators(grid: QuadratureGrid):
     from x_j; K_ij = I_ij, and the single-layer entry
     S_ij = -(I_ij + I_ji w_j / w_i) / 2 averages them so that S is
     symmetric in the weighted_l2 basis.  Cell i is a row node's; I_ij is
-    taken over the cell of the computed row node rho(j) whose image under
-    a symmetry g (the turn, the z-mirror or a mirror) is j, from
+    taken over the cell of the row node rho(j) whose image under a
+    symmetry g (the turn, the z-mirror or a mirror) is j, from
     x_{g^-1 i} (``_row_cell_sources``), the fundamental-domain reduction
     of the near field.  The integrals form one list of distinct
     (cell, source) tasks, each integrated once, subdivided if either pair
     it serves touches, from a per-cell cache of chart samples taken on
-    the computed row nodes' cells alone: on a surface of revolution the
-    backward integrals of the computed meridian rows are all the tasks
-    there are, half as many with the z-mirror as without it (677 against
-    1354 on the 24x48 sphere).  On a grid without mirrors or turn
-    rho(j) = j and the entries are those of integrating each pair in both
-    directions; on a grid with them a row agrees with the row of the same
+    the row nodes' cells alone: on a surface of revolution the backward
+    integrals of the held meridian rows are all the tasks there are, half
+    as many with the z-mirror as without it (677 against 1354 on the
+    24x48 sphere).  On a grid without mirrors or turn rho(j) = j and the
+    entries are those of integrating each pair in both directions; on a
+    grid with them a row of ``matrix`` agrees with the row of the same
     grid without them to rounding (the mapped cell's samples round
-    differently, and a copied row's diagonal sums its row in another
-    order).  Peak memory is the two returned row arrays, 2 n_u n
-    entries on a grid with the turn and about 2 n^2 / |G| entries for a
-    mirror group of order |G|, O(n) and a few dozen MiB of block
-    temporaries.
+    differently, and a mirrored row's diagonal was summed in another
+    order).  Peak memory is the two returned row arrays, about n_u n
+    entries on a grid with the turn and the z-mirror, 2 n_u n with the
+    turn alone and about 2 n^2 / |G| entries for a mirror group of order
+    |G|, O(n) and a few dozen MiB of block temporaries.
 
     Parameters
     ----------
@@ -586,8 +595,8 @@ def assemble_operators(grid: QuadratureGrid):
         If the grid has fewer than 16 nodes, two coincident nodes, or
         nodes of different components within the near-field radius.
     NumericalError
-        If an entry of a computed row of K or S is not finite, naming the
-        operator and the first such (row, column).
+        If an entry of a row of K or S is not finite, naming the operator
+        and the first such (row, column).
     """
     if grid.n_nodes < 16:
         raise GridError(f"grid has {grid.n_nodes} nodes, need >= 16")
@@ -597,13 +606,6 @@ def assemble_operators(grid: QuadratureGrid):
     n = grid.n_nodes
     scale = float(np.max(np.ptp(x, axis=0)))
     reps = _row_nodes(grid)
-    # the rows computed, and where each other row is copied from
-    perms, table = _row_mirrors(grid)
-    own = _representatives(table)
-    src, elem = _orbit_sources(table)
-    # row of each representative in the row arrays, -1 for other nodes
-    pos = np.full(n, -1)
-    pos[reps] = np.arange(reps.size)
     kmat = np.empty((reps.size, n))
     smat = np.empty((reps.size, n))
     diam = _cell_diameters(grid)
@@ -612,8 +614,8 @@ def assemble_operators(grid: QuadratureGrid):
         comp_id[c.slice] = k
     pairs, cross = [], None
     step = _block_rows(n)
-    for r0 in range(0, own.size, step):
-        block = own[r0:r0 + step]
+    for r0 in range(0, reps.size, step):
+        block = slice(r0, r0 + step)
         rows = reps[block]
         diff = x[rows, None, :] - x[None, :, :]
         rr = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -639,7 +641,7 @@ def assemble_operators(grid: QuadratureGrid):
                 cross = (rows[bi], j)
         bi, jj = np.nonzero(near)
         touch = rr[bi, jj] < TOUCH_RADIUS_CELLS * half[bi, jj]
-        pairs.append((rows[bi], jj, touch))
+        pairs.append((r0 + bi, jj, touch))
     # cross-chart cell integrals are not supported, so such grids cannot be
     # assembled accurately; raised only now so that coincident nodes in any
     # row block are reported first
@@ -648,7 +650,9 @@ def assemble_operators(grid: QuadratureGrid):
             f"nodes {cross[0]} and {cross[1]} of different components "
             f"are closer than the near-field correction radius; "
             f"separate the components or refine the grids")
-    ii, jj, touch = (np.concatenate(p) for p in zip(*pairs))
+    # near pairs (i, j) = (reps[ri], jj)
+    ri, jj, touch = (np.concatenate(p) for p in zip(*pairs))
+    ii = reps[ri]
     # near pair (i, j) needs I_ij over cell j from x_i, taken over a row
     # node's cell (_row_cell_sources), and I_ji over cell i from x_j; one
     # task per distinct (cell, source), subdivided if either pair touches
@@ -668,19 +672,15 @@ def assemble_operators(grid: QuadratureGrid):
                 i_s[pick], i_k[pick] = _cell_kernel_integrals(
                     grid, comp, sources[pick], cells[pick], CELL_QUAD, nsub)
     fwd, bwd = task[:ii.size], task[ii.size:]
-    kmat[pos[ii], jj] = i_k[fwd]
-    smat[pos[ii], jj] = -0.5 * (i_s[fwd] + i_s[bwd] * (w[jj] / w[ii]))
-    smat[own, reps[own]] = -_self_cell_single_layer(grid, reps[own])
-    kmat[own, reps[own]] = 0.0
-    # every other row is a mirrored copy, A[h r, j] = A[r, h j]; a copy
-    # follows its source row, so a fault shows first in a computed row
-    copies = np.flatnonzero(elem)
-    for a in (kmat, smat):
-        a[copies] = a[own[src[copies]][:, None], perms[elem[copies]]]
+    kmat[ri, jj] = i_k[fwd]
+    smat[ri, jj] = -0.5 * (i_s[fwd] + i_s[bwd] * (w[jj] / w[ii]))
+    diag = (np.arange(reps.size), reps)
+    smat[diag] = -_self_cell_single_layer(grid, reps)
+    kmat[diag] = 0.0
     # row-sum diagonal: the double layer maps constants to 1/2 exactly; K is
     # checked first, since the sum would spread a fault to the diagonal
     _check_finite("double-layer", kmat, reps)
-    kmat[np.arange(reps.size), reps] = 0.5 - kmat.sum(axis=1)
+    kmat[diag] = 0.5 - kmat.sum(axis=1)
     _check_finite("single-layer", smat, reps)
     return (DiscreteOperator(kmat, basis="nystrom", grid=grid),
             DiscreteOperator(smat, basis="nystrom", grid=grid))
@@ -1062,11 +1062,11 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     turn, split by the z-mirror into an even and an odd block each.
 
     ``k`` and ``s`` are the nystrom-basis meridian rows of
-    ``assemble_operators`` (``_row_nodes``); only the rows of the
-    representatives of the row mirrors (``_row_mirrors``) are read,
-    converted to the weighted_l2 basis on a copy.  K_w and S_w commute
-    with the turn (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and
-    with the y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even
+    ``assemble_operators``, those of the representatives of the row
+    mirrors (``_row_nodes``, ``_row_mirrors``), converted to the
+    weighted_l2 basis on a copy.  K_w and S_w commute with the turn
+    (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and with the
+    y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even
     in d and in the orthonormal real basis
     sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e) (and the sines for
     0 < m < n_v / 2), c_m the multiplicity of mode m
@@ -1090,14 +1090,12 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     n_u, n_v = grid.resolution
     sw = np.sqrt(grid.weights)
     _, table = _row_mirrors(grid)
-    own = _representatives(table)
-    nodes = _row_nodes(grid)[own]
+    nodes = _row_nodes(grid)
 
     def modes(a):
-        a = a[own]
-        a *= sw[nodes, None]
+        a = a * sw[nodes, None]
         a /= sw[None, :]
-        return np.moveaxis(np.fft.rfft(a.reshape(own.size, n_u, n_v),
+        return np.moveaxis(np.fft.rfft(a.reshape(nodes.size, n_u, n_v),
                                        axis=-1).real, -1, 0)
 
     return _character_blocks([lambda c, b=modes(a): b[..., c]
@@ -1105,18 +1103,20 @@ def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
 
 
 def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
-    """Meridian rows of Q blockdiag(blocks) Q^T (``_mode_blocks``), the
-    blocks given as (b, m, m) stacks in block order, the even modes first.
+    """Rows of Q blockdiag(blocks) Q^T (``_mode_blocks``) at the meridian
+    nodes ``_row_nodes``, the blocks given as (b, m, m) stacks in block
+    order, the even modes first.
 
     Each parity's modes join into the rows of the representatives of the
     B_m (``_character_rows``), and the other rows of the B_m are mirrored
     copies, B_m[P a, b] = B_m[a, P b].  Then M[(a, 0), (b, d)] =
     sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v, the ``irfft``
-    (n = n_v) along the mode axis, averaged with their mirror images
-    M[(b, 0), (a, -d)] so that an exactly symmetric set of blocks gives
-    an exactly symmetric matrix.  The other rows follow by the turn
-    (``_fill_turns``).  Joined when a symmetrized operator's ``rows`` is
-    read.
+    (n = n_v) along the mode axis for all n_u meridian nodes, averaged
+    with their mirror images M[(b, 0), (a, -d)] so that an exactly
+    symmetric set of blocks gives an exactly symmetric matrix; the rows
+    of the representatives are kept.  The other rows follow by the
+    z-mirror and the turn (``_fill_turns``).  Joined when a symmetrized
+    operator's ``rows`` is read.
     """
     n_u, n_v = grid.resolution
     _, table = _row_mirrors(grid)
@@ -1130,7 +1130,7 @@ def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     rows = np.fft.irfft(np.moveaxis(full, 0, -1), n=n_v, axis=-1)
     rows += rows.transpose(1, 0, 2)[..., -np.arange(n_v) % n_v]
     rows *= 0.5
-    return rows.reshape(n_u, n_u * n_v)
+    return rows[_representatives(table)].reshape(-1, n_u * n_v)
 
 
 def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):

@@ -29,9 +29,9 @@ def fill_calls(monkeypatch):
         calls.append(out.shape[0])
         return orbits(rows, perms, sources, out, start)
 
-    def counted_turns(rows, resolution, out, start=0):
+    def counted_turns(rows, table, sources, n_v, out, start=0):
         calls.append(out.shape[0])
-        return turns(rows, resolution, out, start)
+        return turns(rows, table, sources, n_v, out, start)
 
     monkeypatch.setattr(operators, "_fill_orbits", counted_orbits)
     monkeypatch.setattr(operators, "_fill_turns", counted_turns)
@@ -63,7 +63,14 @@ def join_calls(monkeypatch):
     ({"name": "sphere"}, [24, 48], "_mode_rows", "ab4e69689a78f8de"),
     ({"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0}, [16, 32],
      "_mirror_rows", "654fcef1554a5941"),
-], ids=["sphere-24x48", "ellipsoid-16x32"])
+    # the z-mirror fixes the equator row (odd n_u)
+    ({"name": "sphere"}, [13, 24], "_mode_rows", "fbc50e7d6c35ecfd"),
+    # the turn without the z-mirror
+    ({"invert": {"center": [0.0, 0.0, 3.0], "radius": 1.0,
+                 "inner": {"name": "torus"}}}, [16, 16], "_mode_rows",
+     "49a745e3e38632b5"),
+], ids=["sphere-24x48", "ellipsoid-16x32", "sphere-13x24",
+        "inverted-torus-16x16"])
 def test_rows_are_joined_only_for_a_dump_and_once(join_calls, tmp_path,
                                                   surface, resolution, join,
                                                   digest):
@@ -165,10 +172,10 @@ def test_matrix_is_filled_once_and_kept(fill_calls):
     assert k_op.matrix is k_op.matrix
     assert k_op.matrix.shape == (grid.n_nodes, grid.n_nodes)
     assert fill_calls == [grid.n_nodes]
-    # the representative rows, here the meridian's, are the matrix's own
-    # rows
+    # the representative rows, here those of the meridian nodes (a, 0)
+    # with a <= 11 - a under the z-mirror, are the matrix's own rows
     reps = operators._row_nodes(grid)
-    assert grid.turn and np.array_equal(reps, 24 * np.arange(12))
+    assert grid.turn and np.array_equal(reps, 24 * np.arange(6))
     assert np.array_equal(k_op.matrix[reps], k_op.rows)
     # a full matrix in place of the rows is returned as it is
     full = dataclasses.replace(s_op, rows=s_op.matrix)

@@ -1,17 +1,17 @@
 """Rotation-mode block spectra against the mirror route.
 
 On a grid with the turn (u, v) -> (u, v + 2 pi / n_v) and the y-mirror,
-``compute_report``, ``symmetrized_spectrum`` and the study hold the n_u
-meridian rows, compute those of the z-mirror's representatives and copy
-the others, and split K and S into one real block per rotation mode and
-parity of the z-mirror (``operators._mode_blocks``).  These tests compare
-every merged number with the same grid with its turn stripped, which
-takes the mirror blocks, compare the parity blocks with the mode blocks
-of the unblocked assembly projected by the z-mirror found from the
-points, check that the meridian rows are those of the unblocked assembly
-and fill the matrix and its dump, count the near-field tasks, pin a grid
-without the z-mirror to the bits of the unsplit modes, and check which
-grids keep the turn.
+``compute_report``, ``symmetrized_spectrum`` and the study compute and
+hold the meridian rows of the z-mirror's representatives alone, and split
+K and S into one real block per rotation mode and parity of the z-mirror
+(``operators._mode_blocks``).  These tests compare every merged number
+with the same grid with its turn stripped, which takes the mirror blocks,
+compare the parity blocks with the mode blocks of the unblocked assembly
+projected by the z-mirror found from the points, check that the held
+meridian rows are those of the unblocked assembly and that the matrix
+mirrors them by that z-mirror, fill the matrix and its dump, count the
+near-field tasks, pin a grid without the z-mirror to the bits of the
+unsplit modes, and check which grids keep the turn.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def test_counts_match_the_mirror_route(case):
 def test_symmetrized_matrix_is_exactly_symmetric(case):
     grid, report, sym, *_ = case
     assert sym.basis == "symmetrized" and sym.n == grid.n_nodes
-    assert sym.rows.shape == (grid.resolution[0], grid.n_nodes)
+    assert sym.rows.shape == (operators._row_nodes(grid).size, grid.n_nodes)
     assert np.array_equal(sym.matrix, sym.matrix.T)
     assert np.abs(np.sort(sla.eigvalsh(sym.matrix))
                   - _signed(report)).max() <= TOL
@@ -180,15 +180,41 @@ def test_meridian_rows_are_the_unblocked_rows(case):
     whole = dataclasses.replace(grid, mirrors=grid.mirrors[:1], turn=False)
     meridian = operators._row_nodes(grid)
     n_u, n_v = grid.resolution
-    assert np.array_equal(meridian, n_v * np.arange(n_u))
+    # the meridian nodes (a, 0) with a the smaller node of its orbit under
+    # the z-mirror found from the points, or all of them without it
+    p = _meridian_z_mirror(grid)
+    p = np.arange(n_u) if p is None else p
+    assert np.array_equal(meridian, n_v * np.flatnonzero(np.arange(n_u) <= p))
     for op, ref in zip(assemble_operators(grid), assemble_operators(whole)):
-        assert op.rows.shape == (n_u, grid.n_nodes)
+        assert op.rows.shape == (meridian.size, grid.n_nodes)
         assert np.abs(op.rows - ref.rows[meridian]).max() \
             <= TOL * np.abs(ref.rows[meridian]).max()
-        # the other rows are turned copies, equal to the computed ones to
-        # rounding
+        # the other rows are mirrored and turned copies, equal to the
+        # computed ones to rounding
         assert np.abs(op.matrix - ref.matrix).max() \
             <= TOL * np.abs(ref.matrix).max()
+
+
+def test_mirrored_rows_are_held_rows_mirrored(case):
+    # row (P c, 0) of the matrix is row (c, 0) with the z-mirror, found
+    # from the points, applied to its columns, bit for bit for P c != c
+    # and to rounding for a computed row that P fixes; a mirrored row of K
+    # keeps K 1 = 1/2, its diagonal summed in another order
+    grid, *_ = case
+    n_u, n_v = grid.resolution
+    p = _meridian_z_mirror(grid)
+    if p is None:
+        p = np.arange(n_u)
+    mirror = (n_v * p[:, None] + np.arange(n_v)).ravel()
+    k_op, s_op = assemble_operators(grid)
+    for op in (k_op, s_op):
+        scale = np.abs(op.matrix).max()
+        for c in range(n_u):
+            row, want = op.matrix[n_v * p[c]], op.matrix[n_v * c][mirror]
+            if p[c] != c:
+                assert np.array_equal(row, want), c
+            assert np.abs(row - want).max() <= TOL * scale, c
+    assert np.abs(k_op.matrix.sum(axis=1) - 0.5).max() <= 1e-15
 
 
 def test_k_maps_constants_to_one_half(case):
@@ -214,14 +240,29 @@ def test_matrix_dump_is_the_matrix_byte_for_byte(case, chunk_rows, tmp_path,
 
 
 def test_turned_rows_are_shifted_meridian_rows():
+    # the turn alone, and with the z-mirror P = (2, 1, 0): the rows (a, 0)
+    # of the representatives a are held, and row (2, e) is row (0, 0) with
+    # its u index reversed, turned by e
     n_u, n_v = 3, 5
-    rows = np.arange(n_u * n_u * n_v, dtype=float).reshape(n_u, n_u * n_v)
-    out = operators._fill_turns(rows, (n_u, n_v), np.empty((n_u * n_v,
-                                                            n_u * n_v)))
-    for a in range(n_u):
-        for e in range(n_v):
-            want = np.roll(rows[a].reshape(n_u, n_v), e, axis=1).ravel()
-            assert np.array_equal(out[a * n_v + e], want)
+    for table, p in (([[0, 1, 2]], [0, 1, 2]),
+                     ([[0, 1, 2], [2, 1, 0]], [0, 1, 0])):
+        table = np.array(table)
+        reps = operators._representatives(table)
+        rows = np.arange(reps.size * n_u * n_v, dtype=float).reshape(
+            reps.size, n_u * n_v)
+        sources = operators._orbit_sources(table)
+        out = operators._fill_turns(rows, table, sources, n_v,
+                                    np.empty((n_u * n_v, n_u * n_v)))
+        for a in range(n_u):
+            meridian = rows[p[a]].reshape(n_u, n_v)[table[-1] if a not in reps
+                                                    else table[0]]
+            for e in range(n_v):
+                want = np.roll(meridian, e, axis=1).ravel()
+                assert np.array_equal(out[a * n_v + e], want)
+        # a call from another start writes the same rows
+        part = operators._fill_turns(rows, table, sources, n_v,
+                                     np.empty((4, n_u * n_v)), start=7)
+        assert np.array_equal(part, out[7:11])
 
 
 @pytest.mark.parametrize("make_grid, order", [
