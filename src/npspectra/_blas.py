@@ -9,9 +9,14 @@ single-threaded call gives the same bits whatever the CPU count.  So
 ``operators._map_blocks`` holds every build at one thread while it runs
 the batches of a grid of several blocks, inline when they form one batch
 and otherwise side by side.  The pin covers both builds: the stacked
-eigensolves, factorizations and products of a batch are numpy calls,
-which run in numpy's build and release the GIL, so two batches' calls
-run at once, while the per-block triangular solves run in scipy's.
+eigensolves and products of a batch are numpy calls, which run in
+numpy's build, while the per-block Cholesky factors and triangular
+solves run in scipy's and hold the GIL.  numpy's ``matmul`` releases the
+GIL at every size, but its ``eigvalsh`` and ``svd`` hold it on a stack
+whose matrix count times m is at most 500, such as one block of a few
+hundred rows.  So symmetrization solves each slice's -S_b and Gram
+matrices as one stack of twice its blocks, and the solves of two
+batches run at once (``operators._cholesky_similarity``).
 
 The builds are looked up once, on first use, among the shared objects
 mapped into the process.  Where none is found (another BLAS, or a system

@@ -68,9 +68,14 @@ batches of contiguous slices (``_batches``), views that copy no data, and
 runs the batches side by side on a thread pool, each LAPACK call on one
 BLAS thread; a grid
 whose blocks form one batch starts no pool.  Every dense step is one
-numpy ``linalg`` or ``matmul`` call per slice; these calls release the
-GIL, so the pool runs the eigensolves of one batch beside those of
-another.  Symmetrization is one such pass
+numpy ``linalg`` or ``matmul`` call per slice, except the Cholesky
+factors and triangular solves, one scipy LAPACK or BLAS call per block.
+numpy releases the GIL in ``matmul`` at every size, but holds it through
+an ``eigvalsh`` or ``svd`` of a stack whose matrix count times m is at
+most 500, as for a mirror character of a few hundred rows, a stack of
+one.  So each slice's -S_b and Gram matrices K_b^T K_b share one
+``eigvalsh`` of 2b matrices, which the pool runs beside the calls of
+another batch.  Symmetrization is one such pass
 (``_plemelj_symmetrize``): per batch it symmetrizes each slice, takes its
 eigenvalues and the singular values of its K_b, and takes the skew and
 commutator norms in one Lanczos run each on the block diagonal, two runs
@@ -86,6 +91,7 @@ from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf
 
 from ._fileio import atomic_write
 from .errors import (ConfigError, GridError, NotPositiveDefinite,
@@ -778,12 +784,22 @@ def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
-    """The smallest and the largest eigenvalue of the -S_b of a stack, and
-    the stack of the L_b^-1 K_b L_b, for -S_b = L_b L_b^T.
+    """The smallest and the largest eigenvalue of the -S_b of a stack, the
+    descending singular values of its K_b, and the stack of the
+    L_b^-1 K_b L_b, for -S_b = L_b L_b^T.
 
-    Both eigenvalues come from one ``eigvalsh`` of the stack of -S_b; the
-    largest is the spectral norm of the S_b once each -S_b is positive
-    definite.  Only the result outlives the call, not -S_b or its factors.
+    The -S_b and the Gram matrices K_b^T K_b are written into one
+    (2b, m, m) array and take one ``eigvalsh``: numpy holds the GIL
+    through an eigensolve of a stack whose matrix count times m is at
+    most 500, so a single block of 400 rows would otherwise keep the
+    pool's other worker waiting.  The largest eigenvalue of a positive
+    definite -S_b is the norm of S_b, and the singular values of K_b are
+    the square roots of its Gram eigenvalues, clipped at 0; squaring
+    loses accuracy only for singular values near sqrt(eps) ||K_b||.  The
+    array is freed before the factors are formed, and each -S_b is
+    factored in place by LAPACK ``dpotrf`` on the Fortran view of its
+    C-ordered block, whose upper triangle is the block's lower one.  Only
+    the results outlive the call, not -S_b or its factors.
 
     Raises
     ------
@@ -791,21 +807,34 @@ def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
         If some -S_b has a nonpositive eigenvalue, the first in block
         order, or its Cholesky factorization fails.
     """
-    neg_s = np.negative(s)
-    eigs = np.linalg.eigvalsh(neg_s)
-    bad = np.flatnonzero(eigs[:, 0] <= 0.0)
+    b = len(k)
+    both = np.empty((2 * b, *k.shape[1:]))
+    np.negative(s, out=both[:b])
+    np.matmul(np.swapaxes(k, 1, 2), k, out=both[b:])
+    eigs = np.linalg.eigvalsh(both)
+    del both
+    neg, gram = eigs[:b], eigs[b:]
+    bad = np.flatnonzero(neg[:, 0] <= 0.0)
     if bad.size:
         raise NotPositiveDefinite(
-            f"-S has min eigenvalue {eigs[bad[0], 0]:.3e}; refine the grid")
-    lower = _cholesky_neg_s(neg_s)
-    del neg_s
+            f"-S has min eigenvalue {neg[bad[0], 0]:.3e}; refine the grid")
+    lower = np.negative(s)
+    for low in lower:
+        # the upper factor U of the Fortran view is L^T, so the C-ordered
+        # block ends up holding L, its upper triangle zeroed
+        info = dpotrf(low.T, lower=0, clean=1, overwrite_a=1)[1]
+        if info:
+            raise NotPositiveDefinite(
+                f"Cholesky factorization of -S failed (leading minor "
+                f"{info} is not positive); refine the grid")
     kt = np.matmul(k, lower)
     for x, low in zip(kt, lower):
         # L X = K L solved as X^T L^T = (K L)^T: the transposes of the
         # C-ordered x and low are Fortran-ordered, so dtrsm works in the
         # storage of x
         dtrsm(1.0, low.T, x.T, side=1, overwrite_b=1)
-    return float(eigs[:, 0].min()), float(eigs[:, -1].max()), kt
+    return (float(neg[:, 0].min()), float(neg[:, -1].max()),
+            np.sqrt(np.clip(gram, 0.0, None))[:, ::-1], kt)
 
 
 def _half_sum(kt: np.ndarray, sign: float) -> np.ndarray:
@@ -822,17 +851,20 @@ def _plemelj_symmetrize(batch):
     blocks (K_b, S_b), the eigenvalues and singular values of each block,
     and the norms of their block diagonal.
 
-    The batch is a list of (b, m, m) stack pairs (``_batches``), and each
-    dense step is one numpy call per stack, which runs without the GIL
-    (``_cholesky_similarity``): one ``eigvalsh`` of
-    the -S_b, which gives the smallest eigenvalue of each -S_b and the
-    largest, the norm of S_b; one ``cholesky`` -S_b = L_b L_b^T
-    (``_cholesky_neg_s``); one ``matmul`` K_b L_b; then one ``eigvalsh``
-    of the sym(L_b^-1 K_b L_b) and one ``svd`` of the K_b for their
-    singular values.  The triangular solves L_b^-1 (K_b L_b), which numpy
-    lacks, are one BLAS ``dtrsm`` per block, in place.  Stacks go in
-    block order, so the first block whose -S_b has a nonpositive
-    eigenvalue raises, else the first stack whose factorization fails.
+    The batch is a list of (b, m, m) stack pairs (``_batches``).  It
+    first takes the commutator norm, while no similarity array is alive.
+    Then each dense step is one numpy call per stack
+    (``_cholesky_similarity``): one ``eigvalsh`` of the -S_b and the
+    K_b^T K_b together, a stack of 2b matrices, so that numpy releases
+    the GIL even for a stack of one block; it gives the smallest
+    eigenvalue of each -S_b and the largest, the norm of S_b, and the
+    singular values of the K_b; one ``matmul`` K_b L_b; then one
+    ``eigvalsh`` of the sym(L_b^-1 K_b L_b).  The factors
+    -S_b = L_b L_b^T, taken in place, and the triangular solves
+    L_b^-1 (K_b L_b) are one LAPACK ``dpotrf`` and one BLAS ``dtrsm``
+    per block.  Stacks go in block order, so the first block whose -S_b
+    has a nonpositive eigenvalue raises, else the first block whose
+    factorization fails.
 
     Returns the list of the ascending eigenvalues of the sym_b, as one
     (b, m) array per stack, the list of the descending singular values of
@@ -844,8 +876,8 @@ def _plemelj_symmetrize(batch):
     -S_b, which is the norm of the block diagonal of the S_b.  That is two
     Lanczos runs per batch, whatever its number of blocks; the norms of
     the K_b and of the sym_b are read off their spectra
-    (``_merge_diagnostics``).  The batch holds its blocks' L_b^-1 K_b L_b,
-    skew parts and commutators only until their norms are taken.
+    (``_merge_diagnostics``).  The batch holds its blocks' commutators,
+    L_b^-1 K_b L_b and skew parts only until their norms are taken.
     This is Plemelj's symmetrization: S is symmetric and S K^T = K S, so
     L^-1 K L is symmetric for the continuous operators.  Its spectrum is
     that of K; another factor of -S (such as its square root) changes the
@@ -858,14 +890,13 @@ def _plemelj_symmetrize(batch):
         If some -S_b has a nonpositive eigenvalue or its Cholesky
         factorization fails.
     """
-    min_eigs, s_norms, kts = zip(*(_cholesky_similarity(k, s)
-                                   for k, s in batch))
+    resid = _spectral_norm([_commutator(k, s) for k, s in batch])
+    min_eigs, s_norms, svals, kts = zip(*(_cholesky_similarity(k, s)
+                                          for k, s in batch))
     skew_norm = _spectral_norm([_half_sum(kt, -1.0) for kt in kts])
     syms = [_half_sum(kt, 1.0) for kt in kts]
     del kts
-    resid = _spectral_norm([_commutator(k, s) for k, s in batch])
-    return ([np.linalg.eigvalsh(sym) for sym in syms],
-            [np.linalg.svd(k, compute_uv=False) for k, _ in batch], syms,
+    return ([np.linalg.eigvalsh(sym) for sym in syms], list(svals), syms,
             (min(min_eigs), skew_norm, resid, max(s_norms)))
 
 
@@ -1212,9 +1243,13 @@ def _map_blocks(fn, stacks, names) -> list:
     worker thread per usable CPU: blocks of a few hundred rows are faster
     on one thread than on all the CPUs, their values then do not depend
     on the BLAS thread count or the CPU count, and the workers overlap the
-    dense work of one batch with that of another, since the numpy
-    ``linalg`` and ``matmul`` calls release the GIL; only the per-block
-    triangular solves and the Lanczos iterations' Python steps hold it.
+    dense work of one batch with that of another.  numpy's ``matmul``
+    releases the GIL at every size, its ``eigvalsh`` and ``svd`` only on
+    a stack whose matrix count times m exceeds 500, which is why
+    ``_cholesky_similarity`` stacks each slice's -S_b and Gram matrices
+    into one call; the ``eigvalsh`` of a sym_b of a stack of one, the
+    per-block factors and triangular solves, and the Lanczos iterations'
+    Python steps hold it.
     A pool that would have one worker, such as for the 50 mode blocks of
     a 24x48 sphere or any level of a peanut study, is not started, which
     also keeps the batch's temporaries out of a worker thread's malloc
@@ -1270,14 +1305,13 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     (the rotation modes as one stack pair per parity, else each mirror
     character as a stack of one) and the multiplicities of their blocks.
     The stacks go to ``_plemelj_symmetrize`` in the batches of
-    ``_map_blocks``,
-    slices that copy no data: one pass that symmetrizes each slice and
-    takes its ``eigvalsh`` and the singular values of its K_b, one
-    GIL-free numpy call per slice and step, and the skew and commutator
+    ``_map_blocks``, slices that copy no data: one pass that symmetrizes
+    each slice and takes its ``eigvalsh`` and the singular values of its
+    K_b, one numpy call per slice and step, and the skew and commutator
     norms of a batch in one Lanczos run each on its block diagonal.  So
     the 25 even and 25 odd modes of a 24x48 sphere, one batch of two
-    slices, cost 2 Lanczos runs, 4 ``eigvalsh`` calls and 2 ``svd``
-    calls.
+    slices, cost 2 Lanczos runs and 4 ``eigvalsh`` calls, two of them on
+    the 25 -S_b and 25 Gram matrices of a parity, and no ``svd`` call.
 
     Returns the eigenvalues and the singular values of K_w, the sorted
     unions of the block values (``_sorted_union``), and the ``symmetrized``

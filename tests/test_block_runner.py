@@ -87,21 +87,32 @@ def two_blas_threads():
 
 def test_blocks_run_on_one_blas_thread_and_the_counts_return(
         two_blas_threads, monkeypatch):
+    config = make_config(_SPHERE_12)
+    # a first report fills the Gauss-Legendre cache, whose leggauss calls
+    # eigvalsh; the second calls it no more
+    compute_report(config)
     seen = []
-    svd = np.linalg.svd
 
-    def recording(a, *args, **kwargs):
-        seen.append(_blas.thread_counts())
-        return svd(a, *args, **kwargs)
+    def recording(module, name):
+        call = getattr(module, name)
 
-    monkeypatch.setattr(np.linalg, "svd", recording)
-    compute_report(make_config(_SPHERE_12))
-    # one call for each of the two stacks, even and odd, of the rotation
-    # modes m = 0 .. 12 of the 12x24 sphere
-    assert len(seen) == 2
-    assert set(seen) == {(1,) * len(two_blas_threads)}
+        def recorded(*args, **kwargs):
+            seen.append((name, _blas.thread_counts()))
+            return call(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+
+    # numpy's eigensolves and scipy's in-place factors, one per build
+    recording(np.linalg, "eigvalsh")
+    recording(operators, "dpotrf")
+    compute_report(config)
+    # per stack, even and odd, of the rotation modes m = 0 .. 12 of the
+    # 12x24 sphere: one eigvalsh of -S and the Gram matrices, one of sym,
+    # and one factor per mode
+    assert sorted(name for name, _ in seen) == \
+        ["dpotrf"] * 26 + ["eigvalsh"] * 4
+    assert {counts for _, counts in seen} == {(1,) * len(two_blas_threads)}
     assert _blas.thread_counts() == two_blas_threads
-
 
 
 @pytest.mark.parametrize("make_grid, n_blocks, n_stacks", [
@@ -134,21 +145,31 @@ def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
 
 
 def _fail_blocks(monkeypatch, grid, failing):
-    """Make ``np.linalg.cholesky`` fail on a stack that holds the -S of a
-    block in ``failing``, naming the first such block of the stack."""
+    """Make the factorization of the -S of a block in ``failing`` fail: the
+    in-place ``dpotrf`` of a report's symmetrization returns a nonzero
+    ``info``, and the ``np.linalg.cholesky`` of a study's counts raises on
+    a stack that holds such a block, naming the first of the stack."""
     stacks, _ = spectrum._operator_blocks(grid)
     neg_s = [-b for _, s in stacks for b in s]
-    cholesky = np.linalg.cholesky
+    cholesky, dpotrf = np.linalg.cholesky, operators.dpotrf
+
+    def index(block):
+        return next(i for i, m in enumerate(neg_s) if np.array_equal(block, m))
 
     def injected(a, *args, **kwargs):
-        indices = [next(i for i, m in enumerate(neg_s)
-                        if np.array_equal(b, m)) for b in a]
-        bad = sorted(failing.intersection(indices))
+        bad = sorted(failing.intersection(index(b) for b in a))
         if bad:
             raise np.linalg.LinAlgError(f"injected in block {bad[0]}")
         return cholesky(a, *args, **kwargs)
 
+    def injected_factor(a, *args, **kwargs):
+        # a is the Fortran view of the C-ordered block
+        if index(a.T) in failing:
+            return a, 1
+        return dpotrf(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "cholesky", injected)
+    monkeypatch.setattr(operators, "dpotrf", injected_factor)
 
 
 @pytest.mark.parametrize("run", [
@@ -157,13 +178,14 @@ def _fail_blocks(monkeypatch, grid, failing):
 ], ids=["report", "study"])
 def test_a_failing_block_raises_its_typed_error(two_blas_threads,
                                                 monkeypatch, run):
-    # modes 2 and 7 of the 13 rotation modes of the 12x24 sphere
+    # modes 2 and 7 of the 13 even rotation modes of the 12x24 sphere
     _fail_blocks(monkeypatch, build_grid(sphere(), 12, 24), {2, 7})
     # the first failing block in block order, whichever worker ran first
-    with pytest.raises(NotPositiveDefinite, match="injected in block 2"):
+    with pytest.raises(NotPositiveDefinite,
+                       match="mode 2 even: Cholesky factorization of -S "
+                             "failed"):
         run()
     assert _blas.thread_counts() == two_blas_threads
-
 
 
 def _two_cpus(monkeypatch):

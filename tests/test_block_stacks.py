@@ -7,8 +7,10 @@ copy no data.  Symmetrization (``operators._plemelj_symmetrize``) runs
 each dense step as one numpy ``linalg`` call per slice.  These tests
 check that the batches are views of the split, compare every block of
 the stacked pass with a per-block scipy computation on the mode and
-mirror ``CASES`` grids, check that a failing block is named by its place
-in block order, and count the calls of a report.
+mirror ``CASES`` grids and the one-block route, check that a failing
+block is named by its place in block order, also when LAPACK's own
+factorization fails, and count the calls of a report: no ``svd``, and
+every ``eigvalsh`` but that of a lone sym_b on two matrices or more.
 """
 
 from __future__ import annotations
@@ -18,8 +20,10 @@ import collections
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.spatial.transform import Rotation
 
-from npspectra import NotPositiveDefinite, build_grid, operators, spectrum
+from npspectra import (NotPositiveDefinite, build_grid, ellipsoid,
+                       mobius_invert, operators, rigid_transform, spectrum)
 from npspectra.pipeline import compute_report
 
 from conftest import make_config
@@ -162,12 +166,94 @@ def test_a_report_makes_one_call_per_stack_and_step(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     for module, names in ((np.linalg, ("eigvalsh", "svd", "cholesky")),
-                          (sla, ("eigvalsh", "svdvals", "cholesky"))):
+                          (sla, ("eigvalsh", "svdvals", "cholesky")),
+                          (operators, ("dpotrf",))):
         for name in names:
             count(module, name)
     compute_report(config)
     # the 25 rotation modes are one batch of two stacks, even and odd:
-    # per stack eigvalsh of -S and of sym, one Cholesky and one svd of K,
-    # and no scipy eigensolve
-    assert calls == {"numpy.linalg.eigvalsh": 4, "numpy.linalg.svd": 2,
-                     "numpy.linalg.cholesky": 2}
+    # per stack one eigvalsh of -S and the Gram matrices and one of sym,
+    # one in-place factor per mode, and no svd or scipy eigensolve
+    assert calls == {"numpy.linalg.eigvalsh": 4,
+                     "npspectra.operators.dpotrf": 50}
+
+
+def test_each_eigensolve_but_sym_takes_two_matrices_or_more(monkeypatch):
+    # numpy holds the GIL through an eigensolve of a stack whose matrix
+    # count times m is at most 500, so the 8 mirror characters of the
+    # 16x32 ellipsoid, of 56 to 72 nodes and a stack of one each, would
+    # run their eigensolves one after another on the pool
+    config = make_config(
+        {"surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
+         "resolution": [16, 32]})
+    compute_report(config)
+    stacks, _ = spectrum._operator_blocks(
+        build_grid(ellipsoid(2.0, 1.2, 1.0), 16, 32))
+    pairs = _pairs(stacks)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        calls.append(a.copy())
+        return eigvalsh(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
+    compute_report(config)
+    # each block's -S_b and K_b^T K_b in one call, and its sym_b in another
+    solves = {}
+    for a in calls:
+        block = next((i for i, (_, s) in enumerate(pairs)
+                      if np.array_equal(a[0], -s)), None)
+        solves.setdefault(block, []).append(a)
+    syms = solves.pop(None)
+    assert sorted(solves) == list(range(len(pairs)))
+    for i, (k, s) in enumerate(pairs):
+        (a,) = solves[i]
+        assert a.shape == (2, *s.shape), i
+        gram = k.T @ k
+        assert np.abs(a[1] - gram).max() <= 1e-14 * np.abs(gram).max(), i
+    # sym_b alone, a stack of one
+    assert sorted(a.shape for a in syms) == sorted(
+        (1, *s.shape) for _, s in pairs)
+
+
+def test_an_indefinite_block_fails_its_factor(monkeypatch):
+    # block 3's -S has a negative diagonal entry; with the eigenvalue gate
+    # passed, LAPACK's own factorization reports it
+    k, s = _synthetic_stack(6, 5, bad=3)
+    eigvalsh, dpotrf = np.linalg.eigvalsh, operators.dpotrf
+    infos = []
+
+    def factor(a, *args, **kwargs):
+        result = dpotrf(a, *args, **kwargs)
+        infos.append(result[1])
+        return result
+
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.sort(np.abs(eigvalsh(a)), axis=-1))
+    monkeypatch.setattr(operators, "dpotrf", factor)
+    names = [f"mode {i}" for i in range(6)]
+    with pytest.raises(NotPositiveDefinite,
+                       match=r"^mode 3: Cholesky factorization of -S failed"):
+        operators._map_blocks(operators._plemelj_symmetrize, [(k, s)], names)
+    # the stack's first pass and the rerun of blocks 0 to 3
+    assert infos == [0, 0, 0, 1, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("make_surface", [
+    lambda: mobius_invert(ellipsoid(2.0, 1.2, 1.0), (3.0, 0.5, 0.4), 2.0),
+    lambda: rigid_transform(
+        ellipsoid(2.0, 1.2, 1.0),
+        Rotation.from_rotvec([0.3, -0.5, 0.7]).as_matrix()),
+], ids=["inverted-ellipsoid", "rotated-ellipsoid"])
+def test_gram_singular_values_of_one_block(make_surface):
+    # a grid that keeps no mirror is one block, K_w itself
+    grid = build_grid(make_surface(), 12, 24)
+    ((k, s),), _ = spectrum._operator_blocks(grid)
+    assert k.shape[0] == 1
+    _, (svals,), _, _ = operators._plemelj_symmetrize([(k, s)])
+    assert np.abs(svals[0] - sla.svdvals(k[0])).max() <= 1e-13

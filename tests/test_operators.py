@@ -822,11 +822,13 @@ def test_failed_cholesky_is_not_positive_definite(sphere_sym, monkeypatch):
     _, kw, sw, _ = sphere_sym
     assert sla.eigvalsh(-sw.matrix)[0] > 0.0
 
-    def failing_cholesky(*args, **kwargs):
-        raise np.linalg.LinAlgError("leading minor not positive definite")
+    def failing_factor(a, *args, **kwargs):
+        # LAPACK's info > 0: a leading minor is not positive definite
+        return a, 3
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
-    with pytest.raises(NotPositiveDefinite, match="Cholesky"):
+    monkeypatch.setattr(operators, "dpotrf", failing_factor)
+    with pytest.raises(NotPositiveDefinite,
+                       match="Cholesky factorization of -S failed"):
         _symmetrize(kw, sw)
 
 
