@@ -13,7 +13,7 @@ z -> -z that the chart kind can express as (u, v) maps, those that send
 grid nodes to grid nodes and reflect points, normals, weights and cells,
 and all their products.  Operators assembled on the grid commute with
 these permutations, so their spectra split into one block per character
-of the group (``operators._mirror_blocks``).
+of the group (``operators._split_blocks``).
 
 A grid of a surface of revolution about the z axis also records its turn:
 the map (u, v) -> (u, v + 2 pi / n_v), kept only if it sends nodes to
@@ -21,9 +21,10 @@ nodes, turns points and unit normals about the z axis by 2 pi / n_v, keeps
 the weights and shifts the cells, and only on a grid that also keeps the
 y-mirror v -> -v.  Operators on such a grid commute with the turn and the
 y-mirror, so they split into one real block of n_u x n_u per rotation
-mode m = 0 .. n_v // 2 (``operators._mode_blocks``), which replaces the
-mirror blocks on that grid; the z-mirror, where the grid keeps it,
-splits each mode block in two.
+mode m = 0 .. n_v // 2 (``operators._split_blocks``), and the z-mirror,
+where the grid keeps it, splits each mode block in two by its
+characters.  A grid without the turn takes the same split as the turn of
+period 1: one mode, the whole matrix, split by all its mirrors.
 """
 from __future__ import annotations
 

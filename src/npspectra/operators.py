@@ -5,8 +5,7 @@ the single-layer operator kernel -(1/4 pi) / |x - y|.  Both are assembled as
 dense matrices acting on point values (``nystrom`` basis, entry = kernel
 times target weight); assembly forms no square-root weights.  Conjugated
 by them (``weighted_l2`` basis) the single layer is symmetric; an entry
-changes basis only in ``_mode_blocks``, ``_mirror_blocks`` and
-``to_weighted_l2``.
+changes basis only in ``_split_blocks`` and ``to_weighted_l2``.
 
 Plain one-point products are spectrally accurate only for well-separated
 node pairs.  Near-diagonal entries (pairs closer than a few local cell
@@ -18,15 +17,18 @@ at production resolutions, so they are always applied.
 
 An operator holds the rows of the orbit representatives of the grid's
 symmetry (``_row_nodes``), and assembly computes these rows and no
-others: on a grid with the turn the meridian nodes (a, 0) with a the
-representative of its orbit under the z-mirror (a, e) -> (P a, e)
-(``_row_mirrors``), about n_u / 2 rows, or all n_u where the grid lacks
-the z-mirror, since every other row is such a row mirrored and turned;
-otherwise the smallest node of each orbit of the mirror group, about n/8
-rows on a catalog grid, every row on a grid without mirrors.  Assembly
+others: the meridian nodes (a, 0) with a the representative of its
+orbit under the row mirrors (``_row_mirrors``), since every other row is
+such a row mirrored and turned.  On a grid with the turn the row mirrors
+are the z-mirror (a, e) -> (P a, e), where the grid keeps it, so that is
+about n_u / 2 rows, or all n_u where the grid lacks the z-mirror.  A
+grid without the turn is the turn of period n_v = 1, whose meridian is
+every node and whose row mirrors are all its mirrors: the smallest node
+of each orbit of the mirror group, about n/8 rows on a catalog grid,
+every row on a grid without mirrors.  Assembly
 writes their one-point products in row blocks, which also find the near
 pairs.  Each near-pair integral is then taken over a row node's own
-cell, mapped there by the turn, the z-mirror or a mirror
+cell, mapped there by the turn and a row mirror
 (``_row_cell_sources``), and each distinct (cell, source) integral once.
 The cell integrals evaluate the surface chart once per quadrature panel
 on those cells alone, about n_u / 2 of them on a catalog surface of
@@ -36,33 +38,34 @@ weights into those samples, and gather from that per-cell cache in
 bounded chunks, one contiguous plane per coordinate.  The self-cell rule
 samples a polar pattern, not a tensor product, and takes full arrays.
 An operator holds only these rows (``DiscreteOperator.rows``).  Every
-other row is a mirrored and turned copy of a meridian row
-(``_fill_turns``) or a permuted copy of a representative row
-(``_orbit_sources``, ``_fill_orbits``), gathered into the n x n matrix
-only when ``DiscreteOperator.matrix`` is first read, and into bounded
-chunks when a matrix dump streams them to its file (``dump_operator``).  Beyond the two
+other row is a mirrored and turned copy of a meridian row, at period 1
+a permuted copy of a representative row (``_orbit_sources``,
+``_fill_turns``), gathered into the n x n matrix only when
+``DiscreteOperator.matrix`` is first read, and into bounded chunks when a
+matrix dump streams them to its file (``dump_operator``).  Beyond the two
 returned row arrays, assembly therefore holds temporaries of O(n) plus a
 few dozen MiB, independent of n^2.
 
-Symmetrization has one route, on the blocks of the grid's symmetry.  On a
-grid with the turn and the y-mirror (a surface of revolution), K and S
-split into one real n_u x n_u block per rotation mode m = 0 .. n_v // 2,
-the real part of one ``rfft`` of the meridian rows along v, each
-standing for one or two blocks of the whole matrix, and the z-mirror,
-where the grid keeps it, splits each mode block into an even and an odd
-block by the characters of the mirror route (``_mode_blocks``,
-``_character_blocks``).  Otherwise they commute with the mirror
-permutations of the grid's nodes and split into one block per character
-of the mirror group (``_mirror_blocks``; a grid without mirrors is one
-block).  Each block is symmetrized through its own single layer
+Symmetrization has one route, on the blocks of the grid's symmetry
+(``_split_blocks``).  K and S commute with the turn and the y-mirror, so
+they split into one real n_u x n_u block per rotation mode
+m = 0 .. n_v // 2, the real part of one ``rfft`` of the meridian rows
+along v, each standing for one or two blocks of the whole matrix, and
+the row mirrors split each mode block into one block per character of
+their group (``_character_blocks``): on a surface of revolution an even
+and an odd block of the z-mirror, where the grid keeps it.  At period 1,
+a grid without the turn, the one mode is the matrix itself, with no
+transform, split into one block per character of the mirror group (a
+grid without mirrors is one block).  Each block is symmetrized through
+its own single layer
 (``_symmetrize_blocks``), so the reports, the study and
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n_u / 2
 nodes on a catalog surface of revolution and of about n/8 nodes on
 another catalog grid; the symmetrized operator keeps the blocks and joins
 its rows only when read.  No n x n array is built unless ``matrix`` is read.
 The blocks are held as a list of (K, S) stacks of (b, m, m) arrays, in
-block order: the modes are one stack pair per parity (``_mode_blocks``),
-each mirror character a stack of one, a view of its block.  Every
+block order: one stack pair per character, each the stack of the modes,
+so a stack of one at period 1.  Every
 per-block step runs through ``_map_blocks``, which cuts the stacks into
 batches of contiguous slices (``_batches``), views that copy no data, and
 runs the batches side by side on a thread pool, each LAPACK call on one
@@ -129,14 +132,16 @@ _DUMP_VERSION = 1
 class DiscreteOperator:
     """Dense discretization of a layer operator on a fixed grid.
 
-    The operator commutes with the grid's turn (``grid.turn``) or the node
+    The operator commutes with the grid's turn (``grid.turn``) and the node
     permutations of its mirror group (``grid.mirrors``), so it is held by
     ``rows``, the rows that assembly computes: those of the nodes
-    ``_row_nodes``, in ascending order.  On a grid with the turn these are
-    the meridian nodes (a, 0) of the z-mirror's representatives a
-    (``_row_mirrors``), otherwise the orbit representatives, the smallest
-    node of each orbit.  An array of n rows is the whole matrix; so are
-    the rows of a grid without mirrors or turn.  ``matrix`` is the n x n
+    ``_row_nodes``, in ascending order, the meridian nodes (a, 0) of the
+    representatives a of the row mirrors (``_row_mirrors``).  On a grid
+    with the turn these are the z-mirror's representatives; on a grid
+    without it, the turn of period 1, the orbit representatives of the
+    mirror group, the smallest node of each orbit.  An array of n rows is
+    the whole matrix; so are the rows of a grid without mirrors or turn.
+    ``matrix`` is the n x n
     array, gathered from ``rows`` (``_row_filler``) the first time it is
     read and kept from then on; when ``rows`` has n rows it is ``rows``
     itself, not a copy.
@@ -144,7 +149,8 @@ class DiscreteOperator:
     in bounded chunks, with the same bits, and neither reads nor builds
     ``matrix``.  The symmetrized operator (``_symmetrize_blocks``) is made
     with ``rows=None`` and its blocks' ``stacks``; the first read of
-    ``rows`` joins them (``_mode_rows`` or ``_mirror_rows``), then drops them.
+    ``rows`` joins them (``_mode_rows`` on a grid with the turn, else
+    ``_mirror_rows``), then drops them.
 
     ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
     the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
@@ -372,33 +378,35 @@ def _representatives(perms: np.ndarray) -> np.ndarray:
 
 
 def _row_nodes(grid: QuadratureGrid) -> np.ndarray:
-    """Nodes whose rows an operator holds, ascending.
-
-    On a grid with the turn, the meridian nodes (a, 0) = a * n_v of the
-    representatives a of the row mirrors (``_row_mirrors``), whose rows
-    give every other row by the z-mirror and the turn; otherwise the
-    orbit representatives of the mirror group (``_representatives``).
-    """
-    if grid.turn:
-        return _representatives(_row_mirrors(grid)[1]) * grid.resolution[1]
-    return _representatives(grid.mirrors)
+    """Nodes whose rows an operator holds, ascending: the meridian nodes
+    (a, 0) = a * n_v of the representatives a of the row mirrors
+    (``_row_mirrors``), whose rows give every other row by the mirrors and
+    the turn.  At period 1, a grid without the turn, these are the orbit
+    representatives of the mirror group (``_representatives``)."""
+    _, table, n_v = _row_mirrors(grid)
+    return _representatives(table) * n_v
 
 
 def _row_mirrors(grid: QuadratureGrid):
-    """The mirrors of a grid with the turn that map meridian nodes onto
-    meridian nodes.
+    """The mirrors that map meridian nodes onto meridian nodes, and the
+    period of the turn.
 
-    The elements of ``grid.mirrors`` that keep the v index of every node:
-    the identity and, where the grid keeps it, the z-mirror
-    (a, e) -> (P a, e), which commutes with the turn and the y-mirror.
-    Returns them as a group table of node permutations, the identity
-    first, and as the table of their permutations of the meridian
-    indices: P a for a.
+    On a grid with the turn, the elements of ``grid.mirrors`` that keep
+    the v index of every node: the identity and, where the grid keeps it,
+    the z-mirror (a, e) -> (P a, e), which commutes with the turn and the
+    y-mirror.  A grid without the turn is the turn of period n_v = 1, whose
+    meridian is every node: all its mirrors keep the v index.  Returns
+    (perms, table, n_v): the row mirrors as a group table of node
+    permutations, the identity first, the table of their permutations of
+    the meridian indices (P a for a), and n_v; at period 1 both tables are
+    ``grid.mirrors`` itself.
     """
+    if not grid.turn:
+        return grid.mirrors, grid.mirrors, 1
     n_v = grid.resolution[1]
     perms = grid.mirrors[np.all(
         grid.mirrors % n_v == np.arange(grid.n_nodes) % n_v, axis=1)]
-    return perms, perms[:, ::n_v] // n_v
+    return perms, perms[:, ::n_v] // n_v, n_v
 
 
 def _orbit_sources(perms: np.ndarray):
@@ -421,21 +429,6 @@ def _orbit_sources(perms: np.ndarray):
     return src, elem
 
 
-def _fill_orbits(rows: np.ndarray, perms: np.ndarray, sources,
-                 out: np.ndarray, start: int = 0) -> np.ndarray:
-    """Write rows start, start + 1, ... of the full matrix into ``out``.
-
-    The matrix commutes with ``perms`` and has the representative rows
-    ``rows``; ``sources`` is ``_orbit_sources(perms)``.  Each row is one
-    gather of a representative row, A[h r_a, j] = A[r_a, h j], so the
-    entries are the rows' own bits.  Returns ``out``.
-    """
-    src, elem = sources
-    for i, row in enumerate(out, start):
-        row[:] = rows[src[i]][perms[elem[i]]]
-    return out
-
-
 def _fill_turns(rows: np.ndarray, table: np.ndarray, sources, n_v: int,
                 out: np.ndarray, start: int = 0) -> np.ndarray:
     """Write rows start, start + 1, ... of the full matrix into ``out``.
@@ -447,39 +440,36 @@ def _fill_turns(rows: np.ndarray, table: np.ndarray, sources, n_v: int,
     ``_orbit_sources(table)``.  Row (P c, e) is row (c, 0) with its u
     index permuted by P and its v index shifted by e,
     A[(P c, e), (b, f)] = A[(c, 0), (P b, f - e)].  The meridian row
-    (P c, 0) is gathered once per call for all its turns, and each row
-    copied from it in two slices, so the entries are the rows' own bits.
-    Returns ``out``.
+    (P c, 0) is gathered once per call, straight into its own row of
+    ``out`` (into a temporary if the call starts past it), and each of its
+    turns in the call copied from it in two slices, so the entries are
+    the rows' own bits.  At period 1 every row is a meridian row,
+    A[h r_a, j] = A[r_a, h j], one gather each.  Returns ``out``.
     """
     n_u = table.shape[1]
     src, elem = sources
     held = rows.reshape(-1, n_u, n_v)
-    last = None
-    for i, row in enumerate(out, start):
+    meridian = None
+    for i, row in enumerate(out.reshape(-1, n_u, n_v), start):
         a, e = divmod(i, n_v)
-        if a != last:
-            last, meridian = a, held[src[a]][table[elem[a]]]
-        row = row.reshape(n_u, n_v)
+        if not e:
+            # mode "clip" writes to ``out`` unbuffered; the indices are valid
+            meridian = np.take(held[src[a]], table[elem[a]], axis=0,
+                               out=row, mode="clip")
+            continue
+        if meridian is None:
+            meridian = held[src[a]][table[elem[a]]]
         row[:, e:] = meridian[:, :n_v - e]
         row[:, :e] = meridian[:, n_v - e:]
     return out
 
 
 def _row_filler(op: DiscreteOperator):
-    """``fill(out, start=0)``: rows start, ... of ``op.matrix`` into ``out``.
-
-    Gathered from ``op.rows`` by the z-mirror and the turn
-    (``_fill_turns``) on a grid with the turn, else over the mirror orbits
-    (``_fill_orbits``).
-    """
-    grid = op.grid
-    if grid.turn:
-        _, table = _row_mirrors(grid)
-        return partial(_fill_turns, op.rows, table, _orbit_sources(table),
-                       grid.resolution[1])
-    perms = grid.mirrors
-    return partial(_fill_orbits, op.rows, perms,
-                             _orbit_sources(perms))
+    """``fill(out, start=0)``: rows start, ... of ``op.matrix`` into ``out``,
+    gathered from ``op.rows`` by the row mirrors and the turn
+    (``_fill_turns``)."""
+    _, table, n_v = _row_mirrors(op.grid)
+    return partial(_fill_turns, op.rows, table, _orbit_sources(table), n_v)
 
 
 def _row_cell_sources(grid: QuadratureGrid, rows: np.ndarray,
@@ -490,26 +480,20 @@ def _row_cell_sources(grid: QuadratureGrid, rows: np.ndarray,
     ``rows`` are row nodes (``_row_nodes``).  Column j is g rho(j) for a
     row node rho(j) and a symmetry g of the grid, which maps cells onto
     cells and commutes with both kernels, so the integral over cell j seen
-    from x_r is that over cell rho(j) seen from x_{g^-1 r}.  On a grid
-    with the turn, the turn by d and a mirror h of ``_row_mirrors`` take
-    the row node (c, 0) to (b, d) = h (c, d), with c the representative
-    of b's orbit under h (``_orbit_sources`` of the row table), so
-    rho((b, d)) = (c, 0) and g^-1 (a, 0) = h (a, -d).
-    Otherwise rho and g are those of ``_orbit_sources`` of the mirror
-    group, and g^-1 = g, every mirror being an involution.  On a grid
-    without mirrors or turn rho(j) = j and g is the identity.  Returns
+    from x_r is that over cell rho(j) seen from x_{g^-1 r}.  The turn by d
+    and a mirror h of ``_row_mirrors`` take the row node (c, 0) to
+    (b, d) = h (c, d), with c the representative of b's orbit under h
+    (``_orbit_sources`` of the row table), so rho((b, d)) = (c, 0) and
+    g^-1 (a, 0) = h (a, -d), every mirror being an involution.  At
+    period 1 d = 0 and g = h is a mirror of the grid; on a grid without
+    mirrors or turn rho(j) = j and g is the identity.  Returns
     (cells, sources).
     """
-    if grid.turn:
-        n_v = grid.resolution[1]
-        perms, table = _row_mirrors(grid)
-        src, elem = _orbit_sources(table)
-        b, d = np.divmod(cols, n_v)
-        return (_representatives(table)[src[b]] * n_v,
-                perms[elem[b], rows + (-d % n_v)])
-    perms = grid.mirrors
-    src, elem = _orbit_sources(perms)
-    return _representatives(perms)[src[cols]], perms[elem[cols], rows]
+    perms, table, n_v = _row_mirrors(grid)
+    src, elem = _orbit_sources(table)
+    b, d = np.divmod(cols, n_v)
+    return (_representatives(table)[src[b]] * n_v,
+            perms[elem[b], rows + (-d % n_v)])
 
 
 def _check_finite(name: str, rows: np.ndarray, reps: np.ndarray) -> None:
@@ -541,18 +525,18 @@ def assemble_operators(grid: QuadratureGrid):
     K and S commute with the grid's turn and with the node permutations of
     its mirror group (``grid.mirrors``), so the operators hold only the
     rows of the nodes ``_row_nodes``, and assembly computes these and no
-    others: on a grid with the turn the meridian rows (a, 0) of the
-    representatives of ``_row_mirrors``, with the z-mirror
-    Z (a, e) = (P a, e) taken from ``grid.mirrors`` those with a <= P a,
-    about n_u / 2, and all n_u on a grid without the z-mirror; else the
-    orbit representatives of the mirror group, the smallest node of each
-    orbit, about n/8 rows on a catalog grid and all n rows on a grid
-    without mirrors.  Each row takes its own self-cell entry and row-sum
-    diagonal.  The other rows of the matrix are mirrored, turned or
-    permuted copies, A[Z r, j] = A[r, Z j], gathered (``_row_filler``)
-    only when ``DiscreteOperator.matrix`` is read or a matrix dump streams
-    them.  The block route (``_mode_blocks``, ``_mirror_blocks``) reads
-    every held row.
+    others: the meridian rows (a, 0) of the representatives of the row
+    mirrors (``_row_mirrors``).  On a grid with the turn, with the
+    z-mirror Z (a, e) = (P a, e) taken from ``grid.mirrors``, those with
+    a <= P a, about n_u / 2, and all n_u on a grid without the z-mirror;
+    at period 1, a grid without the turn, the orbit representatives of
+    the mirror group, the smallest node of each orbit, about n/8 rows on
+    a catalog grid and all n rows on a grid without mirrors.  Each row
+    takes its own self-cell entry and row-sum diagonal.  The other rows
+    of the matrix are mirrored and turned copies, A[Z r, j] = A[r, Z j],
+    gathered (``_row_filler``) only when ``DiscreteOperator.matrix`` is
+    read or a matrix dump streams them.  The block route
+    (``_split_blocks``) reads every held row.
 
     The near-field cell integrals share all geometry evaluations between
     the two kernels, so assembling the pair together costs far less than
@@ -564,7 +548,7 @@ def assemble_operators(grid: QuadratureGrid):
     S_ij = -(I_ij + I_ji w_j / w_i) / 2 averages them so that S is
     symmetric in the weighted_l2 basis.  Cell i is a row node's; I_ij is
     taken over the cell of the row node rho(j) whose image under a
-    symmetry g (the turn, the z-mirror or a mirror) is j, from
+    symmetry g (the turn and a row mirror) is j, from
     x_{g^-1 i} (``_row_cell_sources``), the fundamental-domain reduction
     of the near field.  The integrals form one list of distinct
     (cell, source) tasks, each integrated once, subdivided if either pair
@@ -922,7 +906,7 @@ def _merge_diagnostics(norms, eigs, singular_values) -> dict:
     }
 
 
-# ------------------------------------------------------------------ mirror blocks
+# ------------------------------------------------------------------ blocks
 def _orbits(perms: np.ndarray):
     """Orbit structure of a mirror group given by its permutation table.
 
@@ -960,69 +944,32 @@ def _character_sums(terms, chi):
     return sums
 
 
-def _mirror_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
-    """Blocks of K_w and S_w on the character subspaces of the mirror group.
-
-    ``k`` and ``s`` are the nystrom-basis representative rows of
-    ``assemble_operators`` (``DiscreteOperator.rows``), and this is where
-    their entries change basis on a grid without the turn (``_mode_blocks``
-    converts them on a grid with it).  On a grid with mirrors they are left
-    unchanged: each gathered entry is converted to the weighted_l2 basis
-    on its own, exactly as an in-place conversion would convert it.  On a
-    grid without mirrors they are the whole
-    matrices and are converted in place.  The grid's mirror group G, a
-    product of Z2 factors, permutes the nodes (``grid.mirrors``) and K_w
-    and S_w commute with its permutations, so in the orthonormal basis
-    q_{chi,a} = sum_h chi(h) e_{h r_a} / (st_a sqrt(|G| / st_a)) of the
-    character chi (r_a an orbit representative whose stabilizer, of order
-    st_a, chi is +1 on) both are block diagonal with blocks
-
-        B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b).
-
-    Each block entry gathers from the row of r_a: |G| gathers of m x m
-    entries for m orbits, about n^2 / |G| in all.  Returns one (K, S)
-    stack pair of one block per nonempty character, in character order,
-    each stack a (1, m, m) view of its block; on a grid without mirrors
-    that is the single pair of views of K_w and S_w, the arrays ``k`` and
-    ``s``.
-    """
-    sw = np.sqrt(grid.weights)
-    perms = grid.mirrors
-    if perms.shape[0] == 1:
-        for a in (k, s):
-            a *= sw[:, None]
-            a /= sw[None, :]
-        return [(k[None], s[None])]
-    reps = _representatives(perms)
-    # each gathered entry converted to the weighted basis as an in-place
-    # conversion of the whole matrix would, times sw[r], then over sw[j]
-    return [tuple(b[None] for b in pair) for pair in _character_blocks(
-        [lambda c, a=a: a[:, c] * sw[reps, None] / sw[None, c]
-         for a in (k, s)], perms)]
-
-
-def _character_blocks(gathers, perms):
+def _character_blocks(arrays, perms):
     """Blocks B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b)
     of operators A that commute with the group ``perms``.
 
-    ``gathers`` holds one callable per operator that maps the columns
-    h r_b of the orbit representatives r_b under one group element h to
-    A[..., r_a, h r_b], an array (..., m, m) for the m representatives
-    (``_orbits``).  Returns one tuple of blocks, one per operator, per
-    character with a nonempty block, in character order, each block a
-    C-contiguous (..., m_chi, m_chi) array (``_mirror_blocks``).
+    ``arrays`` holds the rows A[:, r_a, :] of each operator at the m
+    orbit representatives r_a (``_orbits``), an array (b, m, n) of b
+    stacked matrices, from which each group element h gathers the columns
+    h r_b.  Returns one tuple of blocks, one per operator, per character
+    with a nonempty block, in character order, each block a C-contiguous
+    (b, m_chi, m_chi) array cut from the character sum in one gather and
+    scaled in place (``_split_blocks``).
     """
     reps, chi, valid, stab = _orbits(perms)
     scale = 1.0 / np.sqrt(stab)
-    projected = [_character_sums([gather(c) for c in perms[:, reps]], chi)
-                 for gather in gathers]
+    projected = [_character_sums([a[..., c] for c in perms[:, reps]], chi)
+                 for a in arrays]
     blocks = []
     for c, pick in enumerate(valid):
         if pick.any():
-            ix = (..., *np.ix_(pick, pick))
-            f = np.outer(scale[pick], scale[pick])
-            blocks.append(tuple(np.ascontiguousarray(p[c][ix] * f)
-                                for p in projected))
+            i = np.flatnonzero(pick)
+            f = np.outer(scale[i], scale[i])
+            pair = tuple(p[c][np.ix_(np.arange(len(p[c])), i, i)]
+                         for p in projected)
+            for block in pair:
+                block *= f
+            blocks.append(pair)
     return blocks
 
 
@@ -1057,8 +1004,9 @@ def _character_rows(blocks, perms) -> np.ndarray:
 
 
 def _mirror_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
-    """Representative rows of Q blockdiag(blocks) Q^T (``_mirror_blocks``),
-    the blocks given as (b, m, m) stacks in character order.
+    """Representative rows of Q blockdiag(blocks) Q^T on a grid without
+    the turn (``_split_blocks`` at period 1), the blocks given as
+    (b, m, m) stacks in character order.
 
     The rows (``_character_rows``) are joined on the first read of a
     symmetrized operator's ``rows``.  The other rows are permuted copies,
@@ -1074,12 +1022,12 @@ def _mirror_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
                            perms)
 
 
-# ------------------------------------------------------------------ modes
 def _mode_multiplicities(n_v: int) -> np.ndarray:
-    """Multiplicity of the modes m = 0 .. n_v // 2 of ``_mode_blocks``.
+    """Multiplicity of the modes m = 0 .. n_v // 2 of ``_split_blocks``.
 
     One for m = 0 and, at even n_v, for m = n_v / 2; two for every other
-    mode, whose cosine and sine vectors share one block.
+    mode, whose cosine and sine vectors share one block.  At period 1 the
+    one mode m = 0 is the whole matrix, of multiplicity 1.
     """
     mult = np.full(n_v // 2 + 1, 2)
     mult[0] = 1
@@ -1088,53 +1036,8 @@ def _mode_multiplicities(n_v: int) -> np.ndarray:
     return mult
 
 
-def _mode_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
-    """Blocks of K_w and S_w on the rotation modes of a grid with the
-    turn, split by the z-mirror into an even and an odd block each.
-
-    ``k`` and ``s`` are the nystrom-basis meridian rows of
-    ``assemble_operators``, those of the representatives of the row
-    mirrors (``_row_nodes``, ``_row_mirrors``), converted to the
-    weighted_l2 basis on a copy.  K_w and S_w commute with the turn
-    (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and with the
-    y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even
-    in d and in the orthonormal real basis
-    sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e) (and the sines for
-    0 < m < n_v / 2), c_m the multiplicity of mode m
-    (``_mode_multiplicities``), both are block diagonal with the real
-    n_u x n_u blocks
-
-        B_m[a, b] = sum_d cos(2 pi m d / n_v) A_w[(a, 0), (b, d)],
-
-    the real part of one ``rfft`` along d of the rows as (rows, n_u, n_v).
-    The z-mirror (a, e) -> (P a, e) commutes with the turn and the
-    y-mirror, so B_m[P a, P b] = B_m[a, b], and its two characters split
-    each B_m as the mirror route splits a matrix (``_character_blocks``),
-    with the stabilizer scaling of a node that P fixes: an even block of
-    the orbits of P, about n_u / 2 nodes, and an odd block of the orbits
-    of two nodes.  Returns one (K, S) stack pair per parity, even first,
-    each two contiguous (modes, m, m) arrays of the modes
-    m = 0 .. n_v // 2 in mode order; mode m stands for c_m blocks of the
-    whole matrix.  On a grid without the z-mirror the one pair holds the
-    B_m themselves.
-    """
-    n_u, n_v = grid.resolution
-    sw = np.sqrt(grid.weights)
-    _, table = _row_mirrors(grid)
-    nodes = _row_nodes(grid)
-
-    def modes(a):
-        a = a * sw[nodes, None]
-        a /= sw[None, :]
-        return np.moveaxis(np.fft.rfft(a.reshape(nodes.size, n_u, n_v),
-                                       axis=-1).real, -1, 0)
-
-    return _character_blocks([lambda c, b=modes(a): b[..., c]
-                              for a in (k, s)], table)
-
-
 def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
-    """Rows of Q blockdiag(blocks) Q^T (``_mode_blocks``) at the meridian
+    """Rows of Q blockdiag(blocks) Q^T (``_split_blocks``) at the meridian
     nodes ``_row_nodes``, the blocks given as (b, m, m) stacks in block
     order, the even modes first.
 
@@ -1150,7 +1053,7 @@ def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     operator's ``rows`` is read.
     """
     n_u, n_v = grid.resolution
-    _, table = _row_mirrors(grid)
+    _, table, _ = _row_mirrors(grid)
     src, elem = _orbit_sources(table)
     blocks = [block for stack in stacks for block in stack]
     n_modes = n_v // 2 + 1
@@ -1165,20 +1068,63 @@ def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
 
 
 def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
-    """Blocks of K_w and S_w from their representative rows, as a list of
-    (K, S) stacks, and the multiplicity of each block.
+    """Blocks of K_w and S_w from their held rows, as a list of (K, S)
+    stacks, and the multiplicity of each block.
 
-    The rotation modes of ``_mode_blocks`` on a grid with the turn, one
-    stack pair per parity, with the multiplicities of
-    ``_mode_multiplicities`` for each; otherwise the characters of
-    ``_mirror_blocks``, a stack of one each, each of multiplicity 1.
+    ``k`` and ``s`` are the nystrom-basis rows of ``assemble_operators``
+    (``DiscreteOperator.rows``), those of the meridian nodes
+    ``_row_nodes``, and this is where their entries change basis: they
+    are converted to the weighted_l2 basis in place.  K_w and S_w commute
+    with the turn (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and
+    with the y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even
+    in d and in the orthonormal real basis
+    sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e) (and the sines for
+    0 < m < n_v / 2), c_m the multiplicity of mode m
+    (``_mode_multiplicities``), both are block diagonal with the real
+    n_u x n_u blocks
+
+        B_m[a, b] = sum_d cos(2 pi m d / n_v) A_w[(a, 0), (b, d)],
+
+    the real part of one ``rfft`` along d of the rows as (rows, n_u, n_v),
+    for the modes m = 0 .. n_v // 2.  The row mirrors (``_row_mirrors``),
+    a product G of Z2 factors, commute with the turn and the y-mirror, so
+    B_m[P a, P b] = B_m[a, b] for each of their meridian permutations P,
+    and in the orthonormal basis
+    q_{chi,a} = sum_h chi(h) e_{h r_a} / (st_a sqrt(|G| / st_a)) of a
+    character chi of G (r_a an orbit representative whose stabilizer, of
+    order st_a, chi is +1 on) each B_m splits into the blocks
+
+        B_m,chi[a, b] = sum_h chi(h) B_m[r_a, h r_b] / sqrt(st_a st_b)
+
+    (``_character_blocks``): on a surface of revolution an even and an
+    odd block of the z-mirror, where the grid keeps it.  A grid without
+    the turn is the turn of period 1, whose one mode is B_0 = A_w itself,
+    with no transform, split by all the grid's mirrors: each block entry
+    gathers from the row of r_a, |G| gathers of m x m entries for m
+    orbits, about n^2 / |G| in all.
+
+    Returns one (K, S) stack pair per nonempty character, in character
+    order, each two contiguous (modes, m, m) arrays of the modes in mode
+    order, and the multiplicity c_m of each block, 1 for every block at
+    period 1.  On a grid without mirrors or turn the rows are the whole
+    matrices, and the single pair holds views of K_w and S_w, the arrays
+    ``k`` and ``s`` themselves.
     """
-    if grid.turn:
-        stacks = _mode_blocks(grid, k, s)
-        return stacks, np.tile(_mode_multiplicities(grid.resolution[1]),
-                               len(stacks))
-    stacks = _mirror_blocks(grid, k, s)
-    return stacks, np.ones(len(stacks), dtype=int)
+    _, table, n_v = _row_mirrors(grid)
+    sw = np.sqrt(grid.weights)
+    nodes = _row_nodes(grid)
+    for a in (k, s):
+        a *= sw[nodes, None]
+        a /= sw[None, :]
+    if k.shape[0] == grid.n_nodes:
+        stacks = [(k[None], s[None])]
+    else:
+        n_u = table.shape[1]
+        stacks = _character_blocks(
+            [np.moveaxis(np.fft.rfft(a.reshape(nodes.size, n_u, n_v),
+                                     axis=-1).real, -1, 0)
+             if n_v > 1 else a[None] for a in (k, s)], table)
+    return stacks, np.tile(_mode_multiplicities(n_v), len(stacks))
 
 
 def _block_names(grid: QuadratureGrid, stacks) -> list:
@@ -1302,8 +1248,9 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     values of K_w, and the merged operator.
 
     ``stacks`` and ``mult`` are the (K, S) stacks of ``_split_blocks``
-    (the rotation modes as one stack pair per parity, else each mirror
-    character as a stack of one) and the multiplicities of their blocks.
+    (one stack pair of the rotation modes per character of the row
+    mirrors, at period 1 a stack of one) and the multiplicities of their
+    blocks.
     The stacks go to ``_plemelj_symmetrize`` in the batches of
     ``_map_blocks``, slices that copy no data: one pass that symmetrizes
     each slice and takes its ``eigvalsh`` and the singular values of its

@@ -7,11 +7,12 @@ grid refinement (bounded for convex-like bodies, growing for surfaces with
 a region of positive curvature form).  The study needs only that number,
 so it counts by Sylvester's law of inertia: one LDL^T factorization of
 -sym(K S) - t S per block, with no symmetrized matrix and no eigensolve.
-The blocks are the rotation modes of a grid with the turn, each split by
-the z-mirror into an even and an odd block of about n_u / 2 nodes on a
-catalog surface of revolution, and otherwise the characters of the
-grid's mirror group (``_operator_blocks``); a block of a mode of
-multiplicity 2 counts twice.
+The blocks are the rotation modes of the grid's turn, each split by the
+characters of the mirror group that keeps the meridian
+(``_operator_blocks``): on a catalog surface of revolution an even and an
+odd block of the z-mirror of about n_u / 2 nodes each, and on a grid
+without the turn, the turn of period 1, one block per character of its
+mirror group; a block of a mode of multiplicity 2 counts twice.
 """
 from __future__ import annotations
 
@@ -227,12 +228,14 @@ def _operator_blocks(grid):
     multiplicity of each block.
 
     Assembles the representative rows of K and S and splits them
-    (``operators._split_blocks``): the rotation modes of a grid with the
-    turn, one stack pair per parity of the z-mirror, each block of
-    multiplicity 1 or 2; otherwise the
-    mirror characters, a stack of one each, of multiplicity 1, which on a
-    grid without mirrors or turn views the whole rows converted in place.
-    No n x n array is built on a grid with mirrors or the turn.
+    (``operators._split_blocks``), converting them to the weighted_l2
+    basis in place: one stack pair of the rotation modes per character of
+    the mirrors that keep the meridian, each block of multiplicity 1 or
+    2, on a surface of revolution one pair per parity of the z-mirror.  A
+    grid without the turn is the turn of period 1: one mode, each mirror
+    character a stack of one of multiplicity 1, which on a grid without
+    mirrors views the whole rows.  No n x n array is built on a grid with
+    mirrors or the turn.
     """
     k_op, s_op = assemble_operators(grid)
     return _split_blocks(grid, k_op.rows, s_op.rows)
@@ -287,8 +290,9 @@ def _negative_count(grid, threshold: float) -> int:
     """Number of eigenvalues of the symmetrized double layer below -threshold.
 
     K and S are split into (K, S) stacks of blocks (``_operator_blocks``:
-    the rotation modes as one stack pair per parity on a grid with the
-    turn, each mirror character a stack of one otherwise), and the count
+    the rotation modes as one stack pair per character of the row
+    mirrors, a stack of one at period 1, a grid without the turn), and
+    the count
     is the sum of the block counts (``_stack_negative_counts``), each
     times its block's multiplicity, over the batches of
     ``operators._map_blocks``, slices of the stacks that copy no data; the

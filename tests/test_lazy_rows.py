@@ -19,21 +19,15 @@ from conftest import make_config
 
 @pytest.fixture
 def fill_calls(monkeypatch):
-    """List that records how many matrix rows each ``_fill_orbits`` or
-    ``_fill_turns`` call writes: n for a fill of the n x n matrix, one
-    chunk for a dump."""
+    """List that records how many matrix rows each ``_fill_turns`` call
+    writes: n for a fill of the n x n matrix, one chunk for a dump."""
     calls = []
-    orbits, turns = operators._fill_orbits, operators._fill_turns
-
-    def counted_orbits(rows, perms, sources, out, start=0):
-        calls.append(out.shape[0])
-        return orbits(rows, perms, sources, out, start)
+    turns = operators._fill_turns
 
     def counted_turns(rows, table, sources, n_v, out, start=0):
         calls.append(out.shape[0])
         return turns(rows, table, sources, n_v, out, start)
 
-    monkeypatch.setattr(operators, "_fill_orbits", counted_orbits)
     monkeypatch.setattr(operators, "_fill_turns", counted_turns)
     return calls
 

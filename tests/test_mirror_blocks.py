@@ -286,9 +286,10 @@ def test_surfaces_without_mirrors_take_the_dense_route(make_grid,
     assert grid.mirrors.shape == (1, grid.n_nodes)
     eigs, svals, dense, _ = _dense(grid)
     k_op, s_op = assemble_operators(grid)
-    blocks = operators._mirror_blocks(grid, k_op.rows, s_op.rows)
+    blocks, mult = operators._split_blocks(grid, k_op.rows, s_op.rows)
     # one stack of one block, a view of the rows converted in place
     assert len(blocks) == 1 and blocks[0][0].base is k_op.rows
+    assert np.array_equal(mult, [1])
     sym_blocks = []
     symmetrize = operators._plemelj_symmetrize
 
@@ -330,9 +331,9 @@ def test_rows_only_assembly_matches_the_unblocked_one(name):
             <= 1e-12 * np.abs(ref[reps]).max()
         assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.abs(ops[0] @ np.ones(grid.n_nodes) - 0.5).max() <= 1e-15
-    # _mirror_blocks takes only the representative rows
-    blocks = operators._mirror_blocks(grid, *(a[reps] for a in ops))
-    ref_blocks = operators._mirror_blocks(grid, *(a[reps] for a in refs))
+    # _split_blocks takes only the representative rows
+    blocks, _ = operators._split_blocks(grid, *(a[reps] for a in ops))
+    ref_blocks, _ = operators._split_blocks(grid, *(a[reps] for a in refs))
     assert len(blocks) == len(ref_blocks)
     for pair, ref_pair in zip(blocks, ref_blocks):
         for b, ref_b in zip(pair, ref_pair):

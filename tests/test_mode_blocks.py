@@ -4,7 +4,7 @@ On a grid with the turn (u, v) -> (u, v + 2 pi / n_v) and the y-mirror,
 ``compute_report``, ``symmetrized_spectrum`` and the study compute and
 hold the meridian rows of the z-mirror's representatives alone, and split
 K and S into one real block per rotation mode and parity of the z-mirror
-(``operators._mode_blocks``).  These tests compare every merged number
+(``operators._split_blocks``).  These tests compare every merged number
 with the same grid with its turn stripped, which takes the mirror blocks,
 compare the parity blocks with the mode blocks of the unblocked assembly
 projected by the z-mirror found from the points, check that the held
@@ -263,6 +263,22 @@ def test_turned_rows_are_shifted_meridian_rows():
         part = operators._fill_turns(rows, table, sources, n_v,
                                      np.empty((4, n_u * n_v)), start=7)
         assert np.array_equal(part, out[7:11])
+    # period 1: the order-8 group of the three mirrors of a 4 x 4 x 4 node
+    # cube, every row the orbit gather rows[src[i]][perms[elem[i]]]
+    idx = np.arange(64).reshape(4, 4, 4)
+    perms = np.array([np.flip(idx, [ax for ax in range(3) if h >> ax & 1])
+                      .ravel() for h in range(8)])
+    reps = operators._representatives(perms)
+    rows = np.arange(reps.size * 64, dtype=float).reshape(reps.size, 64)
+    sources = operators._orbit_sources(perms)
+    src, elem = sources
+    out = operators._fill_turns(rows, perms, sources, 1, np.empty((64, 64)))
+    for i in range(64):
+        assert np.array_equal(out[i], rows[src[i]][perms[elem[i]]])
+    assert np.array_equal(out[reps], rows)
+    part = operators._fill_turns(rows, perms, sources, 1,
+                                 np.empty((9, 64)), start=27)
+    assert np.array_equal(part, out[27:36])
 
 
 @pytest.mark.parametrize("make_grid, order", [
@@ -277,19 +293,22 @@ def test_turned_rows_are_shifted_meridian_rows():
     (_two_sphere_union, 1),
 ], ids=["ellipsoid", "tilted-peanut", "tilted-sphere", "z-turned-sphere",
         "off-axis-inversion", "two-spheres"])
-def test_grids_without_the_turn_keep_the_mirror_route(make_grid, order,
-                                                      monkeypatch):
+def test_grids_without_the_turn_keep_the_mirror_route(make_grid, order):
+    # the turn of period 1: every mirror keeps the meridian, one mode, each
+    # nonempty character a stack of one block of multiplicity 1
     grid = make_grid()
     assert not grid.turn and grid.mirrors.shape[0] == order
-
-    def refused(*args):
-        raise AssertionError("mode route taken")
-
-    monkeypatch.setattr(operators, "_mode_blocks", refused)
+    perms, table, n_v = operators._row_mirrors(grid)
+    assert n_v == 1 and perms is grid.mirrors and table is grid.mirrors
+    reps, _, valid, _ = operators._orbits(grid.mirrors)
+    assert np.array_equal(operators._row_nodes(grid), reps)
     blocks, mult = spectrum._operator_blocks(grid)
-    assert np.array_equal(mult, np.ones(len(blocks)))
-    assert np.array_equal(operators._row_nodes(grid),
-                          operators._representatives(grid.mirrors))
+    sizes = [int(pick.sum()) for pick in valid if pick.any()]
+    assert [k.shape for k, _ in blocks] == [(1, m, m) for m in sizes]
+    assert [s.shape for _, s in blocks] == [(1, m, m) for m in sizes]
+    assert np.array_equal(mult, np.ones(len(sizes)))
+    assert operators._block_names(grid, blocks) == [
+        f"mirror character {i}" for i in range(len(sizes))]
 
 
 def test_egg_keeps_the_turn_without_the_z_mirror():
