@@ -10,8 +10,10 @@ single-threaded call gives the same bits whatever the CPU count.  So
 the batches of a grid of several blocks, inline when they form one batch
 and otherwise side by side.  The pin covers both builds: the stacked
 eigensolves and products of a batch are numpy calls, which run in
-numpy's build, while the per-block Cholesky factors and triangular
-solves run in scipy's and hold the GIL.  numpy's ``matmul`` releases the
+numpy's build, while the per-block Cholesky factors of -S_b, those of a
+report's symmetrization and of a study's counts alike
+(``operators._factor_neg_s``), and the triangular solves run in scipy's
+and hold the GIL.  numpy's ``matmul`` releases the
 GIL at every size, but its ``eigvalsh`` and ``svd`` hold it on a stack
 whose matrix count times m is at most 500, such as one block of a few
 hundred rows.  So symmetrization solves each slice's -S_b and Gram

@@ -62,7 +62,9 @@ its own single layer
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n_u / 2
 nodes on a catalog surface of revolution and of about n/8 nodes on
 another catalog grid; the symmetrized operator keeps the blocks and joins
-its rows only when read.  No n x n array is built unless ``matrix`` is read.
+its rows only when read (``_join_rows``, one code path at every period:
+the ``irfft`` of the row nodes' modes, none at period 1).  No n x n array
+is built unless ``matrix`` is read.
 The blocks are held as a list of (K, S) stacks of (b, m, m) arrays, in
 block order: one stack pair per character, each the stack of the modes,
 so a stack of one at period 1.  Every
@@ -72,7 +74,9 @@ runs the batches side by side on a thread pool, each LAPACK call on one
 BLAS thread; a grid
 whose blocks form one batch starts no pool.  Every dense step is one
 numpy ``linalg`` or ``matmul`` call per slice, except the Cholesky
-factors and triangular solves, one scipy LAPACK or BLAS call per block.
+factors and triangular solves, one scipy LAPACK or BLAS call per block;
+the factors of -S_b are taken by one function (``_factor_neg_s``) for the
+reports and the study's counts alike.
 numpy releases the GIL in ``matmul`` at every size, but holds it through
 an ``eigvalsh`` or ``svd`` of a stack whose matrix count times m is at
 most 500, as for a mirror character of a few hundred rows, a stack of
@@ -149,8 +153,8 @@ class DiscreteOperator:
     in bounded chunks, with the same bits, and neither reads nor builds
     ``matrix``.  The symmetrized operator (``_symmetrize_blocks``) is made
     with ``rows=None`` and its blocks' ``stacks``; the first read of
-    ``rows`` joins them (``_mode_rows`` on a grid with the turn, else
-    ``_mirror_rows``), then drops them.
+    ``rows`` joins them (``_join_rows``, the same call at every period),
+    then drops them.
 
     ``basis`` is ``"nystrom"``, ``"weighted_l2"`` or ``"symmetrized"``.  For
     the symmetrized double layer, ``diagnostics`` records ``min_eig_negS``
@@ -172,8 +176,7 @@ class DiscreteOperator:
     def __getattr__(self, name):
         if name != "rows":
             raise AttributeError(name)
-        join = _mode_rows if self.grid.turn else _mirror_rows
-        self.rows, self.stacks = join(self.grid, self.stacks), None
+        self.rows, self.stacks = _join_rows(self.grid, self.stacks), None
         return self.rows
 
     @property
@@ -749,22 +752,30 @@ def plemelj_residual(k_op: DiscreteOperator, s_op: DiscreteOperator) -> float:
                                                   * _spectral_norm([s]))
 
 
-def _cholesky_neg_s(neg_s: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a (b, m, m) stack of -S_b, in one
-    ``np.linalg.cholesky`` call.
+def _factor_neg_s(s: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors L_b of -S_b = L_b L_b^T for a (b, m, m)
+    stack of S_b, as one new (b, m, m) array.
+
+    Each -S_b is factored in place by LAPACK ``dpotrf`` on the Fortran
+    view of its C-ordered block, whose upper triangle is the block's
+    lower one, so that no array beyond the factors is made.
 
     Raises
     ------
     NotPositiveDefinite
         If a factorization fails, that is, some -S_b is not positive
-        definite.
+        definite, the first in block order.
     """
-    try:
-        return np.linalg.cholesky(neg_s)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"Cholesky factorization of -S failed ({exc}); "
-            f"refine the grid") from exc
+    lower = np.negative(s)
+    for low in lower:
+        # the upper factor U of the Fortran view is L^T, so the C-ordered
+        # block ends up holding L, its upper triangle zeroed
+        info = dpotrf(low.T, lower=0, clean=1, overwrite_a=1)[1]
+        if info:
+            raise NotPositiveDefinite(
+                f"Cholesky factorization of -S failed (leading minor "
+                f"{info} is not positive); refine the grid")
+    return lower
 
 
 def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
@@ -780,16 +791,15 @@ def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
     definite -S_b is the norm of S_b, and the singular values of K_b are
     the square roots of its Gram eigenvalues, clipped at 0; squaring
     loses accuracy only for singular values near sqrt(eps) ||K_b||.  The
-    array is freed before the factors are formed, and each -S_b is
-    factored in place by LAPACK ``dpotrf`` on the Fortran view of its
-    C-ordered block, whose upper triangle is the block's lower one.  Only
+    array is freed before the factors are formed (``_factor_neg_s``, one
+    in-place LAPACK ``dpotrf`` per block, as for a study's counts).  Only
     the results outlive the call, not -S_b or its factors.
 
     Raises
     ------
     NotPositiveDefinite
         If some -S_b has a nonpositive eigenvalue, the first in block
-        order, or its Cholesky factorization fails.
+        order, or its Cholesky factorization fails (``_factor_neg_s``).
     """
     b = len(k)
     both = np.empty((2 * b, *k.shape[1:]))
@@ -802,15 +812,7 @@ def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
     if bad.size:
         raise NotPositiveDefinite(
             f"-S has min eigenvalue {neg[bad[0], 0]:.3e}; refine the grid")
-    lower = np.negative(s)
-    for low in lower:
-        # the upper factor U of the Fortran view is L^T, so the C-ordered
-        # block ends up holding L, its upper triangle zeroed
-        info = dpotrf(low.T, lower=0, clean=1, overwrite_a=1)[1]
-        if info:
-            raise NotPositiveDefinite(
-                f"Cholesky factorization of -S failed (leading minor "
-                f"{info} is not positive); refine the grid")
+    lower = _factor_neg_s(s)
     kt = np.matmul(k, lower)
     for x, low in zip(kt, lower):
         # L X = K L solved as X^T L^T = (K L)^T: the transposes of the
@@ -1003,25 +1005,6 @@ def _character_rows(blocks, perms) -> np.ndarray:
     return rows
 
 
-def _mirror_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
-    """Representative rows of Q blockdiag(blocks) Q^T on a grid without
-    the turn (``_split_blocks`` at period 1), the blocks given as
-    (b, m, m) stacks in character order.
-
-    The rows (``_character_rows``) are joined on the first read of a
-    symmetrized operator's ``rows``.  The other rows are permuted copies,
-    M[h r_a, j] = M[r_a, h j], and an exactly symmetric set of blocks
-    gives an exactly symmetric matrix.  On a grid without mirrors the
-    single block is the whole matrix and is returned itself, a view of
-    its stack of one.
-    """
-    perms = grid.mirrors
-    if perms.shape[0] == 1:
-        return stacks[0][0]
-    return _character_rows([block for stack in stacks for block in stack],
-                           perms)
-
-
 def _mode_multiplicities(n_v: int) -> np.ndarray:
     """Multiplicity of the modes m = 0 .. n_v // 2 of ``_split_blocks``.
 
@@ -1036,35 +1019,45 @@ def _mode_multiplicities(n_v: int) -> np.ndarray:
     return mult
 
 
-def _mode_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
-    """Rows of Q blockdiag(blocks) Q^T (``_split_blocks``) at the meridian
+def _join_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
+    """Rows of Q blockdiag(blocks) Q^T (``_split_blocks``) at the row
     nodes ``_row_nodes``, the blocks given as (b, m, m) stacks in block
-    order, the even modes first.
+    order, slices of the characters' stacks of the modes.
 
-    Each parity's modes join into the rows of the representatives of the
-    B_m (``_character_rows``), and the other rows of the B_m are mirrored
-    copies, B_m[P a, b] = B_m[a, P b].  Then M[(a, 0), (b, d)] =
-    sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v, the ``irfft``
-    (n = n_v) along the mode axis for all n_u meridian nodes, averaged
-    with their mirror images M[(b, 0), (a, -d)] so that an exactly
-    symmetric set of blocks gives an exactly symmetric matrix; the rows
-    of the representatives are kept.  The other rows follow by the
-    z-mirror and the turn (``_fill_turns``).  Joined when a symmetrized
-    operator's ``rows`` is read.
+    Each character's modes, the slices that hold them (a slice that is a
+    whole character, as every slice at period 1, is not copied), join
+    into the rows of the representatives of the row mirrors' table
+    (``_character_rows``).  At period 1, a grid without the turn, the one
+    mode is the matrix, and these are its rows; the other rows are
+    permuted copies, M[h r_a, j] = M[r_a, h j].  On a grid with the turn,
+    M[(a, 0), (b, d)] = sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v is
+    the ``irfft`` (n = n_v) along the mode axis of the held rows only,
+    averaged with M[(b, 0), (a, -d)], its mirror image.  An exactly
+    symmetric B_m gives the same ``irfft`` input for (b, a) as for
+    (a, b), and ``irfft`` the same bits for the same input in another
+    row, so that average is (y[d] + y[-d]) / 2 of the row's own y, and
+    an exactly symmetric set of blocks gives an exactly symmetric matrix.
+    The other rows follow by the row mirrors and the turn
+    (``_fill_turns``).  On a grid without mirrors or turn the single
+    block is the whole matrix and is returned itself, a view of its stack
+    of one.  Joined when a symmetrized operator's ``rows`` is read.
     """
-    n_u, n_v = grid.resolution
-    _, table, _ = _row_mirrors(grid)
-    src, elem = _orbit_sources(table)
-    blocks = [block for stack in stacks for block in stack]
-    n_modes = n_v // 2 + 1
-    rep_rows = _character_rows([np.stack(blocks[i:i + n_modes])
-                                for i in range(0, len(blocks), n_modes)],
-                               table)
-    full = rep_rows[:, src[:, None], table[elem]]
-    rows = np.fft.irfft(np.moveaxis(full, 0, -1), n=n_v, axis=-1)
-    rows += rows.transpose(1, 0, 2)[..., -np.arange(n_v) % n_v]
+    if stacks[0].shape[-1] == grid.n_nodes:
+        return stacks[0][0]
+    _, table, n_v = _row_mirrors(grid)
+    n_modes, chars, run = n_v // 2 + 1, [], []
+    for stack in stacks:
+        run.append(stack)
+        if sum(map(len, run)) == n_modes:
+            chars.append(run[0] if len(run) == 1 else np.concatenate(run))
+            run = []
+    rows = _character_rows(chars, table)
+    if n_v == 1:
+        return rows[0]
+    rows = np.fft.irfft(np.moveaxis(rows, 0, -1), n=n_v, axis=-1)
+    rows += rows[..., -np.arange(n_v) % n_v]
     rows *= 0.5
-    return rows[_representatives(table)].reshape(-1, n_u * n_v)
+    return rows.reshape(rows.shape[0], -1)
 
 
 def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
@@ -1133,7 +1126,7 @@ def _block_names(grid: QuadratureGrid, stacks) -> list:
     definite: ``mode m even`` and ``mode m odd`` on a grid with the turn
     and the z-mirror, ``mode m`` on a grid with the turn alone, otherwise
     ``mirror character i``, the nonempty characters counted from 0."""
-    if not grid.turn:
+    if _row_mirrors(grid)[2] == 1:
         return [f"mirror character {i}" for i in range(len(stacks))]
     parities = [""] if len(stacks) == 1 else [" even", " odd"]
     return [f"mode {m}{parity}"

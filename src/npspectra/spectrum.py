@@ -25,7 +25,7 @@ from scipy.linalg import lapack
 from .errors import ConfigError, DomainError, NotPositiveDefinite, PoleError
 from .functionals import WeylCoefficients
 from .grids import build_grid, check_resolution
-from .operators import (_block_names, _cholesky_neg_s, _map_blocks,
+from .operators import (_block_names, _factor_neg_s, _map_blocks,
                         _split_blocks, _symmetrize_blocks,
                         assemble_operators)
 
@@ -325,19 +325,23 @@ def _stack_negative_counts(k, s, threshold: float) -> list:
     the count is the number of negative eigenvalues of M - threshold S.
     A successful Cholesky factorization of -S certifies that it is
     positive definite; the factors are not needed otherwise.  One
-    ``cholesky`` of the stack, one batched product K S and one LDL^T
-    factorization per block (``_negative_inertia``, with the workspace
-    size queried once per stack) replace the similarity transform and
-    the eigensolve.  ``k`` and ``s`` are left
-    as they are, and at most three arrays of the stack's size are alive
-    at any time.
+    in-place LAPACK ``dpotrf`` per block (``operators._factor_neg_s``,
+    the factors of a report's symmetrization), one batched product K S
+    and one LDL^T factorization per block (``_negative_inertia``, with
+    the workspace size queried once per stack) replace the similarity
+    transform and the eigensolve.  ``k`` and ``s`` are left as they are.
+    The factors are one array of the stack's size, freed before K S is
+    formed; at most three such arrays are alive at any time, K S and the
+    two that numpy makes for the overlapping operands of
+    K S + (K S)^T.
 
     Raises
     ------
     NotPositiveDefinite
-        If the Cholesky factorization of some -S_b fails.
+        If the Cholesky factorization of some -S_b fails, the first in
+        block order (leading minor i is not positive).
     """
-    _cholesky_neg_s(np.negative(s))
+    _factor_neg_s(s)
     m = np.matmul(k, s)
     m += np.swapaxes(m, 1, 2)
     m *= -0.5

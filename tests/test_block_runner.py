@@ -145,22 +145,15 @@ def test_only_a_grid_with_mirrors_pins_one_thread(two_blas_threads,
 
 
 def _fail_blocks(monkeypatch, grid, failing):
-    """Make the factorization of the -S of a block in ``failing`` fail: the
-    in-place ``dpotrf`` of a report's symmetrization returns a nonzero
-    ``info``, and the ``np.linalg.cholesky`` of a study's counts raises on
-    a stack that holds such a block, naming the first of the stack."""
+    """Make the factorization of the -S of a block in ``failing`` fail: its
+    in-place ``dpotrf``, in a report's symmetrization and in a study's
+    counts alike, returns a nonzero ``info``."""
     stacks, _ = spectrum._operator_blocks(grid)
     neg_s = [-b for _, s in stacks for b in s]
-    cholesky, dpotrf = np.linalg.cholesky, operators.dpotrf
+    dpotrf = operators.dpotrf
 
     def index(block):
         return next(i for i, m in enumerate(neg_s) if np.array_equal(block, m))
-
-    def injected(a, *args, **kwargs):
-        bad = sorted(failing.intersection(index(b) for b in a))
-        if bad:
-            raise np.linalg.LinAlgError(f"injected in block {bad[0]}")
-        return cholesky(a, *args, **kwargs)
 
     def injected_factor(a, *args, **kwargs):
         # a is the Fortran view of the C-ordered block
@@ -168,7 +161,6 @@ def _fail_blocks(monkeypatch, grid, failing):
             return a, 1
         return dpotrf(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", injected)
     monkeypatch.setattr(operators, "dpotrf", injected_factor)
 
 

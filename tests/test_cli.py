@@ -247,7 +247,7 @@ def _without_self_cell_integrals(monkeypatch):
                    "-1.476e-02; refine the grid\n"),
     (["study-negatives", "--resolutions", "12x24,14x28,16x32"],
      "error: 12x24 grid (288 nodes): mode 0 even: Cholesky factorization "
-     "of -S failed (Matrix is not positive definite); refine the grid\n"),
+     "of -S failed (leading minor 4 is not positive); refine the grid\n"),
 ], ids=["spectrum", "study-negatives"])
 def test_lost_positivity_exits_4_naming_the_stage_and_the_block(
         monkeypatch, capsys, tmp_path, argv, line):
@@ -284,7 +284,7 @@ def test_out_of_memory_in_the_dump_writes_no_output(monkeypatch, capsys,
     def unallocatable(*args, **kwargs):
         raise MemoryError("")
 
-    monkeypatch.setattr(operators, "_mirror_rows", unallocatable)
+    monkeypatch.setattr(operators, "_join_rows", unallocatable)
     config = write_config(tmp_path, {
         "surface": {"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0},
         "resolution": [16, 32],

@@ -15,6 +15,7 @@ from npspectra import (
     build_grid,
     ellipsoid,
     negative_count_study,
+    operators,
     peanut,
     sphere,
     spectrum,
@@ -75,10 +76,11 @@ def test_negative_inertia_with_two_by_two_pivots():
 
 
 def test_failed_cholesky_in_study_is_not_positive_definite(monkeypatch):
-    def failing_cholesky(*args, **kwargs):
-        raise np.linalg.LinAlgError("leading minor not positive definite")
+    def failing_factor(a, *args, **kwargs):
+        # LAPACK's info > 0: a leading minor is not positive definite
+        return a, 1
 
-    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    monkeypatch.setattr(operators, "dpotrf", failing_factor)
     with pytest.raises(NotPositiveDefinite, match="Cholesky") as err:
         negative_count_study(sphere(), [(8, 16), (10, 20), (12, 24)])
     assert not isinstance(err.value, np.linalg.LinAlgError)

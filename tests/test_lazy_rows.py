@@ -34,39 +34,35 @@ def fill_calls(monkeypatch):
 
 @pytest.fixture
 def join_calls(monkeypatch):
-    """List that records each ``_mode_rows`` or ``_mirror_rows`` call by
-    name: each joins a symmetrized operator's blocks into its rows."""
+    """List that records the node count of each ``_join_rows`` call: each
+    joins a symmetrized operator's blocks into its rows."""
     calls = []
+    join = operators._join_rows
 
-    def spy(name):
-        join = getattr(operators, name)
+    def joined(grid, stacks):
+        calls.append(grid.n_nodes)
+        return join(grid, stacks)
 
-        def joined(grid, stacks):
-            calls.append(name)
-            return join(grid, stacks)
-        return joined
-
-    for name in ("_mode_rows", "_mirror_rows"):
-        monkeypatch.setattr(operators, name, spy(name))
+    monkeypatch.setattr(operators, "_join_rows", joined)
     return calls
 
 
 # the digests pin the bytes of the symmetrized matrix, so that joining
 # its rows on first read changes no bit of it
-@pytest.mark.parametrize("surface, resolution, join, digest", [
-    ({"name": "sphere"}, [24, 48], "_mode_rows", "00d02f5d3c726bc4"),
+@pytest.mark.parametrize("surface, resolution, digest", [
+    ({"name": "sphere"}, [24, 48], "00d02f5d3c726bc4"),
     ({"name": "ellipsoid", "a": 2.0, "b": 1.2, "c": 1.0}, [16, 32],
-     "_mirror_rows", "f03d7ee0064c93b9"),
+     "f03d7ee0064c93b9"),
     # the z-mirror fixes the equator row (odd n_u)
-    ({"name": "sphere"}, [13, 24], "_mode_rows", "b16abe4d01e0e503"),
+    ({"name": "sphere"}, [13, 24], "b16abe4d01e0e503"),
     # the turn without the z-mirror
     ({"invert": {"center": [0.0, 0.0, 3.0], "radius": 1.0,
-                 "inner": {"name": "torus"}}}, [16, 16], "_mode_rows",
+                 "inner": {"name": "torus"}}}, [16, 16],
      "ca286685f5caf2bf"),
 ], ids=["sphere-24x48", "ellipsoid-16x32", "sphere-13x24",
         "inverted-torus-16x16"])
 def test_rows_are_joined_only_for_a_dump_and_once(join_calls, tmp_path,
-                                                  surface, resolution, join,
+                                                  surface, resolution,
                                                   digest):
     doc = {"surface": surface, "resolution": resolution,
            "outputs": [{"report_json": "report.json"},
@@ -79,12 +75,32 @@ def test_rows_are_joined_only_for_a_dump_and_once(join_calls, tmp_path,
     assert sym.n == report.diagnostics["n_nodes"] and join_calls == []
     dumped = make_config({**doc, "outputs": [{"matrix_dump": "op.bin"}]})
     write_outputs(report, sym, dumped, str(tmp_path))
-    assert join_calls == [join] and sym.stacks is None
+    assert join_calls == [sym.n] and sym.stacks is None
     matrix = sym.matrix
-    assert join_calls == [join]
+    assert join_calls == [sym.n]
     assert hashlib.sha256(matrix.tobytes()).hexdigest()[:16] == digest
     assert np.array_equal(read_matrix_dump(str(tmp_path / "op.bin"))[0],
                           matrix)
+
+
+# The join holds the rows, its irfft's complex input and one mirrored
+# copy of the rows, never the n_u x n of all the meridian nodes.
+@pytest.mark.parametrize("make_grid", [
+    lambda: build_grid(sphere(), 24, 48),
+    lambda: build_grid(sphere(), 48, 96),
+    lambda: build_grid(peanut(), 32, 64),
+    lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 16, 32),
+], ids=["sphere-24x48", "sphere-48x96", "peanut-32x64", "ellipsoid-16x32"])
+def test_the_join_allocates_a_few_times_its_rows(make_grid):
+    _, _, sym = spectrum.symmetrized_spectrum(make_grid())
+    tracemalloc.start()
+    try:
+        rows = sym.rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape[0] < sym.n
+    assert peak <= 4 * rows.nbytes, peak / rows.nbytes
 
 
 # At 2048 nodes the assembly's fixed temporaries (near-field chunks and
