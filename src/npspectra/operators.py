@@ -61,13 +61,14 @@ its own single layer
 (``_symmetrize_blocks``), so the reports, the study and
 ``spectrum.symmetrized_spectrum`` do dense work on blocks of about n_u / 2
 nodes on a catalog surface of revolution and of about n/8 nodes on
-another catalog grid; the symmetrized operator keeps the blocks and joins
-its rows only when read (``_join_rows``, one code path at every period:
-the ``irfft`` of the row nodes' modes, none at period 1).  No n x n array
-is built unless ``matrix`` is read.
-The blocks are held as a list of (K, S) stacks of (b, m, m) arrays, in
-block order: one stack pair per character, each the stack of the modes,
-so a stack of one at period 1.  Every
+another catalog grid.  The blocks are held as a list of (K, S) stacks
+of (b, m, m) arrays, in block order: one stack pair per character, each
+the stack of the modes, so a stack of one at period 1.  Each sym_b is
+written over its own K_b, so the symmetrized operator keeps the split's
+K stacks, one whole stack per character, and joins its rows only when
+read (``_join_rows``, one code path at every period: the ``irfft`` of
+the row nodes' modes, none at period 1).  No n x n array is built
+unless ``matrix`` is read.  Every
 per-block step runs through ``_map_blocks``, which cuts the stacks into
 batches of contiguous slices (``_batches``), views that copy no data, and
 runs the batches side by side on a thread pool, each LAPACK call on one
@@ -83,7 +84,8 @@ most 500, as for a mirror character of a few hundred rows, a stack of
 one.  So each slice's -S_b and Gram matrices K_b^T K_b share one
 ``eigvalsh`` of 2b matrices, which the pool runs beside the calls of
 another batch.  Symmetrization is one such pass
-(``_plemelj_symmetrize``): per batch it symmetrizes each slice, takes its
+(``_plemelj_symmetrize``): per batch it symmetrizes each slice in the
+storage of its K_b, once every slice has passed its -S_b gate, takes its
 eigenvalues and the singular values of its K_b, and takes the skew and
 commutator norms in one Lanczos run each on the block diagonal, two runs
 per batch; the norms of K and of the symmetrized operator are read off
@@ -152,7 +154,8 @@ class DiscreteOperator:
     A matrix dump (``dump_operator``) streams the same rows from ``rows``
     in bounded chunks, with the same bits, and neither reads nor builds
     ``matrix``.  The symmetrized operator (``_symmetrize_blocks``) is made
-    with ``rows=None`` and its blocks' ``stacks``; the first read of
+    with ``rows=None`` and ``stacks``, the split's K stacks, one per
+    character, each K_b overwritten by its sym_b; the first read of
     ``rows`` joins them (``_join_rows``, the same call at every period),
     then drops them.
 
@@ -823,10 +826,9 @@ def _cholesky_similarity(k: np.ndarray, s: np.ndarray):
             np.sqrt(np.clip(gram, 0.0, None))[:, ::-1], kt)
 
 
-def _half_sum(kt: np.ndarray, sign: float) -> np.ndarray:
-    """(kt + sign kt^T) / 2 for each matrix of the stack ``kt``: its
-    symmetric part for sign 1, its skew part for sign -1, in one array."""
-    out = np.swapaxes(kt, 1, 2) * sign
+def _skew_part(kt: np.ndarray) -> np.ndarray:
+    """(kt - kt^T) / 2 for each matrix of the stack ``kt``, in one array."""
+    out = np.swapaxes(kt, 1, 2) * -1.0
     out += kt
     out *= 0.5
     return out
@@ -850,20 +852,22 @@ def _plemelj_symmetrize(batch):
     L_b^-1 (K_b L_b) are one LAPACK ``dpotrf`` and one BLAS ``dtrsm``
     per block.  Stacks go in block order, so the first block whose -S_b
     has a nonpositive eigenvalue raises, else the first block whose
-    factorization fails.
+    factorization fails.  Each sym_b, exactly symmetric, is written over
+    its own K_b, in the batch's K slices, once every slice has passed its
+    gate, so a batch that raises has written none of its K_b.
 
     Returns the list of the ascending eigenvalues of the sym_b, as one
     (b, m) array per stack, the list of the descending singular values of
-    the K_b, likewise, the list of the sym_b stacks, exactly symmetric,
-    and one tuple of the numbers the diagnostics merge from: the smallest
-    eigenvalue of the -S_b, the exact Lanczos norms (``_spectral_norm``)
-    of the block diagonals of the discarded skew parts and of the
-    commutators S_b K_b^T - K_b S_b, and the largest eigenvalue of the
-    -S_b, which is the norm of the block diagonal of the S_b.  That is two
-    Lanczos runs per batch, whatever its number of blocks; the norms of
-    the K_b and of the sym_b are read off their spectra
-    (``_merge_diagnostics``).  The batch holds its blocks' commutators,
-    L_b^-1 K_b L_b and skew parts only until their norms are taken.
+    the K_b, likewise, and one tuple of the numbers the diagnostics merge
+    from: the smallest eigenvalue of the -S_b, the exact Lanczos norms
+    (``_spectral_norm``) of the block diagonals of the discarded skew
+    parts and of the commutators S_b K_b^T - K_b S_b, and the largest
+    eigenvalue of the -S_b, which is the norm of the block diagonal of
+    the S_b.  That is two Lanczos runs per batch, whatever its number of
+    blocks; the norms of the K_b and of the sym_b are read off their
+    spectra (``_merge_diagnostics``).  The batch holds its blocks'
+    commutators, L_b^-1 K_b L_b and skew parts only until their norms are
+    taken or, for L_b^-1 K_b L_b, its symmetric part is written.
     This is Plemelj's symmetrization: S is symmetric and S K^T = K S, so
     L^-1 K L is symmetric for the continuous operators.  Its spectrum is
     that of K; another factor of -S (such as its square root) changes the
@@ -879,10 +883,12 @@ def _plemelj_symmetrize(batch):
     resid = _spectral_norm([_commutator(k, s) for k, s in batch])
     min_eigs, s_norms, svals, kts = zip(*(_cholesky_similarity(k, s)
                                           for k, s in batch))
-    skew_norm = _spectral_norm([_half_sum(kt, -1.0) for kt in kts])
-    syms = [_half_sum(kt, 1.0) for kt in kts]
+    skew_norm = _spectral_norm([_skew_part(kt) for kt in kts])
+    for (k, _), kt in zip(batch, kts):
+        np.add(kt, np.swapaxes(kt, 1, 2), out=k)
+        k *= 0.5
     del kts
-    return ([np.linalg.eigvalsh(sym) for sym in syms], list(svals), syms,
+    return ([np.linalg.eigvalsh(k) for k, _ in batch], list(svals),
             (min(min_eigs), skew_norm, resid, max(s_norms)))
 
 
@@ -1021,16 +1027,15 @@ def _mode_multiplicities(n_v: int) -> np.ndarray:
 
 def _join_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     """Rows of Q blockdiag(blocks) Q^T (``_split_blocks``) at the row
-    nodes ``_row_nodes``, the blocks given as (b, m, m) stacks in block
-    order, slices of the characters' stacks of the modes.
+    nodes ``_row_nodes``, the blocks given as one (modes, m, m) stack per
+    character, in character order.
 
-    Each character's modes, the slices that hold them (a slice that is a
-    whole character, as every slice at period 1, is not copied), join
-    into the rows of the representatives of the row mirrors' table
-    (``_character_rows``).  At period 1, a grid without the turn, the one
-    mode is the matrix, and these are its rows; the other rows are
-    permuted copies, M[h r_a, j] = M[r_a, h j].  On a grid with the turn,
-    M[(a, 0), (b, d)] = sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v is
+    The characters' modes join into the rows of the representatives of
+    the row mirrors' table (``_character_rows``).  At period 1, a grid
+    without the turn, the one mode is the matrix, and these are its rows;
+    the other rows are permuted copies, M[h r_a, j] = M[r_a, h j].  On a
+    grid with the turn, M[(a, 0), (b, d)] =
+    sum_m c_m cos(2 pi m d / n_v) B_m[a, b] / n_v is
     the ``irfft`` (n = n_v) along the mode axis of the held rows only,
     averaged with M[(b, 0), (a, -d)], its mirror image.  An exactly
     symmetric B_m gives the same ``irfft`` input for (b, a) as for
@@ -1045,13 +1050,7 @@ def _join_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     if stacks[0].shape[-1] == grid.n_nodes:
         return stacks[0][0]
     _, table, n_v = _row_mirrors(grid)
-    n_modes, chars, run = n_v // 2 + 1, [], []
-    for stack in stacks:
-        run.append(stack)
-        if sum(map(len, run)) == n_modes:
-            chars.append(run[0] if len(run) == 1 else np.concatenate(run))
-            run = []
-    rows = _character_rows(chars, table)
+    rows = _character_rows(stacks, table)
     if n_v == 1:
         return rows[0]
     rows = np.fft.irfft(np.moveaxis(rows, 0, -1), n=n_v, axis=-1)
@@ -1246,17 +1245,20 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
     blocks.
     The stacks go to ``_plemelj_symmetrize`` in the batches of
     ``_map_blocks``, slices that copy no data: one pass that symmetrizes
-    each slice and takes its ``eigvalsh`` and the singular values of its
-    K_b, one numpy call per slice and step, and the skew and commutator
-    norms of a batch in one Lanczos run each on its block diagonal.  So
+    each slice, writing each sym_b over its own K_b, and takes its
+    ``eigvalsh`` and the singular values of its K_b, one numpy call per
+    slice and step, and the skew and commutator norms of a batch in one
+    Lanczos run each on its block diagonal.  So
     the 25 even and 25 odd modes of a 24x48 sphere, one batch of two
     slices, cost 2 Lanczos runs and 4 ``eigvalsh`` calls, two of them on
     the 25 -S_b and 25 Gram matrices of a parity, and no ``svd`` call.
 
     Returns the eigenvalues and the singular values of K_w, the sorted
     unions of the block values (``_sorted_union``), and the ``symmetrized``
-    DiscreteOperator Q blockdiag(sym_b) Q^T, held by the stacks of its
-    sym_b until its rows are read.  That is the Plemelj symmetrization of
+    DiscreteOperator Q blockdiag(sym_b) Q^T, held by the K stacks of
+    ``stacks`` themselves, one whole stack per character, now holding the
+    sym_b, until its rows are read; on a grid without mirrors or turn that
+    is the rows of K.  That is the Plemelj symmetrization of
     K_w for the factor Q blockdiag(L_b) Q^T of -S_w (so the symmetrization
     for the Cholesky factor of the whole -S_w differs from it by an
     orthogonal similarity; on a grid with one block the two are the same).
@@ -1275,13 +1277,13 @@ def _symmetrize_blocks(grid: QuadratureGrid, stacks, mult):
         z-mirror, ``mode m`` on one with the turn alone, else
         ``mirror character i`` (the nonempty ones counted).
     """
-    eigs, svals, syms, norms = zip(*_map_blocks(
+    eigs, svals, norms = zip(*_map_blocks(
         _plemelj_symmetrize, stacks, _block_names(grid, stacks)))
     eigs, svals = _sorted_union(eigs, mult), _sorted_union(svals, mult)
     return eigs, svals, DiscreteOperator(
         None, basis="symmetrized", grid=grid,
         diagnostics=_merge_diagnostics(norms, eigs, svals),
-        stacks=[stack for batch in syms for stack in batch])
+        stacks=[k for k, _ in stacks])
 
 
 # ------------------------------------------------------------------ binary dump

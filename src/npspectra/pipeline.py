@@ -70,7 +70,8 @@ def compute_report(config: RunConfig) -> tuple:
     (SpectrumReport, DiscreteOperator)
         The report plus the symmetrized operator (kept for matrix dumps),
         Q blockdiag(sym_b) Q^T in the orthonormal basis of the blocks.  It
-        holds its blocks, joins its representative rows on first read, and
+        holds its blocks in the split's K stacks, each K_b overwritten by
+        its sym_b, joins its representative rows on first read, and
         builds ``matrix`` from them; a ``matrix_dump`` streams the rows.
     """
     with _stage("geometry"):

@@ -103,6 +103,37 @@ def test_the_join_allocates_a_few_times_its_rows(make_grid):
     assert peak <= 4 * rows.nbytes, peak / rows.nbytes
 
 
+# Each sym_b is written over its own K_b, so the symmetrized operator
+# holds the split's K stacks, one whole stack per character, whatever
+# the batches cut them into.
+@pytest.mark.parametrize("make_grid, batch_entries, n_stacks", [
+    # the even and the odd stack of the 25 modes, in one batch
+    (lambda: build_grid(sphere(), 24, 48), None, 2),
+    # the same, every block a batch of its own
+    (lambda: build_grid(sphere(), 24, 48), 1, 2),
+    # the 8 mirror characters, a stack of one each
+    (lambda: build_grid(ellipsoid(2.0, 1.2, 1.0), 16, 32), None, 8),
+    # no mirror or turn: one block, the rows of K themselves
+    (lambda: build_grid(mobius_invert(ellipsoid(2.0, 1.2, 1.0),
+                                      (3.0, 0.5, 0.4), 2.0), 16, 32),
+     None, 1),
+], ids=["sphere-24x48", "sphere-24x48-block-batches", "ellipsoid-16x32",
+        "inverted-ellipsoid-16x32"])
+def test_symmetrized_operator_holds_the_split_k_stacks(
+        monkeypatch, make_grid, batch_entries, n_stacks):
+    grid = make_grid()
+    if batch_entries is not None:
+        monkeypatch.setattr(operators, "_BATCH_ENTRIES", batch_entries)
+    k_op, s_op = assemble_operators(grid)
+    stacks, mult = operators._split_blocks(grid, k_op.rows, s_op.rows)
+    assert len(stacks) == n_stacks
+    _, _, sym = operators._symmetrize_blocks(grid, stacks, mult)
+    assert len(sym.stacks) == len(stacks)
+    assert all(a is k for a, (k, _) in zip(sym.stacks, stacks))
+    if n_stacks == 1:
+        assert sym.rows.base is k_op.rows
+
+
 # At 2048 nodes the assembly's fixed temporaries (near-field chunks and
 # chart samples, a few MiB) stay well below one n x n array; on smaller
 # grids they alone exceed it, with or without n x n arrays.

@@ -46,10 +46,12 @@ def sphere_ops(sphere_grid_small):
 
 def _symmetrize(kw, sw):
     """Plemelj symmetrization of the whole weighted pair, unblocked: one
-    stack of one block."""
-    ((eigs,),), ((svals,),), ((sym,),), norms = \
-        operators._plemelj_symmetrize([(kw.matrix[None], sw.matrix[None])])
-    return DiscreteOperator(sym, basis="symmetrized", grid=kw.grid,
+    stack of one block, a copy of K_w, which the pass overwrites with
+    sym."""
+    k = kw.matrix[None].copy()
+    ((eigs,),), ((svals,),), norms = \
+        operators._plemelj_symmetrize([(k, sw.matrix[None])])
+    return DiscreteOperator(k[0], basis="symmetrized", grid=kw.grid,
                             diagnostics=operators._merge_diagnostics(
                                 [norms], eigs[::-1], svals))
 
