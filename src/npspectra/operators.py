@@ -56,14 +56,17 @@ their group (``_character_blocks``): on a surface of revolution an even
 and an odd block of the z-mirror, where the grid keeps it.  At period 1,
 a grid without the turn, the one mode is the matrix itself, with no
 transform, split into one block per character of the mirror group (a
-grid without mirrors is one block).  Each block is symmetrized through
-its own single layer
-(``_symmetrize_blocks``), so the reports, the study and
-``spectrum.symmetrized_spectrum`` do dense work on blocks of about n_u / 2
-nodes on a catalog surface of revolution and of about n/8 nodes on
-another catalog grid.  The blocks are held as a list of (K, S) stacks
-of (b, m, m) arrays, in block order: one stack pair per character, each
-the stack of the modes, so a stack of one at period 1.  Each sym_b is
+grid without mirrors is one block).  The split takes one operator at a
+time, K first, and one character sum at a time, and drops each
+operator's rows and transform once its blocks are cut, so it never holds
+both operators' transforms or all the sums of one.  Each block is
+symmetrized through its own single layer (``_symmetrize_blocks``), so
+the reports, the study and ``spectrum.symmetrized_spectrum`` do dense
+work on blocks of about n_u / 2 nodes on a catalog surface of
+revolution and of about n/8 nodes on another catalog grid.  The blocks
+are held as a list of (K, S) stacks of (b, m, m) arrays, in block
+order: one stack pair per character, each the stack of the modes, so a
+stack of one at period 1.  Each sym_b is
 written over its own K_b, so the symmetrized operator keeps the split's
 K stacks, one whole stack per character, and joins its rows only when
 read (``_join_rows``, one code path at every period: the ``irfft`` of
@@ -934,50 +937,46 @@ def _orbits(perms: np.ndarray):
     return reps, chi, valid, fixed.sum(axis=0)
 
 
-def _character_sums(terms, chi):
-    """sum_h chi[c, h] terms[h] for each character c, in a fixed order.
+def _character_sum(terms, signs):
+    """sum_h signs[h] terms[h], in the order h = 0, 1, ...
 
-    Elementwise and in the same order for every c, so two characters that
-    agree on the terms' nonzero entries give bit-identical sums.
+    The first term copied, then each other one added or subtracted in
+    place, so that two sign rows that agree on the terms' nonzero entries
+    give bit-identical sums.
     """
-    sums = []
-    for row in chi:
-        acc = terms[0].copy()
-        for sign, term in zip(row[1:], terms[1:]):
-            if sign > 0:
-                acc += term
-            else:
-                acc -= term
-        sums.append(acc)
-    return sums
+    acc = terms[0].copy()
+    for sign, term in zip(signs[1:], terms[1:]):
+        if sign > 0:
+            acc += term
+        else:
+            acc -= term
+    return acc
 
 
-def _character_blocks(arrays, perms):
+def _character_blocks(a, perms):
     """Blocks B_chi[a, b] = sum_h chi(h) A[r_a, h r_b] / sqrt(st_a st_b)
-    of operators A that commute with the group ``perms``.
+    of one operator A that commutes with the group ``perms``.
 
-    ``arrays`` holds the rows A[:, r_a, :] of each operator at the m
-    orbit representatives r_a (``_orbits``), an array (b, m, n) of b
-    stacked matrices, from which each group element h gathers the columns
-    h r_b.  Returns one tuple of blocks, one per operator, per character
-    with a nonempty block, in character order, each block a C-contiguous
-    (b, m_chi, m_chi) array cut from the character sum in one gather and
-    scaled in place (``_split_blocks``).
+    ``a`` holds the rows A[:, r_a, :] at the m orbit representatives r_a
+    (``_orbits``), an array (b, m, n) of b stacked matrices, from which
+    each group element h gathers the columns h r_b once.  Returns the
+    block of each character with a nonempty block, in character order,
+    each a C-contiguous (b, m_chi, m_chi) array cut from the character's
+    sum (``_character_sum``) in one gather and scaled in place.  One
+    character's sum is alive at a time, so the call holds ``a``, its |G|
+    gathered terms, about the size of ``a``, and the blocks.
     """
     reps, chi, valid, stab = _orbits(perms)
     scale = 1.0 / np.sqrt(stab)
-    projected = [_character_sums([a[..., c] for c in perms[:, reps]], chi)
-                 for a in arrays]
+    terms = [a[..., c] for c in perms[:, reps]]
     blocks = []
-    for c, pick in enumerate(valid):
+    for signs, pick in zip(chi, valid):
         if pick.any():
             i = np.flatnonzero(pick)
-            f = np.outer(scale[i], scale[i])
-            pair = tuple(p[c][np.ix_(np.arange(len(p[c])), i, i)]
-                         for p in projected)
-            for block in pair:
-                block *= f
-            blocks.append(pair)
+            block = _character_sum(terms, signs)[np.ix_(np.arange(len(a)),
+                                                         i, i)]
+            block *= np.outer(scale[i], scale[i])
+            blocks.append(block)
     return blocks
 
 
@@ -1007,7 +1006,7 @@ def _character_rows(blocks, perms) -> np.ndarray:
         padded.append(p)
     rows = np.empty(lead + (m, n))
     for h, cols in enumerate(perms[:, reps]):
-        rows[..., cols] = _character_sums(padded, chi.T[h:h + 1])[0]
+        rows[..., cols] = _character_sum(padded, chi[:, h])
     return rows
 
 
@@ -1059,17 +1058,17 @@ def _join_rows(grid: QuadratureGrid, stacks) -> np.ndarray:
     return rows.reshape(rows.shape[0], -1)
 
 
-def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
+def _split_blocks(grid: QuadratureGrid, rows: list):
     """Blocks of K_w and S_w from their held rows, as a list of (K, S)
     stacks, and the multiplicity of each block.
 
-    ``k`` and ``s`` are the nystrom-basis rows of ``assemble_operators``
-    (``DiscreteOperator.rows``), those of the meridian nodes
-    ``_row_nodes``, and this is where their entries change basis: they
-    are converted to the weighted_l2 basis in place.  K_w and S_w commute
-    with the turn (a, e) -> (a, e + 1) of the grid's n_u x n_v nodes and
-    with the y-mirror (a, e) -> (a, -e), so A_w[(a, 0), (b, d)] is even
-    in d and in the orthonormal real basis
+    ``rows`` is the list [k, s] of the nystrom-basis rows of
+    ``assemble_operators`` (``DiscreteOperator.rows``), those of the
+    meridian nodes ``_row_nodes``, and this is where their entries change
+    basis: they are converted to the weighted_l2 basis in place.  K_w and
+    S_w commute with the turn (a, e) -> (a, e + 1) of the grid's
+    n_u x n_v nodes and with the y-mirror (a, e) -> (a, -e), so
+    A_w[(a, 0), (b, d)] is even in d and in the orthonormal real basis
     sqrt(c_m / n_v) cos(2 pi m e / n_v) e_(b, e) (and the sines for
     0 < m < n_v / 2), c_m the multiplicity of mode m
     (``_mode_multiplicities``), both are block diagonal with the real
@@ -1095,27 +1094,39 @@ def _split_blocks(grid: QuadratureGrid, k: np.ndarray, s: np.ndarray):
     gathers from the row of r_a, |G| gathers of m x m entries for m
     orbits, about n^2 / |G| in all.
 
+    The operators are split one at a time, K first.  Each is taken out of
+    ``rows``, converted, transformed and cut into its blocks one character
+    sum at a time (``_character_blocks``), and its rows and transform are
+    dropped before the next one starts; ``rows`` is left empty.  A caller
+    that hands over its only references to the rows, as
+    ``spectrum._operator_blocks`` does, so never holds both operators'
+    transforms, nor an operator's rows once its blocks are cut.
+
     Returns one (K, S) stack pair per nonempty character, in character
     order, each two contiguous (modes, m, m) arrays of the modes in mode
     order, and the multiplicity c_m of each block, 1 for every block at
     period 1.  On a grid without mirrors or turn the rows are the whole
     matrices, and the single pair holds views of K_w and S_w, the arrays
-    ``k`` and ``s`` themselves.
+    ``k`` and ``s`` themselves, converted in place.
     """
     _, table, n_v = _row_mirrors(grid)
     sw = np.sqrt(grid.weights)
     nodes = _row_nodes(grid)
-    for a in (k, s):
+    split = []
+    while rows:
+        a = rows.pop(0)
         a *= sw[nodes, None]
         a /= sw[None, :]
-    if k.shape[0] == grid.n_nodes:
-        stacks = [(k[None], s[None])]
-    else:
-        n_u = table.shape[1]
-        stacks = _character_blocks(
-            [np.moveaxis(np.fft.rfft(a.reshape(nodes.size, n_u, n_v),
+        if a.shape[0] == grid.n_nodes:
+            split.append([a[None]])
+            continue
+        # at n_v > 1 rebinding ``a`` drops the rows; the next pop drops
+        # the transform
+        a = (np.moveaxis(np.fft.rfft(a.reshape(nodes.size, -1, n_v),
                                      axis=-1).real, -1, 0)
-             if n_v > 1 else a[None] for a in (k, s)], table)
+             if n_v > 1 else a[None])
+        split.append(_character_blocks(a, table))
+    stacks = list(zip(*split))
     return stacks, np.tile(_mode_multiplicities(n_v), len(stacks))
 
 

@@ -227,9 +227,12 @@ def _operator_blocks(grid):
     """K_w and S_w split into blocks, as a list of (K, S) stacks, and the
     multiplicity of each block.
 
-    Assembles the representative rows of K and S and splits them
-    (``operators._split_blocks``), converting them to the weighted_l2
-    basis in place: one stack pair of the rotation modes per character of
+    Assembles the representative rows of K and S and splits them one
+    operator at a time (``operators._split_blocks``), handing over the
+    only references to them: the split converts them to the weighted_l2
+    basis in place and drops K's rows and transform once K's blocks are
+    cut, before S is transformed.  The blocks are one stack pair of the
+    rotation modes per character of
     the mirrors that keep the meridian, each block of multiplicity 1 or
     2, on a surface of revolution one pair per parity of the z-mirror.  A
     grid without the turn is the turn of period 1: one mode, each mirror
@@ -237,8 +240,7 @@ def _operator_blocks(grid):
     mirrors views the whole rows.  No n x n array is built on a grid with
     mirrors or the turn.
     """
-    k_op, s_op = assemble_operators(grid)
-    return _split_blocks(grid, k_op.rows, s_op.rows)
+    return _split_blocks(grid, [op.rows for op in assemble_operators(grid)])
 
 
 def symmetrized_spectrum(grid):
